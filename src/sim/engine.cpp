@@ -109,11 +109,11 @@ struct alignas(64) ExecContext {
 };
 
 namespace {
+// The executing worker's window state.  A fiber runs on whichever thread
+// resumes it, so code on a fiber reads that thread's context like any
+// other code inside the waking event.
 thread_local ExecContext* t_ctx = nullptr;
 }  // namespace
-
-void* currentExecContext() { return t_ctx; }
-void adoptExecContext(void* ctx) { t_ctx = static_cast<ExecContext*>(ctx); }
 
 int currentWorkerIndex() { return t_ctx != nullptr ? t_ctx->worker : -1; }
 

@@ -124,12 +124,6 @@ bool deferTraceRecord(void* trace, TraceCommitFn commit, SimTime t,
 /// cache line.
 int currentWorkerIndex();
 
-/// Exec-context baton for fiber switches: a fiber body runs on its own OS
-/// thread, so the waker snapshots its context (currentExecContext) and the
-/// fiber adopts it after every wake (adoptExecContext).  See sim/fiber.cpp.
-void* currentExecContext();
-void adoptExecContext(void* ctx);
-
 }  // namespace detail
 
 /// Handle to a scheduled event; usable to cancel it before it fires.  The

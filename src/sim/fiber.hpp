@@ -4,28 +4,37 @@
 //
 // Application skeletons (SWEEP3D, NAS kernels, ...) are written as ordinary
 // C++ functions that call blocking MPI operations.  Each simulated process
-// runs on a Fiber — an OS thread that is baton-passed with the engine thread
-// so that exactly one of {engine, some fiber} executes at any instant.  This
-// preserves the determinism of the single-threaded engine while letting
-// model code keep a natural call stack (deeply nested blocking calls, as in
-// the wavefront codes, would be painful as hand-written state machines).
+// runs on a Fiber — a user-mode coroutine with its own stack.  resume()
+// switches from the caller's stack onto the fiber's and yield() switches
+// back; both are a register swap on the calling OS thread, so exactly one of
+// {engine, some fiber} executes at any instant by construction, and a fiber
+// runs on whichever thread resumes it.  This preserves the determinism of
+// the single-threaded engine while letting model code keep a natural call
+// stack (deeply nested blocking calls, as in the wavefront codes, would be
+// painful as hand-written state machines).
 //
 // Lifecycle:  the engine resumes a fiber; the fiber runs until it calls
 // yield() (typically via Process::block()) or returns; control then returns
 // to the engine.  A fiber destroyed before finishing is unwound by throwing
-// FiberKilled through its stack.
+// FiberKilled through its stack.  A fiber never resumed never runs.
 //
-// All shared flags (started_/finished_/kill_/error_/turn_ and the parallel
-// exec-context baton) live under mu_ for their whole lifecycle: the baton
-// handoff guarantees mutual exclusion *between* waits, but every read or
-// write of the flags themselves is lock-protected so the wake/join path is
-// race-free under ThreadSanitizer too.
+// Stacks: 8 MiB each, mapped on first resume with a PROT_NONE guard page
+// below and committed lazily by the kernel as the body touches them, so
+// thousands of ranks cost a few pages each and an overflow faults on the
+// guard page instead of running into a neighbour.
+//
+// Switching stacks inside one OS thread imposes two rules on fiber code:
+//   * Never yield inside a catch handler, or in a destructor that runs
+//     during unwinding.  The C++ runtime keeps one caught-exception stack
+//     per OS thread, and the next fiber to run on that thread would push
+//     and pop its own handlers on top of this one's.
+//   * Never keep a thread_local's address across a yield.  The fiber may
+//     come back on another thread, and the compiler may reuse an address
+//     it computed before the call.
 
+#include <cstddef>
 #include <exception>
 #include <functional>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
 
 namespace bcs::sim {
 
@@ -39,43 +48,42 @@ class Fiber {
   /// Creates a fiber that will run `body` once first resumed.
   explicit Fiber(std::function<void()> body);
 
-  /// Joins the underlying thread; force-unwinds the body if unfinished.
+  /// Force-unwinds the body if unfinished, then releases the stack.
   ~Fiber();
 
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
 
-  /// Runs the fiber until it yields or finishes.  Must be called from the
-  /// engine side.  Rethrows any exception that escaped the fiber body.
+  /// Runs the fiber until it yields or finishes.  Must be called from
+  /// outside the fiber.  Rethrows any exception that escaped the body.
   void resume();
 
-  /// Suspends the calling fiber and returns control to the engine side.
+  /// Suspends the calling fiber and returns control to its resumer.
   /// Must be called from inside the fiber body.
   void yield();
 
   /// True once the body has returned (or was unwound).
-  bool finished() const;
+  bool finished() const { return finished_; }
 
  private:
-  enum class Turn { kEngine, kFiber };
-
-  void threadMain();
+  [[noreturn]] static void run(Fiber* self);
+  void start();
+  void switchIn();   // resumer's stack -> fiber's stack
+  void switchOut();  // fiber's stack -> resumer's stack
 
   std::function<void()> body_;
-  std::thread thread_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  Turn turn_ = Turn::kEngine;
-  bool started_ = false;
+  void* stack_ = nullptr;   ///< mapping: guard page, then the stack
+  void* ctx_ = nullptr;     ///< the fiber's saved context while suspended
+  void* caller_ = nullptr;  ///< the resumer's saved context while it runs
   bool finished_ = false;
   bool kill_ = false;
   std::exception_ptr error_;
-  /// Exec-context baton: the fiber body runs on its own OS thread, which
-  /// has no engine worker context of its own.  Every waker (resume() or the
-  /// destructor's kill path) snapshots its context here under mu_, and the
-  /// fiber adopts it on wake — so code running on the fiber schedules and
-  /// traces exactly as if it ran inline in the waking event.
-  void* resume_ctx_ = nullptr;
+  // Sanitizer bookkeeping; untouched unless built under ASan or TSan.
+  void* fake_stack_ = nullptr;
+  const void* caller_stack_ = nullptr;
+  std::size_t caller_stack_size_ = 0;
+  void* tsan_fiber_ = nullptr;
+  void* tsan_caller_ = nullptr;
 };
 
 }  // namespace bcs::sim

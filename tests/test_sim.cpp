@@ -2,10 +2,14 @@
 // noise injection, RNG and statistics.
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <unistd.h>
 
 #include <array>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -247,12 +251,7 @@ TEST(Fiber, DestructionUnwindsUnfinishedBody) {
   EXPECT_TRUE(unwound);
 }
 
-// Regression: destroying a fiber that was never resumed used to race with
-// threadMain's startup (the body thread read kill_ before taking the lock,
-// so a fast destructor could lose the kill notification and hang the join,
-// or the body could start running concurrently with the unwind).  The loop
-// makes the interleaving likely enough to trip TSan / hang deterministic
-// CI when the handshake regresses.
+// A fiber destroyed before its first resume never runs its body.
 TEST(Fiber, ImmediateDestructionWithoutResumeIsClean) {
   for (int i = 0; i < 200; ++i) {
     bool ran = false;
@@ -263,9 +262,7 @@ TEST(Fiber, ImmediateDestructionWithoutResumeIsClean) {
   }
 }
 
-// Regression (same startup handshake, opposite winner): resume immediately
-// after construction, before the body thread has reached its first wait.
-// The resume must not be lost and the body must run exactly once.
+// The first resume right after construction runs the body exactly once.
 TEST(Fiber, ResumeImmediatelyAfterConstructionRuns) {
   for (int i = 0; i < 200; ++i) {
     int runs = 0;
@@ -276,8 +273,8 @@ TEST(Fiber, ResumeImmediatelyAfterConstructionRuns) {
   }
 }
 
-// Regression: rapid resume-once-then-destroy cycles exercise the kill path
-// waking a fiber parked in yield() while the destructor holds the lock.
+// Rapid resume-once-then-destroy cycles: every body parked in yield() is
+// unwound by its destructor, and every stack is released.
 TEST(Fiber, ResumeThenDestroyLoopUnwindsEveryBody) {
   int unwound = 0;
   for (int i = 0; i < 100; ++i) {
@@ -304,6 +301,89 @@ TEST(Fiber, ExceptionAfterYieldPropagatesOnSecondResume) {
   EXPECT_FALSE(f.finished());
   EXPECT_THROW(f.resume(), std::runtime_error);
   EXPECT_TRUE(f.finished());
+}
+
+// Reads the calling thread's id.  pthread_self is declared const, so a read
+// made after a yield could reuse one made before it; the out-of-line call
+// with an opaque body keeps every read fresh.
+[[gnu::noinline]] std::thread::id runningThread() {
+  asm volatile("" ::: "memory");
+  return std::this_thread::get_id();
+}
+
+TEST(Fiber, RunsOnWhicheverThreadResumesIt) {
+  std::array<std::thread::id, 3> ran_on{};
+  Fiber* self = nullptr;
+  Fiber f([&] {
+    ran_on[0] = runningThread();
+    self->yield();
+    ran_on[1] = runningThread();
+    self->yield();
+    ran_on[2] = runningThread();
+  });
+  self = &f;
+  f.resume();  // first segment: this thread
+  std::thread::id helper;
+  std::thread t([&] {
+    helper = std::this_thread::get_id();
+    f.resume();  // second segment: the helper thread
+  });
+  t.join();
+  f.resume();  // last segment: back on this thread
+  EXPECT_TRUE(f.finished());
+  EXPECT_NE(helper, std::this_thread::get_id());
+  EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+  EXPECT_EQ(ran_on[1], helper);
+  EXPECT_EQ(ran_on[2], std::this_thread::get_id());
+}
+
+constexpr std::uintptr_t kFiberStack = std::uintptr_t{8} << 20;
+constexpr int kGuardHit = 42;
+constexpr int kFaultElsewhere = 43;
+std::uintptr_t g_page = 0;
+std::uintptr_t g_fiber_local = 0;  // a local in the stack's topmost page
+
+void exitOnFault(int, siginfo_t* info, void*) {
+  // The stack ends at the page boundary above g_fiber_local, and its guard
+  // page is the one page right below its 8 MiB.
+  const std::uintptr_t top = (g_fiber_local & ~(g_page - 1)) + g_page;
+  const std::uintptr_t guard = top - kFiberStack - g_page;
+  const auto addr = reinterpret_cast<std::uintptr_t>(info->si_addr);
+  _exit(addr >= guard && addr < guard + g_page ? kGuardHit : kFaultElsewhere);
+}
+
+// One touched 1 KiB frame per level, so the descent cannot step over the
+// guard page; the add after the call keeps it from becoming a loop.
+[[gnu::noinline]] int recurseForever(int depth) {
+  volatile char frame[1024];
+  frame[0] = static_cast<char>(depth);
+  frame[sizeof frame - 1] = frame[0];
+  if (depth < 0) return 0;
+  return recurseForever(depth + 1) + frame[0];
+}
+
+void overflowFiberStack() {
+  static std::array<char, 64 * 1024> alt_stack;
+  stack_t ss{};
+  ss.ss_sp = alt_stack.data();
+  ss.ss_size = alt_stack.size();
+  sigaltstack(&ss, nullptr);
+  struct sigaction sa {};
+  sa.sa_sigaction = exitOnFault;
+  sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
+  sigaction(SIGSEGV, &sa, nullptr);
+  g_page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  Fiber f([] {
+    char local = 0;
+    g_fiber_local = reinterpret_cast<std::uintptr_t>(&local);
+    recurseForever(local);
+  });
+  f.resume();
+}
+
+TEST(FiberDeathTest, StackOverflowFaultsOnGuardPage) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(overflowFiberStack(), ::testing::ExitedWithCode(kGuardHit), "");
 }
 
 // ------------------------------------------------------------------ CPU --
@@ -576,14 +656,16 @@ TEST(TimeFormat, HumanReadable) {
 // pool.  These run under the sanitize preset (label: arena), so unreleased
 // nodes or buffers show up as leaks there.
 
-/// Drives `kShards` event chains of `rounds` rounds each through a parallel
-/// run and returns the engine's final pool-slot count.
+/// Drives `shards` event chains of `rounds` rounds each through a parallel
+/// run and returns the engine's final pool-slot count.  Each shard counts
+/// into its own slot: shards drain on different worker threads.
 std::uint32_t runChains(Engine& eng, int shards, int rounds, int threads) {
   auto step = std::make_shared<std::function<void(int, int)>>();
   auto* stepp = step.get();
-  auto count = std::make_shared<int>(0);
-  *step = [&eng, stepp, count, rounds](int s, int round) {
-    ++*count;
+  auto counts =
+      std::make_shared<std::vector<int>>(static_cast<std::size_t>(shards));
+  *step = [&eng, stepp, counts, rounds](int s, int round) {
+    ++(*counts)[static_cast<std::size_t>(s)];
     if (round + 1 < rounds) {
       eng.at(eng.now() + usec(7), [stepp, s, round] { (*stepp)(s, round + 1); });
     }
@@ -597,7 +679,8 @@ std::uint32_t runChains(Engine& eng, int shards, int rounds, int threads) {
   policy.threads = threads;
   policy.clamp_to_hardware = false;
   eng.run(policy);
-  EXPECT_EQ(*count, shards * rounds);
+  EXPECT_EQ(std::accumulate(counts->begin(), counts->end(), 0),
+            shards * rounds);
   return eng.poolSlots();
 }
 
@@ -624,16 +707,17 @@ TEST(Arena, ExhaustionGrowsChunkTable) {
   // Thousands of simultaneously-live events force the node pool through its
   // chunk-growth path mid-parallel-run; every event must still fire.
   Engine eng;
-  auto count = std::make_shared<int>(0);
+  std::array<int, 2> counts{};  // one per shard: they drain on two threads
   constexpr int kLive = 5000;
   for (int i = 0; i < kLive; ++i) {
-    eng.atOn(static_cast<ShardId>(i % 2), usec(1) + i, [count] { ++*count; });
+    eng.atOn(static_cast<ShardId>(i % 2), usec(1) + i,
+             [&counts, i] { ++counts[static_cast<std::size_t>(i % 2)]; });
   }
   ParallelPolicy policy;
   policy.threads = 2;
   policy.clamp_to_hardware = false;
   eng.run(policy);
-  EXPECT_EQ(*count, kLive);
+  EXPECT_EQ(counts[0] + counts[1], kLive);
   EXPECT_GE(eng.poolSlots(), static_cast<std::uint32_t>(kLive));
 }
 
