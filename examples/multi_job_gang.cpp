@@ -38,28 +38,31 @@ int main() {
   app_cfg.sweeps_per_step = 4;
   app_cfg.blocking = true;
 
+  // STORM heartbeats re-arm forever, so the event queue only drains once
+  // they stop: the last of both jobs' ranks to finish turns them off.
+  constexpr int kRanks = 2 * 8;
+  int ranks_done = 0;
   std::vector<std::vector<sim::SimTime>> finish(2);
   for (int j = 0; j < 2; ++j) {
     // Both jobs want every node: spread placement, one slot per node per
     // job, two job slots per node (multiprogramming level 2).
     const auto nodes =
         storm.allocate(8, /*per_node=*/2, storm::Storm::Placement::kSpread);
-    sim::SimTime launched_at = -1;
     storm.launchImage(nodes, /*binary_bytes=*/2 << 20, 1,
                       [&, j, nodes](sim::SimTime) {
-                        launched_at = cluster.engine().now();
                         bcsmpi::launchJob(
                             *runtime, nodes,
-                            [app_cfg](mpi::Comm& c) {
+                            [&, app_cfg](mpi::Comm& c) {
                               (void)apps::sweep3d(c, app_cfg);
+                              if (++ranks_done == kRanks) {
+                                storm.stopHeartbeats();
+                              }
                             },
                             &finish[static_cast<std::size_t>(j)]);
                       });
   }
 
   cluster.run();
-  storm.stopHeartbeats();
-  cluster.run();  // drain the last heartbeat round
 
   for (int j = 0; j < 2; ++j) {
     sim::SimTime last = 0;

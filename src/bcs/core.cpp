@@ -145,33 +145,33 @@ void BcsCore::testEventBlocking(sim::Process& proc, GlobalEventId ev) {
 }
 
 void BcsCore::xferAndSignal(XferRequest req) {
-  if (trace_) {
-    trace_->record(fabric_.engine().now(), sim::TraceCategory::kBcsCore,
-                   req.src_node,
-                   "Xfer-And-Signal " + std::to_string(req.bytes) + "B to " +
-                       std::to_string(req.dest_nodes.size()) + " node(s)");
-  }
+  sim::traceRecord(trace_, fabric_.engine().now(), sim::TraceCategory::kBcsCore,
+                   req.src_node, [&] {
+                     return "Xfer-And-Signal " + std::to_string(req.bytes) +
+                            "B to " + std::to_string(req.dest_nodes.size()) +
+                            " node(s)";
+                   });
   if (req.dest_nodes.empty()) {
     throw sim::SimError("Xfer-And-Signal: empty destination set");
   }
 
-  auto st = std::make_shared<XferRequest>(std::move(req));
   // A request with neither per-destination data movement nor a remote event
-  // keeps the fabric's per-destination callback empty: the multicast then
+  // gives the fabric no per-destination callback: the multicast then
   // schedules no per-destination engine events at all, only the aggregate
-  // `on_all` completion — one event per fan-out, however wide.
-  std::function<void(int)> per_dest;
-  if (st->deliver || st->remote_event >= 0) {
-    per_dest = [this, st](int dest) {
-      if (st->deliver) st->deliver(dest);
-      if (st->remote_event >= 0) signalLocal(dest, st->remote_event);
-    };
+  // `on_all` completion — one event per fan-out, however wide.  With no
+  // local event either, `on_all` *is* the completion and goes to the
+  // fabric as is.
+  const bool per_dest = req.deliver || req.remote_event >= 0;
+  if (req.dest_nodes.size() > 1 && !per_dest && req.local_event < 0 &&
+      req.on_all) {
+    fabric_.multicast(req.src_node, std::move(req.dest_nodes), req.bytes, {},
+                      std::move(req.on_all));
+    return;
   }
-  auto all_done = [this, st] {
-    if (st->local_event >= 0) signalLocal(st->src_node, st->local_event);
-    if (st->on_all) st->on_all();
-  };
 
+  // Every other shape shares the request itself (one allocation); each
+  // closure below is a pointer pair that fits the inline callback slot.
+  auto st = std::make_shared<XferRequest>(std::move(req));
   if (st->dest_nodes.size() == 1) {
     const int dest = st->dest_nodes.front();
     net::SendOptions opts;
@@ -181,35 +181,49 @@ void BcsCore::xferAndSignal(XferRequest req) {
     }
     fabric_.unicast(
         st->src_node, dest, st->bytes,
-        [per_dest, all_done, dest] {
-          if (per_dest) per_dest(dest);
-          all_done();
+        [this, st, dest] {
+          deliverXfer(*st, dest);
+          completeXfer(*st);
         },
         /*on_injected=*/{}, std::move(opts));
     return;
   }
-  fabric_.multicast(st->src_node, st->dest_nodes, st->bytes,
-                    std::move(per_dest), std::move(all_done));
+  net::NodeCallback per_dest_cb;
+  if (per_dest) {
+    per_dest_cb = [this, st](int dest) { deliverXfer(*st, dest); };
+  }
+  fabric_.multicast(st->src_node, std::move(st->dest_nodes), st->bytes,
+                    std::move(per_dest_cb), [this, st] { completeXfer(*st); });
+}
+
+void BcsCore::deliverXfer(const XferRequest& req, int dest) {
+  if (req.deliver) req.deliver(dest);
+  if (req.remote_event >= 0) signalLocal(dest, req.remote_event);
+}
+
+void BcsCore::completeXfer(const XferRequest& req) {
+  if (req.local_event >= 0) signalLocal(req.src_node, req.local_event);
+  if (req.on_all) req.on_all();
 }
 
 void BcsCore::compareAndWriteAsync(CompareAndWriteRequest req,
-                                   std::function<void(bool)> on_result) {
+                                   sim::InlineFunction<void(bool)> on_result) {
   checkVar(req.var);
   if (req.do_write) checkVar(req.write_var);
   if (req.nodes.empty()) {
     throw sim::SimError("Compare-And-Write: empty node set");
   }
-  if (trace_) {
-    trace_->record(fabric_.engine().now(), sim::TraceCategory::kBcsCore,
-                   req.src_node,
-                   "Compare-And-Write " + var_names_[static_cast<std::size_t>(req.var)] +
-                       " " + cmpOpName(req.op) + " " +
-                       std::to_string(req.value) + " on " +
-                       std::to_string(req.nodes.size()) + " node(s)");
-  }
+  sim::traceRecord(
+      trace_, fabric_.engine().now(), sim::TraceCategory::kBcsCore,
+      req.src_node, [&] {
+        return "Compare-And-Write " +
+               var_names_[static_cast<std::size_t>(req.var)] + " " +
+               cmpOpName(req.op) + " " + std::to_string(req.value) + " on " +
+               std::to_string(req.nodes.size()) + " node(s)";
+      });
   auto st = std::make_shared<CompareAndWriteRequest>(std::move(req));
   fabric_.conditional(
-      st->src_node, st->nodes,
+      st->src_node, std::move(st->nodes),
       /*eval=*/
       [this, st](int node) { return cmpEval(st->op, readVar(node, st->var), st->value); },
       /*write=*/

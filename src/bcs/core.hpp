@@ -56,7 +56,7 @@ struct XferRequest {
   /// Data movement: invoked once per destination at its delivery instant.
   /// This is where callers copy real payload bytes (the fabric itself only
   /// models time).  May be empty for pure-signal transfers.
-  std::function<void(int dest)> deliver;
+  net::NodeCallback deliver;
   /// Event on src_node signaled once the transfer completed everywhere
   /// (-1 = none).
   GlobalEventId local_event = -1;
@@ -68,13 +68,13 @@ struct XferRequest {
   bool droppable = false;
   /// Invoked (instead of deliver/local_event) when a single-destination
   /// transfer is lost or the endpoint is down.  Without it, loss is silent.
-  std::function<void(int dest)> on_failed;
+  net::NodeCallback on_failed;
   /// Invoked once, at the instant the transfer has completed at every
   /// destination.  With no `deliver` and no `remote_event` the hardware
   /// multicast needs no per-destination completion at all — the NIC only
   /// observes the aggregate — which is what makes a relay fan-out O(1) in
   /// engine events instead of O(destinations) (see DESIGN.md §7).
-  std::function<void()> on_all;
+  sim::EventCallback on_all;
 };
 
 /// Parameters of one Compare-And-Write invocation.
@@ -142,7 +142,7 @@ class BcsCore {
 
   /// Actor-style: `on_result` runs when the conditional round completes.
   void compareAndWriteAsync(CompareAndWriteRequest req,
-                            std::function<void(bool)> on_result);
+                            sim::InlineFunction<void(bool)> on_result);
 
   /// Fiber-blocking variant: returns the condition outcome.
   bool compareAndWriteBlocking(sim::Process& proc,
@@ -153,6 +153,12 @@ class BcsCore {
     int pending = 0;
     std::deque<std::function<void()>> waiters;
   };
+
+  /// The two halves of a delivered Xfer-And-Signal: per destination, data
+  /// movement then the remote event; once complete everywhere, the local
+  /// event then `on_all`.
+  void deliverXfer(const XferRequest& req, int dest);
+  void completeXfer(const XferRequest& req);
 
   void checkVar(GlobalVarId var) const;
   void checkEvent(GlobalEventId ev) const;

@@ -101,13 +101,13 @@ void Runtime::executeBroadcast(int node, int job) {
   for (int n : js.nodes) {
     if (n != owner) dests.push_back(n);
   }
-  if (trace_) {
-    trace_->record(cluster_.engine().now(), sim::TraceCategory::kCollective,
-                   node,
-                   std::string("CH ") + collectiveTypeName(pc.type) +
-                       " gen " + std::to_string(pc.gen) + " to " +
-                       std::to_string(dests.size()) + " node(s)");
-  }
+  sim::traceRecord(
+      trace_, cluster_.engine().now(), sim::TraceCategory::kCollective,
+      node, [&] {
+        return std::string("CH ") + collectiveTypeName(pc.type) + " gen " +
+               std::to_string(pc.gen) + " to " + std::to_string(dests.size()) +
+               " node(s)";
+      });
   if (dests.empty()) {
     // Single-node job: complete locally right away.
     finishCollectiveOnNode(owner, job, payload);
@@ -244,10 +244,9 @@ void Runtime::reduceSendUp(int node, int job) {
   const int parent = pc.parent_node;
   const Duration cost =
       static_cast<Duration>(pc.count) * config_.nic_reduce_per_element;
-  if (trace_) {
-    trace_->record(cluster_.engine().now(), sim::TraceCategory::kCollective,
-                   node, "RH partial -> n" + std::to_string(parent));
-  }
+  sim::traceRecord(
+      trace_, cluster_.engine().now(), sim::TraceCategory::kCollective,
+      node, [&] { return "RH partial -> n" + std::to_string(parent); });
   cluster_.engine().after(cost, [this, node, job, parent, snapshot] {
     core::XferRequest xfer;
     xfer.src_node = node;
@@ -273,13 +272,12 @@ void Runtime::reduceDeliverResult(int node, int job) {
     if (n != node) dests.push_back(n);
   }
   const bool carry_payload = pc.type == CollectiveType::kAllreduce;
-  if (trace_) {
-    trace_->record(cluster_.engine().now(), sim::TraceCategory::kCollective,
-                   node,
-                   std::string("RH result ready (") +
-                       collectiveTypeName(pc.type) + " gen " +
-                       std::to_string(pc.gen) + ")");
-  }
+  sim::traceRecord(
+      trace_, cluster_.engine().now(), sim::TraceCategory::kCollective,
+      node, [&] {
+        return std::string("RH result ready (") + collectiveTypeName(pc.type) +
+               " gen " + std::to_string(pc.gen) + ")";
+      });
   if (dests.empty()) {
     finishCollectiveOnNode(node, job, result);
     opFinished(node);

@@ -153,13 +153,13 @@ void Runtime::drainDescriptorFifos(int node) {
     xfer.droppable = true;
     xfer.deliver = [this, node, dst_node, d](int) {
       nodeState(dst_node).remote_sends.insert(d);
-      if (trace_) {
-        trace_->record(cluster_.engine().now(),
-                       sim::TraceCategory::kDescriptor, dst_node,
-                       "send desc from rank " + std::to_string(d.src_rank) +
-                           " tag " + std::to_string(d.tag) + " (" +
-                           std::to_string(d.bytes) + "B)");
-      }
+      sim::traceRecord(
+          trace_, cluster_.engine().now(), sim::TraceCategory::kDescriptor,
+          dst_node, [&] {
+            return "send desc from rank " + std::to_string(d.src_rank) +
+                   " tag " + std::to_string(d.tag) + " (" +
+                   std::to_string(d.bytes) + "B)";
+          });
       opFinished(node);
     };
     xfer.on_failed = [this, node, dst_node, d](int) {
@@ -173,14 +173,13 @@ void Runtime::drainDescriptorFifos(int node) {
         SendDescriptor retry = d;
         ++retry.retries;
         ++stats_.retransmits;
-        if (trace_) {
-          trace_->record(cluster_.engine().now(), sim::TraceCategory::kFault,
-                         node,
-                         "desc to rank " + std::to_string(d.dst_rank) +
-                             " tag " + std::to_string(d.tag) +
-                             " lost; retransmit #" +
-                             std::to_string(retry.retries) + " next slice");
-        }
+        sim::traceRecord(
+            trace_, cluster_.engine().now(), sim::TraceCategory::kFault,
+            node, [&] {
+              return "desc to rank " + std::to_string(d.dst_rank) + " tag " +
+                     std::to_string(d.tag) + " lost; retransmit #" +
+                     std::to_string(retry.retries) + " next slice";
+            });
         nodeState(node).bs_retry.push_back(std::move(retry));
       }
       opFinished(node);
@@ -239,12 +238,12 @@ int Runtime::preprocessCollectivesCount(int node) {
     if (static_cast<int>(pc.local.size()) == local_ranks) {
       pc.flagged = true;
       core_.writeVarLocal(node, js.coll_flag, pc.gen);
-      if (trace_) {
-        trace_->record(cluster_.engine().now(),
-                       sim::TraceCategory::kCollective, node,
-                       std::string("flag set: ") + collectiveTypeName(pc.type) +
-                           " gen " + std::to_string(pc.gen));
-      }
+      sim::traceRecord(
+          trace_, cluster_.engine().now(), sim::TraceCategory::kCollective,
+          node, [&] {
+            return std::string("flag set: ") + collectiveTypeName(pc.type) +
+                   " gen " + std::to_string(pc.gen);
+          });
     }
   }
   return processed;
@@ -438,13 +437,12 @@ void Runtime::issueGets(int node, const std::vector<GetOp>& gets) {
     xfer.droppable = true;
     xfer.deliver = [this, node, op, key](int) {
       std::memcpy(op.dst, op.src, op.bytes);
-      if (trace_) {
-        trace_->record(cluster_.engine().now(), sim::TraceCategory::kDma,
-                       node,
-                       "get " + std::to_string(op.bytes) + "B from rank " +
-                           std::to_string(op.src_rank) +
-                           (op.final_chunk ? " (final)" : ""));
-      }
+      sim::traceRecord(
+          trace_, cluster_.engine().now(), sim::TraceCategory::kDma, node, [&] {
+            return "get " + std::to_string(op.bytes) + "B from rank " +
+                   std::to_string(op.src_rank) +
+                   (op.final_chunk ? " (final)" : "");
+          });
       // Completion is by byte count, not by the final-chunk flag: under
       // retransmission an earlier chunk can land *after* the final one.
       NodeState& my = nodeState(node);
@@ -472,13 +470,13 @@ void Runtime::issueGets(int node, const std::vector<GetOp>& gets) {
       } else {
         // Random loss: re-issue the same get in the next slice's P2P.
         ++stats_.retransmits;
-        if (trace_) {
-          trace_->record(cluster_.engine().now(), sim::TraceCategory::kFault,
-                         node,
-                         "chunk " + std::to_string(op.bytes) +
-                             "B from rank " + std::to_string(op.src_rank) +
-                             " lost; retrying next slice");
-        }
+        sim::traceRecord(
+            trace_, cluster_.engine().now(), sim::TraceCategory::kFault,
+            node, [&] {
+              return "chunk " + std::to_string(op.bytes) + "B from rank " +
+                     std::to_string(op.src_rank) +
+                     " lost; retrying next slice";
+            });
         nodeState(node).slice_gets.push_back(op);
       }
       opFinished(node);

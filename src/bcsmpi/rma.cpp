@@ -281,12 +281,12 @@ void Runtime::drainRmaFifos(int node) {
         NodeState& dest = nodeState(dst);
         dest.rma_inbound.insert(dest.rma_inbound.end(), batch->begin(),
                                 batch->end());
-        if (trace_) {
-          trace_->record(cluster_.engine().now(),
-                         sim::TraceCategory::kDescriptor, dst,
-                         "rma batch from n" + std::to_string(node) + ": " +
-                             std::to_string(batch->size()) + " op(s)");
-        }
+        sim::traceRecord(
+            trace_, cluster_.engine().now(), sim::TraceCategory::kDescriptor,
+            dst, [&] {
+              return "rma batch from n" + std::to_string(node) + ": " +
+                     std::to_string(batch->size()) + " op(s)";
+            });
         opFinished(node);
       };
       xfer.on_failed = [this, node, dst, batch](int) {
@@ -304,14 +304,14 @@ void Runtime::drainRmaFifos(int node) {
           RmaOpDescriptor retry = op;
           ++retry.retries;
           ++stats_.retransmits;
-          if (trace_) {
-            trace_->record(cluster_.engine().now(),
-                           sim::TraceCategory::kFault, node,
-                           std::string("rma ") + rmaKindName(op.kind) +
-                               " to rank " + std::to_string(op.target_rank) +
-                               " lost; retransmit #" +
-                               std::to_string(retry.retries) + " next slice");
-          }
+          sim::traceRecord(
+              trace_, cluster_.engine().now(), sim::TraceCategory::kFault,
+              node, [&] {
+                return std::string("rma ") + rmaKindName(op.kind) +
+                       " to rank " + std::to_string(op.target_rank) +
+                       " lost; retransmit #" + std::to_string(retry.retries) +
+                       " next slice";
+              });
           nodeState(node).rma_retry.push_back(std::move(retry));
         }
         opFinished(node);
@@ -378,15 +378,15 @@ void Runtime::applyRmaOp(int node, const RmaOpDescriptor& op) {
       break;
     }
   }
-  if (trace_) {
-    trace_->record(cluster_.engine().now(), sim::TraceCategory::kDma, node,
-                   std::string("rma ") + rmaKindName(op.kind) + " " +
-                       std::to_string(op.bytes) + "B from rank " +
-                       std::to_string(op.origin_rank) + " on win " +
-                       std::to_string(op.window) + " of rank " +
-                       std::to_string(op.target_rank) + " @" +
-                       std::to_string(op.offset));
-  }
+  sim::traceRecord(
+      trace_, cluster_.engine().now(), sim::TraceCategory::kDma, node, [&] {
+        return std::string("rma ") + rmaKindName(op.kind) + " " +
+               std::to_string(op.bytes) + "B from rank " +
+               std::to_string(op.origin_rank) + " on win " +
+               std::to_string(op.window) + " of rank " +
+               std::to_string(op.target_rank) + " @" +
+               std::to_string(op.offset);
+      });
   nodeState(node).rma_returns.push_back(op);
 }
 
@@ -447,13 +447,13 @@ void Runtime::runRmaReturns(int node) {
         // re-delivered.  Uncapped like chunk retries: the origin is alive,
         // so the return eventually lands.
         ++stats_.retransmits;
-        if (trace_) {
-          trace_->record(cluster_.engine().now(), sim::TraceCategory::kFault,
-                         node,
-                         "rma completion batch to n" + std::to_string(origin) +
-                             " (" + std::to_string(batch->size()) +
-                             " op(s)) lost; retrying next slice");
-        }
+        sim::traceRecord(
+            trace_, cluster_.engine().now(), sim::TraceCategory::kFault,
+            node, [&] {
+              return "rma completion batch to n" + std::to_string(origin) +
+                     " (" + std::to_string(batch->size()) +
+                     " op(s)) lost; retrying next slice";
+            });
         NodeState& my = nodeState(node);
         my.rma_returns.insert(my.rma_returns.end(), batch->begin(),
                               batch->end());

@@ -406,14 +406,13 @@ void Runtime::failRequest(int job, int rank, std::uint64_t req, int peer,
   it->second.status.error = mpi::kErrPeerUnreachable;
   ++rs.requests_completed;
   ++stats_.requests_failed;
-  if (trace_) {
-    trace_->record(cluster_.engine().now(), sim::TraceCategory::kFault,
-                   rs.node,
-                   "request " + std::to_string(req) + " of j" +
-                       std::to_string(job) + "/r" + std::to_string(rank) +
-                       " failed: peer rank " + std::to_string(peer) +
-                       " unreachable");
-  }
+  sim::traceRecord(
+      trace_, cluster_.engine().now(), sim::TraceCategory::kFault,
+      rs.node, [&] {
+        return "request " + std::to_string(req) + " of j" +
+               std::to_string(job) + "/r" + std::to_string(rank) +
+               " failed: peer rank " + std::to_string(peer) + " unreachable";
+      });
   if (nodeEvicted(rs.node)) return;
   if (it->second.spin_waited) {
     if (rs.proc) rs.proc->wake();
@@ -441,10 +440,9 @@ void Runtime::startSlice() {
     // The Strobe Sender's node is down: this slice is never strobed.  The
     // Strobe Receivers' slice watchdogs will notice the silence and elect a
     // backup, which resumes the strobe on the period grid.
-    if (trace_) {
-      trace_->record(cluster_.engine().now(), sim::TraceCategory::kFailover,
-                     strobe_node_, "Strobe Sender down; slice not strobed");
-    }
+    sim::traceRecord(
+        trace_, cluster_.engine().now(), sim::TraceCategory::kFailover,
+        strobe_node_, [] { return "Strobe Sender down; slice not strobed"; });
     strobing_ = false;
     return;
   }
@@ -556,12 +554,12 @@ void Runtime::strobePhase(Phase p) {
   }
   const std::uint64_t seq = ++phase_seq_;
   ++stats_.microstrobes;
-  if (trace_) {
-    trace_->record(cluster_.engine().now(), sim::TraceCategory::kStrobe,
-                   strobe_node_,
-                   std::string("microstrobe ") + phaseName(p) + " slice " +
-                       std::to_string(slice_index_));
-  }
+  sim::traceRecord(
+      trace_, cluster_.engine().now(), sim::TraceCategory::kStrobe,
+      strobe_node_, [&] {
+        return std::string("microstrobe ") + phaseName(p) + " slice " +
+               std::to_string(slice_index_);
+      });
   if (tree_mode_) {
     // Hierarchical control plane: strobe the rack-level SSes only; they
     // relay to their members and coalesce the completions (tree.cpp).
@@ -897,10 +895,10 @@ void Runtime::notifyNodeFailure(int node) {
                                         live_compute_nodes_.end(), node),
                             live_compute_nodes_.end());
   pending_evictions_.push_back(node);
-  if (trace_) {
-    trace_->record(cluster_.engine().now(), sim::TraceCategory::kFault, node,
-                   "node evicted; recovery at next slice boundary");
-  }
+  sim::traceRecord(
+      trace_, cluster_.engine().now(), sim::TraceCategory::kFault, node, [] {
+        return "node evicted; recovery at next slice boundary";
+      });
   // Tree repair runs immediately (not at the boundary): the in-flight
   // microphase must be able to finish without the dead member, and a dead
   // rack SS needs a successor before the rack can ack anything.
@@ -916,12 +914,12 @@ void Runtime::performRecovery() {
   // node completed no transfers after leaving the poll set): take the
   // coordinated checkpoint the paper's §6 sketches.
   recovery_records_.push_back(snapshot());
-  if (trace_) {
-    trace_->record(cluster_.engine().now(), sim::TraceCategory::kFault, -1,
-                   "recovery complete: " + std::to_string(dead.size()) +
-                       " node(s) evicted, checkpoint at slice " +
-                       std::to_string(slice_index_));
-  }
+  sim::traceRecord(
+      trace_, cluster_.engine().now(), sim::TraceCategory::kFault, -1, [&] {
+        return "recovery complete: " + std::to_string(dead.size()) +
+               " node(s) evicted, checkpoint at slice " +
+               std::to_string(slice_index_);
+      });
   maybeStop();
 }
 
@@ -1103,11 +1101,10 @@ void Runtime::onWatchdog(int node) {
   }
   if (node == strobe_node_) return;  // the Strobe Sender never suspects itself
   ++stats_.watchdog_fires;
-  if (trace_) {
-    trace_->record(now, sim::TraceCategory::kFailover, node,
-                   "slice watchdog fired: no microstrobe for " +
-                       std::to_string(config_.watchdog_slices) + " slices");
-  }
+  sim::traceRecord(trace_, now, sim::TraceCategory::kFailover, node, [&] {
+    return "slice watchdog fired: no microstrobe for " +
+           std::to_string(config_.watchdog_slices) + " slices";
+  });
   if (live_compute_nodes_.empty()) return;
   if (tree_mode_) {
     // Two-level suspicion ladder: rack SSes suspect the root, plain members
@@ -1139,12 +1136,12 @@ void Runtime::beginElection(int node) {
     return;
   }
   election_inflight_ = true;
-  if (trace_) {
-    trace_->record(cluster_.engine().now(), sim::TraceCategory::kFailover,
-                   node,
-                   "suspecting Strobe Sender death; claiming epoch " +
-                       std::to_string(control_epoch_ + 1));
-  }
+  sim::traceRecord(
+      trace_, cluster_.engine().now(), sim::TraceCategory::kFailover,
+      node, [&] {
+        return "suspecting Strobe Sender death; claiming epoch " +
+               std::to_string(control_epoch_ + 1);
+      });
   // The claim: Compare-And-Write(epoch == current, write current+1) over the
   // whole live set.  Atomic over the quorum, so concurrent claims serialize;
   // it fails while any live-set replica is unreachable or already bumped.
@@ -1159,10 +1156,9 @@ void Runtime::beginElection(int node) {
   req.write_value = static_cast<std::int64_t>(control_epoch_ + 1);
   core_.compareAndWriteAsync(std::move(req), [this, node](bool claimed) {
     if (!claimed) {
-      if (trace_) {
-        trace_->record(cluster_.engine().now(), sim::TraceCategory::kFailover,
-                       node, "epoch claim failed; retrying");
-      }
+      sim::traceRecord(
+          trace_, cluster_.engine().now(), sim::TraceCategory::kFailover,
+          node, [] { return "epoch claim failed; retrying"; });
       cluster_.engine().after(config_.election_retry_interval, [this, node] {
         election_inflight_ = false;
         // Re-enter through the watchdog: if strobes resumed meanwhile (the
@@ -1178,15 +1174,14 @@ void Runtime::beginElection(int node) {
     const int old_ss = strobe_node_;
     strobe_node_ = node;
     strobing_ = true;
-    if (trace_) {
-      trace_->record(cluster_.engine().now(), sim::TraceCategory::kFailover,
-                     node,
-                     "elected backup Strobe Sender (was n" +
-                         std::to_string(old_ss) + "), epoch " +
-                         std::to_string(control_epoch_) +
-                         "; recovering phase seq " +
-                         std::to_string(phase_seq_));
-    }
+    sim::traceRecord(
+        trace_, cluster_.engine().now(), sim::TraceCategory::kFailover,
+        node, [&] {
+          return "elected backup Strobe Sender (was n" +
+                 std::to_string(old_ss) + "), epoch " +
+                 std::to_string(control_epoch_) + "; recovering phase seq " +
+                 std::to_string(phase_seq_);
+        });
     if (failover_handler_) failover_handler_(node, control_epoch_);
     recoverPhase();
   });
@@ -1233,11 +1228,10 @@ void Runtime::resumeStrobe() {
         (now - slice_start_) / config_.time_slice);
     next = slice_start_ + static_cast<SimTime>(k + 1) * config_.time_slice;
   }
-  if (trace_) {
-    trace_->record(now, sim::TraceCategory::kFailover, strobe_node_,
-                   "phase quiesced; strobing resumes at " +
-                       sim::formatTime(next));
-  }
+  sim::traceRecord(
+      trace_, now, sim::TraceCategory::kFailover, strobe_node_, [&] {
+        return "phase quiesced; strobing resumes at " + sim::formatTime(next);
+      });
   const std::uint64_t epoch = control_epoch_;
   cluster_.engine().at(next, [this, epoch] {
     if (epoch != control_epoch_) return;
@@ -1253,10 +1247,10 @@ void Runtime::notifyNodeRejoin(int node) {
     if (p == node) return;
   }
   pending_rejoins_.push_back(node);
-  if (trace_) {
-    trace_->record(cluster_.engine().now(), sim::TraceCategory::kFailover,
-                   node, "rejoin announced; reintegration at slice boundary");
-  }
+  sim::traceRecord(
+      trace_, cluster_.engine().now(), sim::TraceCategory::kFailover, node, [] {
+        return "rejoin announced; reintegration at slice boundary";
+      });
   // With the strobe stopped (job already over, or SS dead pending election)
   // there is no upcoming boundary to wait for — reintegrate immediately so
   // the node is part of whatever happens next.
@@ -1284,12 +1278,10 @@ void Runtime::performRejoins() {
     core_.writeVarLocal(node, phase_done_var_,
                         static_cast<std::int64_t>(phase_seq_));
     ++stats_.rejoins;
-    if (trace_) {
-      trace_->record(now, sim::TraceCategory::kFailover, node,
-                     "rejoined at slice " + std::to_string(slice_index_) +
-                         " (epoch " + std::to_string(control_epoch_) +
-                         "): queues rebuilt");
-    }
+    sim::traceRecord(trace_, now, sim::TraceCategory::kFailover, node, [&] {
+      return "rejoined at slice " + std::to_string(slice_index_) + " (epoch " +
+             std::to_string(control_epoch_) + "): queues rebuilt";
+    });
     NodeState& ns = nodeState(node);
     ns.last_strobe = now;
     if (!ns.watchdog_armed) {

@@ -390,12 +390,12 @@ void Runtime::treeRecover() {
   // relays and fan-outs are idempotent (members already at this seq are not
   // re-initialized; racks re-ack from their own state), so this is a pure
   // global quiesce.
-  if (trace_) {
-    trace_->record(cluster_.engine().now(), sim::TraceCategory::kFailover,
-                   strobe_node_,
-                   "re-strobing microphase seq " + std::to_string(phase_seq_) +
-                       " to re-collect rack acks");
-  }
+  sim::traceRecord(
+      trace_, cluster_.engine().now(), sim::TraceCategory::kFailover,
+      strobe_node_, [&] {
+        return "re-strobing microphase seq " + std::to_string(phase_seq_) +
+               " to re-collect rack acks";
+      });
   tree_recovering_ = true;
   for (TreeRackState& rk : tree_racks_) rk.acked_seq = 0;
   strobePhaseTree(tree_phase_, phase_seq_);
@@ -444,14 +444,13 @@ void Runtime::beginTreeElection(int node) {
   election_inflight_ = true;
   const int rack = sstree_.rackOf(node);
   const bool was_rack_ss = sstree_.ss(rack) == node;
-  if (trace_) {
-    trace_->record(cluster_.engine().now(), sim::TraceCategory::kFailover,
-                   node,
-                   std::string("suspecting ") +
-                       (was_rack_ss ? "root" : "rack") +
-                       " Strobe Sender death; claiming epoch " +
-                       std::to_string(control_epoch_ + 1));
-  }
+  sim::traceRecord(
+      trace_, cluster_.engine().now(), sim::TraceCategory::kFailover,
+      node, [&] {
+        return std::string("suspecting ") + (was_rack_ss ? "root" : "rack") +
+               " Strobe Sender death; claiming epoch " +
+               std::to_string(control_epoch_ + 1);
+      });
   // One global epoch guards both levels: rack-SS replacement and root
   // replacement serialize through the same Compare-And-Write claim, so two
   // simultaneous failures (rack SS + root) cannot elect in parallel.
@@ -467,11 +466,9 @@ void Runtime::beginTreeElection(int node) {
   core_.compareAndWriteAsync(
       std::move(req), [this, node, rack, was_rack_ss](bool claimed) {
         if (!claimed) {
-          if (trace_) {
-            trace_->record(cluster_.engine().now(),
-                           sim::TraceCategory::kFailover, node,
-                           "epoch claim failed; retrying");
-          }
+          sim::traceRecord(
+              trace_, cluster_.engine().now(), sim::TraceCategory::kFailover,
+              node, [] { return "epoch claim failed; retrying"; });
           cluster_.engine().after(config_.election_retry_interval,
                                   [this, node] {
                                     election_inflight_ = false;
@@ -486,13 +483,13 @@ void Runtime::beginTreeElection(int node) {
         if (!was_rack_ss) {
           const int old_ss = sstree_.ss(rack);
           sstree_.setSs(rack, node);
-          if (trace_) {
-            trace_->record(now, sim::TraceCategory::kFailover, node,
-                           "promoted to rack Strobe Sender of rack " +
-                               std::to_string(rack) + " (was n" +
-                               std::to_string(old_ss) + "), epoch " +
-                               std::to_string(control_epoch_));
-          }
+          sim::traceRecord(
+              trace_, now, sim::TraceCategory::kFailover, node, [&] {
+                return "promoted to rack Strobe Sender of rack " +
+                       std::to_string(rack) + " (was n" +
+                       std::to_string(old_ss) + "), epoch " +
+                       std::to_string(control_epoch_);
+              });
         }
         const bool root_dead =
             cluster_.faults()->nodeDown(strobe_node_, now) ||
@@ -502,14 +499,13 @@ void Runtime::beginTreeElection(int node) {
           const int old_root = strobe_node_;
           strobe_node_ = node;
           sstree_.setSs(rack, node);  // the root heads its own rack
-          if (trace_) {
-            trace_->record(now, sim::TraceCategory::kFailover, node,
-                           "elected backup root Strobe Sender (was n" +
-                               std::to_string(old_root) + "), epoch " +
-                               std::to_string(control_epoch_) +
-                               "; recovering phase seq " +
-                               std::to_string(phase_seq_));
-          }
+          sim::traceRecord(
+              trace_, now, sim::TraceCategory::kFailover, node, [&] {
+                return "elected backup root Strobe Sender (was n" +
+                       std::to_string(old_root) + "), epoch " +
+                       std::to_string(control_epoch_) +
+                       "; recovering phase seq " + std::to_string(phase_seq_);
+              });
           if (failover_handler_) failover_handler_(node, control_epoch_);
         }
         strobing_ = true;
@@ -530,24 +526,24 @@ void Runtime::treeHandleEviction(int node) {
   if (!ev.removed) return;
   if (counted && rk.pending > 0) --rk.pending;
   if (ev.rack_empty) {
-    if (trace_) {
-      trace_->record(cluster_.engine().now(), sim::TraceCategory::kFailover,
-                     node,
-                     "rack " + std::to_string(rack) + " lost its last member");
-    }
+    sim::traceRecord(
+        trace_, cluster_.engine().now(), sim::TraceCategory::kFailover,
+        node, [&] {
+          return "rack " + std::to_string(rack) + " lost its last member";
+        });
     // An empty rack no longer gates phase completion.
     maybeTreePhaseDone();
     return;
   }
   if (ev.ss_changed) {
     const int new_ss = sstree_.ss(rack);
-    if (trace_) {
-      trace_->record(cluster_.engine().now(), sim::TraceCategory::kFailover,
-                     new_ss,
-                     "promoted to rack Strobe Sender of rack " +
-                         std::to_string(rack) + " (n" + std::to_string(node) +
-                         " evicted)");
-    }
+    sim::traceRecord(
+        trace_, cluster_.engine().now(), sim::TraceCategory::kFailover,
+        new_ss, [&] {
+          return "promoted to rack Strobe Sender of rack " +
+                 std::to_string(rack) + " (n" + std::to_string(node) +
+                 " evicted)";
+        });
     // Re-strobe the rack under its successor so the in-flight microphase
     // can still finish (the fan-out is idempotent; the members keep their
     // tokens).

@@ -23,10 +23,6 @@ Cluster::Cluster(ClusterConfig config)
   fault_ = std::make_unique<sim::FaultInjector>(std::move(plan),
                                                 sim::deriveSeed(config_.seed, 13));
   fabric_->setFaultInjector(fault_.get());
-  if (!config_.faults.empty()) {
-    trace_.record(0, sim::TraceCategory::kFault, -1,
-                  "fault plan: " + config_.faults.describe());
-  }
   cpus_.reserve(static_cast<std::size_t>(totalNodes()));
   for (int n = 0; n < totalNodes(); ++n) {
     cpus_.push_back(

@@ -20,6 +20,46 @@ inline void raceTouch(race::RaceDetector* race, int node,
                  race::RaceDetector::Access::kWrite, site);
   }
 }
+
+// Binomial-tree software multicast (networks without hardware multicast).
+// Relay order: src, dests[0], dests[1], ...  A position issues its sends
+// once its own copy of the payload has arrived, so depth and contention are
+// modelled by the chained unicasts themselves, each preceded by one
+// software processing step on the relaying NIC.  Every pending closure
+// holds the state; nothing in the state refers back to it, so the last
+// delivery frees it.
+struct SoftwareMulticast {
+  struct Issue {
+    std::size_t from, to;
+  };
+  std::vector<int> order;
+  std::vector<Issue> schedule;
+  NodeCallback per_dest;
+  EventCallback all_done;
+  std::size_t bytes = 0;
+  std::size_t outstanding = 0;
+};
+
+// Issues every scheduled send out of position `pos` (whose copy just landed).
+void issueSoftwareMulticast(Fabric& fabric,
+                            const std::shared_ptr<SoftwareMulticast>& st,
+                            std::size_t pos) {
+  for (const SoftwareMulticast::Issue& is : st->schedule) {
+    if (is.from != pos) continue;
+    fabric.engine().after(
+        fabric.params().sw_step_latency, [&fabric, st, is] {
+          fabric.unicast(st->order[is.from], st->order[is.to], st->bytes,
+                         [&fabric, st, to = is.to] {
+                           if (st->per_dest) st->per_dest(st->order[to]);
+                           issueSoftwareMulticast(fabric, st, to);
+                           if (--st->outstanding == 0 && st->all_done) {
+                             st->all_done();
+                           }
+                         });
+        });
+  }
+}
+
 }  // namespace
 
 Fabric::Fabric(sim::Engine& engine, NetworkParams params, int num_nodes,
@@ -132,8 +172,8 @@ Duration Fabric::baseLatency(int src, int dst) const {
 }
 
 void Fabric::unicast(int src, int dst, std::size_t bytes,
-                     std::function<void()> on_delivered,
-                     std::function<void()> on_injected, SendOptions opts) {
+                     EventCallback on_delivered, EventCallback on_injected,
+                     SendOptions opts) {
   checkNode(src);
   checkNode(dst);
   bump(&FabricStats::unicasts);
@@ -161,12 +201,11 @@ void Fabric::unicast(int src, int dst, std::size_t bytes,
     raceTouch(race_, src, race::FieldGroup::kEgress, "Fabric::unicast");
     const SimTime completion = start_tx + baseLatency(src, dst) + serial +
                                params_.nic_rx_overhead;
-    if (trace_) {
-      trace_->record(now, sim::TraceCategory::kNet, src,
-                     "unicast -> n" + std::to_string(dst) + " " +
-                         std::to_string(bytes) + "B, delivers at " +
-                         sim::formatTime(completion) + " (x-shard)");
-    }
+    sim::traceRecord(trace_, now, sim::TraceCategory::kNet, src, [&] {
+      return "unicast -> n" + std::to_string(dst) + " " +
+             std::to_string(bytes) + "B, delivers at " +
+             sim::formatTime(completion) + " (x-shard)";
+    });
     if (on_injected) engine_.at(e_src.egress_free, std::move(on_injected));
     engine_.handoff(shard_map_[static_cast<std::size_t>(dst)], completion,
                     std::move(on_delivered));
@@ -177,11 +216,9 @@ void Fabric::unicast(int src, int dst, std::size_t bytes,
   // timeout without occupying the wire.
   if (fault_ && fault_->nodeDown(src, now)) {
     bump(&FabricStats::failed_sends);
-    if (trace_) {
-      trace_->record(now, sim::TraceCategory::kFault, src,
-                     "unicast -> n" + std::to_string(dst) +
-                         " failed: source down");
-    }
+    sim::traceRecord(trace_, now, sim::TraceCategory::kFault, src, [&] {
+      return "unicast -> n" + std::to_string(dst) + " failed: source down";
+    });
     if (opts.on_failed) {
       engine_.at(now + params_.ack_timeout, std::move(opts.on_failed));
     }
@@ -233,11 +270,10 @@ void Fabric::unicast(int src, int dst, std::size_t bytes,
   const SimTime arrival = start_tx + baseLatency(src, dst) + serial + degrade;
 
   if (lost) {
-    if (trace_) {
-      trace_->record(now, sim::TraceCategory::kFault, src,
-                     "unicast -> n" + std::to_string(dst) + " " +
-                         std::to_string(bytes) + "B lost");
-    }
+    sim::traceRecord(trace_, now, sim::TraceCategory::kFault, src, [&] {
+      return "unicast -> n" + std::to_string(dst) + " " +
+             std::to_string(bytes) + "B lost";
+    });
     if (on_injected) engine_.at(e_src.egress_free, std::move(on_injected));
     if (opts.on_failed) {
       engine_.at(arrival + params_.nic_rx_overhead + params_.ack_timeout,
@@ -253,19 +289,17 @@ void Fabric::unicast(int src, int dst, std::size_t bytes,
 
   const SimTime completion = deliver_end + params_.nic_rx_overhead;
 
-  if (trace_) {
-    trace_->record(now, sim::TraceCategory::kNet, src,
-                   "unicast -> n" + std::to_string(dst) + " " +
-                       std::to_string(bytes) + "B, delivers at " +
-                       sim::formatTime(completion));
-  }
+  sim::traceRecord(trace_, now, sim::TraceCategory::kNet, src, [&] {
+    return "unicast -> n" + std::to_string(dst) + " " +
+           std::to_string(bytes) + "B, delivers at " +
+           sim::formatTime(completion);
+  });
   if (on_injected) engine_.at(e_src.egress_free, std::move(on_injected));
   engine_.at(completion, std::move(on_delivered));
 }
 
 void Fabric::multicast(int src, std::vector<int> dests, std::size_t bytes,
-                       std::function<void(int)> on_delivered_at,
-                       std::function<void()> on_all) {
+                       NodeCallback on_delivered_at, EventCallback on_all) {
   checkNode(src);
   dests.erase(std::remove(dests.begin(), dests.end(), src), dests.end());
   std::sort(dests.begin(), dests.end());
@@ -318,6 +352,12 @@ void Fabric::multicast(int src, std::vector<int> dests, std::size_t bytes,
       params_.mcast_base_latency +
       static_cast<Duration>(tree_.levels()) * params_.hop_latency;
 
+  // Every leg calls the one shared per-destination callback.
+  std::shared_ptr<const NodeCallback> per_dest;
+  if (on_delivered_at) {
+    per_dest = std::make_shared<const NodeCallback>(std::move(on_delivered_at));
+  }
+
   // Legs to down destinations (or the whole fan-out, if the source is down)
   // are suppressed: the hardware multicast is reliable for live endpoints,
   // so live destinations still receive even when siblings are dead.
@@ -326,11 +366,10 @@ void Fabric::multicast(int src, std::vector<int> dests, std::size_t bytes,
   for (int d : dests) {
     if (src_down || (fault_ && fault_->nodeDown(d, now))) {
       bump(&FabricStats::suppressed_deliveries);
-      if (trace_) {
-        trace_->record(now, sim::TraceCategory::kFault, src,
-                       "multicast leg -> n" + std::to_string(d) +
-                           " suppressed (endpoint down)");
-      }
+      sim::traceRecord(trace_, now, sim::TraceCategory::kFault, src, [&] {
+        return "multicast leg -> n" + std::to_string(d) +
+               " suppressed (endpoint down)";
+      });
       continue;
     }
     Endpoint& e_dst = endpoints_[static_cast<std::size_t>(d)];
@@ -340,80 +379,36 @@ void Fabric::multicast(int src, std::vector<int> dests, std::size_t bytes,
     raceTouch(race_, d, race::FieldGroup::kIngress, "Fabric::multicast");
     const SimTime completion = deliver_end + params_.nic_rx_overhead;
     last = std::max(last, completion);
-    if (on_delivered_at) {
-      engine_.at(completion, [cb = on_delivered_at, d] { cb(d); });
-    }
+    if (per_dest) engine_.at(completion, [per_dest, d] { (*per_dest)(d); });
   }
-  if (trace_) {
-    trace_->record(now, sim::TraceCategory::kNet, src,
-                   "hw-multicast to " + std::to_string(dests.size()) +
-                       " nodes, " + std::to_string(bytes) + "B");
-  }
+  sim::traceRecord(trace_, now, sim::TraceCategory::kNet, src, [&] {
+    return "hw-multicast to " + std::to_string(dests.size()) + " nodes, " +
+           std::to_string(bytes) + "B";
+  });
   if (on_all) engine_.at(last, std::move(on_all));
 }
 
 void Fabric::softwareMulticast(int src, const std::vector<int>& dests,
-                               std::size_t bytes,
-                               std::function<void(int)> on_delivered_at,
-                               std::function<void()> on_all) {
-  // Binomial tree rooted at src.  Relay order: src, dests[0], dests[1], ...
-  // Position i forwards to positions i + 2^k for i + 2^k < n, largest k
-  // first — the classic log2(n) schedule.  Each forward costs one software
-  // step on the relaying NIC plus a unicast.
-  struct State {
-    std::vector<int> order;
-    std::function<void(int)> per_dest;
-    std::function<void()> all_done;
-    std::size_t outstanding = 0;
-  };
-  auto st = std::make_shared<State>();
+                               std::size_t bytes, NodeCallback on_delivered_at,
+                               EventCallback on_all) {
+  auto st = std::make_shared<SoftwareMulticast>();
   st->order.reserve(dests.size() + 1);
   st->order.push_back(src);
   st->order.insert(st->order.end(), dests.begin(), dests.end());
   st->per_dest = std::move(on_delivered_at);
   st->all_done = std::move(on_all);
+  st->bytes = bytes;
   st->outstanding = dests.size();
 
-  const std::size_t n = st->order.size();
-
   // Doubling schedule: in round r (r = 1, 2, 4, ...), every position p < r
-  // with p + r < n sends to position p + r.  A position issues its sends
-  // when its own copy of the payload has arrived, so depth and contention
-  // are modelled by the chained unicasts themselves, each preceded by one
-  // software processing step on the relaying NIC.
-  struct Issue {
-    std::size_t from, to;
-  };
-  std::vector<Issue> schedule;
+  // with p + r < n sends to position p + r.
+  const std::size_t n = st->order.size();
   for (std::size_t r = 1; r < 2 * n; r <<= 1) {
     for (std::size_t p = 0; p < r && p + r < n; ++p) {
-      schedule.push_back(Issue{p, p + r});
+      st->schedule.push_back({p, p + r});
     }
   }
-  // received[i] callback chain: when position i has the payload, issue all
-  // its scheduled sends (those with from == i).
-  auto issueFrom = std::make_shared<std::function<void(std::size_t)>>();
-  auto sched = std::make_shared<std::vector<Issue>>(std::move(schedule));
-  std::size_t bytes_copy = bytes;
-  *issueFrom = [this, st, issueFrom, sched, bytes_copy](std::size_t pos) {
-    for (const Issue& is : *sched) {
-      if (is.from != pos) continue;
-      const int from_node = st->order[is.from];
-      const int to_node = st->order[is.to];
-      const std::size_t to_pos = is.to;
-      engine_.after(params_.sw_step_latency, [this, st, issueFrom, from_node,
-                                              to_node, to_pos, bytes_copy] {
-        unicast(from_node, to_node,
-                bytes_copy,
-                [st, issueFrom, to_node, to_pos] {
-                  if (st->per_dest) st->per_dest(to_node);
-                  (*issueFrom)(to_pos);
-                  if (--st->outstanding == 0 && st->all_done) st->all_done();
-                });
-      });
-    }
-  };
-  (*issueFrom)(0);
+  issueSoftwareMulticast(*this, st, 0);
 }
 
 Duration Fabric::conditionalLatency(int n) const {
@@ -443,9 +438,9 @@ Duration Fabric::multicastLatency() const {
 }
 
 void Fabric::conditional(int src, std::vector<int> nodes,
-                         std::function<bool(int)> eval,
-                         std::function<void(int)> write,
-                         std::function<void(bool)> on_result) {
+                         sim::InlineFunction<bool(int)> eval,
+                         NodeCallback write,
+                         sim::InlineFunction<void(bool)> on_result) {
   checkNode(src);
   for (int d : nodes) checkNode(d);
   if (!shard_map_.empty()) {
@@ -471,10 +466,9 @@ void Fabric::conditional(int src, std::vector<int> nodes,
     // evaluate false, below — the issuer is special.)
     if (fault_ && fault_->nodeDown(src, engine_.now())) {
       bump(&FabricStats::suppressed_conditionals);
-      if (trace_) {
-        trace_->record(engine_.now(), sim::TraceCategory::kFault, src,
-                       "conditional result suppressed: issuer down");
-      }
+      sim::traceRecord(
+          trace_, engine_.now(), sim::TraceCategory::kFault, src,
+          [] { return "conditional result suppressed: issuer down"; });
       return;
     }
     bool all = true;

@@ -34,7 +34,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "net/params.hpp"
@@ -51,7 +50,11 @@ class RaceDetector;
 namespace bcs::net {
 
 using sim::Duration;
+using sim::EventCallback;
 using sim::SimTime;
+
+/// Per-destination callback: receives the node a delivery landed on.
+using NodeCallback = sim::InlineFunction<void(int)>;
 
 /// Aggregate fabric statistics, for utilization reports and tests.  All
 /// counters are std::uint64_t (payload_bytes included — it used to be a
@@ -81,7 +84,7 @@ struct SendOptions {
   /// Invoked (instead of on_delivered) when the transfer is lost or an
   /// endpoint is down, at the instant the sender's ack timer would expire.
   /// Without it, a lost packet is silently dropped.
-  std::function<void()> on_failed;
+  EventCallback on_failed;
 };
 
 class Fabric {
@@ -100,25 +103,24 @@ class Fabric {
   /// last byte (plus rx overhead) lands at dst; `on_injected` (optional)
   /// fires when the source NIC egress is free again.  Under an attached
   /// FaultInjector the transfer may be lost (see SendOptions).
-  void unicast(int src, int dst, std::size_t bytes,
-               std::function<void()> on_delivered,
-               std::function<void()> on_injected = {}, SendOptions opts = {});
+  void unicast(int src, int dst, std::size_t bytes, EventCallback on_delivered,
+               EventCallback on_injected = {}, SendOptions opts = {});
 
   /// Multicasts `bytes` from src to every node in `dests` (src excluded
-  /// automatically if present).  `on_delivered_at(node)` fires per
-  /// destination; `on_all` (optional) once after the last delivery.
+  /// automatically if present; pass an rvalue to hand the set over without
+  /// a copy).  `on_delivered_at(node)` fires per destination — one callback
+  /// shared by every leg, never copied — and `on_all` (optional) once after
+  /// the last delivery.
   void multicast(int src, std::vector<int> dests, std::size_t bytes,
-                 std::function<void(int)> on_delivered_at,
-                 std::function<void()> on_all = {});
+                 NodeCallback on_delivered_at, EventCallback on_all = {});
 
   /// Network conditional: at one instant T (= now + conditional latency),
   /// evaluates eval(node) for each node in `nodes`; if all are true, runs
   /// write(node) for each node at T.  on_result(all_true) also runs at T.
   /// This is the substrate for Compare-And-Write.
   void conditional(int src, std::vector<int> nodes,
-                   std::function<bool(int)> eval,
-                   std::function<void(int)> write,
-                   std::function<void(bool)> on_result);
+                   sim::InlineFunction<bool(int)> eval, NodeCallback write,
+                   sim::InlineFunction<void(bool)> on_result);
 
   /// Latency of one conditional round for `n` participating nodes.
   Duration conditionalLatency(int n) const;
@@ -173,9 +175,8 @@ class Fabric {
   };
 
   void softwareMulticast(int src, const std::vector<int>& dests,
-                         std::size_t bytes,
-                         std::function<void(int)> on_delivered_at,
-                         std::function<void()> on_all);
+                         std::size_t bytes, NodeCallback on_delivered_at,
+                         EventCallback on_all);
 
   void checkNode(int node) const;
   /// (Re-)registers endpoint ownership with the attached race detector.

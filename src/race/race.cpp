@@ -196,21 +196,20 @@ std::string RaceDetector::describeAccess(sim::ShardId shard,
 void RaceDetector::addFinding(Category cat, sim::SimTime boundary,
                               const ObjectKey& key, std::string detail) {
   ++report_.counts[static_cast<int>(cat)];
-  if (trace_ != nullptr) {
-    int node = -1;
-    switch (key.kind) {
-      case ObjectKind::kNodeState:
-      case ObjectKind::kCoreVars:
-      case ObjectKind::kCoreEvents:
-      case ObjectKind::kFabricEndpoint:
-        node = static_cast<int>(key.id);
-        break;
-      default:
-        break;
-    }
-    trace_->record(boundary, sim::TraceCategory::kRace, node,
-                   std::string(categoryName(cat)) + ": " + detail);
+  int node = -1;
+  switch (key.kind) {
+    case ObjectKind::kNodeState:
+    case ObjectKind::kCoreVars:
+    case ObjectKind::kCoreEvents:
+    case ObjectKind::kFabricEndpoint:
+      node = static_cast<int>(key.id);
+      break;
+    default:
+      break;
   }
+  sim::traceRecord(trace_, boundary, sim::TraceCategory::kRace, node, [&] {
+    return std::string(categoryName(cat)) + ": " + detail;
+  });
   if (report_.findings.size() >= max_findings_) {
     ++report_.dropped_findings;
     return;

@@ -22,7 +22,7 @@
 //  * Event nodes are pooled and reused; the callback lives in a
 //    small-buffer-optimized slot inside the node, so the common
 //    at/after/cancel/run cycle performs zero heap allocations for callables
-//    up to EventCallback::kInlineBytes.
+//    up to EventCallback::kInlineBytes (sim/inline_function.hpp).
 //  * Cancellation is O(1): an EventId carries the node's generation, cancel
 //    disarms the node (and frees its callback) in place, and the disarmed
 //    entry is dropped lazily when the queue walk reaches it (see
@@ -52,14 +52,13 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <new>
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "sim/inline_function.hpp"
 #include "sim/time.hpp"
 
 namespace bcs::snapshot {
@@ -148,132 +147,10 @@ class SimError : public std::runtime_error {
 /// usable in exception-free benchmark builds.
 [[noreturn]] void simFail(const std::string& what);
 
-/// Move-only type-erased callable with a small-buffer slot.  Callables up to
-/// kInlineBytes (with alignment <= kInlineAlign) that are
-/// nothrow-move-constructible are stored in place; anything larger falls back
-/// to one heap allocation.  The slot is sized so a whole event node fits in
-/// one 64-byte cache line.
-class EventCallback {
- public:
-  static constexpr std::size_t kInlineBytes = 40;
-  static constexpr std::size_t kInlineAlign = 8;
-
-  EventCallback() noexcept = default;
-  EventCallback(EventCallback&& o) noexcept { moveFrom(o); }
-  EventCallback& operator=(EventCallback&& o) noexcept {
-    if (this != &o) {
-      reset();
-      moveFrom(o);
-    }
-    return *this;
-  }
-  EventCallback(const EventCallback&) = delete;
-  EventCallback& operator=(const EventCallback&) = delete;
-  ~EventCallback() { reset(); }
-
-  template <typename Fn>
-  void emplace(Fn&& fn) {
-    using F = std::decay_t<Fn>;
-    reset();
-    if constexpr (sizeof(F) <= kInlineBytes && alignof(F) <= kInlineAlign &&
-                  std::is_nothrow_move_constructible_v<F>) {
-      ::new (static_cast<void*>(storage_)) F(std::forward<Fn>(fn));
-      vt_ = &kInlineVTable<F>;
-    } else {
-      heap_ = new F(std::forward<Fn>(fn));
-      vt_ = &kHeapVTable<F>;
-    }
-  }
-
-  explicit operator bool() const { return vt_ != nullptr; }
-
-  void operator()() { vt_->invoke(object()); }
-
-  /// Invokes the callable, then destroys it, through a single fused vtable
-  /// entry (one indirect call instead of two on the per-event hot path).
-  /// If the callable throws it is left intact; reset() then cleans it up.
-  void invokeAndReset() {
-    const VTable* vt = vt_;
-    void* obj = object();
-    vt->invoke_destroy(obj);
-    vt_ = nullptr;
-    heap_ = nullptr;
-  }
-
-  void reset() {
-    if (!vt_) return;
-    vt_->destroy(object());
-    vt_ = nullptr;
-    heap_ = nullptr;
-  }
-
- private:
-  struct VTable {
-    void (*invoke)(void*);
-    void (*invoke_destroy)(void*);  ///< fused call-then-destroy (hot path)
-    void (*destroy)(void*);
-    /// Move-construct dst from src, then destroy src.  Null for heap-stored
-    /// callables (moves just steal the pointer).
-    void (*relocate)(void* dst, void* src);
-  };
-
-  template <typename F>
-  static void invokeFn(void* p) {
-    (*static_cast<F*>(p))();
-  }
-  template <typename F>
-  static void invokeDestroyInline(void* p) {
-    F* f = static_cast<F*>(p);
-    (*f)();
-    f->~F();
-  }
-  template <typename F>
-  static void invokeDestroyHeap(void* p) {
-    F* f = static_cast<F*>(p);
-    (*f)();
-    delete f;
-  }
-  template <typename F>
-  static void destroyInline(void* p) {
-    static_cast<F*>(p)->~F();
-  }
-  template <typename F>
-  static void destroyHeap(void* p) {
-    delete static_cast<F*>(p);
-  }
-  template <typename F>
-  static void relocateFn(void* dst, void* src) {
-    ::new (dst) F(std::move(*static_cast<F*>(src)));
-    static_cast<F*>(src)->~F();
-  }
-
-  template <typename F>
-  static constexpr VTable kInlineVTable{&invokeFn<F>, &invokeDestroyInline<F>,
-                                        &destroyInline<F>, &relocateFn<F>};
-  template <typename F>
-  static constexpr VTable kHeapVTable{&invokeFn<F>, &invokeDestroyHeap<F>,
-                                      &destroyHeap<F>, nullptr};
-
-  void* object() {
-    return vt_ && vt_->relocate ? static_cast<void*>(storage_) : heap_;
-  }
-
-  void moveFrom(EventCallback& o) noexcept {
-    vt_ = o.vt_;
-    if (!vt_) return;
-    if (vt_->relocate) {
-      vt_->relocate(storage_, o.storage_);
-    } else {
-      heap_ = o.heap_;
-      o.heap_ = nullptr;
-    }
-    o.vt_ = nullptr;
-  }
-
-  alignas(kInlineAlign) unsigned char storage_[kInlineBytes];
-  void* heap_ = nullptr;
-  const VTable* vt_ = nullptr;
-};
+/// An engine event's callback.  The slot is sized so a whole event node
+/// fits in one 64-byte cache line; scheduling an EventCallback moves it into
+/// the node instead of wrapping it.
+using EventCallback = InlineFunction<void()>;
 
 /// Pure observer of shard-contract-relevant execution points, attached via
 /// Engine::setShardObserver (the shard-ownership race detector in src/race

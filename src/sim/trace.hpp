@@ -5,12 +5,20 @@
 // The BCS paper argues that global coordination makes the system "much
 // simpler to ... debug and model"; the trace facility is how this repository
 // demonstrates that: every microstrobe, descriptor exchange, match and DMA
-// can be recorded and asserted on in tests.  Tracing is off by default and
-// costs one branch per record when disabled.
+// can be recorded and asserted on in tests.  Tracing is off by default.
+//
+// Simulator code writes records only through traceRecord() below, which
+// takes the message as a callable and renders it only when the trace is
+// enabled: a disabled trace costs one inline test per site and builds no
+// string, an enabled one records exactly the text the callable returns.
+// tools/determinism_lint.py rejects direct Trace::record calls in src/
+// outside this file, so eager message building cannot creep back into a
+// hot path.
 
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -78,5 +86,15 @@ class Trace {
   bool echo_ = false;
   std::vector<TraceRecord> records_;
 };
+
+/// Records `message()` at (t, cat, node) if `trace` is attached and enabled;
+/// otherwise `message` is never invoked.
+template <typename MessageFn>
+inline void traceRecord(Trace* trace, SimTime t, TraceCategory cat, int node,
+                        MessageFn&& message) {
+  if (trace != nullptr && trace->enabled()) {
+    trace->record(t, cat, node, std::forward<MessageFn>(message)());
+  }
+}
 
 }  // namespace bcs::sim

@@ -82,10 +82,12 @@ void Storm::launchImage(const std::vector<int>& nodes,
   const std::int64_t seq = ++launch_seq_;
   const SimTime t0 = cluster_.engine().now();
 
-  cluster_.trace().record(t0, sim::TraceCategory::kStorm, mgmt,
-                          "launch: " + std::to_string(binary_bytes) +
-                              "B image to " + std::to_string(nodes.size()) +
-                              " node(s)");
+  sim::traceRecord(&cluster_.trace(), t0, sim::TraceCategory::kStorm, mgmt,
+                   [&] {
+                     return "launch: " + std::to_string(binary_bytes) +
+                            "B image to " + std::to_string(nodes.size()) +
+                            " node(s)";
+                   });
 
   // MM prepares the command, then one hardware multicast carries the whole
   // image; each NM forks its processes and acknowledges via the global
@@ -109,24 +111,27 @@ void Storm::launchImage(const std::vector<int>& nodes,
     core_.xferAndSignal(std::move(xfer));
 
     // MM polls global readiness with Compare-And-Write.
-    auto poll = std::make_shared<std::function<void()>>();
-    *poll = [this, nodes, seq, t0, mgmt, on_launched, poll] {
-      core::CompareAndWriteRequest req;
-      req.src_node = mgmt;
-      req.nodes = nodes;
-      req.var = launch_var_;
-      req.op = core::CmpOp::kGE;
-      req.value = seq;
-      core_.compareAndWriteAsync(std::move(req), [this, t0, on_launched,
-                                                  poll](bool ready) {
-        if (ready) {
-          if (on_launched) on_launched(cluster_.engine().now() - t0);
-        } else {
-          cluster_.engine().after(config_.launch_poll_interval, *poll);
-        }
-      });
-    };
-    (*poll)();
+    pollLaunch(std::make_shared<const LaunchPoll>(
+        LaunchPoll{nodes, seq, t0, mgmt, on_launched}));
+  });
+}
+
+void Storm::pollLaunch(std::shared_ptr<const LaunchPoll> launch) {
+  core::CompareAndWriteRequest req;
+  req.src_node = launch->mgmt;
+  req.nodes = launch->nodes;
+  req.var = launch_var_;
+  req.op = core::CmpOp::kGE;
+  req.value = launch->seq;
+  core_.compareAndWriteAsync(std::move(req), [this, launch](bool ready) {
+    if (ready) {
+      if (launch->on_launched) {
+        launch->on_launched(cluster_.engine().now() - launch->t0);
+      }
+    } else {
+      cluster_.engine().after(config_.launch_poll_interval,
+                              [this, launch] { pollLaunch(launch); });
+    }
   });
 }
 
@@ -197,10 +202,11 @@ void Storm::inspectRound(std::int64_t seq) {
         // ended.  Clear the MM's books and announce the rejoin.
         info.marked_dead = false;
         info.missed = 0;
-        cluster_.trace().record(cluster_.engine().now(),
-                                sim::TraceCategory::kFailover, n,
-                                "rejoined: heartbeat acknowledged after "
-                                "death declaration");
+        sim::traceRecord(&cluster_.trace(), cluster_.engine().now(),
+                         sim::TraceCategory::kFailover, n, [] {
+                           return "rejoined: heartbeat acknowledged after "
+                                  "death declaration";
+                         });
         if (rejoin_handler_) rejoin_handler_(n);
       } else {
         info.missed = 0;
@@ -208,11 +214,12 @@ void Storm::inspectRound(std::int64_t seq) {
     } else if (!info.marked_dead) {
       if (++info.missed >= config_.max_missed_heartbeats) {
         info.marked_dead = true;
-        cluster_.trace().record(cluster_.engine().now(),
-                                sim::TraceCategory::kStorm, n,
-                                "declared dead after " +
-                                    std::to_string(info.missed) +
-                                    " missed heartbeats");
+        sim::traceRecord(&cluster_.trace(), cluster_.engine().now(),
+                         sim::TraceCategory::kStorm, n, [&] {
+                           return "declared dead after " +
+                                  std::to_string(info.missed) +
+                                  " missed heartbeats";
+                         });
         if (death_handler_) death_handler_(n);
       }
     }
@@ -237,10 +244,11 @@ void Storm::failoverTo(int node) {
   if (node == mm_node_) return;
   const int old_mm = mm_node_;
   mm_node_ = node;
-  cluster_.trace().record(cluster_.engine().now(),
-                          sim::TraceCategory::kFailover, node,
-                          "Machine Manager failed over (was n" +
-                              std::to_string(old_mm) + ")");
+  sim::traceRecord(&cluster_.trace(), cluster_.engine().now(),
+                   sim::TraceCategory::kFailover, node, [&] {
+                     return "Machine Manager failed over (was n" +
+                            std::to_string(old_mm) + ")";
+                   });
 }
 
 std::vector<int> Storm::deadNodes() const {

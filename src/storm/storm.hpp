@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "bcs/core.hpp"
@@ -119,6 +120,19 @@ class Storm {
   /// Arms the next heartbeatRound at `at`, recording the deadline for
   /// snapshots.
   void scheduleRound(SimTime at);
+
+  /// One job launch awaiting every NM's acknowledgement.
+  struct LaunchPoll {
+    std::vector<int> nodes;
+    std::int64_t seq = 0;
+    SimTime t0 = 0;
+    int mgmt = -1;
+    std::function<void(SimTime)> on_launched;
+  };
+  /// One Compare-And-Write readiness round; re-arms itself until every
+  /// node has acknowledged.  Only pending closures hold `launch`, so it is
+  /// freed with the last round.
+  void pollLaunch(std::shared_ptr<const LaunchPoll> launch);
 
   net::Cluster& cluster_;
   StormConfig config_;

@@ -108,15 +108,14 @@ Verifier::Verifier(sim::Trace* trace, std::size_t max_findings)
 void Verifier::addFinding(Category cat, sim::SimTime now, std::uint64_t slice,
                           int node, int job, int rank, std::string detail) {
   ++report_.counts[static_cast<std::size_t>(cat)];
-  if (trace_) {
-    // Epoch-race findings get their own trace category so RMA-race tests
-    // (and humans grepping traces) can separate them from protocol audits.
-    sim::TraceCategory tc = cat == Category::kEpochRace
-                                ? sim::TraceCategory::kEpochRace
-                                : sim::TraceCategory::kVerify;
-    trace_->record(now, tc, node,
-                   std::string(categoryName(cat)) + ": " + detail);
-  }
+  // Epoch-race findings get their own trace category so RMA-race tests
+  // (and humans grepping traces) can separate them from protocol audits.
+  const sim::TraceCategory tc = cat == Category::kEpochRace
+                                    ? sim::TraceCategory::kEpochRace
+                                    : sim::TraceCategory::kVerify;
+  sim::traceRecord(trace_, now, tc, node, [&] {
+    return std::string(categoryName(cat)) + ": " + detail;
+  });
   if (report_.findings.size() >= max_findings_) {
     ++report_.dropped_findings;
     return;

@@ -1,0 +1,174 @@
+// Heap-allocation budget of the control-plane hot path.
+//
+// This binary replaces the global operator new with a counting one, so it
+// stays out of the sanitizer presets (their allocators would be bypassed).
+// The invariants under test:
+//   * with tracing disabled, a fabric unicast and a single-destination
+//     Xfer-And-Signal build no trace text: the unicast allocates nothing at
+//     all and the Xfer-And-Signal allocates only its shared request, when
+//     the callbacks fit the inline slot;
+//   * the idle steady state of the strobe-sender tree (every member
+//     computing, nothing to match or move) stays within 4 allocations per
+//     rack per microphase: the relay's destination set, the ack's
+//     destination set and its shared request, plus the root's share.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <numeric>
+#include <vector>
+
+#include "bcs/core.hpp"
+#include "bcsmpi/comm.hpp"
+#include "net/cluster.hpp"
+#include "net/fabric.hpp"
+#include "sim/engine.hpp"
+#include "sim/trace.hpp"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+std::uint64_t allocations() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
+
+void* countedAlloc(std::size_t bytes, std::size_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (bytes == 0) bytes = 1;
+  void* p = align <= alignof(std::max_align_t)
+                ? std::malloc(bytes)
+                : std::aligned_alloc(align, (bytes + align - 1) / align * align);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+}  // namespace
+
+void* operator new(std::size_t bytes) { return countedAlloc(bytes, 0); }
+void* operator new[](std::size_t bytes) { return countedAlloc(bytes, 0); }
+void* operator new(std::size_t bytes, std::align_val_t al) {
+  return countedAlloc(bytes, static_cast<std::size_t>(al));
+}
+void* operator new[](std::size_t bytes, std::align_val_t al) {
+  return countedAlloc(bytes, static_cast<std::size_t>(al));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+
+namespace {
+
+using namespace bcs;
+
+// Enough back-to-back transfers for the engine's 2 µs-bucket wheel (~4.2 ms)
+// to wrap, so every bucket vector already has capacity when measuring.
+constexpr int kWarmup = 4096;
+constexpr int kMeasured = 256;
+
+TEST(AllocBudget, DisabledTraceUnicastAllocatesNothing) {
+  sim::Engine eng;
+  sim::Trace trace;  // attached but disabled, as in every bench
+  net::Fabric fabric(eng, net::NetworkParams::qsnet(), 8, &trace);
+  int delivered = 0;
+  const auto send = [&] {
+    fabric.unicast(0, 1, 64, [&delivered] { ++delivered; });
+    eng.run();
+  };
+  for (int i = 0; i < kWarmup; ++i) send();
+  const std::uint64_t before = allocations();
+  for (int i = 0; i < kMeasured; ++i) send();
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(delivered, kWarmup + kMeasured);
+  EXPECT_TRUE(trace.records().empty());
+}
+
+TEST(AllocBudget, DisabledTraceXferAllocatesOnlyItsSharedRequest) {
+  sim::Engine eng;
+  sim::Trace trace;
+  net::Fabric fabric(eng, net::NetworkParams::qsnet(), 8, &trace);
+  core::BcsCore core(fabric, &trace);
+  const core::GlobalEventId remote = core.allocEvent("remote");
+  const core::GlobalEventId local = core.allocEvent("local");
+  int delivered = 0;
+  int completed = 0;
+  std::uint64_t measured = 0;
+  for (int i = 0; i < kWarmup + kMeasured; ++i) {
+    core::XferRequest req;
+    req.src_node = 0;
+    req.dest_nodes = {1};
+    req.bytes = 64;
+    req.deliver = [&delivered](int) { ++delivered; };
+    req.remote_event = remote;
+    req.local_event = local;
+    req.droppable = true;
+    req.on_failed = [&delivered](int) { --delivered; };
+    req.on_all = [&completed] { ++completed; };
+    const std::uint64_t before = allocations();
+    core.xferAndSignal(std::move(req));
+    eng.run();
+    if (i >= kWarmup) measured += allocations() - before;
+  }
+  EXPECT_EQ(measured, static_cast<std::uint64_t>(kMeasured));
+  EXPECT_EQ(delivered, kWarmup + kMeasured);
+  EXPECT_EQ(completed, kWarmup + kMeasured);
+  EXPECT_EQ(core.pendingSignals(1, remote), kWarmup + kMeasured);
+  EXPECT_EQ(core.pendingSignals(0, local), kWarmup + kMeasured);
+  EXPECT_TRUE(trace.records().empty());
+}
+
+TEST(AllocBudget, IdleTreeSlicesStayWithinFourPerRackPerMicrophase) {
+  constexpr int kNodes = 256;
+  constexpr int kFanout = 16;
+  constexpr int kRacks = kNodes / kFanout;
+  constexpr std::uint64_t kMicrophases = 5;  // DEM, MSM, P2P, BBM, RM
+
+  net::ClusterConfig ccfg;
+  ccfg.num_compute_nodes = kNodes;
+  net::Cluster cluster(ccfg);
+  bcsmpi::BcsMpiConfig cfg;
+  cfg.runtime_init_overhead = sim::usec(50);
+  cfg.tree_fanout = kFanout;
+  auto runtime = std::make_shared<bcsmpi::Runtime>(cluster, cfg);
+  std::vector<int> map(kNodes);
+  std::iota(map.begin(), map.end(), 0);
+  bcsmpi::launchJob(*runtime, map,
+                    [](mpi::Comm& comm) { comm.compute(sim::msec(200)); });
+
+  // Past launch every rank is inside its compute: the slices in between are
+  // pure control plane.
+  cluster.run(sim::msec(50));
+  const std::uint64_t slices_before = runtime->stats().slices;
+  const std::uint64_t before = allocations();
+  cluster.run(sim::msec(150));
+  const std::uint64_t allocs = allocations() - before;
+  const std::uint64_t slices = runtime->stats().slices - slices_before;
+  cluster.run();
+  EXPECT_TRUE(cluster.allProcessesFinished());
+
+  ASSERT_GT(slices, 100u);
+  const double per_rack_microphase =
+      static_cast<double>(allocs) /
+      static_cast<double>(slices * kMicrophases * kRacks);
+  std::printf("idle tree: %llu allocations over %llu slices = %.2f per rack "
+              "per microphase\n",
+              static_cast<unsigned long long>(allocs),
+              static_cast<unsigned long long>(slices), per_rack_microphase);
+  EXPECT_LE(per_rack_microphase, 4.0);
+}
+
+}  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "net/cluster.hpp"
@@ -244,6 +245,22 @@ TEST(SoftwareCollectives, EmulatedMulticastScalesLogarithmically) {
   // log2: 3, 6, 9 levels — roughly linear increments, far from linear in n.
   EXPECT_LT(static_cast<double>(t64), 2.6 * static_cast<double>(t8));
   EXPECT_LT(static_cast<double>(t512), 2.0 * static_cast<double>(t64));
+}
+
+TEST(SoftwareCollectives, EmulatedMulticastReleasesItsCallbacks) {
+  // The binomial relay chain must free its shared state (and with it both
+  // callbacks) once the last leg lands; a capture in on_all is the witness.
+  sim::Engine eng;
+  Fabric fabric(eng, NetworkParams::myrinet(), 16);
+  auto sentinel = std::make_shared<int>(0);
+  std::vector<int> got;
+  fabric.multicast(0, {1, 2, 3, 5, 8, 13}, 64,
+                   [&got](int node) { got.push_back(node); },
+                   [sentinel] { ++*sentinel; });
+  eng.run();
+  EXPECT_EQ(got.size(), 6u);
+  EXPECT_EQ(*sentinel, 1);
+  EXPECT_EQ(sentinel.use_count(), 1);
 }
 
 TEST(SoftwareCollectives, EmulatedConditionalMatchesTable1Envelope) {

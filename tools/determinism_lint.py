@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""AST-free determinism lint for the simulator core.
+"""AST-free determinism and trace-cost lint for the simulator core.
 
 The repository's central guarantee is byte-identical replay: same (seed,
 plan) => identical traces (tests/test_determinism.cpp).  That guarantee is
 only as strong as the absence of nondeterminism *sources* in the simulated
-paths, so this checker mechanically bans them in src/sim, src/bcsmpi and
-src/storm (the strobe-sender tree lives there) — and src/verify, which
-observes those paths:
+paths, so this checker mechanically bans them in src/sim, src/net,
+src/bcsmpi and src/storm (the strobe-sender tree lives there) — and
+src/verify, which observes those paths (rules 1-3; rule 4 covers all of
+src/):
 
   1. Wall-clock / host-entropy / host-environment calls: rand(), srand(),
      std::random_device, getenv, system_clock, steady_clock,
@@ -34,21 +35,33 @@ observes those paths:
      adds nearby, so it is an error too: drop the marker or move it next
      to the container it audits.
 
+  4. Eager trace messages: simulator code writes trace records only through
+     sim::traceRecord (src/sim/trace.hpp), which takes the message as a
+     callable and renders it only when the trace is enabled.  A direct
+     Trace::record call builds its std::string whether or not anyone is
+     tracing — the per-message host cost the helper exists to remove — so
+     any such call in src/ outside src/sim/trace.* is an error.  Detected as
+     `Trace::record`, a `record(` call on a receiver named like a trace
+     (`trace_->record(`, `cluster_.trace().record(`), or a `record(` call
+     whose arguments name a TraceCategory.
+
 Zero third-party dependencies; line/regex based by design so it runs
 anywhere a Python interpreter exists, with no compiler involvement.
 
-Usage: tools/determinism_lint.py [paths...]   (default: src/sim src/bcsmpi
-src/storm src/verify src/snapshot src/codec src/race, relative to the
-repository root, which is inferred from this file's location)
+Usage: tools/determinism_lint.py [paths...]   (default: rules 1-3 over
+src/sim src/net src/bcsmpi src/storm src/verify src/snapshot src/codec
+src/race src/apps src/bcs, rule 4 over src/, relative to the repository
+root, which is inferred from this file's location; explicit paths get all
+four rules)
 """
 
 import re
 import sys
 from pathlib import Path
 
-DEFAULT_SCOPE = ["src/sim", "src/bcsmpi", "src/storm", "src/verify",
-                 "src/snapshot", "src/codec", "src/race", "src/apps",
-                 "src/bcs"]
+DEFAULT_SCOPE = ["src/sim", "src/net", "src/bcsmpi", "src/storm",
+                 "src/verify", "src/snapshot", "src/codec", "src/race",
+                 "src/apps", "src/bcs"]
 EXTENSIONS = {".hpp", ".cpp", ".h", ".cc"}
 
 BANNED = [
@@ -69,6 +82,13 @@ UNORDERED = re.compile(r"\bunordered_(map|set|multimap|multiset)\b")
 DET_OK = re.compile(r"//\s*det-ok:(.*)$")
 # det-ok must be on the flagged line or within this many lines above it.
 DET_OK_REACH = 3
+
+# Rule 4: direct Trace::record calls (the lazy helper lives in trace.*).
+TRACE_RECORD_QUALIFIED = re.compile(r"\bTrace::record\b")
+TRACE_RECORD_RECEIVER = re.compile(
+    r"\w*[Tt]race\w*\s*(?:\(\s*\))?\s*(?:\.|->)\s*record\s*\(")
+RECORD_CALL = re.compile(r"\brecord\s*\(")
+TRACE_HOME = "trace"  # src/sim/trace.hpp and trace.cpp may call record()
 
 
 def strip_comments(lines):
@@ -166,10 +186,38 @@ def lint_file(path: Path):
     return findings
 
 
-def main(argv):
-    repo_root = Path(__file__).resolve().parent.parent
-    scope = [Path(p) for p in argv[1:]] or [repo_root / p
-                                            for p in DEFAULT_SCOPE]
+def call_arguments(text, open_paren):
+    """The text between the parenthesis at `open_paren` and its match."""
+    depth = 0
+    for i in range(open_paren, len(text)):
+        if text[i] == "(":
+            depth += 1
+        elif text[i] == ")":
+            depth -= 1
+            if depth == 0:
+                return text[open_paren + 1:i]
+    return text[open_paren + 1:]
+
+
+def lint_trace_records(path):
+    """Rule 4: eager Trace::record calls outside src/sim/trace.*."""
+    if path.parent.name == "sim" and path.stem == TRACE_HOME:
+        return []
+    text = "\n".join(strip_comments(path.read_text().splitlines()))
+    flagged = set()
+    for m in TRACE_RECORD_QUALIFIED.finditer(text):
+        flagged.add(text.count("\n", 0, m.start()))
+    for m in TRACE_RECORD_RECEIVER.finditer(text):
+        flagged.add(text.count("\n", 0, m.start()))
+    for m in RECORD_CALL.finditer(text):
+        if "TraceCategory" in call_arguments(text, m.end() - 1):
+            flagged.add(text.count("\n", 0, m.start()))
+    return [f"{path}:{idx + 1}: direct Trace::record call builds its "
+            "message even when tracing is off (use sim::traceRecord with a "
+            "message callable)" for idx in sorted(flagged)]
+
+
+def source_files(scope):
     files = []
     for entry in scope:
         if entry.is_file():
@@ -177,15 +225,26 @@ def main(argv):
         else:
             files.extend(p for p in sorted(entry.rglob("*"))
                          if p.suffix in EXTENSIONS)
+    return files
+
+
+def main(argv):
+    repo_root = Path(__file__).resolve().parent.parent
+    explicit = [Path(p) for p in argv[1:]]
+    files = source_files(explicit or [repo_root / p for p in DEFAULT_SCOPE])
+    trace_files = source_files(explicit or [repo_root / "src"])
     findings = []
     for f in files:
         findings.extend(lint_file(f))
+    for f in trace_files:
+        findings.extend(lint_trace_records(f))
     if findings:
         print(f"determinism_lint: {len(findings)} finding(s):")
         for f in findings:
             print("  " + f)
         return 1
-    print(f"determinism_lint: clean ({len(files)} file(s) checked)")
+    print(f"determinism_lint: clean ({len(set(files + trace_files))} "
+          "file(s) checked)")
     return 0
 
 
