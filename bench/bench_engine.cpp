@@ -2,8 +2,7 @@
 // trajectory over PRs:
 //
 //   * events/sec   — calendar-queue engine on a slice-shaped event soup at
-//                    32/128/512 simulated nodes, vs an in-binary copy of the
-//                    original binary-heap + std::function engine;
+//                    32/128/512 simulated nodes;
 //   * matches/sec  — envelope-hash MSM matcher vs the reference quadratic
 //                    matcher on a randomized descriptor soup;
 //   * slices/sec   — wall-clock slice rate of a full BCS-MPI runtime driving
@@ -29,11 +28,9 @@
 #include <fstream>
 #include <functional>
 #include <map>
-#include <queue>
 #include <sstream>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "bcsmpi/comm.hpp"
@@ -54,85 +51,13 @@ double secondsSince(std::chrono::steady_clock::time_point t0) {
 }
 
 // ---------------------------------------------------------------------------
-// The pre-calendar-queue engine, kept verbatim so the speedup criterion is
-// measured against the real ancestor, not a strawman.
-// ---------------------------------------------------------------------------
-
-namespace legacy {
-
-struct EventId {
-  std::uint64_t seq = 0;
-};
-
-class Engine {
- public:
-  SimTime now() const { return now_; }
-
-  EventId at(SimTime when, std::function<void()> fn) {
-    const std::uint64_t seq = next_seq_++;
-    heap_.push(Entry{when, seq});
-    callbacks_.emplace(seq, std::move(fn));
-    return EventId{seq};
-  }
-
-  EventId after(sim::Duration delay, std::function<void()> fn) {
-    return at(now_ + delay, std::move(fn));
-  }
-
-  bool cancel(EventId id) {
-    auto it = callbacks_.find(id.seq);
-    if (it == callbacks_.end()) return false;
-    callbacks_.erase(it);
-    return true;
-  }
-
-  SimTime run(SimTime until = INT64_MAX) {
-    while (!heap_.empty()) {
-      Entry top = heap_.top();
-      auto it = callbacks_.find(top.seq);
-      if (it == callbacks_.end()) {
-        heap_.pop();
-        continue;
-      }
-      if (top.when > until) break;
-      heap_.pop();
-      now_ = top.when;
-      std::function<void()> fn = std::move(it->second);
-      callbacks_.erase(it);
-      ++executed_;
-      fn();
-    }
-    return now_;
-  }
-
-  std::uint64_t executedEvents() const { return executed_; }
-
- private:
-  struct Entry {
-    SimTime when;
-    std::uint64_t seq;
-    bool operator>(const Entry& o) const {
-      return when != o.when ? when > o.when : seq > o.seq;
-    }
-  };
-  SimTime now_ = 0;
-  std::uint64_t next_seq_ = 1;
-  std::uint64_t executed_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
-  std::unordered_map<std::uint64_t, std::function<void()>> callbacks_;
-};
-
-}  // namespace legacy
-
-// ---------------------------------------------------------------------------
 // Event soup: per slice and node, five jittered microphase events, an op
 // completion, a usually-cancelled timeout, and an occasional beyond-horizon
 // watchdog — the event mix a slice-synchronous runtime generates.
 // ---------------------------------------------------------------------------
 
 /// Capture state of a typical runtime callback (`this` + node/phase ids +
-/// a sequence number): larger than std::function's inline buffer, within
-/// the calendar engine's 40-byte slot.
+/// a sequence number), within the engine's 40-byte inline slot.
 struct CallbackCtx {
   void* owner;
   int node;
@@ -146,15 +71,13 @@ struct CallbackCtx {
 // the "op" completes first — the timer pattern that litters the pending set
 // with mid-life cancellations.  Jitter comes from tables precomputed outside
 // the timed region so the measurement is queue work, not RNG.
-template <typename EngineT>
 double soupEventsPerSec(int nodes, long long slices,
                         std::uint64_t* executed_out = nullptr) {
   constexpr int kPerNode = 10;
   constexpr int kTimeoutSlices = 8;
-  EngineT eng;
+  sim::Engine eng;
   sim::Rng rng(2026);
   const SimTime slice_len = usec(500);
-  using Id = decltype(eng.at(SimTime{0}, std::function<void()>{}));
   std::uint64_t sink = 0;
 
   std::vector<SimTime> jitter(static_cast<std::size_t>(nodes) * kPerNode);
@@ -167,7 +90,8 @@ double soupEventsPerSec(int nodes, long long slices,
   for (auto& c : cancel_mask) c = rng.below(16) != 0;  // ~94% cancelled
 
   // Ring of live retransmit timers, cancelled kTimeoutSlices later.
-  std::vector<Id> timers(static_cast<std::size_t>(nodes) * kTimeoutSlices);
+  std::vector<sim::EventId> timers(static_cast<std::size_t>(nodes) *
+                                   kTimeoutSlices);
 
   std::function<void(long long)> start_slice = [&](long long s) {
     if (s >= slices) return;
@@ -180,7 +104,7 @@ double soupEventsPerSec(int nodes, long long slices,
       }
       // Cancel the timer armed kTimeoutSlices ago (its op completed) and
       // arm this slice's.
-      Id& timer = timers[static_cast<std::size_t>(
+      sim::EventId& timer = timers[static_cast<std::size_t>(
           (s % kTimeoutSlices) * nodes + n)];
       if (s >= kTimeoutSlices &&
           cancel_mask[static_cast<std::size_t>(s - kTimeoutSlices) *
@@ -447,25 +371,15 @@ int main(int argc, char** argv) {
 
   std::map<std::string, double> results;
 
-  std::printf("engine event soup (calendar queue vs legacy heap)\n");
+  std::printf("engine event soup (calendar queue)\n");
   const int soup_nodes[] = {32, 128, 512};
   for (const int n : soup_nodes) {
     const long long slices = 160000 / n;  // ~1.1M events per size
     std::uint64_t events = 0;
-    const double eps = soupEventsPerSec<sim::Engine>(n, slices, &events);
+    const double eps = soupEventsPerSec(n, slices, &events);
     results["events_per_sec_n" + std::to_string(n)] = eps;
     std::printf("  n=%-4d %9.2f M events/s  (%llu events)\n", n, eps / 1e6,
                 static_cast<unsigned long long>(events));
-  }
-  {
-    std::uint64_t events = 0;
-    const double legacy_eps =
-        soupEventsPerSec<legacy::Engine>(128, 160000 / 128, &events);
-    results["legacy_events_per_sec_n128"] = legacy_eps;
-    const double speedup = results["events_per_sec_n128"] / legacy_eps;
-    results["speedup_vs_legacy_n128"] = speedup;
-    std::printf("  legacy n=128 %9.2f M events/s  -> speedup %.2fx\n",
-                legacy_eps / 1e6, speedup);
   }
 
   // Warmed, interleaved measurement: one untimed serial + parallel pass

@@ -60,6 +60,13 @@ void issueSoftwareMulticast(Fabric& fabric,
   }
 }
 
+// A hardware multicast's live legs, grouped by completion instant with
+// ascending destinations inside a group, and the callback they share.
+struct MulticastLegs {
+  NodeCallback per_dest;
+  std::vector<int> dests;
+};
+
 }  // namespace
 
 Fabric::Fabric(sim::Engine& engine, NetworkParams params, int num_nodes,
@@ -352,18 +359,16 @@ void Fabric::multicast(int src, std::vector<int> dests, std::size_t bytes,
       params_.mcast_base_latency +
       static_cast<Duration>(tree_.levels()) * params_.hop_latency;
 
-  // Every leg calls the one shared per-destination callback.
-  std::shared_ptr<const NodeCallback> per_dest;
-  if (on_delivered_at) {
-    per_dest = std::make_shared<const NodeCallback>(std::move(on_delivered_at));
-  }
-
   // Legs to down destinations (or the whole fan-out, if the source is down)
   // are suppressed: the hardware multicast is reliable for live endpoints,
-  // so live destinations still receive even when siblings are dead.
+  // so live destinations still receive even when siblings are dead.  The
+  // live ones are compacted to the front of `dests`, still ascending.
+  const std::size_t fanout = dests.size();
   const bool src_down = fault_ && fault_->nodeDown(src, now);
+  const SimTime arrival = start_tx + fanout_latency + dserial;
   SimTime last = start_tx + fanout_latency;  // fallback if no live dest
-  for (int d : dests) {
+  std::size_t live = 0;
+  for (const int d : dests) {
     if (src_down || (fault_ && fault_->nodeDown(d, now))) {
       bump(&FabricStats::suppressed_deliveries);
       sim::traceRecord(trace_, now, sim::TraceCategory::kFault, src, [&] {
@@ -373,19 +378,55 @@ void Fabric::multicast(int src, std::vector<int> dests, std::size_t bytes,
       continue;
     }
     Endpoint& e_dst = endpoints_[static_cast<std::size_t>(d)];
-    const SimTime arrival = start_tx + fanout_latency + dserial;
-    const SimTime deliver_end = std::max(arrival, e_dst.ingress_free + dserial);
-    e_dst.ingress_free = deliver_end;
+    e_dst.ingress_free = std::max(arrival, e_dst.ingress_free + dserial);
     raceTouch(race_, d, race::FieldGroup::kIngress, "Fabric::multicast");
-    const SimTime completion = deliver_end + params_.nic_rx_overhead;
-    last = std::max(last, completion);
-    if (per_dest) engine_.at(completion, [per_dest, d] { (*per_dest)(d); });
+    last = std::max(last, e_dst.ingress_free + params_.nic_rx_overhead);
+    dests[live++] = d;
   }
+  dests.resize(live);
   sim::traceRecord(trace_, now, sim::TraceCategory::kNet, src, [&] {
-    return "hw-multicast to " + std::to_string(dests.size()) + " nodes, " +
+    return "hw-multicast to " + std::to_string(fanout) + " nodes, " +
            std::to_string(bytes) + "B";
   });
+  if (on_delivered_at && live > 0) {
+    scheduleLegs(std::move(dests), std::move(on_delivered_at));
+  }
   if (on_all) engine_.at(last, std::move(on_all));
+}
+
+// One engine event per distinct completion instant delivers every leg that
+// lands then, in ascending destination order.  That is the order one event
+// per leg would fire in: their keys would be drawn back to back in this
+// call, so no other event could fall between two legs of one instant, and
+// anything a leg schedules at that instant draws a later key and runs after
+// the last leg.  A live leg's completion is its endpoint's fresh
+// ingress_free plus the rx overhead (each destination appears once).
+void Fabric::scheduleLegs(std::vector<int> dests, NodeCallback per_dest) {
+  const auto completion = [this](int d) {
+    return endpoints_[static_cast<std::size_t>(d)].ingress_free +
+           params_.nic_rx_overhead;
+  };
+  const auto by_instant = [&completion](int a, int b) {
+    const SimTime ta = completion(a);
+    const SimTime tb = completion(b);
+    return ta != tb ? ta < tb : a < b;
+  };
+  // Uncontended legs all land at once and are already in order.
+  if (!std::is_sorted(dests.begin(), dests.end(), by_instant)) {
+    std::sort(dests.begin(), dests.end(), by_instant);
+  }
+  const std::size_t n = dests.size();
+  auto legs = std::make_shared<const MulticastLegs>(
+      MulticastLegs{std::move(per_dest), std::move(dests)});
+  for (std::size_t begin = 0; begin < n;) {
+    const SimTime t = completion(legs->dests[begin]);
+    std::size_t end = begin + 1;
+    while (end < n && completion(legs->dests[end]) == t) ++end;
+    engine_.at(t, [legs, begin, end] {
+      for (std::size_t i = begin; i < end; ++i) legs->per_dest(legs->dests[i]);
+    });
+    begin = end;
+  }
 }
 
 void Fabric::softwareMulticast(int src, const std::vector<int>& dests,

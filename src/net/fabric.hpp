@@ -110,7 +110,8 @@ class Fabric {
   /// automatically if present; pass an rvalue to hand the set over without
   /// a copy).  `on_delivered_at(node)` fires per destination — one callback
   /// shared by every leg, never copied — and `on_all` (optional) once after
-  /// the last delivery.
+  /// the last delivery.  With hardware multicast, one engine event runs
+  /// every leg that lands at the same instant, in ascending node order.
   void multicast(int src, std::vector<int> dests, std::size_t bytes,
                  NodeCallback on_delivered_at, EventCallback on_all = {});
 
@@ -177,6 +178,9 @@ class Fabric {
   void softwareMulticast(int src, const std::vector<int>& dests,
                          std::size_t bytes, NodeCallback on_delivered_at,
                          EventCallback on_all);
+  /// Schedules a hardware multicast's live legs (ingress already updated):
+  /// one event per distinct completion instant.
+  void scheduleLegs(std::vector<int> dests, NodeCallback per_dest);
 
   void checkNode(int node) const;
   /// (Re-)registers endpoint ownership with the attached race detector.

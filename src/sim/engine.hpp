@@ -13,12 +13,14 @@
 //    number), never by pointer values, so runs are deterministic.
 //  * The pending set is a two-level calendar queue: near-future events live
 //    in a wheel of fixed-width buckets indexed by (when >> kBucketShift);
-//    events beyond the wheel horizon go to an overflow heap and are compared
-//    against the wheel cursor on every pop.  Buckets are plain vectors:
-//    enqueue is push_back, and the bucket is sorted by (when, key) exactly
-//    once, when the cursor first reaches it, after which draining is
-//    pop_back.  Late arrivals into the already-sorted current bucket (a
-//    callback scheduling within the same ~2 us window) use a sorted insert.
+//    events beyond the wheel horizon (~524 us, just over one default time
+//    slice) go to an overflow heap and are compared against the wheel
+//    cursor on every pop — watchdogs, compute completions and retransmit
+//    timers live there.  Buckets are plain vectors: enqueue is push_back,
+//    and the bucket is sorted by (when, key) exactly once, when the cursor
+//    first reaches it, after which draining is pop_back.  Late arrivals
+//    into the already-sorted current bucket (a callback scheduling within
+//    the same ~2 us window) use a sorted insert.
 //  * Event nodes are pooled and reused; the callback lives in a
 //    small-buffer-optimized slot inside the node, so the common
 //    at/after/cancel/run cycle performs zero heap allocations for callables
@@ -326,13 +328,17 @@ class Engine {
   /// another worker appends a chunk under chunk_mu_.
   static constexpr std::size_t kMaxChunks = 4096;
 
-  // 2^11 ns (~2 us) buckets; 2048 of them give an ~4.2 ms horizon, over 8
-  // default time slices.  Anything further lands in the overflow heap.
-  // Narrow buckets keep per-bucket sorts small (the sort is the dominant
-  // drain cost); the horizon only has to cover the densely-populated near
-  // future, since far-future timers are cheap in the overflow heap.
+  // 2^11 ns (~2 us) buckets; 256 of them give a 524,288 ns horizon, just
+  // over one default 500 us time slice.  Anything further lands in the
+  // overflow heap.  Narrow buckets keep per-bucket sorts small (the sort is
+  // the dominant drain cost); the horizon only has to cover the densely
+  // populated near future — one slice of strobes, legs and completions —
+  // since far-future timers are cheap in the overflow heap.  Bucket vectors
+  // keep their peak capacity, so the wheel's footprint is buckets × peak
+  // occupancy, and all of it passes through the cache once per lap: a
+  // short lap keeps it resident.
   static constexpr int kBucketShift = 11;
-  static constexpr std::uint64_t kNumBuckets = 2048;
+  static constexpr std::uint64_t kNumBuckets = 256;
   static constexpr std::uint64_t kBucketMask = kNumBuckets - 1;
 
   /// Queue entry: the ordering key is carried alongside the slot index so

@@ -7,6 +7,9 @@
 //     Xfer-And-Signal build no trace text: the unicast allocates nothing at
 //     all and the Xfer-And-Signal allocates only its shared request, when
 //     the callbacks fit the inline slot;
+//   * a several-destination Xfer-And-Signal with per-destination work makes
+//     exactly two: its shared request and the fabric's one shared state for
+//     the callback and the legs (DESIGN.md §5b);
 //   * the idle steady state of the strobe-sender tree (every member
 //     computing, nothing to match or move) stays within 4 allocations per
 //     rack per microphase: the relay's destination set, the ack's
@@ -75,8 +78,9 @@ namespace {
 
 using namespace bcs;
 
-// Enough back-to-back transfers for the engine's 2 µs-bucket wheel (~4.2 ms)
-// to wrap, so every bucket vector already has capacity when measuring.
+// Enough back-to-back transfers for the engine's 2 µs-bucket wheel (~524 µs)
+// to wrap many times, so every bucket vector already has capacity when
+// measuring.
 constexpr int kWarmup = 4096;
 constexpr int kMeasured = 256;
 
@@ -128,6 +132,38 @@ TEST(AllocBudget, DisabledTraceXferAllocatesOnlyItsSharedRequest) {
   EXPECT_EQ(completed, kWarmup + kMeasured);
   EXPECT_EQ(core.pendingSignals(1, remote), kWarmup + kMeasured);
   EXPECT_EQ(core.pendingSignals(0, local), kWarmup + kMeasured);
+  EXPECT_TRUE(trace.records().empty());
+}
+
+TEST(AllocBudget, DisabledTraceMulticastXferAllocatesTwo) {
+  constexpr int kDests = 31;
+  sim::Engine eng;
+  sim::Trace trace;
+  net::Fabric fabric(eng, net::NetworkParams::qsnet(), kDests + 1, &trace);
+  core::BcsCore core(fabric, &trace);
+  const core::GlobalEventId remote = core.allocEvent("remote");
+  std::vector<int> dests(kDests);
+  std::iota(dests.begin(), dests.end(), 1);
+  int delivered = 0;
+  int completed = 0;
+  std::uint64_t measured = 0;
+  for (int i = 0; i < kWarmup + kMeasured; ++i) {
+    core::XferRequest req;
+    req.src_node = 0;
+    req.dest_nodes = dests;
+    req.bytes = 64;
+    req.deliver = [&delivered](int) { ++delivered; };
+    req.remote_event = remote;
+    req.on_all = [&completed] { ++completed; };
+    const std::uint64_t before = allocations();
+    core.xferAndSignal(std::move(req));
+    eng.run();
+    if (i >= kWarmup) measured += allocations() - before;
+  }
+  EXPECT_EQ(measured, 2u * kMeasured);
+  EXPECT_EQ(delivered, kDests * (kWarmup + kMeasured));
+  EXPECT_EQ(completed, kWarmup + kMeasured);
+  EXPECT_EQ(core.pendingSignals(kDests, remote), kWarmup + kMeasured);
   EXPECT_TRUE(trace.records().empty());
 }
 

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/cluster.hpp"
@@ -12,6 +13,7 @@
 #include "net/params.hpp"
 #include "net/topology.hpp"
 #include "sim/engine.hpp"
+#include "sim/fault.hpp"
 
 namespace {
 
@@ -164,6 +166,73 @@ TEST_F(FabricFixture, MulticastExcludesSourceAndDedups) {
                    {});
   eng.run();
   EXPECT_EQ(got.size(), 2u);
+}
+
+// A hardware multicast runs every leg that lands at one instant from one
+// engine event, in ascending destination order, and still fires exactly as
+// one event per leg did.
+TEST_F(FabricFixture, HardwareMulticastCoalescesSameInstantLegs) {
+  std::vector<int> dests;  // 31 legs, handed over in descending order
+  for (int d = 31; d >= 1; --d) dests.push_back(d);
+  std::vector<int> log;  // leg destinations; 0 = on_all, -1 = follow-up
+  std::vector<SimTime> at;
+  fabric.multicast(
+      0, dests, 256,
+      [&](int node) {
+        log.push_back(node);
+        at.push_back(eng.now());
+        // Scheduled at the current instant from the first leg: it draws a
+        // later key than every leg and on_all, so it runs after them.
+        if (node == 1) eng.at(eng.now(), [&] { log.push_back(-1); });
+      },
+      [&] { log.push_back(0); });
+  eng.run();
+
+  std::vector<int> expected;
+  for (int d = 1; d <= 31; ++d) expected.push_back(d);
+  expected.push_back(0);
+  expected.push_back(-1);
+  EXPECT_EQ(log, expected);
+  ASSERT_EQ(at.size(), 31u);
+  for (const SimTime t : at) EXPECT_EQ(t, at.front());
+  // One event for the 31 same-instant legs, one for on_all, one follow-up.
+  EXPECT_EQ(eng.executedEvents(), 3u);
+}
+
+TEST_F(FabricFixture, HardwareMulticastKeepsLateAndSuppressedLegsExact) {
+  sim::FaultPlan plan;
+  plan.crashNode(3, 0).crashNode(20, 0);
+  sim::FaultInjector faults(plan, 1);
+  fabric.setFaultInjector(&faults);
+  // A large transfer into node 7 keeps its ingress busy, so its leg lands
+  // at its own later instant.
+  SimTime unicast_done = -1;
+  fabric.unicast(32, 7, 1 << 20, [&] { unicast_done = eng.now(); });
+  std::vector<int> dests;
+  for (int d = 1; d <= 31; ++d) dests.push_back(d);
+  std::vector<std::pair<int, SimTime>> got;
+  SimTime all_done = -1;
+  fabric.multicast(
+      0, dests, 256, [&](int node) { got.emplace_back(node, eng.now()); },
+      [&] { all_done = eng.now(); });
+  eng.run();
+
+  ASSERT_EQ(got.size(), 29u);  // nodes 3 and 20 are down
+  EXPECT_EQ(fabric.stats().suppressed_deliveries, 2u);
+  const SimTime common = got.front().second;
+  int prev = 0;
+  for (std::size_t i = 0; i + 1 < got.size(); ++i) {
+    EXPECT_NE(got[i].first, 3);
+    EXPECT_NE(got[i].first, 20);
+    EXPECT_GT(got[i].first, prev);  // ascending within the common instant
+    prev = got[i].first;
+    EXPECT_EQ(got[i].second, common);
+  }
+  EXPECT_EQ(got.back().first, 7);
+  EXPECT_GT(got.back().second, unicast_done);
+  EXPECT_EQ(all_done, got.back().second);
+  // The unicast, the 28 common-instant legs, node 7's leg, and on_all.
+  EXPECT_EQ(eng.executedEvents(), 4u);
 }
 
 TEST_F(FabricFixture, MulticastLatencyIsNearlyFlatInFanout) {

@@ -115,14 +115,16 @@ TEST(Engine, StepExecutesExactlyOne) {
   EXPECT_EQ(count, 2);
 }
 
-// The calendar queue places events ~4 us apart in different wheel buckets
-// and same-instant events in the same bucket heap; ordering must come out
-// by (time, insertion) regardless of bucket placement.
+// The calendar queue's wheel buckets are 2048 ns wide: events on either
+// side of a multiple of 2048 ns land in different buckets, same-instant
+// events in the same one.  Ordering must come out by (time, insertion)
+// regardless of bucket placement.
 TEST(Engine, CalendarTieOrderAcrossBucketBoundaries) {
   Engine eng;
   std::vector<int> order;
-  // Interleave insertions across three bucket-straddling times, plus exact
-  // ties at a bucket edge (4096 ns is the first bucket boundary).
+  // Interleave insertions across three times straddling the bucket edge at
+  // 4096 ns (the start of the third bucket), plus exact ties at that edge
+  // and at 8192 ns (the start of the fifth).
   eng.at(nsec(4097), [&] { order.push_back(3); });
   eng.at(nsec(4095), [&] { order.push_back(1); });
   eng.at(nsec(4096), [&] { order.push_back(2); });
@@ -139,7 +141,7 @@ TEST(Engine, CalendarTieOrderAcrossBucketBoundaries) {
 TEST(Engine, CancelAfterWheelRollover) {
   Engine eng;
   int fired = 0;
-  // Advance well past one wheel lap (2048 buckets * 4096 ns ≈ 8.4 ms).
+  // Advance well past one wheel lap (256 buckets * 2048 ns ≈ 524 us).
   eng.at(msec(20), [&] { ++fired; });
   eng.run();
   ASSERT_EQ(fired, 1);
@@ -153,6 +155,34 @@ TEST(Engine, CancelAfterWheelRollover) {
   eng.run();
   EXPECT_EQ(fired, 2);
   EXPECT_FALSE(eng.cancel(fresh));  // already fired
+}
+
+// At a fresh engine the wheel covers [0, 256 * 2048 ns): an event at the
+// horizon or later goes to the overflow heap.  Order must not care which
+// side of the edge an event landed on, including a tie between a wheel
+// entry and an overflow entry, and including events that an overflow-fired
+// event schedules back into the wheel after the cursor has jumped.
+TEST(Engine, HorizonEdgeOrdersAcrossWheelAndOverflow) {
+  constexpr SimTime kHorizon = nsec(256 * 2048);
+  Engine eng;
+  std::vector<int> order;
+  eng.at(kHorizon + 1, [&] { order.push_back(6); });  // overflow
+  eng.at(kHorizon, [&] { order.push_back(2); });      // overflow
+  eng.at(kHorizon - 1, [&] { order.push_back(1); });  // wheel, last bucket
+  eng.at(kHorizon, [&] { order.push_back(3); });      // tie: insertion order
+  eng.at(kHorizon, [&] {
+    order.push_back(4);
+    // The cursor jumped to the horizon's bucket when the overflow heap
+    // fired, so both of these land in the wheel.  The first runs next
+    // (nothing else is left at kHorizon); the second ties with the overflow
+    // entry at kHorizon + 1 and, drawn later, fires after it.
+    eng.at(kHorizon, [&] { order.push_back(5); });
+    eng.after(nsec(1), [&] { order.push_back(7); });
+  });
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(eng.now(), kHorizon + 1);
+  EXPECT_EQ(eng.pendingEvents(), 0u);
 }
 
 // Events beyond the wheel horizon land in the overflow heap; they must
