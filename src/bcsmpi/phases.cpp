@@ -83,10 +83,7 @@ void Runtime::runDem(int node, std::uint64_t seq) {
   // next descriptor into the current slice (FIFO-read semantics of the real
   // NIC threads).
   opStarted(node);
-  cluster_.engine().after(config_.dem_drain_window, [this, node] {
-    drainDescriptorFifos(node);
-    opFinished(node);
-  });
+  dem_drains_.after(config_.dem_drain_window, node);
 }
 
 void Runtime::drainDescriptorFifos(int node) {
@@ -130,7 +127,7 @@ void Runtime::drainDescriptorFifos(int node) {
       config_.nic_desc_processing;
   if (work > 0) {
     opStarted(node);
-    cluster_.engine().after(work, [this, node] { opFinished(node); });
+    op_timers_.after(work, node);
   }
 
   // BS: deliver each send descriptor to the destination node's BR.  The

@@ -233,7 +233,7 @@ void Runtime::drainRmaFifos(int node) {
                         config_.nic_desc_processing;
   if (work > 0) {
     opStarted(node);
-    cluster_.engine().after(work, [this, node] { opFinished(node); });
+    op_timers_.after(work, node);
   }
 
   // Coalescing (Carver et al.): all ops bound for one destination node

@@ -33,6 +33,12 @@ Runtime::Runtime(net::Cluster& cluster, BcsMpiConfig config)
       config_(config),
       core_(cluster.fabric(), &cluster.trace()),
       trace_(&cluster.trace()),
+      op_timers_(cluster.engine(), [this](int node) { opFinished(node); }),
+      dem_drains_(cluster.engine(),
+                  [this](int node) {
+                    drainDescriptorFifos(node);
+                    opFinished(node);
+                  }),
       nodes_(static_cast<std::size_t>(cluster.numComputeNodes())) {
   for (int n = 0; n < cluster.numComputeNodes(); ++n) {
     all_compute_nodes_.push_back(n);
@@ -849,17 +855,12 @@ void Runtime::beginNodePhase(int node, std::uint64_t seq, Duration floor,
   NodeState& ns = nodeState(node);
   ns.phase_seq = seq;
   ns.outstanding = 0;
-  // One token for the NIC-thread processing time (at least the phase floor).
+  // One token for the NIC-thread processing time (at least the phase
+  // floor).  An idle node's token is released by an event at this very
+  // instant, so the outstanding counter still guards against completing
+  // before the node's other work is scheduled.
   opStarted(node);
-  const Duration busy = std::max(floor, work_cost);
-  if (busy <= 0) {
-    // Degenerate (test) configurations: complete via the engine so the
-    // outstanding counter still protects against early completion.
-    cluster_.engine().at(cluster_.engine().now(),
-                         [this, node] { opFinished(node); });
-  } else {
-    cluster_.engine().after(busy, [this, node] { opFinished(node); });
-  }
+  op_timers_.after(std::max(floor, work_cost), node);
 }
 
 void Runtime::onStrobe(int node, Phase p, std::uint64_t seq) {

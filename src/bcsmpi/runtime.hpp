@@ -41,6 +41,7 @@
 #include "mpi/types.hpp"
 #include "net/cluster.hpp"
 #include "race/race.hpp"
+#include "sim/event_run.hpp"
 #include "sim/pool.hpp"
 #include "sim/process.hpp"
 #include "storm/sstree.hpp"
@@ -664,6 +665,12 @@ class Runtime {
   BcsMpiConfig config_;
   core::BcsCore core_;
   sim::Trace* trace_;
+
+  /// Per-node NIC-thread timers, one engine event per microphase instant
+  /// (sim/event_run.hpp): completions release an opFinished token, drains
+  /// run the DEM descriptor-FIFO read a window after the strobe.
+  sim::EventRun<int> op_timers_;
+  sim::EventRun<int> dem_drains_;
 
   /// One-sided RMA window table, keyed by windowOwnerKey(job, rank).
   core::WindowRegistry windows_;

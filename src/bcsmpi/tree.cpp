@@ -105,8 +105,8 @@ void Runtime::onRackStrobe(int rack, Phase p, std::uint64_t seq) {
   }
   // Relay to the members with aggregate completion only: no per-destination
   // callback means the fabric schedules ONE engine event for the whole rack
-  // (see XferRequest::on_all), which is what makes the fan-out O(1) in
-  // events instead of O(members).
+  // (see XferRequest::on_all).  The fan-out is O(1) in engine events, not
+  // in host work: the multicast still updates every member's ingress.
   core::XferRequest relay;
   relay.src_node = ss;
   relay.dest_nodes = std::move(dests);
@@ -152,8 +152,10 @@ void Runtime::rackFanout(int rack, Phase p, std::uint64_t seq) {
       // process to wake, nothing to drain, match, get or execute, so the
       // phase-done write and the token bookkeeping would be pure
       // overhead.  In the sparse steady state this is every member, and
-      // skipping it is what keeps a rack's per-slice cost O(messages)
-      // instead of O(members).
+      // skipping it keeps an all-idle rack's engine events O(1) per
+      // microphase.  Its host cost is still O(members): this loop visits
+      // every member, and the relay multicast updated every member's
+      // ingress (ROADMAP lists the measured profile).
       ns.phase_seq = seq;
       ns.outstanding = 0;
       ns.tree_floor = false;

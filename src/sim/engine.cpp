@@ -133,7 +133,8 @@ bool deferTraceRecord(void* trace, TraceCommitFn commit, SimTime t,
 // Construction, node pool
 // ---------------------------------------------------------------------------
 
-Engine::Engine() : shard_seq_(1, 1), buckets_(kNumBuckets) {
+Engine::Engine()
+    : shard_seq_(1, 1), buckets_(kNumBuckets), pushes_(kNumBuckets, 0) {
   free_.reserve(kChunkSize);
   overflow_.reserve(64);
   // The chunk table never reallocates (workers index it while another
@@ -247,12 +248,12 @@ static constexpr auto kLaterFirst = [](const auto& a, const auto& b) {
 };
 
 void Engine::enqueue(QEntry entry) {
-  std::uint64_t idx = static_cast<std::uint64_t>(entry.when) >> kBucketShift;
   // The cursor may already have scanned past this event's natural bucket
   // (base_ tracks the wheel minimum, and `when >= now_` is all we checked).
   // Clamping keeps ordering correct: within a bucket entries order by
   // (when, key), and all later buckets hold strictly later times.
-  if (idx < base_) idx = base_;
+  const std::uint64_t idx = bucketIndex(entry.when);
+  ++pushes_[idx & kBucketMask];
   if (idx < base_ + kNumBuckets) {
     auto& bucket = buckets_[idx & kBucketMask];
     if (idx == sorted_bucket_) {
@@ -451,6 +452,76 @@ bool Engine::cancel(EventId id) {
   return true;
 }
 
+// ---------------------------------------------------------------------------
+// Same-instant runs (EventRun)
+// ---------------------------------------------------------------------------
+//
+// Why extendRun is exact.  A run's members draw shard-0 keys k1 < ... < kn,
+// and its one queue entry is (when, k1).  Plain events would have fired
+// them in key order; the run does the same, so the two differ only if some
+// other event at `when` has a key between k1 and kn.  Such a key was drawn,
+// and so filed (serial scheduling files at once), after k1's.  It was filed
+// under bucketIndex(when) as it stood then, which lies between the mark's
+// bucket and the bucket the new member files under (the cursor only moves
+// forward).  extendRun demands those two be equal, so the intruder went to
+// the mark's slot and moved its push count.  Keys of other shards and
+// handoff keys sort entirely before or after shard 0's native keys.
+
+std::uint64_t Engine::scheduleRunHead(SimTime when, EventCallback fn,
+                                      RunMark& mark) {
+  at(when, std::move(fn));  // serial and on shard 0 (runsCoalesce)
+  mark.when = when;
+  mark.bucket = bucketIndex(when);
+  mark.pushes = pushes_[mark.bucket & kBucketMask];
+  return makeKey(0, false, shard_seq_[0] - 1);
+}
+
+std::uint64_t Engine::extendRun(const RunMark& mark, SimTime when) {
+  // The run's entry has not finished firing, so `when` >= now_ already.
+  if (when != mark.when || bucketIndex(when) != mark.bucket ||
+      pushes_[mark.bucket & kBucketMask] != mark.pushes) {
+    return 0;
+  }
+  ++live_;
+  return makeKey(0, false, shard_seq_[0]++);
+}
+
+void Engine::enterRunMember(std::uint64_t key) {
+  detail::ExecContext* ctx = detail::t_ctx;
+  if (ctx != nullptr && ctx->eng == this) {
+    // A run filed serially, fired in a parallel window (always on worker 0).
+    ctx->cur_key = key;
+    ctx->handoff_idx = 0;
+    ctx->trace_idx = 0;
+    --ctx->live_delta;
+    ++ctx->executed;
+    return;
+  }
+  cur_key_ = key;
+  --live_;
+  ++executed_;
+}
+
+void Engine::requeueRun(SimTime when, std::uint64_t key, EventCallback fn) {
+  detail::ExecContext* ctx = detail::t_ctx;
+  const bool in_window = ctx != nullptr && ctx->eng == this;
+  const std::uint32_t slot = in_window ? acquireNodeCtx(*ctx) : acquireNode();
+  Node& n = node(slot);
+  n.armed = true;
+  n.shard = keyShard(key);
+  n.fn = std::move(fn);
+  const QEntry entry{when, key, slot};
+  if (in_window) {
+    // `when` is the window's current instant: the entry belongs in `near`.
+    auto& sq = *static_cast<ShardQueue*>(ctx->queue);
+    sq.near.insert(
+        std::upper_bound(sq.near.begin(), sq.near.end(), entry, kLaterFirst),
+        entry);
+    return;
+  }
+  enqueue(entry);
+}
+
 SimTime Engine::nowParallel() const {
   const detail::ExecContext* ctx = detail::t_ctx;
   return (ctx != nullptr && ctx->eng == this) ? ctx->now : now_;
@@ -473,7 +544,9 @@ std::uint64_t Engine::currentEventKey() const {
 // Fires the event in `entry` (already extracted from the queue).  The
 // callback runs in place: node addresses are stable and the slot is not
 // released until the callback returns, so reentrant at()/cancel() calls are
-// safe and a self-cancel fails harmlessly (armed is already false).
+// safe and a self-cancel fails harmlessly (armed is already false).  For an
+// EventRun entry the callback fires the whole run, entering each further
+// member through enterRunMember.
 void Engine::fire(const QEntry& entry) {
   now_ = entry.when;
   Node& n = node(entry.slot);

@@ -29,6 +29,12 @@
 //    disarms the node (and frees its callback) in place, and the disarmed
 //    entry is dropped lazily when the queue walk reaches it (see
 //    droppedTombstones()).
+//  * Same-instant runs (sim/event_run.hpp): consecutive EventRun members
+//    for one instant share one node and one queue entry when no other
+//    event was filed under that bucket in between, which proves nothing
+//    can fire between them.  Each member still draws its own key, counts
+//    as its own pending and executed event and runs under its own
+//    currentEventKey(), so a run is invisible to everything but the queue.
 //
 // Parallel slice execution
 // ------------------------
@@ -253,8 +259,9 @@ class Engine {
   /// so fibers (all shard 0) always execute on the caller's thread.
   SimTime run(const ParallelPolicy& policy, SimTime until = INT64_MAX);
 
-  /// Runs exactly one event if available.  Returns false if the queue is
-  /// empty.  Useful for fine-grained unit tests of the engine itself.
+  /// Runs exactly one queue entry if available: one event, or one whole
+  /// EventRun (all its members for that instant).  Returns false if the
+  /// queue is empty.  Useful for fine-grained unit tests of the engine.
   bool step();
 
   /// Number of live (scheduled, not cancelled, not yet fired) events.
@@ -307,6 +314,9 @@ class Engine {
   std::uint64_t currentEventKey() const;
 
  private:
+  template <typename Arg>
+  friend class EventRun;
+
   /// Pooled event node.  The ordering key (when, key) lives only in the
   /// queue entry; the node carries just the callback and handle state, so a
   /// node is exactly one cache line.  Nodes live in fixed-size chunks whose
@@ -384,6 +394,39 @@ class Engine {
   void fire(const QEntry& entry);
   static void heapPush(std::vector<QEntry>& heap, QEntry entry);
   static void heapPop(std::vector<QEntry>& heap);
+  /// Absolute bucket an event at `when` is filed under: its own, or the
+  /// cursor's if the cursor has already passed it.
+  std::uint64_t bucketIndex(SimTime when) const {
+    const std::uint64_t idx = static_cast<std::uint64_t>(when) >> kBucketShift;
+    return idx < base_ ? base_ : idx;
+  }
+
+  // ----- EventRun hooks (sim/event_run.hpp) -----
+  /// Where a run's first member was filed, and that bucket slot's push
+  /// count just after.  Nothing else has been scheduled at the run's
+  /// instant for as long as a member at `when` still files under `bucket`
+  /// and the count has not moved.
+  struct RunMark {
+    SimTime when = 0;
+    std::uint64_t bucket = 0;
+    std::uint64_t pushes = 0;
+  };
+  /// Runs coalesce only in serial mode and on shard 0: the one shard the
+  /// coordinating thread always drains, so a run's bookkeeping is never
+  /// touched by two threads, and all of a run's keys are shard-0 keys.
+  bool runsCoalesce() const { return !par_active_ && cur_shard_ == 0; }
+  /// Files a run's first member as a shard-0 event; returns its key.
+  std::uint64_t scheduleRunHead(SimTime when, EventCallback fn, RunMark& mark);
+  /// Draws the key of another member at `when` for the run filed under
+  /// `mark`, or returns 0 when the run cannot take it exactly.
+  std::uint64_t extendRun(const RunMark& mark, SimTime when);
+  /// Accounts the next member of the firing run exactly as fire() accounts
+  /// an event: its key becomes currentEventKey(), and it leaves the pending
+  /// count for the executed count.
+  void enterRunMember(std::uint64_t key);
+  /// Refiles the rest of a run whose member threw, under the key of its
+  /// first unfired member; the members are still pending.
+  void requeueRun(SimTime when, std::uint64_t key, EventCallback fn);
 
   /// Per-shard pending set during a parallel run.  Split in two so the hot
   /// within-window drain never pays heap discipline: `near` holds the
@@ -442,6 +485,9 @@ class Engine {
   /// descending by (when, key) so back() is the earliest entry.
   std::vector<std::vector<QEntry>> buckets_;
   std::vector<QEntry> overflow_;  ///< beyond-horizon min-heap
+  /// Entries ever filed per bucket slot (wheel or overflow, by the
+  /// bucketIndex they were filed under); EventRun's exactness check.
+  std::vector<std::uint64_t> pushes_;
 
   // ----- parallel-run state (live only inside run(ParallelPolicy)) -----
   bool par_active_ = false;

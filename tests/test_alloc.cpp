@@ -13,7 +13,9 @@
 //   * the idle steady state of the strobe-sender tree (every member
 //     computing, nothing to match or move) stays within 4 allocations per
 //     rack per microphase: the relay's destination set, the ack's
-//     destination set and its shared request, plus the root's share.
+//     destination set and its shared request, plus the root's share;
+//   * a warmed-up EventRun (the flat runtime's per-node NIC timers) files
+//     and fires a microphase's 31 same-instant members without allocating.
 
 #include <gtest/gtest.h>
 
@@ -31,6 +33,7 @@
 #include "net/cluster.hpp"
 #include "net/fabric.hpp"
 #include "sim/engine.hpp"
+#include "sim/event_run.hpp"
 #include "sim/trace.hpp"
 
 namespace {
@@ -165,6 +168,31 @@ TEST(AllocBudget, DisabledTraceMulticastXferAllocatesTwo) {
   EXPECT_EQ(completed, kWarmup + kMeasured);
   EXPECT_EQ(core.pendingSignals(kDests, remote), kWarmup + kMeasured);
   EXPECT_TRUE(trace.records().empty());
+}
+
+TEST(AllocBudget, EventRunMicrophasesAllocateNothing) {
+  constexpr int kMembers = 31;
+  constexpr int kMicrophases = 1000;
+  sim::Engine eng;
+  int fired = 0;
+  sim::EventRun<int> timers(eng, [&fired](int) { ++fired; });
+  // One strobe reaches every node at one instant; each node's timer joins
+  // the run at the phase floor, or at the strobe's own instant when idle.
+  const auto microphase = [&](int i) {
+    eng.after(sim::usec(5), [&timers, i] {
+      const sim::Duration floor = i % 2 == 0 ? sim::usec(60) : 0;
+      for (int node = 0; node < kMembers; ++node) timers.after(floor, node);
+    });
+    eng.run();
+  };
+  for (int i = 0; i < kWarmup; ++i) microphase(i);
+  const std::uint64_t before = allocations();
+  for (int i = 0; i < kMicrophases; ++i) microphase(i);
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(fired, kMembers * (kWarmup + kMicrophases));
+  EXPECT_EQ(eng.executedEvents(),
+            static_cast<std::uint64_t>((kMembers + 1) *
+                                       (kWarmup + kMicrophases)));
 }
 
 TEST(AllocBudget, IdleTreeSlicesStayWithinFourPerRackPerMicrophase) {

@@ -10,11 +10,15 @@
 #include <functional>
 #include <memory>
 #include <numeric>
+#include <ostream>
+#include <stdexcept>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "sim/cpu.hpp"
 #include "sim/engine.hpp"
+#include "sim/event_run.hpp"
 #include "sim/fiber.hpp"
 #include "sim/noise.hpp"
 #include "sim/pool.hpp"
@@ -237,6 +241,298 @@ TEST(Engine, LargeCallbacksUseHeapFallbackCorrectly) {
   eng.cancel(cancelled);  // heap callable destroyed on cancel, not leaked
   eng.run();
   EXPECT_EQ(sum, 7u * 16u);
+}
+
+// -------------------------------------------------------------- EventRun --
+//
+// Twin engines run one script: on the run twin members go through an
+// EventRun, on the plain twin through Engine::at.  Every callback logs what
+// it sees of its engine, and the two logs must be equal — coalescing may
+// change how many queue entries exist, nothing else.
+
+/// What one callback sees of its engine.
+struct Seen {
+  std::int64_t id;
+  SimTime now;
+  std::uint64_t key;
+  std::uint64_t executed;
+  std::size_t pending;
+  bool operator==(const Seen&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Seen& s) {
+  return os << "{id " << s.id << " @" << s.now << " key " << s.key
+            << " executed " << s.executed << " pending " << s.pending << "}";
+}
+
+/// Something a callback schedules when it fires: a member or a plain
+/// event `delay` after now.
+struct Spawn {
+  bool member;
+  Duration delay;
+  std::int64_t id;
+};
+
+using Script = std::function<std::vector<Spawn>(std::int64_t id)>;
+
+constexpr SimTime kHorizon = nsec(256 * 2048);  // wheel horizon at time 0
+
+class Twin {
+ public:
+  Twin(bool runs, Script script, std::int64_t throw_id = -1)
+      : runs_(runs),
+        script_(std::move(script)),
+        throw_id_(throw_id),
+        run_(eng, [this](std::int64_t id) { fired(id); }) {}
+
+  void schedule(bool member, SimTime when, std::int64_t id) {
+    if (member && runs_) {
+      run_.at(when, id);
+    } else {
+      eng.at(when, [this, id] { fired(id); });
+    }
+  }
+
+  Engine eng;
+  std::vector<Seen> seen;
+
+ private:
+  void fired(std::int64_t id) {
+    seen.push_back(Seen{id, eng.now(), eng.currentEventKey(),
+                        eng.executedEvents(), eng.pendingEvents()});
+    for (const Spawn& s : script_(id)) {
+      schedule(s.member, eng.now() + s.delay, s.id);
+    }
+    if (id == throw_id_) throw std::runtime_error("member threw");
+  }
+
+  bool runs_;
+  Script script_;
+  std::int64_t throw_id_;
+  EventRun<std::int64_t> run_;
+};
+
+/// Schedules `initial` (member?, when, id) on both twins before any run.
+void seedTwins(Twin& a, Twin& b,
+               const std::vector<std::tuple<bool, SimTime, std::int64_t>>&
+                   initial) {
+  for (const auto& [member, when, id] : initial) {
+    a.schedule(member, when, id);
+    b.schedule(member, when, id);
+  }
+  EXPECT_EQ(a.eng.pendingEvents(), b.eng.pendingEvents());
+}
+
+TEST(EventRun, SameInstantMembersFireInOneStep) {
+  constexpr int kMembers = 31;
+  Twin runs(true, [](std::int64_t) { return std::vector<Spawn>{}; });
+  Twin plain(false, [](std::int64_t) { return std::vector<Spawn>{}; });
+  for (int i = 0; i < kMembers; ++i) {
+    runs.schedule(true, usec(60), i);
+    plain.schedule(true, usec(60), i);
+  }
+  EXPECT_EQ(runs.eng.pendingEvents(), static_cast<std::size_t>(kMembers));
+  ASSERT_TRUE(runs.eng.step());
+  ASSERT_TRUE(plain.eng.step());
+  EXPECT_EQ(runs.eng.executedEvents(), static_cast<std::uint64_t>(kMembers));
+  EXPECT_EQ(plain.eng.executedEvents(), 1u);
+  EXPECT_FALSE(runs.eng.step());
+  plain.eng.run();
+  EXPECT_EQ(runs.seen, plain.seen);
+  EXPECT_LT(runs.eng.poolSlots(), plain.eng.poolSlots());
+}
+
+// The cases the exactness argument (engine.cpp) has to get right: members
+// at now() into the bucket being drained, a plain event filed between two
+// members, a member that schedules at its own instant (it joins the firing
+// run), both sides of a bucket edge, the wheel horizon and the overflow
+// heap beyond it, and a run an overflow-fired event files back into the
+// wheel after the cursor jumped.
+TEST(EventRun, EdgeCasesMatchPlainEvents) {
+  const Script script = [](std::int64_t id) -> std::vector<Spawn> {
+    switch (id) {
+      case 1:  // plain, at 3000 ns: members into the bucket being drained
+        return {{true, 0, 10}, {true, 0, 11}, {false, 0, 12},
+                {true, 0, 13}, {true, 5, 14}, {true, 0, 15}};
+      case 10:  // a member that schedules at its own instant
+        return {{true, 0, 16}, {false, 0, 17}, {true, 0, 18}};
+      case 16:
+        return {{true, 0, 19}};
+      case 19:  // joins the run that is firing it
+        return {{true, 0, 23}};
+      case 30:  // beyond the horizon: re-enters the wheel at its instant
+        return {{true, 0, 31}, {true, 0, 32}, {true, nsec(2048), 33}};
+      default:
+        return {};
+    }
+  };
+  Twin runs(true, script);
+  Twin plain(false, script);
+  seedTwins(runs, plain,
+            {{false, nsec(3000), 1},
+             {true, nsec(4095), 2},
+             {true, nsec(4096), 3},
+             {true, nsec(4095), 4},
+             {true, nsec(4096), 5},
+             {true, nsec(4096), 6},
+             {true, kHorizon - 1, 7},
+             {true, kHorizon, 8},
+             {true, kHorizon, 9},
+             {false, kHorizon, 20},
+             {true, kHorizon, 21},
+             {true, kHorizon + 1, 22},
+             {true, msec(3), 30},
+             {true, msec(3), 34},
+             {false, msec(3), 35},
+             {true, msec(3), 36}});
+  runs.eng.run();
+  plain.eng.run();
+  EXPECT_EQ(runs.seen, plain.seen);
+  EXPECT_EQ(runs.seen.size(), 30u);
+  EXPECT_EQ(runs.eng.now(), plain.eng.now());
+  EXPECT_EQ(runs.eng.pendingEvents(), 0u);
+}
+
+// A run filed in the overflow heap can fire after the cursor has moved past
+// its bucket (a later wheel event pulled the cursor on).  Anything then
+// scheduled at the run's instant is filed under the cursor's bucket, so the
+// run must not take a member from its own firing callback after that.
+TEST(EventRun, OverflowRunFiringBehindTheCursor) {
+  constexpr SimTime kLate = kHorizon + usec(10);  // four buckets further
+  const Script script = [](std::int64_t id) -> std::vector<Spawn> {
+    if (id == 1) return {{false, kLate - usec(300), 2}};
+    if (id == 3) return {{false, 0, 4}, {true, 0, 5}};
+    return {};
+  };
+  Twin runs(true, script);
+  Twin plain(false, script);
+  seedTwins(runs, plain, {{false, usec(300), 1}, {true, kHorizon + 100, 3}});
+  runs.eng.run();
+  plain.eng.run();
+  EXPECT_EQ(runs.seen, plain.seen);
+  ASSERT_EQ(runs.seen.size(), 5u);
+  EXPECT_EQ(runs.seen[2].id, 4);  // the plain event filed between members
+}
+
+/// A seeded random script: every callback spawns up to three members or
+/// plain events, at delays chosen to collide on instants, bucket edges and
+/// the horizon.  Children of id are 16 * id + 1..3, to depth five.
+Script soupScript(std::uint64_t seed) {
+  return [seed](std::int64_t id) {
+    static constexpr std::array<Duration, 8> kDelays = {
+        0, 0, 0, 1, 2047, 2048, usec(60), kHorizon};
+    std::vector<Spawn> out;
+    if (id >= 16 * 16 * 16 * 16) return out;
+    std::uint64_t state = seed ^ (static_cast<std::uint64_t>(id) << 20);
+    const std::uint64_t h = splitmix64(state);
+    const int n = static_cast<int>(h % 4);
+    for (int j = 0; j < n; ++j) {
+      const std::uint64_t bits = h >> (8 + 8 * j);
+      out.push_back(Spawn{(bits & 3) != 0, kDelays[(bits >> 2) & 7],
+                          16 * id + j + 1});
+    }
+    return out;
+  };
+}
+
+TEST(EventRun, SeededSoupMatchesPlainEvents) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    Twin runs(true, soupScript(seed));
+    Twin plain(false, soupScript(seed));
+    std::vector<std::tuple<bool, SimTime, std::int64_t>> roots;
+    for (std::int64_t r = 1; r <= 15; ++r) {
+      roots.emplace_back(r % 4 != 0, nsec(2048) * (r % 3) + (r % 2), r);
+    }
+    seedTwins(runs, plain, roots);
+    runs.eng.run();
+    plain.eng.run();
+    EXPECT_EQ(runs.seen, plain.seen) << "seed " << seed;
+    EXPECT_GT(runs.seen.size(), 15u) << "seed " << seed;
+  }
+}
+
+// A member that throws leaves its run's later members pending under their
+// own keys; a second run() picks them up exactly where plain events would.
+// The parallel variant throws inside a window, so the rest of the run is
+// refiled into the shard's near queue and then back into the calendar.
+void throwingMemberCase(bool parallel) {
+  const Script script = [](std::int64_t id) -> std::vector<Spawn> {
+    if (id == 3) return {{true, 0, 10}, {false, 0, 11}, {true, usec(1), 12}};
+    return {};
+  };
+  Twin runs(true, script, /*throw_id=*/3);
+  Twin plain(false, script, /*throw_id=*/3);
+  std::vector<std::tuple<bool, SimTime, std::int64_t>> initial;
+  for (std::int64_t id = 1; id <= 6; ++id) {
+    initial.emplace_back(true, usec(7), id);
+  }
+  initial.emplace_back(false, usec(7), 7);
+  initial.emplace_back(true, usec(9), 8);
+  seedTwins(runs, plain, initial);
+  ParallelPolicy policy;
+  policy.threads = 2;
+  policy.window = usec(5);
+  policy.clamp_to_hardware = false;
+  const auto drain = [&](Engine& eng) {
+    return parallel ? eng.run(policy) : eng.run();
+  };
+  EXPECT_THROW(drain(runs.eng), std::runtime_error);
+  EXPECT_THROW(drain(plain.eng), std::runtime_error);
+  EXPECT_EQ(runs.seen, plain.seen);
+  ASSERT_EQ(runs.seen.back().id, 3);
+  EXPECT_EQ(runs.eng.pendingEvents(), plain.eng.pendingEvents());
+  EXPECT_EQ(runs.eng.executedEvents(), plain.eng.executedEvents());
+  drain(runs.eng);
+  drain(plain.eng);
+  EXPECT_EQ(runs.seen, plain.seen);
+  EXPECT_EQ(runs.seen.size(), 11u);
+  EXPECT_EQ(runs.eng.pendingEvents(), 0u);
+}
+
+TEST(EventRun, ThrowingMemberLeavesTheRestPending) {
+  throwingMemberCase(/*parallel=*/false);
+}
+
+TEST(EventRun, ThrowingMemberInsideParallelWindow) {
+  throwingMemberCase(/*parallel=*/true);
+}
+
+// Runs filed before a parallel run fire inside its windows (on worker 0,
+// alongside a shard-1 chain on worker 1); members scheduled inside a
+// window never coalesce.  Both twins run in parallel, and the event order
+// must also match a serial run of plain events.
+TEST(EventRun, ParallelRunMatchesPlainEvents) {
+  ParallelPolicy policy;
+  policy.threads = 2;
+  policy.window = usec(50);
+  policy.clamp_to_hardware = false;
+  const auto run = [&](bool runs, bool parallel) {
+    Twin twin(runs, soupScript(7));
+    for (std::int64_t r = 1; r <= 15; ++r) {
+      twin.schedule(r % 4 != 0, usec(40) + nsec(2048) * (r % 3), r);
+    }
+    int chain = 0;
+    std::function<void()> step = [&] {
+      if (++chain < 100) twin.eng.after(usec(3), step);
+    };
+    twin.eng.atOn(1, 0, step);
+    if (parallel) {
+      twin.eng.run(policy);
+    } else {
+      twin.eng.run();
+    }
+    EXPECT_EQ(chain, 100);
+    return twin.seen;
+  };
+  const std::vector<Seen> runs = run(true, true);
+  EXPECT_EQ(runs, run(false, true));
+  const std::vector<Seen> serial = run(false, false);
+  ASSERT_EQ(runs.size(), serial.size());
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].id, serial[i].id) << i;
+    EXPECT_EQ(runs[i].now, serial[i].now) << i;
+    EXPECT_EQ(runs[i].key, serial[i].key) << i;
+  }
 }
 
 // ---------------------------------------------------------------- Fiber --
