@@ -127,85 +127,6 @@ double soupEventsPerSec(int nodes, long long slices,
 }
 
 // ---------------------------------------------------------------------------
-// Sharded event soup for the parallel engine: one shard per node, the same
-// per-slice event mix as above but driven per-shard, plus a cross-shard
-// neighbor handoff every fourth slice targeting the next window.  threads=0
-// runs the identical workload through the serial scheduler as the baseline;
-// the serial and parallel executed-event counts must agree (the conformance
-// tier pins the stronger byte-identity guarantee — here it doubles as a
-// sanity check that the bench measures the same work).
-// ---------------------------------------------------------------------------
-
-double parSoupEventsPerSec(int nodes, long long slices, int threads,
-                           std::uint64_t* executed_out = nullptr) {
-  constexpr int kPerNode = 10;
-  constexpr int kTimeoutSlices = 8;
-  sim::Engine eng;
-  sim::Rng rng(2026);
-  const SimTime slice_len = usec(500);
-
-  std::vector<SimTime> jitter(static_cast<std::size_t>(nodes) * kPerNode);
-  for (auto& j : jitter) {
-    j = static_cast<SimTime>(rng.below(static_cast<std::uint64_t>(
-        slice_len - 2000)));
-  }
-  std::vector<std::uint8_t> cancel_mask(
-      static_cast<std::size_t>(nodes) * static_cast<std::size_t>(slices));
-  for (auto& c : cancel_mask) c = rng.below(16) != 0;  // ~94% cancelled
-
-  // Per-shard state only ever touched from that shard's worker; sinks are
-  // cache-line strided so parallel bumps don't false-share.
-  std::vector<std::uint64_t> sinks(static_cast<std::size_t>(nodes) * 8);
-  std::vector<sim::EventId> timers(static_cast<std::size_t>(nodes) *
-                                   kTimeoutSlices);
-
-  std::function<void(int, long long)> drive = [&](int n, long long s) {
-    if (s >= slices) return;
-    const SimTime t0 = eng.now();
-    std::uint64_t* sink = &sinks[static_cast<std::size_t>(n) * 8];
-    const SimTime* jit = &jitter[static_cast<std::size_t>(n) * kPerNode];
-    const CallbackCtx ctx{&eng, n, 0, static_cast<std::uint64_t>(s)};
-    for (int p = 0; p < kPerNode; ++p) {
-      eng.at(t0 + jit[p], [ctx, sink] { *sink += ctx.seq + ctx.node; });
-    }
-    sim::EventId& timer = timers[static_cast<std::size_t>(n) * kTimeoutSlices +
-                                 static_cast<std::size_t>(s % kTimeoutSlices)];
-    if (s >= kTimeoutSlices &&
-        cancel_mask[static_cast<std::size_t>(s - kTimeoutSlices) *
-                        static_cast<std::size_t>(nodes) +
-                    static_cast<std::size_t>(n)]) {
-      eng.cancel(timer);
-    }
-    timer = eng.at(t0 + kTimeoutSlices * slice_len + jit[0],
-                   [ctx, sink] { *sink += ctx.node; });
-    if (s % 4 == 0) {
-      // Next-window neighbor handoff: t0 + slice_len is the window barrier,
-      // so any non-negative jitter lands at or past it.
-      eng.handoff(static_cast<sim::ShardId>((n + 1) % nodes),
-                  t0 + slice_len + jit[0], [ctx, sink] { *sink += ctx.seq; });
-    }
-    eng.at(t0 + slice_len, [&drive, n, s] { drive(n, s + 1); });
-  };
-
-  for (int n = 0; n < nodes; ++n) {
-    eng.atOn(static_cast<sim::ShardId>(n), 0, [&drive, n] { drive(n, 0); });
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  if (threads > 0) {
-    sim::ParallelPolicy policy;
-    policy.threads = threads;
-    policy.window = slice_len;
-    eng.run(policy);
-  } else {
-    eng.run();
-  }
-  const double secs = secondsSince(t0);
-  if (executed_out) *executed_out = eng.executedEvents();
-  return static_cast<double>(eng.executedEvents()) / secs;
-}
-
-// ---------------------------------------------------------------------------
 // Matcher throughput on a randomized descriptor soup.
 // ---------------------------------------------------------------------------
 
@@ -382,58 +303,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(events));
   }
 
-  // Warmed, interleaved measurement: one untimed serial + parallel pass
-  // faults in pages, allocator arenas and branch predictors, then serial
-  // and parallel runs alternate within each rep so both see the same cache
-  // and allocator state — the old serial-first ordering is why t1 used to
-  // read 1.3x serial on the *identical* workload.  Best-of keeps the least
-  // OS-disturbed rep per configuration.
-  constexpr int kParReps = 3;
-  std::printf("parallel engine soup (one shard per node; "
-              "warmed, interleaved best-of-%d)\n", kParReps);
   results["hardware_threads"] =
       static_cast<double>(std::thread::hardware_concurrency());
-  for (const int n : {128, 512}) {
-    const long long slices = 160000 / n;
-    const std::string suffix = "_n" + std::to_string(n);
-    parSoupEventsPerSec(n, slices, 0);  // warmup, untimed
-    parSoupEventsPerSec(n, slices, 4);  // warmup, untimed
-
-    const int thread_counts[] = {1, 2, 4, 8};
-    double serial_best = 0;
-    std::uint64_t serial_events = 0;
-    std::map<int, double> par_best;
-    for (int rep = 0; rep < kParReps; ++rep) {
-      std::uint64_t ev = 0;
-      serial_best = std::max(serial_best,
-                             parSoupEventsPerSec(n, slices, 0, &ev));
-      serial_events = ev;
-      for (const int t : thread_counts) {
-        const double eps = parSoupEventsPerSec(n, slices, t, &ev);
-        if (ev != serial_events) {
-          std::printf("  WARNING t=%d executed %llu events, serial executed "
-                      "%llu — parallel run diverged\n",
-                      t, static_cast<unsigned long long>(ev),
-                      static_cast<unsigned long long>(serial_events));
-          return 1;
-        }
-        par_best[t] = std::max(par_best[t], eps);
-      }
-    }
-
-    results["par_soup_serial_events_per_sec" + suffix] = serial_best;
-    std::printf("  n=%-4d serial  %9.2f M events/s  (%llu events)\n", n,
-                serial_best / 1e6,
-                static_cast<unsigned long long>(serial_events));
-    for (const int t : thread_counts) {
-      results["par_soup_events_per_sec_t" + std::to_string(t) + suffix] =
-          par_best[t];
-      std::printf("  n=%-4d t=%-2d    %9.2f M events/s  (%.2fx serial)\n", n,
-                  t, par_best[t] / 1e6, par_best[t] / serial_best);
-    }
-    results["par_soup_speedup_t4" + suffix] = par_best[4] / serial_best;
-    results["par_soup_speedup_t8" + suffix] = par_best[8] / serial_best;
-  }
 
   std::printf("MSM matcher (envelope index vs quadratic reference)\n");
   {
@@ -448,11 +319,11 @@ int main(int argc, char** argv) {
                 qps / 1e6);
   }
 
-  // Slice rate uses the same warmed, interleaved best-of-N protocol as the
-  // parallel soup: an untimed warmup per configuration, then flat and tree
-  // runs alternating within each rep so both see the same cache/allocator
-  // state, keeping the best rep per row.  The old single cold run was
-  // fiber-baton-bound and could swing 2x with machine load.
+  // Slice rate is measured warmed, interleaved and best-of-N: an untimed
+  // warmup per configuration, then flat and tree runs alternating within
+  // each rep so both see the same cache/allocator state, keeping the best
+  // rep per row.  The old single cold run was fiber-baton-bound and could
+  // swing 2x with machine load.
   constexpr int kSliceReps = 3;
   constexpr int kTreeFanout = 32;
   std::printf("BCS-MPI runtime slice rate (sparse exchange + 250ms compute; "
@@ -537,28 +408,6 @@ int main(int argc, char** argv) {
         ++failures;
       }
     }
-    // Parallel speedup floor.  The canonical bar is t4 >= 1.8x serial on
-    // the 128-node soup; on hosts without 4 hardware threads wall-clock
-    // parallel speedup is physically unavailable (the policy clamps its
-    // worker count), so the floor relaxes to "parallel must not regress
-    // serial" and says so.  These soup rows double as the race detector's
-    // zero-overhead gate: the soup runs with race_detect at its default
-    // (off), where every hook is a single null-pointer check, so a
-    // detector change that leaks cost into the off path regresses
-    // par_soup_* against the baseline and fails here.
-    const double hw = results["hardware_threads"];
-    const double spd = results["par_soup_speedup_t4_n128"];
-    const double spd_floor = hw >= 4 ? 1.8 : 0.9;
-    if (hw < 4) {
-      std::printf("speedup floor waived to %.1f: host has %.0f hardware "
-                  "thread(s), wall-clock scaling needs >= 4\n",
-                  spd_floor, hw);
-    }
-    if (spd < spd_floor) {
-      std::printf("REGRESSION par_soup_speedup_t4_n128: %.2fx below the "
-                  "%.1fx floor\n", spd, spd_floor);
-      ++failures;
-    }
     // Hierarchical control-plane floor: the strobe tree must keep the
     // 512-node sparse job at least 4x the flat slice rate.  A ratio of two
     // single-threaded wall-clock runs of the same workload, so no
@@ -570,9 +419,8 @@ int main(int argc, char** argv) {
       ++failures;
     }
     if (failures > 0) return 1;
-    std::printf("regression gate: ok (threshold -30%% vs %s, t4 speedup "
-                "floor %.1fx, tree speedup floor 4.0x)\n", baseline_path,
-                spd_floor);
+    std::printf("regression gate: ok (threshold -30%% vs %s, tree speedup "
+                "floor 4.0x)\n", baseline_path);
   }
   return 0;
 }

@@ -13,7 +13,7 @@
 //     bcs_fetch_add on a shared counter homed in a window on rank 0.  No
 //     master rank, no request/reply rendezvous: one remote atomic per
 //     claim, resolved inside the target's MSM microphase in canonical rank
-//     order, so the chunk→owner map is deterministic (serial ≡ parallel).
+//     order, so the chunk→owner map is deterministic.
 //     Requires a BcsComm (the counter lives in NIC-homed window memory).
 //
 //   * staticSchedule — block partition, no communication during the loop.

@@ -3,22 +3,7 @@
 #include <memory>
 #include <utility>
 
-#include "race/race.hpp"
-
 namespace bcs::core {
-
-namespace {
-// The NIC var/event tables are shard-0 control-plane state (the whole BCS
-// protocol runs there); the detector confirms no foreign shard touches them.
-inline void raceTouch(net::Fabric& fabric, race::ObjectKind kind, int node,
-                      race::FieldGroup group, race::RaceDetector::Access acc,
-                      const char* site) {
-  race::RaceDetector* rd = fabric.raceDetector();
-  if (rd != nullptr) {
-    rd->record(kind, static_cast<std::uint64_t>(node), group, acc, site);
-  }
-}
-}  // namespace
 
 const char* cmpOpName(CmpOp op) {
   switch (op) {
@@ -64,17 +49,11 @@ void BcsCore::checkEvent(GlobalEventId ev) const {
 
 std::int64_t BcsCore::readVar(int node, GlobalVarId var) const {
   checkVar(var);
-  raceTouch(fabric_, race::ObjectKind::kCoreVars, node,
-            race::FieldGroup::kVars, race::RaceDetector::Access::kRead,
-            "BcsCore::readVar");
   return vars_[static_cast<std::size_t>(var)].at(static_cast<std::size_t>(node));
 }
 
 void BcsCore::writeVarLocal(int node, GlobalVarId var, std::int64_t value) {
   checkVar(var);
-  raceTouch(fabric_, race::ObjectKind::kCoreVars, node,
-            race::FieldGroup::kVars, race::RaceDetector::Access::kWrite,
-            "BcsCore::writeVarLocal");
   vars_[static_cast<std::size_t>(var)].at(static_cast<std::size_t>(node)) =
       value;
 }
@@ -99,9 +78,6 @@ const BcsCore::EventState& BcsCore::eventState(int node,
 }
 
 void BcsCore::signalLocal(int node, GlobalEventId ev, int count) {
-  raceTouch(fabric_, race::ObjectKind::kCoreEvents, node,
-            race::FieldGroup::kEvents, race::RaceDetector::Access::kWrite,
-            "BcsCore::signalLocal");
   EventState& st = eventState(node, ev);
   st.pending += count;
   // Release waiters FIFO, one pending signal each.  Callbacks are deferred
@@ -115,9 +91,6 @@ void BcsCore::signalLocal(int node, GlobalEventId ev, int count) {
 }
 
 bool BcsCore::testEvent(int node, GlobalEventId ev) const {
-  raceTouch(fabric_, race::ObjectKind::kCoreEvents, node,
-            race::FieldGroup::kEvents, race::RaceDetector::Access::kRead,
-            "BcsCore::testEvent");
   return eventState(node, ev).pending > 0;
 }
 
@@ -127,9 +100,6 @@ int BcsCore::pendingSignals(int node, GlobalEventId ev) const {
 
 void BcsCore::waitEventAsync(int node, GlobalEventId ev,
                              std::function<void()> cb) {
-  raceTouch(fabric_, race::ObjectKind::kCoreEvents, node,
-            race::FieldGroup::kEvents, race::RaceDetector::Access::kWrite,
-            "BcsCore::waitEventAsync");
   EventState& st = eventState(node, ev);
   if (st.pending > 0 && st.waiters.empty()) {
     --st.pending;

@@ -51,8 +51,6 @@ int Runtime::collectReadyCollectives(int node, bool reduce_phase,
 }
 
 void Runtime::runBbm(int node, std::uint64_t seq) {
-  raceNode(node, race::FieldGroup::kCollectives,
-           race::RaceDetector::Access::kWrite, "Runtime::runBbm");
   std::vector<int> ready_jobs;
   const int ops = collectReadyCollectives(node, /*reduce_phase=*/false,
                                           ready_jobs);
@@ -137,8 +135,6 @@ void Runtime::executeBroadcast(int node, int job) {
 // ---------------------------------------------------------------------------
 
 void Runtime::runRm(int node, std::uint64_t seq) {
-  raceNode(node, race::FieldGroup::kCollectives,
-           race::RaceDetector::Access::kWrite, "Runtime::runRm");
   std::vector<int> ready_jobs;
   const int ops = collectReadyCollectives(node, /*reduce_phase=*/true,
                                           ready_jobs);

@@ -123,19 +123,6 @@ struct BcsMpiConfig {
   /// counting past it (pathological runs stay bounded in memory).
   std::size_t verify_max_findings = 256;
 
-  /// Attach the deterministic shard-ownership race detector (src/race,
-  /// DESIGN.md §10): per-window access sets over runtime/core/fabric state,
-  /// merged at every barrier and slice boundary, reporting cross-shard
-  /// write-write / read-write conflicts and non-owner writes with event-key
-  /// provenance.  Same seed => same RaceReport at any thread count — even
-  /// threads=1, where TSan sees nothing.  A pure observer like `verify`: a
-  /// clean run traces byte-identically with it on or off, and every hook is
-  /// a single pointer null check when off.
-  bool race_detect = false;
-
-  /// Retention cap on race-detector findings; counters stay exact past it.
-  std::size_t race_max_findings = 256;
-
   /// Periodic full-state checkpoint cadence (src/snapshot, DESIGN.md §8):
   /// when > 0 and a sink is installed via Runtime::setSnapshotSink, the sink
   /// fires at every Nth slice boundary — the paper's §6 claim made concrete:

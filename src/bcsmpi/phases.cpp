@@ -11,8 +11,6 @@
 namespace bcs::bcsmpi {
 
 void Runtime::wakeAtSliceStart(int node) {
-  raceNode(node, race::FieldGroup::kNodeManager,
-           race::RaceDetector::Access::kWrite, "Runtime::wakeAtSliceStart");
   NodeState& ns = nodeState(node);
   // Blocked processes whose operations completed during the previous slice
   // are restarted at the beginning of this one (Figure 2, step 5).
@@ -87,9 +85,6 @@ void Runtime::runDem(int node, std::uint64_t seq) {
 }
 
 void Runtime::drainDescriptorFifos(int node) {
-  raceNode(node, race::FieldGroup::kBufferSender,
-           race::RaceDetector::Access::kWrite,
-           "Runtime::drainDescriptorFifos");
   NodeState& ns = nodeState(node);
   // Retransmissions first: they are older than anything still in the fresh
   // FIFO, so draining them first preserves posting order as far as possible.
@@ -262,8 +257,6 @@ void Runtime::runMsm(int node, std::uint64_t seq) {
 }
 
 void Runtime::matchDescriptors(int node, Duration& cost) {
-  raceNode(node, race::FieldGroup::kBufferReceiver,
-           race::RaceDetector::Access::kWrite, "Runtime::matchDescriptors");
   NodeState& ns = nodeState(node);
   if (ns.recv_eligible.empty() || ns.remote_sends.empty()) return;
   // For each posted receive (in post order) find the matching remote send
@@ -321,8 +314,6 @@ void Runtime::matchDescriptors(int node, Duration& cost) {
 }
 
 void Runtime::scheduleChunks(int node) {
-  raceNode(node, race::FieldGroup::kDma, race::RaceDetector::Access::kWrite,
-           "Runtime::scheduleChunks");
   NodeState& ns = nodeState(node);
   std::size_t budget = config_.slice_byte_budget;
   // One chunk per message per slice (§4.3): the first chunk this slice,
@@ -397,8 +388,6 @@ void Runtime::scheduleCollectiveQueries(int node) {
 // ---------------------------------------------------------------------------
 
 void Runtime::runP2p(int node, std::uint64_t seq) {
-  raceNode(node, race::FieldGroup::kDma, race::RaceDetector::Access::kWrite,
-           "Runtime::runP2p");
   NodeState& ns = nodeState(node);
   std::vector<GetOp> gets;
   gets.swap(ns.slice_gets);

@@ -16,8 +16,8 @@
 //   MSM (slice t)   the target node sorts its arrived ops into canonical
 //                   (job, origin rank, posting seq) order and applies them
 //                   to the window — one apply point per epoch, so
-//                   concurrent fetch-adds linearize identically at any
-//                   thread count, serial or parallel;
+//                   concurrent fetch-adds linearize identically on every
+//                   run;
 //   P2P (slice t)   results (get payloads, fetch-add old values, put acks)
 //                   return to each origin node in one transfer;
 //   boundary (t+1)  the Node Manager wakes blocked origin ranks: posted-in-
@@ -92,18 +92,6 @@ int Runtime::createWindow(int job, int rank, void* base, std::size_t bytes) {
   if (rs.proc) rs.proc->compute(config_.post_overhead);
   const int win =
       windows_.registerWindow(windowOwnerKey(job, rank), base, bytes);
-  if (race_) {
-    // Windows are runtime state applied from the MSM, which runs on shard 0
-    // like the rest of the control plane.  Mid-run registration is safe:
-    // the registry is only read at quiesced merge points.
-    race_->registerObject(race::ObjectKind::kRmaWindow,
-                          (static_cast<std::uint64_t>(job) << 40) |
-                              (static_cast<std::uint64_t>(rank) << 8) |
-                              static_cast<std::uint64_t>(win),
-                          0);
-  }
-  raceWindow(job, rank, win, race::RaceDetector::Access::kWrite,
-             "Runtime::createWindow");
   return win;
 }
 
@@ -117,9 +105,6 @@ std::uint64_t Runtime::postPut(int job, int rank, int target, int window,
   if (rs.proc) rs.proc->compute(config_.post_overhead);
   const std::uint64_t req = rs.next_req++;
   rs.requests.emplace(req, ReqInfo{});
-  raceRank(job, rank, race::RaceDetector::Access::kWrite, "Runtime::postPut");
-  raceNode(rs.node, race::FieldGroup::kRma,
-           race::RaceDetector::Access::kWrite, "Runtime::postPut");
 
   RmaOpDescriptor d;
   d.job = job;
@@ -149,9 +134,6 @@ std::uint64_t Runtime::postGet(int job, int rank, int target, int window,
   if (rs.proc) rs.proc->compute(config_.post_overhead);
   const std::uint64_t req = rs.next_req++;
   rs.requests.emplace(req, ReqInfo{});
-  raceRank(job, rank, race::RaceDetector::Access::kWrite, "Runtime::postGet");
-  raceNode(rs.node, race::FieldGroup::kRma,
-           race::RaceDetector::Access::kWrite, "Runtime::postGet");
 
   RmaOpDescriptor d;
   d.job = job;
@@ -182,10 +164,6 @@ std::uint64_t Runtime::postFetchAdd(int job, int rank, int target, int window,
   if (rs.proc) rs.proc->compute(config_.post_overhead);
   const std::uint64_t req = rs.next_req++;
   rs.requests.emplace(req, ReqInfo{});
-  raceRank(job, rank, race::RaceDetector::Access::kWrite,
-           "Runtime::postFetchAdd");
-  raceNode(rs.node, race::FieldGroup::kRma,
-           race::RaceDetector::Access::kWrite, "Runtime::postFetchAdd");
 
   RmaOpDescriptor d;
   d.job = job;
@@ -213,8 +191,6 @@ std::uint64_t Runtime::postFetchAdd(int job, int rank, int target, int window,
 void Runtime::drainRmaFifos(int node) {
   NodeState& ns = nodeState(node);
   if (ns.rma_retry.empty() && ns.rma_fresh.empty()) return;
-  raceNode(node, race::FieldGroup::kRma, race::RaceDetector::Access::kWrite,
-           "Runtime::drainRmaFifos");
   // Retransmissions first, same as the send-descriptor FIFO: they are older
   // than everything still fresh.
   std::vector<RmaOpDescriptor> to_exchange;
@@ -328,12 +304,10 @@ void Runtime::drainRmaFifos(int node) {
 void Runtime::scheduleRmaOps(int node, Duration& cost) {
   NodeState& ns = nodeState(node);
   if (ns.rma_inbound.empty()) return;
-  raceNode(node, race::FieldGroup::kRma, race::RaceDetector::Access::kWrite,
-           "Runtime::scheduleRmaOps");
   std::vector<RmaOpDescriptor> epoch;
   epoch.swap(ns.rma_inbound);
   // The single sort at the single apply point is the determinism argument:
-  // whatever order batches arrived in (serial, parallel, retransmitted),
+  // whatever order batches arrived in (first try or retransmitted),
   // the epoch applies in (job, origin rank, seq) order.
   std::sort(epoch.begin(), epoch.end(), canonicalRmaOrder);
   if (verifier_) {
@@ -350,13 +324,9 @@ void Runtime::applyRmaOp(int node, const RmaOpDescriptor& op) {
       windowOwnerKey(op.job, op.target_rank), op.window, op.offset, op.bytes);
   switch (op.kind) {
     case RmaKind::kPut:
-      raceWindow(op.job, op.target_rank, op.window,
-                 race::RaceDetector::Access::kWrite, "Runtime::applyRmaOp");
       std::memcpy(region.base + op.offset, op.origin_src, op.bytes);
       break;
     case RmaKind::kGet: {
-      raceWindow(op.job, op.target_rank, op.window,
-                 race::RaceDetector::Access::kRead, "Runtime::applyRmaOp");
       // The origin buffer is written here, at the apply point, and the
       // payload cost is charged on the return transfer — the same early-
       // write trick issueGets uses: the origin rank is blocked (or has not
@@ -366,8 +336,6 @@ void Runtime::applyRmaOp(int node, const RmaOpDescriptor& op) {
       break;
     }
     case RmaKind::kFetchAdd: {
-      raceWindow(op.job, op.target_rank, op.window,
-                 race::RaceDetector::Access::kWrite, "Runtime::applyRmaOp");
       std::int64_t old = 0;
       std::memcpy(&old, region.base + op.offset, sizeof(old));
       const std::int64_t fresh = old + op.operand;
@@ -397,8 +365,6 @@ void Runtime::applyRmaOp(int node, const RmaOpDescriptor& op) {
 void Runtime::runRmaReturns(int node) {
   NodeState& ns = nodeState(node);
   if (ns.rma_returns.empty()) return;
-  raceNode(node, race::FieldGroup::kRma, race::RaceDetector::Access::kWrite,
-           "Runtime::runRmaReturns");
   std::vector<RmaOpDescriptor> rets;
   rets.swap(ns.rma_returns);
   ns.rma_returns.reserve(rets.capacity());

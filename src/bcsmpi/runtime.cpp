@@ -60,30 +60,6 @@ Runtime::Runtime(net::Cluster& cluster, BcsMpiConfig config)
     verifier_ = std::make_unique<verify::Verifier>(
         trace_, config_.verify_max_findings);
   }
-  if (config_.race_detect) {
-    race_ = std::make_unique<race::RaceDetector>(
-        cluster.engine(), trace_, config_.race_max_findings);
-    cluster.fabric().setRaceDetector(race_.get());
-    // The whole BCS control plane runs on shard 0 (see parallelPolicy), so
-    // every runtime-owned object registers there.  Workloads that shard
-    // nodes themselves (Engine::atOn + Fabric::setShardMap) re-register
-    // their state with the real owners.
-    for (int n = 0; n < cluster.numComputeNodes(); ++n) {
-      const auto id = static_cast<std::uint64_t>(n);
-      race_->registerObject(race::ObjectKind::kNodeState, id, 0);
-      race_->registerObject(race::ObjectKind::kCoreVars, id, 0);
-      race_->registerObject(race::ObjectKind::kCoreEvents, id, 0);
-    }
-  }
-}
-
-Runtime::~Runtime() {
-  // The cluster (and its fabric) outlives this runtime; drop the fabric's
-  // observer pointer before the detector dies.  The detector's own dtor
-  // detaches it from the engine.
-  if (race_ && cluster_.fabric().raceDetector() == race_.get()) {
-    cluster_.fabric().setRaceDetector(nullptr);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -109,12 +85,6 @@ int Runtime::createJob(std::vector<int> node_of_rank) {
   const int id = static_cast<int>(jobs_.size());
   js.coll_flag = core_.allocVar("coll_flag_j" + std::to_string(id), -1);
   js.coll_sched = core_.allocVar("coll_sched_j" + std::to_string(id), -1);
-  if (race_) {
-    for (std::size_t r = 0; r < js.ranks.size(); ++r) {
-      race_->registerObject(race::ObjectKind::kRankTable,
-                            (static_cast<std::uint64_t>(id) << 16) | r, 0);
-    }
-  }
   jobs_.push_back(std::move(js));
   return id;
 }
@@ -214,9 +184,6 @@ std::uint64_t Runtime::postSend(int job, int rank, const void* buf,
   if (rs.proc) rs.proc->compute(config_.post_overhead);
   const std::uint64_t req = rs.next_req++;
   rs.requests.emplace(req, ReqInfo{});
-  raceRank(job, rank, race::RaceDetector::Access::kWrite, "Runtime::postSend");
-  raceNode(rs.node, race::FieldGroup::kBufferSender,
-           race::RaceDetector::Access::kWrite, "Runtime::postSend");
 
   SendDescriptor d;
   d.job = job;
@@ -238,9 +205,6 @@ std::uint64_t Runtime::postRecv(int job, int rank, void* buf,
   if (rs.proc) rs.proc->compute(config_.post_overhead);
   const std::uint64_t req = rs.next_req++;
   rs.requests.emplace(req, ReqInfo{});
-  raceRank(job, rank, race::RaceDetector::Access::kWrite, "Runtime::postRecv");
-  raceNode(rs.node, race::FieldGroup::kBufferReceiver,
-           race::RaceDetector::Access::kWrite, "Runtime::postRecv");
 
   RecvDescriptor d;
   d.job = job;
@@ -264,10 +228,6 @@ std::uint64_t Runtime::postCollective(int job, int rank, CollectiveType type,
   if (rs.proc) rs.proc->compute(config_.post_overhead);
   const std::uint64_t req = rs.next_req++;
   rs.requests.emplace(req, ReqInfo{});
-  raceRank(job, rank, race::RaceDetector::Access::kWrite,
-           "Runtime::postCollective");
-  raceNode(rs.node, race::FieldGroup::kCollectives,
-           race::RaceDetector::Access::kWrite, "Runtime::postCollective");
 
   CollectiveDescriptor d;
   d.job = job;
@@ -300,8 +260,6 @@ Runtime::ReqInfo& Runtime::reqInfo(int job, int rank, std::uint64_t req) {
 }
 
 bool Runtime::peekRequest(int job, int rank, std::uint64_t req) const {
-  raceRank(job, rank, race::RaceDetector::Access::kRead,
-           "Runtime::peekRequest");
   const JobState& js = jobs_.at(static_cast<std::size_t>(job));
   const RankState& rs = js.ranks.at(static_cast<std::size_t>(rank));
   auto it = rs.requests.find(req);
@@ -313,8 +271,6 @@ bool Runtime::peekRequest(int job, int rank, std::uint64_t req) const {
 
 bool Runtime::testRequest(int job, int rank, std::uint64_t req,
                           mpi::Status* status) {
-  raceRank(job, rank, race::RaceDetector::Access::kWrite,
-           "Runtime::testRequest");
   ReqInfo& info = reqInfo(job, rank, req);
   if (!info.complete) return false;
   if (status) *status = info.status;
@@ -324,8 +280,6 @@ bool Runtime::testRequest(int job, int rank, std::uint64_t req,
 
 void Runtime::waitRequest(int job, int rank, std::uint64_t req,
                           mpi::Status* status, bool spin) {
-  raceRank(job, rank, race::RaceDetector::Access::kWrite,
-           "Runtime::waitRequest");
   RankState& rs = rankState(job, rank);
   // Predicate loop: completion is marked by the NIC threads mid-slice.
   // Spin-waiters resume right then (completeRequest wakes them directly);
@@ -342,8 +296,6 @@ bool Runtime::probe(int job, int rank, int src, int tag, mpi::Status* status,
                     bool blocking) {
   RankState& rs = rankState(job, rank);
   NodeState& ns = nodeState(rs.node);
-  raceNode(rs.node, race::FieldGroup::kBufferReceiver,
-           race::RaceDetector::Access::kRead, "Runtime::probe");
   while (true) {
     RecvDescriptor want;
     want.job = job;
@@ -379,8 +331,6 @@ bool Runtime::probe(int job, int rank, int src, int tag, mpi::Status* status,
 
 void Runtime::completeRequest(int job, int rank, std::uint64_t req, int peer,
                               int tag, std::size_t bytes) {
-  raceRank(job, rank, race::RaceDetector::Access::kWrite,
-           "Runtime::completeRequest");
   RankState& rs = rankState(job, rank);
   auto it = rs.requests.find(req);
   if (it == rs.requests.end() || it->second.complete) return;
@@ -400,8 +350,6 @@ void Runtime::completeRequest(int job, int rank, std::uint64_t req, int peer,
 
 void Runtime::failRequest(int job, int rank, std::uint64_t req, int peer,
                           int tag) {
-  raceRank(job, rank, race::RaceDetector::Access::kWrite,
-           "Runtime::failRequest");
   RankState& rs = rankState(job, rank);
   auto it = rs.requests.find(req);
   if (it == rs.requests.end() || it->second.complete) return;
@@ -432,12 +380,6 @@ void Runtime::failRequest(int job, int rank, std::uint64_t req, int peer,
 // ---------------------------------------------------------------------------
 
 void Runtime::startSlice() {
-  if (race_) {
-    // Serial-mode window boundary: merge the slice's access sets on the
-    // same grid the parallel drain's barriers use.  Inside a parallel
-    // window this is a no-op — the engine barrier already merged.
-    race_->onSliceBoundary(cluster_.engine().now());
-  }
   if (stop_requested_) {
     strobing_ = false;
     return;
@@ -499,7 +441,6 @@ void Runtime::resumeFromRestore() {
   // Run the remaining tail verbatim so the continuation is byte-identical
   // to the run that was interrupted.
   strobing_ = true;
-  if (race_) race_->onSliceBoundary(cluster_.engine().now());
   if (verifier_) {
     verifier_->onSliceBoundary(slice_index_, cluster_.engine().now());
   }
@@ -672,18 +613,6 @@ const verify::VerifyReport* Runtime::verifyAudit() {
   if (!verifier_) return nullptr;
   if (!verifier_->finalized()) runVerifyAudit();
   return &verifier_->report();
-}
-
-// ---------------------------------------------------------------------------
-// Shard-ownership race detection (src/race)
-// ---------------------------------------------------------------------------
-
-const race::RaceReport* Runtime::raceAudit() {
-  if (!race_) return nullptr;
-  // Deliberately not wired into maybeStop(): the strobe can stop inside a
-  // parallel window, where merging would read other workers' live tables.
-  // After Engine::run returns the world is quiescent and finalize is safe.
-  return &race_->finalize(cluster_.engine().now());
 }
 
 void Runtime::runVerifyAudit() {
@@ -871,8 +800,6 @@ void Runtime::onStrobe(int node, Phase p, std::uint64_t seq) {
   if (!ns.watchdog_armed) {
     armWatchdogAt(node, ns.last_strobe + watchdogTimeout());
   }
-  raceNode(node, race::FieldGroup::kPhase, race::RaceDetector::Access::kWrite,
-           "Runtime::onStrobe");
   switch (p) {
     case Phase::kDem: runDem(node, seq); return;
     case Phase::kMsm: runMsm(node, seq); return;

@@ -40,7 +40,6 @@
 #include "bcsmpi/matching.hpp"
 #include "mpi/types.hpp"
 #include "net/cluster.hpp"
-#include "race/race.hpp"
 #include "sim/event_run.hpp"
 #include "sim/pool.hpp"
 #include "sim/process.hpp"
@@ -145,11 +144,6 @@ class Runtime {
  public:
   Runtime(net::Cluster& cluster, BcsMpiConfig config);
 
-  /// Detaches the race detector from the fabric/engine before it dies (the
-  /// cluster outlives the runtime; without the detach the fabric would keep
-  /// a dangling observer pointer).
-  ~Runtime();
-
   net::Cluster& cluster() { return cluster_; }
   const BcsMpiConfig& config() const { return config_; }
   core::BcsCore& core() { return core_; }
@@ -210,7 +204,7 @@ class Runtime {
   // are exchanged in t's DEM (coalesced per destination node), applied to
   // the target window in canonical (job, origin rank, posting seq) order in
   // t's MSM — which is what makes concurrent fetch-adds resolve identically
-  // serial and parallel — and completed back at the origin so the posting
+  // on every run — and completed back at the origin so the posting
   // rank observes the result at the slice t+1 boundary: a passive-target
   // epoch per slice, no target-side code involved.
 
@@ -246,36 +240,6 @@ class Runtime {
 
   /// Index of the current time slice (also the count of DEM strobes sent).
   std::uint64_t sliceIndex() const { return slice_index_; }
-
-  /// Parallel-run policy whose global barriers are this runtime's slice
-  /// boundaries: the strobe schedule already guarantees nodes only interact
-  /// across slice edges, so the engine's windowed drain (see
-  /// Engine::run(ParallelPolicy)) aligns its merge points with the
-  /// slice-boundary hooks (recovery, checkpoints, rejoin) for free.  The
-  /// runtime itself runs entirely on shard 0 and is byte-identical under
-  /// this policy; workloads sharded per node via Engine::atOn +
-  /// Fabric::setShardMap get drained concurrently between boundaries.
-  ///
-  /// `slices_per_window` coarsens the barrier grid to every Nth slice
-  /// boundary — fewer merges, longer contention-free stretches.  Safe only
-  /// when all cross-shard traffic (Engine::handoff) spans at least N slice
-  /// edges; cross-shard fabric sends whose latency is below N-1 slices will
-  /// fail the engine's conservative-window check loudly.  The schedule of
-  /// executed events is identical either way — barriers only decide when
-  /// merges happen, not what order events fire in.
-  sim::ParallelPolicy parallelPolicy(int threads,
-                                     int slices_per_window = 1) const {
-    sim::ParallelPolicy policy;
-    policy.threads = threads;
-    policy.window = config_.time_slice;
-    policy.windows_per_barrier = slices_per_window;
-    const sim::Duration grid =
-        config_.time_slice * std::max(slices_per_window, 1);
-    policy.next_barrier = [grid](sim::SimTime t) {
-      return (t / grid + 1) * grid;  // the strobe grid: slice multiples
-    };
-    return policy;
-  }
 
   /// Requests a coordinated checkpoint: `cb` runs at the next slice
   /// boundary (before the DEM strobe goes out) with a globally consistent
@@ -345,19 +309,6 @@ class Runtime {
   /// strobe stops cleanly; call it manually after a bounded run of a
   /// deadlocked or faulted workload.  The audit runs at most once.
   const verify::VerifyReport* verifyAudit();
-
-  // ---- Shard-ownership race detection (src/race, config.race_detect) ----
-
-  /// The attached race detector, or nullptr when `config.race_detect` is
-  /// off.  Workloads that shard nodes across the engine (Engine::atOn +
-  /// Fabric::setShardMap) can registerObject additional state with it.
-  race::RaceDetector* raceDetector() { return race_.get(); }
-
-  /// Merges any access records still open in the current window, finalizes
-  /// the detector and returns the report (nullptr when detection is off).
-  /// Call after Engine::run returns — the parallel drain merges at barriers,
-  /// so finalizing mid-run would double-count the open window.  Idempotent.
-  const race::RaceReport* raceAudit();
 
   /// Announces that an evicted node is back (typically wired to STORM's
   /// rejoin handler, which fires when a hung node resumes acknowledging
@@ -631,36 +582,6 @@ class Runtime {
   JobState& jobState(int job);
   NodeState& nodeState(int node);
 
-  // Race-detector hooks (src/race): one pointer null check when off.  Const
-  // because the read-side hooks live in const methods; record() observes,
-  // it never mutates runtime state.
-  void raceNode(int node, race::FieldGroup group,
-                race::RaceDetector::Access access, const char* site) const {
-    if (race_) {
-      race_->record(race::ObjectKind::kNodeState,
-                    static_cast<std::uint64_t>(node), group, access, site);
-    }
-  }
-  void raceRank(int job, int rank, race::RaceDetector::Access access,
-                const char* site) const {
-    if (race_) {
-      race_->record(race::ObjectKind::kRankTable,
-                    (static_cast<std::uint64_t>(job) << 16) |
-                        static_cast<std::uint64_t>(rank),
-                    race::FieldGroup::kRequests, access, site);
-    }
-  }
-  void raceWindow(int job, int rank, int window,
-                  race::RaceDetector::Access access, const char* site) const {
-    if (race_) {
-      race_->record(race::ObjectKind::kRmaWindow,
-                    (static_cast<std::uint64_t>(job) << 40) |
-                        (static_cast<std::uint64_t>(rank) << 8) |
-                        static_cast<std::uint64_t>(window),
-                    race::FieldGroup::kRma, access, site);
-    }
-  }
-
   net::Cluster& cluster_;
   BcsMpiConfig config_;
   core::BcsCore core_;
@@ -736,11 +657,6 @@ class Runtime {
   /// are guarded by this pointer (one predictable branch when off — never a
   /// virtual call), which is what keeps the disabled verifier zero-cost.
   std::unique_ptr<verify::Verifier> verifier_;
-
-  /// Shard-ownership race detector; null unless config_.race_detect.  Same
-  /// zero-cost-when-off contract as the verifier: every hook is one pointer
-  /// null check.  Owns no engine/fabric state — it detaches in ~Runtime.
-  std::unique_ptr<race::RaceDetector> race_;
 
   RuntimeStats stats_;
 

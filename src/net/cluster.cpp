@@ -74,22 +74,6 @@ sim::SimTime Cluster::run(sim::SimTime until) {
   }
 }
 
-sim::SimTime Cluster::run(const sim::ParallelPolicy& policy,
-                          sim::SimTime until) {
-  // Mirrors the serial overload's noise-dæmon handling.
-  if (noise_.empty() || until != INT64_MAX) return engine_.run(policy, until);
-
-  while (true) {
-    const sim::SimTime horizon = engine_.now() + sim::msec(100);
-    engine_.run(policy, horizon);
-    if (allProcessesFinished()) {
-      for (auto& n : noise_) n->stop();
-      return engine_.run(policy);
-    }
-    if (engine_.pendingEvents() == 0) return engine_.now();  // deadlock
-  }
-}
-
 bool Cluster::allProcessesFinished() const {
   for (const auto& p : processes_) {
     if (!p->finished()) return false;

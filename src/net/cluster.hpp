@@ -73,14 +73,6 @@ class Cluster {
   /// Returns the final simulated time.
   sim::SimTime run(sim::SimTime until = INT64_MAX);
 
-  /// Same, on the engine's parallel worker pool.  Byte-identical to the
-  /// serial overload when the workload honours the shard contract (see
-  /// Engine::run(ParallelPolicy)); the whole BCS control plane lives on
-  /// shard 0, so this only pays off for workloads explicitly placed on
-  /// per-node shards (Fabric::setShardMap + Engine::atOn).
-  sim::SimTime run(const sim::ParallelPolicy& policy,
-                   sim::SimTime until = INT64_MAX);
-
   /// True iff every spawned process has finished.  Call after run(); if the
   /// queue drained with processes still blocked, the run deadlocked and
   /// unfinishedProcesses() names the culprits.

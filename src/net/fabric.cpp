@@ -1,25 +1,13 @@
 #include "net/fabric.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <memory>
 #include <utility>
 
-#include "race/race.hpp"
-
 namespace bcs::net {
 
 namespace {
-// Shorthand for endpoint access records; no-op when no detector attached.
-inline void raceTouch(race::RaceDetector* race, int node,
-                      race::FieldGroup group, const char* site) {
-  if (race != nullptr) {
-    race->record(race::ObjectKind::kFabricEndpoint,
-                 static_cast<std::uint64_t>(node), group,
-                 race::RaceDetector::Access::kWrite, site);
-  }
-}
 
 // Binomial-tree software multicast (networks without hardware multicast).
 // Relay order: src, dests[0], dests[1], ...  A position issues its sends
@@ -86,92 +74,6 @@ void Fabric::checkNode(int node) const {
   }
 }
 
-void Fabric::setFaultInjector(sim::FaultInjector* injector) {
-  if (injector != nullptr && !shard_map_.empty()) {
-    sim::simFail("Fabric: a fault injector cannot be combined with a shard "
-                 "map (fault RNG draws would race across shard workers)");
-  }
-  fault_ = injector;
-}
-
-void Fabric::setShardMap(std::vector<sim::ShardId> shard_of) {
-  if (!shard_of.empty()) {
-    if (fault_ != nullptr) {
-      sim::simFail("Fabric: a shard map cannot be combined with a fault "
-                   "injector (fault RNG draws would race across shard "
-                   "workers)");
-    }
-    if (shard_of.size() != static_cast<std::size_t>(num_nodes_)) {
-      sim::simFail("Fabric::setShardMap: map covers " +
-                   std::to_string(shard_of.size()) + " nodes, fabric has " +
-                   std::to_string(num_nodes_));
-    }
-  }
-  shard_map_ = std::move(shard_of);
-  registerRaceObjects();
-}
-
-void Fabric::setRaceDetector(race::RaceDetector* detector) {
-  race_ = detector;
-  registerRaceObjects();
-}
-
-void Fabric::registerRaceObjects() {
-  if (race_ == nullptr) return;
-  for (int n = 0; n < num_nodes_; ++n) {
-    const sim::ShardId owner =
-        shard_map_.empty() ? 0 : shard_map_[static_cast<std::size_t>(n)];
-    race_->registerObject(race::ObjectKind::kFabricEndpoint,
-                          static_cast<std::uint64_t>(n), owner);
-  }
-  // The statistic stripes are shared *by design* — per-worker cache-line
-  // stripes with atomic folds — so multi-shard writes are exempt.
-  for (std::size_t s = 0; s < kStatStripes; ++s) {
-    race_->registerShared(race::ObjectKind::kStatStripe, s);
-  }
-}
-
-void Fabric::bump(std::uint64_t FabricStats::* counter, std::uint64_t delta) {
-  const int w = sim::detail::currentWorkerIndex();
-  if (race_ != nullptr) {
-    // Stripes are registered shared-exempt: the record documents the
-    // multi-shard write without ever producing a finding.
-    const std::uint64_t stripe =
-        w < 0 ? 0 : 1 + static_cast<std::uint64_t>(w) % (kStatStripes - 1);
-    race_->record(race::ObjectKind::kStatStripe, stripe,
-                  race::FieldGroup::kStripe, race::RaceDetector::Access::kWrite,
-                  "Fabric::bump");
-  }
-  if (w < 0) {
-    // Serial engine, or the parallel coordinator between windows — single
-    // threaded by construction, so the plain add stays.
-    stat_stripes_[0].s.*counter += delta;
-    return;
-  }
-  // Each worker gets its own cache-line stripe (for any realistic worker
-  // count); the atomic add only matters if two workers ever hash together,
-  // and on a private line it costs the same as a plain add.
-  StatStripe& stripe =
-      stat_stripes_[1 + static_cast<std::size_t>(w) % (kStatStripes - 1)];
-  std::atomic_ref<std::uint64_t>(stripe.s.*counter)
-      .fetch_add(delta, std::memory_order_relaxed);
-}
-
-FabricStats Fabric::stats() const {
-  FabricStats total;
-  for (const StatStripe& stripe : stat_stripes_) {
-    total.unicasts += stripe.s.unicasts;
-    total.multicasts += stripe.s.multicasts;
-    total.conditionals += stripe.s.conditionals;
-    total.payload_bytes += stripe.s.payload_bytes;
-    total.drops += stripe.s.drops;
-    total.failed_sends += stripe.s.failed_sends;
-    total.suppressed_deliveries += stripe.s.suppressed_deliveries;
-    total.suppressed_conditionals += stripe.s.suppressed_conditionals;
-  }
-  return total;
-}
-
 Duration Fabric::baseLatency(int src, int dst) const {
   if (src == dst) return params_.pci_latency;
   return params_.wire_latency +
@@ -183,46 +85,15 @@ void Fabric::unicast(int src, int dst, std::size_t bytes,
                      SendOptions opts) {
   checkNode(src);
   checkNode(dst);
-  bump(&FabricStats::unicasts);
-  bump(&FabricStats::payload_bytes, static_cast<std::uint64_t>(bytes));
+  ++stats_.unicasts;
+  stats_.payload_bytes += static_cast<std::uint64_t>(bytes);
 
   const SimTime now = engine_.now();
-
-  // Cross-shard transfer under a shard map: model the source side (egress
-  // occupancy, wire latency) as usual, but hand the delivery off to the
-  // destination's shard instead of touching its ingress state.  The handoff
-  // lands at or past the next barrier by the conservative-window contract
-  // (Engine::handoff enforces it loudly).
-  if (!shard_map_.empty() && src != dst &&
-      shard_map_[static_cast<std::size_t>(src)] !=
-          shard_map_[static_cast<std::size_t>(dst)]) {
-    const double bw = params_.effectiveBandwidth();
-    const auto serial =
-        static_cast<Duration>(std::ceil(static_cast<double>(bytes) / bw));
-    Endpoint& e_src = endpoints_[static_cast<std::size_t>(src)];
-    const SimTime inject = now + params_.nic_tx_overhead + params_.pci_latency;
-    const SimTime start_tx = std::max(inject, e_src.egress_free);
-    e_src.egress_free = start_tx + serial;
-    // Cross-shard: only the source endpoint is touched — the destination's
-    // ingress state belongs to another shard and is deliberately skipped.
-    raceTouch(race_, src, race::FieldGroup::kEgress, "Fabric::unicast");
-    const SimTime completion = start_tx + baseLatency(src, dst) + serial +
-                               params_.nic_rx_overhead;
-    sim::traceRecord(trace_, now, sim::TraceCategory::kNet, src, [&] {
-      return "unicast -> n" + std::to_string(dst) + " " +
-             std::to_string(bytes) + "B, delivers at " +
-             sim::formatTime(completion) + " (x-shard)";
-    });
-    if (on_injected) engine_.at(e_src.egress_free, std::move(on_injected));
-    engine_.handoff(shard_map_[static_cast<std::size_t>(dst)], completion,
-                    std::move(on_delivered));
-    return;
-  }
 
   // A down source NIC cannot inject anything: report failure after the ack
   // timeout without occupying the wire.
   if (fault_ && fault_->nodeDown(src, now)) {
-    bump(&FabricStats::failed_sends);
+    ++stats_.failed_sends;
     sim::traceRecord(trace_, now, sim::TraceCategory::kFault, src, [&] {
       return "unicast -> n" + std::to_string(dst) + " failed: source down";
     });
@@ -254,7 +125,6 @@ void Fabric::unicast(int src, int dst, std::size_t bytes,
   const SimTime inject = now + params_.nic_tx_overhead + params_.pci_latency;
   const SimTime start_tx = std::max(inject, e_src.egress_free);
   e_src.egress_free = start_tx + serial;
-  raceTouch(race_, src, race::FieldGroup::kEgress, "Fabric::unicast");
 
   // Fault decisions: the packet occupies the source egress either way (it
   // was injected), but a lost packet never occupies the destination ingress
@@ -267,9 +137,9 @@ void Fabric::unicast(int src, int dst, std::size_t bytes,
     const bool dst_down = fault_->nodeDown(dst, now);
     lost = dropped || dst_down;
     if (dropped) {
-      bump(&FabricStats::drops);
+      ++stats_.drops;
     } else if (dst_down) {
-      bump(&FabricStats::failed_sends);
+      ++stats_.failed_sends;
     }
     if (!lost && opts.droppable) degrade = fault_->degradeExtra();
   }
@@ -292,7 +162,6 @@ void Fabric::unicast(int src, int dst, std::size_t bytes,
   const SimTime deliver_end =
       std::max(arrival, e_dst.ingress_free + serial);
   e_dst.ingress_free = deliver_end;
-  raceTouch(race_, dst, race::FieldGroup::kIngress, "Fabric::unicast");
 
   const SimTime completion = deliver_end + params_.nic_rx_overhead;
 
@@ -312,22 +181,11 @@ void Fabric::multicast(int src, std::vector<int> dests, std::size_t bytes,
   std::sort(dests.begin(), dests.end());
   dests.erase(std::unique(dests.begin(), dests.end()), dests.end());
   for (int d : dests) checkNode(d);
-  if (!shard_map_.empty()) {
-    const sim::ShardId home = shard_map_[static_cast<std::size_t>(src)];
-    for (int d : dests) {
-      if (shard_map_[static_cast<std::size_t>(d)] != home) {
-        sim::simFail("Fabric::multicast: cross-shard destination n" +
-                     std::to_string(d) +
-                     " under a shard map (keep collective traffic on one "
-                     "shard)");
-      }
-    }
-  }
 
-  bump(&FabricStats::multicasts);
-  bump(&FabricStats::payload_bytes,
-       static_cast<std::uint64_t>(bytes) *
-           static_cast<std::uint64_t>(std::max<std::size_t>(dests.size(), 1)));
+  ++stats_.multicasts;
+  stats_.payload_bytes +=
+      static_cast<std::uint64_t>(bytes) *
+      static_cast<std::uint64_t>(std::max<std::size_t>(dests.size(), 1));
 
   if (dests.empty()) {
     if (on_all) engine_.at(engine_.now(), std::move(on_all));
@@ -352,7 +210,6 @@ void Fabric::multicast(int src, std::vector<int> dests, std::size_t bytes,
   const SimTime inject = now + params_.nic_tx_overhead + params_.pci_latency;
   const SimTime start_tx = std::max(inject, e_src.egress_free);
   e_src.egress_free = start_tx + serial;
-  raceTouch(race_, src, race::FieldGroup::kEgress, "Fabric::multicast");
 
   // The switch fans out; the fixed part is the depth of the tree.
   const Duration fanout_latency =
@@ -370,7 +227,7 @@ void Fabric::multicast(int src, std::vector<int> dests, std::size_t bytes,
   std::size_t live = 0;
   for (const int d : dests) {
     if (src_down || (fault_ && fault_->nodeDown(d, now))) {
-      bump(&FabricStats::suppressed_deliveries);
+      ++stats_.suppressed_deliveries;
       sim::traceRecord(trace_, now, sim::TraceCategory::kFault, src, [&] {
         return "multicast leg -> n" + std::to_string(d) +
                " suppressed (endpoint down)";
@@ -379,7 +236,6 @@ void Fabric::multicast(int src, std::vector<int> dests, std::size_t bytes,
     }
     Endpoint& e_dst = endpoints_[static_cast<std::size_t>(d)];
     e_dst.ingress_free = std::max(arrival, e_dst.ingress_free + dserial);
-    raceTouch(race_, d, race::FieldGroup::kIngress, "Fabric::multicast");
     last = std::max(last, e_dst.ingress_free + params_.nic_rx_overhead);
     dests[live++] = d;
   }
@@ -484,18 +340,7 @@ void Fabric::conditional(int src, std::vector<int> nodes,
                          sim::InlineFunction<void(bool)> on_result) {
   checkNode(src);
   for (int d : nodes) checkNode(d);
-  if (!shard_map_.empty()) {
-    const sim::ShardId home = shard_map_[static_cast<std::size_t>(src)];
-    for (int d : nodes) {
-      if (shard_map_[static_cast<std::size_t>(d)] != home) {
-        sim::simFail("Fabric::conditional: cross-shard participant n" +
-                     std::to_string(d) +
-                     " under a shard map (keep conditional rounds on one "
-                     "shard)");
-      }
-    }
-  }
-  bump(&FabricStats::conditionals);
+  ++stats_.conditionals;
 
   const Duration lat = conditionalLatency(static_cast<int>(nodes.size()));
   engine_.after(lat, [this, src, nodes = std::move(nodes),
@@ -506,7 +351,7 @@ void Fabric::conditional(int src, std::vector<int> nodes,
     // instead of keeping a ghost SS alive.  (Down *participants* merely
     // evaluate false, below — the issuer is special.)
     if (fault_ && fault_->nodeDown(src, engine_.now())) {
-      bump(&FabricStats::suppressed_conditionals);
+      ++stats_.suppressed_conditionals;
       sim::traceRecord(
           trace_, engine_.now(), sim::TraceCategory::kFault, src,
           [] { return "conditional result suppressed: issuer down"; });

@@ -43,10 +43,6 @@
 #include "sim/time.hpp"
 #include "sim/trace.hpp"
 
-namespace bcs::race {
-class RaceDetector;
-}
-
 namespace bcs::net {
 
 using sim::Duration;
@@ -129,43 +125,13 @@ class Fabric {
   /// First-bit latency of a multicast reaching every destination.
   Duration multicastLatency() const;
 
-  /// Folded view over the per-worker statistic stripes.  Cheap (a few
-  /// cache lines); call between runs, not from concurrent model code.
-  FabricStats stats() const;
+  /// Counters since construction (see FabricStats).
+  const FabricStats& stats() const { return stats_; }
 
   /// Attaches (or detaches, with nullptr) a fault injector.  Not owned; must
-  /// outlive the fabric or be detached first.  Incompatible with a shard map
-  /// (fault decisions draw from one RNG stream, which concurrent shard
-  /// workers would consume in nondeterministic order).
-  void setFaultInjector(sim::FaultInjector* injector);
+  /// outlive the fabric or be detached first.
+  void setFaultInjector(sim::FaultInjector* injector) { fault_ = injector; }
   sim::FaultInjector* faultInjector() const { return fault_; }
-
-  /// Declares the node → shard placement for parallel engine runs
-  /// (Engine::run(ParallelPolicy)).  `shard_of[n]` is node n's shard; an
-  /// empty vector (the default) disables the feature.  With a map in place:
-  ///   * same-shard unicasts behave exactly as before;
-  ///   * cross-shard unicasts model the source side normally, then deliver
-  ///     through Engine::handoff to the destination's shard — skipping the
-  ///     destination ingress-serialization term, since that endpoint state
-  ///     belongs to another shard (a documented approximation: barrier
-  ///     spacing at or below the minimum network latency keeps deliveries
-  ///     past the next barrier, the classic conservative-window condition);
-  ///   * multicast/conditional with cross-shard participants fail loudly —
-  ///     keep collective control traffic on one shard;
-  ///   * stats counters are bumped atomically (relaxed).
-  /// The BCS runtime never installs a map — its whole control plane runs on
-  /// shard 0 — so every existing code path is untouched.
-  void setShardMap(std::vector<sim::ShardId> shard_of);
-  bool shardMapped() const { return !shard_map_.empty(); }
-
-  /// Attaches (or detaches, with nullptr) the shard-ownership race detector
-  /// (src/race).  Not owned; must outlive the fabric or be detached first.
-  /// Registers every NIC endpoint with its owning shard (the shard map's,
-  /// or shard 0) and the statistic stripes as shared-exempt; setShardMap
-  /// re-tags the endpoints if it runs later.  Zero cost when detached: one
-  /// null-pointer check per endpoint touch.
-  void setRaceDetector(race::RaceDetector* detector);
-  race::RaceDetector* raceDetector() const { return race_; }
 
   sim::Engine& engine() { return engine_; }
 
@@ -183,12 +149,6 @@ class Fabric {
   void scheduleLegs(std::vector<int> dests, NodeCallback per_dest);
 
   void checkNode(int node) const;
-  /// (Re-)registers endpoint ownership with the attached race detector.
-  void registerRaceObjects();
-  /// Counter bump routed to the calling worker's statistic stripe, so
-  /// concurrent shard workers never ping-pong one shared cache line.  The
-  /// serial path (no worker context) keeps a plain non-atomic add.
-  void bump(std::uint64_t FabricStats::* counter, std::uint64_t delta = 1);
 
   sim::Engine& engine_;
   NetworkParams params_;
@@ -197,21 +157,10 @@ class Fabric {
   std::vector<Endpoint> endpoints_;
   sim::Trace* trace_;
   sim::FaultInjector* fault_ = nullptr;
-  race::RaceDetector* race_ = nullptr;  ///< src/race observer; not owned
-  std::vector<sim::ShardId> shard_map_;  ///< node -> shard; empty = off
+  FabricStats stats_;
 
-  /// Stripe 0 belongs to the serial path (and the coordinator outside a
-  /// drain); workers 0..N hash onto stripes 1..kStatStripes-1, each on its
-  /// own cache line.  stats() folds them back into one FabricStats.
-  static constexpr std::size_t kStatStripes = 16;
-  struct alignas(64) StatStripe {
-    FabricStats s;
-  };
-  StatStripe stat_stripes_[kStatStripes];
-
-  /// Snapshot serializer (src/snapshot): endpoint free-times and the folded
-  /// stats round-trip; restore folds all stripes into stripe 0 (the serial
-  /// path's stripe — restored runs continue serially).
+  /// Snapshot serializer (src/snapshot): endpoint free-times and the stats
+  /// round-trip.
   friend class bcs::snapshot::StateIO;
 };
 

@@ -35,34 +35,14 @@
 //    can fire between them.  Each member still draws its own key, counts
 //    as its own pending and executed event and runs under its own
 //    currentEventKey(), so a run is invisible to everything but the queue.
-//
-// Parallel slice execution
-// ------------------------
-//  Every event belongs to a shard (default: shard 0, inherited from the
-//  event that scheduled it).  The canonical execution order is
-//
-//      (when, shard, band, seq)
-//
-//  packed into a single 64-bit key: 16 bits of shard, one "handoff band"
-//  bit, and a 47-bit per-shard sequence number.  The classic run() pops in
-//  exactly that order; run(ParallelPolicy) drains each shard on a worker
-//  pool up to the next global barrier (a slice/microphase boundary) and
-//  merges cross-shard effects at the barrier in the same order — so traces,
-//  stats and RNG streams are byte-identical between the two modes.  Shards
-//  may only interact through handoff(), which targets a time at or past the
-//  next barrier (the conservative-window lookahead the BCS time slice makes
-//  explicit).  The serial path is the reference implementation; the
-//  parallel mode is opt-in per run() call.
+//  * Serial is the only mode: one thread drains one queue, so a program
+//    gives the same trace, counters and checkpoint bytes on every host.
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -74,64 +54,6 @@ class StateIO;  // snapshot/state_io.hpp: serializes engine counters
 }
 
 namespace bcs::sim {
-
-/// Shard index: the unit of parallelism.  Shard 0 is the default home of
-/// all events (and of the whole BCS control plane); workloads opt into
-/// parallelism by placing per-node event chains on per-node shards.
-using ShardId = std::uint16_t;
-
-/// Opt-in parallel execution mode for Engine::run.  Barriers default to the
-/// multiples of `window` (the BCS time-slice grid); `next_barrier`, when
-/// set, overrides that with an arbitrary monotone schedule (e.g. microphase
-/// boundaries from the strobe program) and must return a time strictly
-/// greater than its argument.
-struct ParallelPolicy {
-  int threads = 2;
-  Duration window = usec(500);
-
-  /// Barrier coarsening on the default grid: merge points land on multiples
-  /// of `window * windows_per_barrier`.  Legal only when the workload's
-  /// cross-shard lookahead covers the coarser grid (Engine::handoff targets
-  /// must land at or past the *next barrier*, which is now further out);
-  /// violations fail loudly, so widening this is always safe to try.
-  /// Ignored when `next_barrier` is set.
-  int windows_per_barrier = 1;
-
-  /// Caps the worker-thread count at the host's hardware concurrency (and
-  /// at the shard count — surplus workers own no shards).  Results are
-  /// byte-identical either way; oversubscribing a compute-bound drain past
-  /// the physical cores only adds context-switch thrash, so production
-  /// runs leave this on.  The conformance/stress tests turn it off to
-  /// exercise real thread pools regardless of the host.
-  bool clamp_to_hardware = true;
-
-  std::function<SimTime(SimTime)> next_barrier;
-};
-
-namespace detail {
-
-struct ExecContext;  // per-worker window state; defined in engine.cpp
-
-/// Commit thunk for a trace record deferred during a parallel window (the
-/// engine cannot name sim::Trace: the -fno-exceptions bench smoke compiles
-/// engine.cpp standalone, so the coupling is a function pointer supplied by
-/// trace.cpp).
-using TraceCommitFn = void (*)(void* trace, SimTime t, std::uint8_t category,
-                               int node, std::string&& message);
-
-/// Defers a trace record into the executing worker's buffer.  Returns false
-/// when no parallel window is active on this thread (the caller appends
-/// directly, as in serial mode).
-bool deferTraceRecord(void* trace, TraceCommitFn commit, SimTime t,
-                      std::uint8_t category, int node, std::string&& message);
-
-/// Index of the worker executing the current parallel window on this
-/// thread, or -1 outside a window.  Lets shared observers (e.g. Fabric
-/// statistics) stripe their state per worker instead of contending on one
-/// cache line.
-int currentWorkerIndex();
-
-}  // namespace detail
 
 /// Handle to a scheduled event; usable to cancel it before it fires.  The
 /// generation check makes stale handles (already fired, cancelled, or whose
@@ -160,27 +82,6 @@ class SimError : public std::runtime_error {
 /// the node instead of wrapping it.
 using EventCallback = InlineFunction<void()>;
 
-/// Pure observer of shard-contract-relevant execution points, attached via
-/// Engine::setShardObserver (the shard-ownership race detector in src/race
-/// is the one implementation).  The engine guarantees:
-///   * onSerialCrossShard fires only in *serial* mode, when an executing
-///     event schedules onto or cancels an event of another shard — the
-///     operations the parallel mode rejects loudly but the serial engine
-///     has always allowed silently;
-///   * onBarrier fires on the coordinating thread after a parallel window
-///     merge, with every worker quiesced and all deferred effects
-///     committed — the one point where cross-worker state may be read.
-/// Observers must not schedule, cancel or otherwise mutate engine state.
-class ShardAccessObserver {
- public:
-  virtual ~ShardAccessObserver() = default;
-  /// `target` is the foreign shard; `what` a static call-site label
-  /// ("Engine::atOn" / "Engine::cancel").
-  virtual void onSerialCrossShard(ShardId target, const char* what) = 0;
-  /// `boundary` is the merged window's end time (the barrier grid point).
-  virtual void onBarrier(SimTime boundary) = 0;
-};
-
 /// The event engine.  Owns the clock and the pending-event queue.
 class Engine {
  public:
@@ -189,75 +90,36 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Current simulated time.  Inside a parallel window this is the firing
-  /// time of the event executing on the calling worker.
-  SimTime now() const { return par_active_ ? nowParallel() : now_; }
+  /// Current simulated time.
+  SimTime now() const { return now_; }
 
-  /// Schedules `fn` to run at absolute time `when` (must be >= now()) on
-  /// the current shard: the shard of the executing event, or shard 0
-  /// outside event context.  All pre-existing code therefore stays on
-  /// shard 0 with behaviour identical to the pre-shard engine.
+  /// Schedules `fn` to run at absolute time `when` (must be >= now()).
   template <typename Fn>
   EventId at(SimTime when, Fn&& fn) {
-    const Prep p = beginSchedule(when);
-    Node& n = node(p.slot);
+    if (when < now_) failSchedulePast(when, now_);
+    const std::uint32_t slot = acquireNode();
+    Node& n = node(slot);
     n.armed = true;
-    n.shard = p.shard;
     n.fn.emplace(std::forward<Fn>(fn));
-    return finishSchedule(p, when);
+    ++live_;
+    enqueue(QEntry{when, next_key_++, slot});
+    return EventId{slot + 1, n.gen};
   }
 
   /// Schedules `fn` to run `delay` nanoseconds from now (delay >= 0).
   template <typename Fn>
   EventId after(Duration delay, Fn&& fn) {
     if (delay < 0) failNegativeDelay();
-    return at(now() + delay, std::forward<Fn>(fn));
-  }
-
-  /// Schedules onto an explicit shard.  Outside a parallel window any shard
-  /// is valid (setup-time placement of per-node event chains); inside a
-  /// window it must name the executing shard — cross-shard scheduling goes
-  /// through handoff().
-  template <typename Fn>
-  EventId atOn(ShardId shard, SimTime when, Fn&& fn) {
-    const Prep p = beginScheduleOn(shard, when);
-    Node& n = node(p.slot);
-    n.armed = true;
-    n.shard = p.shard;
-    n.fn.emplace(std::forward<Fn>(fn));
-    return finishSchedule(p, when);
-  }
-
-  /// Cross-shard scheduling.  During a parallel window the event is staged
-  /// and applied at the next barrier, so `when` must be at or past that
-  /// barrier (the slice-synchronous lookahead contract; violations fail
-  /// loudly).  In serial mode it enqueues immediately with the same
-  /// ordering key, which is what keeps the two modes byte-identical:
-  /// handoffs order after all shard-native events at equal (when, shard)
-  /// in both modes.  Handoffs are not cancellable (no EventId).
-  template <typename Fn>
-  void handoff(ShardId shard, SimTime when, Fn&& fn) {
-    EventCallback cb;
-    cb.emplace(std::forward<Fn>(fn));
-    handoffImpl(shard, when, std::move(cb));
+    return at(now_ + delay, std::forward<Fn>(fn));
   }
 
   /// Cancels a pending event in O(1).  Returns true if the event was still
-  /// pending; the queued entry becomes a tombstone dropped lazily.  During
-  /// a parallel window only same-shard events may be cancelled.
+  /// pending; the queued entry becomes a tombstone dropped lazily.
   bool cancel(EventId id);
 
   /// Runs until the queue drains or `until` is reached (whichever first).
   /// Returns the time of the last processed event.
   SimTime run(SimTime until = INT64_MAX);
-
-  /// Runs the same simulation on a worker pool: per-shard queues drain
-  /// concurrently up to each global barrier, then cross-shard effects merge
-  /// in canonical (when, shard, band, seq) order.  Byte-identical to the
-  /// serial run() for workloads honouring the shard contract (shards
-  /// interact only via handoff()).  The calling thread doubles as worker 0,
-  /// so fibers (all shard 0) always execute on the caller's thread.
-  SimTime run(const ParallelPolicy& policy, SimTime until = INT64_MAX);
 
   /// Runs exactly one queue entry if available: one event, or one whole
   /// EventRun (all its members for that instant).  Returns false if the
@@ -272,17 +134,13 @@ class Engine {
 
   /// Cancelled entries physically reclaimed from the queue so far; together
   /// with cancelledEvents() this makes cancellation overhead observable.
-  /// Reclamation timing is a queue-internal detail and is the one counter
-  /// *not* covered by the serial≡parallel identity guarantee.
   std::uint64_t droppedTombstones() const { return dropped_tombstones_; }
 
   /// Event-node pool slots handed out since construction (high-water mark,
   /// never shrinks).  A stable value across repeated runs of the same
-  /// workload proves the per-worker arenas recycle nodes instead of
-  /// growing the pool; see the arena tests in test_sim.cpp.
-  std::uint32_t poolSlots() const {
-    return node_count_.load(std::memory_order_relaxed);
-  }
+  /// workload proves the pool recycles nodes instead of growing; see the
+  /// arena tests in test_sim.cpp.
+  std::uint32_t poolSlots() const { return node_count_; }
 
   /// Total successful cancel() calls since construction.
   std::uint64_t cancelledEvents() const { return cancelled_; }
@@ -296,22 +154,10 @@ class Engine {
     dropped_tombstones_ = 0;
   }
 
-  /// Attaches (or detaches, with nullptr) a shard-access observer.  At most
-  /// one; the caller keeps ownership and must outlive the engine or detach
-  /// first.
-  void setShardObserver(ShardAccessObserver* obs) { observer_ = obs; }
-  ShardAccessObserver* shardObserver() const { return observer_; }
-
-  /// Shard of the event executing on the calling thread (serial or
-  /// parallel); 0 outside event execution.
-  ShardId currentShard() const;
-
-  /// Canonical ordering key of the event executing on the calling thread —
-  /// (shard | handoff band | seq), identical between serial and parallel
-  /// runs of the same workload — or 0 outside event execution (per-shard
-  /// sequences start at 1, so no real event has key 0).  This is the
-  /// provenance anchor the race detector stamps on every recorded access.
-  std::uint64_t currentEventKey() const;
+  /// Ordering key (the scheduling sequence number) of the event executing
+  /// now, or 0 outside event execution, including after a callback threw
+  /// out of run() or step().  Keys start at 1, so no real event has key 0.
+  std::uint64_t currentEventKey() const { return cur_key_; }
 
  private:
   template <typename Arg>
@@ -325,7 +171,6 @@ class Engine {
   struct Node {
     EventCallback fn;
     std::uint32_t gen = 0;
-    ShardId shard = 0;
     bool armed = false;
   };
   static_assert(sizeof(Node) <= 64, "event node should stay one cache line");
@@ -333,10 +178,6 @@ class Engine {
   static constexpr std::uint32_t kChunkShift = 10;  // 1024 nodes per chunk
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
   static constexpr std::uint32_t kChunkMask = kChunkSize - 1;
-  /// Upper bound on pool chunks (4M nodes).  chunks_ reserves this up
-  /// front so its data pointer never moves: workers index into it while
-  /// another worker appends a chunk under chunk_mu_.
-  static constexpr std::size_t kMaxChunks = 4096;
 
   // 2^11 ns (~2 us) buckets; 256 of them give a 524,288 ns horizon, just
   // over one default 500 us time slice.  Anything further lands in the
@@ -353,10 +194,8 @@ class Engine {
 
   /// Queue entry: the ordering key is carried alongside the slot index so
   /// sorting and heap sifts stay inside the (hot, contiguous) queue arrays
-  /// and never chase into the node pool.  `key` packs
-  /// (shard, handoff band, per-shard seq) — see the header comment — so a
-  /// single integer compare realizes the canonical total order; shard-0
-  /// native events have key == seq, the pre-shard ordering.
+  /// and never chase into the node pool.  `key` is the scheduling sequence
+  /// number, so (when, key) is the total firing order.
   struct QEntry {
     SimTime when;
     std::uint64_t key;
@@ -366,12 +205,6 @@ class Engine {
     }
   };
 
-  struct Prep {
-    std::uint32_t slot;
-    detail::ExecContext* ctx;  ///< non-null inside a parallel window
-    ShardId shard;
-  };
-
   [[noreturn]] void failSchedulePast(SimTime when, SimTime now) const;
   [[noreturn]] static void failNegativeDelay();
 
@@ -379,13 +212,7 @@ class Engine {
     return chunks_[slot >> kChunkShift][slot & kChunkMask];
   }
   std::uint32_t acquireNode();
-  std::uint32_t acquireNodeCtx(detail::ExecContext& ctx);
   void releaseNode(std::uint32_t slot);
-  Prep beginSchedule(SimTime when);
-  Prep beginScheduleOn(ShardId shard, SimTime when);
-  EventId finishSchedule(const Prep& p, SimTime when);
-  void handoffImpl(ShardId shard, SimTime when, EventCallback cb);
-  SimTime nowParallel() const;
   void enqueue(QEntry entry);
   /// Locates the earliest live event without removing it, dropping any
   /// tombstones in the way.  Returns false when no live event remains.
@@ -411,11 +238,7 @@ class Engine {
     std::uint64_t bucket = 0;
     std::uint64_t pushes = 0;
   };
-  /// Runs coalesce only in serial mode and on shard 0: the one shard the
-  /// coordinating thread always drains, so a run's bookkeeping is never
-  /// touched by two threads, and all of a run's keys are shard-0 keys.
-  bool runsCoalesce() const { return !par_active_ && cur_shard_ == 0; }
-  /// Files a run's first member as a shard-0 event; returns its key.
+  /// Files a run's first member as an event; returns its key.
   std::uint64_t scheduleRunHead(SimTime when, EventCallback fn, RunMark& mark);
   /// Draws the key of another member at `when` for the run filed under
   /// `mark`, or returns 0 when the run cannot take it exactly.
@@ -428,52 +251,18 @@ class Engine {
   /// first unfired member; the members are still pending.
   void requeueRun(SimTime when, std::uint64_t key, EventCallback fn);
 
-  /// Per-shard pending set during a parallel run.  Split in two so the hot
-  /// within-window drain never pays heap discipline: `near` holds the
-  /// current window's events sorted descending by (when, key) — back() is
-  /// the earliest, drain is pop_back, and intra-window arrivals use a
-  /// sorted insert (the calendar queue's late-arrival move) — while `far`
-  /// is a plain min-heap of everything at or past the window end (retry
-  /// timers, next-slice work).  Each worker owns its shards' queues for the
-  /// whole window; alignas(64) keeps neighbouring shards' headers off each
-  /// other's cache lines (the vector headers were the false-sharing suspect
-  /// in the flat shard_heaps_ layout this replaces).
-  struct alignas(64) ShardQueue {
-    std::vector<QEntry> near;  ///< current window, sorted desc, drain=pop_back
-    std::vector<QEntry> far;   ///< min-heap of events at/past the window end
-  };
-
-  // ----- parallel driver (engine.cpp) -----
-  void distributeToShards();
-  void workerLoop(int w);
-  void drainWindow(detail::ExecContext& ctx, SimTime window_end);
-  void fireCtx(detail::ExecContext& ctx, const QEntry& entry);
-  void mergeWindow();
-  void finishParallel();
-
   SimTime now_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t cancelled_ = 0;
   std::uint64_t dropped_tombstones_ = 0;
   std::size_t live_ = 0;
 
-  /// Per-shard sequence counters for native (band-0) events, plus the
-  /// global counter for handoff (band-1) events.  Within a shard both
-  /// modes draw in the shard's execution order; handoffs draw in global
-  /// canonical order (serially at call sites, at the barrier in parallel),
-  /// which is the same sequence — the core of the identity argument.
-  std::vector<std::uint64_t> shard_seq_;
-  std::uint64_t handoff_seq_ = 1;
-  ShardId cur_shard_ = 0;  ///< shard of the event firing in serial mode
-  std::uint64_t cur_key_ = 0;  ///< key of the event firing in serial mode
-  ShardAccessObserver* observer_ = nullptr;  ///< src/race detector, if any
+  std::uint64_t next_key_ = 1;  ///< key of the next scheduled event
+  std::uint64_t cur_key_ = 0;   ///< key of the event firing now
 
   std::vector<std::unique_ptr<Node[]>> chunks_;  ///< stable pooled nodes
-  /// Slots handed out so far.  Atomic only for the relaxed bounds check in
-  /// cancel(): growth is single-threaded (serial) or under chunk_mu_.
-  std::atomic<std::uint32_t> node_count_{0};
+  std::uint32_t node_count_ = 0;  ///< slots handed out so far
   std::vector<std::uint32_t> free_;  ///< reusable slots, LIFO
-  std::mutex chunk_mu_;  ///< guards chunk growth during parallel windows
 
   std::uint64_t base_ = 0;  ///< absolute bucket index of the wheel cursor
   /// Absolute index of the bucket sorted for draining (only ever the one at
@@ -489,26 +278,8 @@ class Engine {
   /// bucketIndex they were filed under); EventRun's exactness check.
   std::vector<std::uint64_t> pushes_;
 
-  // ----- parallel-run state (live only inside run(ParallelPolicy)) -----
-  bool par_active_ = false;
-  std::vector<ShardQueue> shard_qs_;  ///< per-shard two-level queues
-  std::vector<std::unique_ptr<detail::ExecContext>> ctxs_;
-  std::vector<std::thread> workers_;
-
-  // Lock-free window barrier.  The coordinator publishes window_end_, then
-  // release-bumps window_gen_; workers acquire-load the generation (so the
-  // window end is visible), drain, and release-add workers_done_, which the
-  // coordinator acquire-polls before merging.  Each atomic sits on its own
-  // cache line so the barrier handshake never false-shares with anything.
-  // Waiters spin briefly then yield — on an oversubscribed host the yield
-  // path dominates, which is exactly right.
-  alignas(64) std::atomic<std::uint64_t> window_gen_{0};
-  alignas(64) std::atomic<int> workers_done_{0};
-  alignas(64) std::atomic<bool> par_quit_{false};
-  SimTime window_end_ = 0;  ///< published via the window_gen_ release/acquire
-
   /// Snapshot serializer (src/snapshot): warps now_/base_ and restores the
-  /// seq counters so a restored run draws identical event keys.  Pending
+  /// key counter so a restored run draws identical event keys.  Pending
   /// events are never serialized — restore re-arms them logically.
   friend class bcs::snapshot::StateIO;
 };

@@ -16,10 +16,7 @@
 // with currentEventKey() equal to that key; the members of a run fire in
 // key order, and no other event could have fired between them.  A member
 // that throws leaves the rest pending under their own keys, so the next
-// run() continues exactly where plain events would.  Runs form only in
-// serial mode on shard 0 (Engine::runsCoalesce): inside a parallel window,
-// or from an event on another shard, at() schedules one plain event per
-// call, so serial and parallel runs stay byte-identical.
+// run() continues exactly where plain events would.
 //
 // Members are not cancellable.  The flat BCS-MPI runtime's per-node NIC
 // timers are the motivating use: one microstrobe reaches every node at one
@@ -39,9 +36,8 @@ namespace bcs::sim {
 template <typename Arg>
 class EventRun {
  public:
-  /// `fn` is called once per member.  Members scheduled inside a parallel
-  /// window run on their shard's worker, so `fn` itself must be safe to
-  /// call from any worker.  The EventRun must outlive its pending members.
+  /// `fn` is called once per member.  The EventRun must outlive its
+  /// pending members.
   EventRun(Engine& engine, InlineFunction<void(Arg)> fn)
       : engine_(engine), fn_(std::move(fn)) {}
   EventRun(const EventRun&) = delete;
@@ -49,10 +45,6 @@ class EventRun {
 
   /// Schedules fn(arg) at absolute time `when` (must be >= now()).
   void at(SimTime when, Arg arg) {
-    if (!engine_.runsCoalesce()) {
-      engine_.at(when, [this, arg] { fn_(arg); });
-      return;
-    }
     if (open_ != kNone) {
       const std::uint64_t key = engine_.extendRun(mark_, when);
       if (key != 0) {

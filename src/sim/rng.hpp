@@ -92,15 +92,4 @@ constexpr std::uint64_t deriveSeed(std::uint64_t seed, std::uint64_t stream) {
   return splitmix64(s);
 }
 
-/// Derives the seed for a shard-local RNG stream in the parallel engine
-/// mode (Engine::run(ParallelPolicy)).  A shard's draws must come only from
-/// its own stream — a generator shared across shards would be drawn from in
-/// nondeterministic interleavings by concurrent workers.  The offset keeps
-/// shard streams disjoint from the per-node / per-process streams that use
-/// plain deriveSeed with small indices.
-constexpr std::uint64_t deriveShardSeed(std::uint64_t seed,
-                                        std::uint16_t shard) {
-  return deriveSeed(seed, 0x5AA5000000000000ULL + shard);
-}
-
 }  // namespace bcs::sim

@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "sim/engine.hpp"
-
 namespace bcs::sim {
 
 const char* traceCategoryName(TraceCategory c) {
@@ -22,7 +20,6 @@ const char* traceCategoryName(TraceCategory c) {
     case TraceCategory::kFailover: return "FAILOVER";
     case TraceCategory::kVerify: return "VERIFY";
     case TraceCategory::kApp: return "APP";
-    case TraceCategory::kRace: return "RACE";
     case TraceCategory::kEpochRace: return "EPOCHRACE";
   }
   return "?";
@@ -35,21 +32,6 @@ void Trace::enable(bool echo_to_stderr) {
 
 void Trace::record(SimTime t, TraceCategory cat, int node, std::string msg) {
   if (!enabled_) return;
-  if (detail::deferTraceRecord(this, &Trace::commitThunk, t,
-                               static_cast<std::uint8_t>(cat), node,
-                               std::move(msg))) {
-    return;  // inside a parallel window; committed at the next barrier
-  }
-  append(t, cat, node, std::move(msg));
-}
-
-void Trace::commitThunk(void* trace, SimTime t, std::uint8_t category,
-                        int node, std::string&& msg) {
-  static_cast<Trace*>(trace)->append(t, static_cast<TraceCategory>(category),
-                                     node, std::move(msg));
-}
-
-void Trace::append(SimTime t, TraceCategory cat, int node, std::string&& msg) {
   if (echo_) {
     std::fprintf(stderr, "[%14s] %-8s n%-3d %s\n", formatTime(t).c_str(),
                  traceCategoryName(cat), node, msg.c_str());

@@ -39,7 +39,6 @@ enum class TraceCategory : std::uint8_t {
   kFailover,    // control-plane failover: watchdogs, elections, rejoins
   kVerify,      // protocol-verifier findings (src/verify)
   kApp,
-  kRace,        // shard-ownership race-detector findings (src/race)
   kEpochRace,   // RMA epoch-race findings (src/verify, DESIGN.md §11)
 };
 
@@ -59,11 +58,7 @@ class Trace {
   void disable() { enabled_ = false; }
   bool enabled() const { return enabled_; }
 
-  /// Records one entry.  Inside a parallel engine window (see
-  /// Engine::run(ParallelPolicy)) the record is deferred into the worker's
-  /// buffer and spliced into records_ at the next barrier in canonical
-  /// event order, so the final record stream is byte-identical to a serial
-  /// run.  The stderr echo, when enabled, happens at commit time.
+  /// Records one entry (and echoes it to stderr if asked to).
   void record(SimTime t, TraceCategory cat, int node, std::string msg);
 
   const std::vector<TraceRecord>& records() const { return records_; }
@@ -76,12 +71,6 @@ class Trace {
   std::string dump() const;
 
  private:
-  /// Commit thunk handed to the engine's deferral hook (type-erased so the
-  /// engine translation unit never names Trace; see detail::TraceCommitFn).
-  static void commitThunk(void* trace, SimTime t, std::uint8_t category,
-                          int node, std::string&& msg);
-  void append(SimTime t, TraceCategory cat, int node, std::string&& msg);
-
   bool enabled_ = false;
   bool echo_ = false;
   std::vector<TraceRecord> records_;

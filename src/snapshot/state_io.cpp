@@ -689,9 +689,13 @@ void StateIO::saveAll(Simulation& sim, SnapshotWriter& w) {
   {
     Encoder e;
     e.i64(eng.now_);
-    e.u32(static_cast<std::uint32_t>(eng.shard_seq_.size()));
-    for (std::uint64_t s : eng.shard_seq_) e.u64(s);
-    e.u64(eng.handoff_seq_);
+    // Format version 1 stores a shard count, one key counter per shard and
+    // a trailing counter for cross-shard events.  The engine has one key
+    // counter, which is exactly what a one-shard run wrote: a shard count
+    // of 1, the counter, and a trailing counter that never left 1.
+    e.u32(1);
+    e.u64(eng.next_key_);
+    e.u64(1);
     e.u64(eng.executed_);
     e.u64(eng.cancelled_);
     e.u64(eng.dropped_tombstones_);
@@ -803,10 +807,11 @@ void StateIO::restoreAll(Simulation& sim, const SnapshotReader& r) {
     if (eng.now_ != now) d.fail("engine clock disagrees with meta");
     eng.base_ = static_cast<std::uint64_t>(eng.now_) >>
                 sim::Engine::kBucketShift;
-    const std::uint32_t nshards = d.u32();
-    eng.shard_seq_.assign(nshards, 0);
-    for (std::uint64_t& s : eng.shard_seq_) s = d.u64();
-    eng.handoff_seq_ = d.u64();
+    // Only a sharded run could have written anything but one shard and a
+    // trailing counter of 1 (see saveAll).
+    if (d.u32() != 1) d.fail("snapshot was taken from a sharded run");
+    eng.next_key_ = d.u64();
+    if (d.u64() != 1) d.fail("snapshot was taken from a sharded run");
     eng.executed_ = d.u64();
     eng.cancelled_ = d.u64();
     eng.dropped_tombstones_ = d.u64();
@@ -845,10 +850,7 @@ void StateIO::restoreAll(Simulation& sim, const SnapshotReader& r) {
       ep.egress_free = d.i64();
       ep.ingress_free = d.i64();
     }
-    // Fold the captured stripes into stripe 0 — the serial path's stripe;
-    // restored runs continue serially.  The remaining stripes of the fresh
-    // fabric are already zero.
-    net::FabricStats& s = f.stat_stripes_[0].s;
+    net::FabricStats& s = f.stats_;
     s.unicasts = d.u64();
     s.multicasts = d.u64();
     s.conditionals = d.u64();

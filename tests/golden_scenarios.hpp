@@ -1,18 +1,15 @@
 #pragma once
 
-// The golden-trace scenario set: three representative workloads whose full
+// The golden-trace scenario set: six representative workloads whose full
 // trace dumps are pinned byte-for-byte under tests/golden/.
 //
 // Any engine change that perturbs event schedules — ordering keys, queue
-// mechanics, fabric timing, runtime strobing — shows up as a golden diff,
-// serial or parallel alike (the conformance tier already pins
-// serial ≡ parallel, so the corpus only needs to pin the serial dump).
+// mechanics, fabric timing, runtime strobing — shows up as a golden diff.
 //
 // Shared between golden_gen (the regenerator, see tools/regen_golden.py)
 // and test_golden (the replayer) so the two can never drift apart.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <numeric>
 #include <span>
@@ -141,61 +138,6 @@ inline std::string traceSweep3d() {
   return cluster.trace().dump();
 }
 
-/// Sharded fabric soup, generated *through the parallel driver*: 16 nodes,
-/// one shard each, ring unicast streams crossing shard boundaries via
-/// Engine::handoff, drained under a 4-thread ParallelPolicy.  The
-/// conformance tier proves serial ≡ parallel; this pins the parallel-mode
-/// dump itself across refactors of the arenas, batched handoff merge and
-/// barrier protocol — a regression there either diffs this trace or trips
-/// the conformance tier, whichever way it tilts.
-inline std::string traceParSoupImpl(bool parallel) {
-  constexpr int K = 16;
-  constexpr int kRounds = 6;
-
-  auto eng = std::make_shared<sim::Engine>();
-  auto trace = std::make_shared<sim::Trace>();
-  trace->enable();
-  auto fabric = std::make_shared<net::Fabric>(
-      *eng, net::NetworkParams::qsnet(), K, trace.get());
-  std::vector<sim::ShardId> map(K);
-  for (int n = 0; n < K; ++n) {
-    map[static_cast<std::size_t>(n)] = static_cast<sim::ShardId>(n);
-  }
-  fabric->setShardMap(map);
-
-  auto send = std::make_shared<std::function<void(int, int)>>();
-  auto* sendp = send.get();  // raw self-reference; `send` outlives the run
-  *send = [fabric, trace, eng, sendp](int n, int round) {
-    if (round == kRounds) return;
-    const int dst = (n + 1) % K;
-    fabric->unicast(
-        n, dst, 256 + 32 * static_cast<std::size_t>(n % 4),
-        /*on_delivered=*/
-        [trace, eng, dst, n, round] {
-          trace->record(eng->now(), sim::TraceCategory::kApp, dst,
-                        "got round " + std::to_string(round) + " from n" +
-                            std::to_string(n));
-        },
-        /*on_injected=*/[sendp, n, round] { (*sendp)(n, round + 1); });
-  };
-  for (int n = 0; n < K; ++n) {
-    eng->atOn(static_cast<sim::ShardId>(n), sim::usec(1) * n,
-              [send, n] { (*send)(n, 0); });
-  }
-
-  if (parallel) {
-    sim::ParallelPolicy policy;
-    policy.threads = 4;
-    policy.window = sim::usec(1);  // <= min QsNet latency: lookahead is safe
-    eng->run(policy);
-  } else {
-    eng->run();
-  }
-  return trace->dump();
-}
-
-inline std::string traceParSoup() { return traceParSoupImpl(true); }
-
 /// Hierarchical control plane (BcsMpiConfig::tree_fanout, DESIGN.md §7):
 /// 32 nodes at fanout 8 — four racks — running a neighbour exchange plus an
 /// allreduce that crosses rack boundaries.  Tree-mode schedules are
@@ -283,7 +225,6 @@ inline const Scenario kScenarios[] = {
     {"quickstart", &traceQuickstart},
     {"collectives_tour", &traceCollectivesTour},
     {"sweep3d", &traceSweep3d},
-    {"par_soup", &traceParSoup},
     {"tree_exchange", &traceTreeExchange},
     {"ckpt_resume", &traceCkptResume},
     {"rma_steal", &traceRmaSteal},

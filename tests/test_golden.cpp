@@ -99,15 +99,4 @@ INSTANTIATE_TEST_SUITE_P(Corpus, GoldenTrace,
                            return std::string(info.param.name);
                          });
 
-TEST(GoldenTrace, ParSoupSerialReplayMatchesParallelGolden) {
-  // The par_soup blob is generated through the parallel driver; the serial
-  // drain of the identical workload must reproduce it byte-for-byte, which
-  // pins the serial ≡ parallel contract against the checked-in corpus (not
-  // just against a same-binary reference run).
-  const std::string expected = loadGolden("par_soup");
-  ASSERT_FALSE(expected.empty());
-  expectTraceEq(expected, golden::traceParSoupImpl(/*parallel=*/false),
-                "par_soup (serial replay)");
-}
-
 }  // namespace

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <numeric>
 #include <ostream>
 #include <stdexcept>
 #include <thread>
@@ -117,6 +116,20 @@ TEST(Engine, StepExecutesExactlyOne) {
   EXPECT_TRUE(eng.step());
   EXPECT_FALSE(eng.step());
   EXPECT_EQ(count, 2);
+}
+
+// A callback that throws out of step() leaves no current event behind, and
+// the next event still runs under its own key.
+TEST(Engine, ThrowingEventLeavesNoCurrentKey) {
+  Engine eng;
+  std::uint64_t seen = 0;
+  eng.at(usec(1), [] { throw std::runtime_error("event threw"); });
+  eng.at(usec(2), [&] { seen = eng.currentEventKey(); });
+  EXPECT_THROW(eng.step(), std::runtime_error);
+  EXPECT_EQ(eng.currentEventKey(), 0u);
+  EXPECT_TRUE(eng.step());
+  EXPECT_EQ(seen, 2u);
+  EXPECT_EQ(eng.currentEventKey(), 0u);
 }
 
 // The calendar queue's wheel buckets are 2048 ns wide: events on either
@@ -453,9 +466,7 @@ TEST(EventRun, SeededSoupMatchesPlainEvents) {
 
 // A member that throws leaves its run's later members pending under their
 // own keys; a second run() picks them up exactly where plain events would.
-// The parallel variant throws inside a window, so the rest of the run is
-// refiled into the shard's near queue and then back into the calendar.
-void throwingMemberCase(bool parallel) {
+TEST(EventRun, ThrowingMemberLeavesTheRestPending) {
   const Script script = [](std::int64_t id) -> std::vector<Spawn> {
     if (id == 3) return {{true, 0, 10}, {false, 0, 11}, {true, usec(1), 12}};
     return {};
@@ -469,70 +480,19 @@ void throwingMemberCase(bool parallel) {
   initial.emplace_back(false, usec(7), 7);
   initial.emplace_back(true, usec(9), 8);
   seedTwins(runs, plain, initial);
-  ParallelPolicy policy;
-  policy.threads = 2;
-  policy.window = usec(5);
-  policy.clamp_to_hardware = false;
-  const auto drain = [&](Engine& eng) {
-    return parallel ? eng.run(policy) : eng.run();
-  };
-  EXPECT_THROW(drain(runs.eng), std::runtime_error);
-  EXPECT_THROW(drain(plain.eng), std::runtime_error);
+  EXPECT_THROW(runs.eng.run(), std::runtime_error);
+  EXPECT_THROW(plain.eng.run(), std::runtime_error);
   EXPECT_EQ(runs.seen, plain.seen);
   ASSERT_EQ(runs.seen.back().id, 3);
   EXPECT_EQ(runs.eng.pendingEvents(), plain.eng.pendingEvents());
   EXPECT_EQ(runs.eng.executedEvents(), plain.eng.executedEvents());
-  drain(runs.eng);
-  drain(plain.eng);
+  EXPECT_EQ(runs.eng.currentEventKey(), 0u);
+  EXPECT_EQ(plain.eng.currentEventKey(), 0u);
+  runs.eng.run();
+  plain.eng.run();
   EXPECT_EQ(runs.seen, plain.seen);
   EXPECT_EQ(runs.seen.size(), 11u);
   EXPECT_EQ(runs.eng.pendingEvents(), 0u);
-}
-
-TEST(EventRun, ThrowingMemberLeavesTheRestPending) {
-  throwingMemberCase(/*parallel=*/false);
-}
-
-TEST(EventRun, ThrowingMemberInsideParallelWindow) {
-  throwingMemberCase(/*parallel=*/true);
-}
-
-// Runs filed before a parallel run fire inside its windows (on worker 0,
-// alongside a shard-1 chain on worker 1); members scheduled inside a
-// window never coalesce.  Both twins run in parallel, and the event order
-// must also match a serial run of plain events.
-TEST(EventRun, ParallelRunMatchesPlainEvents) {
-  ParallelPolicy policy;
-  policy.threads = 2;
-  policy.window = usec(50);
-  policy.clamp_to_hardware = false;
-  const auto run = [&](bool runs, bool parallel) {
-    Twin twin(runs, soupScript(7));
-    for (std::int64_t r = 1; r <= 15; ++r) {
-      twin.schedule(r % 4 != 0, usec(40) + nsec(2048) * (r % 3), r);
-    }
-    int chain = 0;
-    std::function<void()> step = [&] {
-      if (++chain < 100) twin.eng.after(usec(3), step);
-    };
-    twin.eng.atOn(1, 0, step);
-    if (parallel) {
-      twin.eng.run(policy);
-    } else {
-      twin.eng.run();
-    }
-    EXPECT_EQ(chain, 100);
-    return twin.seen;
-  };
-  const std::vector<Seen> runs = run(true, true);
-  EXPECT_EQ(runs, run(false, true));
-  const std::vector<Seen> serial = run(false, false);
-  ASSERT_EQ(runs.size(), serial.size());
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    EXPECT_EQ(runs[i].id, serial[i].id) << i;
-    EXPECT_EQ(runs[i].now, serial[i].now) << i;
-    EXPECT_EQ(runs[i].key, serial[i].key) << i;
-  }
 }
 
 // ---------------------------------------------------------------- Fiber --
@@ -978,80 +938,60 @@ TEST(TimeFormat, HumanReadable) {
 }
 
 // ----------------------------------------------------------------- Arena --
-// Shard-local event-node arenas (parallel path) and the striped payload
-// pool.  These run under the sanitize preset (label: arena), so unreleased
-// nodes or buffers show up as leaks there.
+// The engine's event-node pool and the payload pool.  These run under the
+// sanitize preset (label: arena), so unreleased nodes or buffers show up as
+// leaks there.
 
-/// Drives `shards` event chains of `rounds` rounds each through a parallel
-/// run and returns the engine's final pool-slot count.  Each shard counts
-/// into its own slot: shards drain on different worker threads.
-std::uint32_t runChains(Engine& eng, int shards, int rounds, int threads) {
+/// Drives `chains` event chains of `rounds` rounds each and returns the
+/// engine's final pool-slot count.
+std::uint32_t runChains(Engine& eng, int chains, int rounds) {
   auto step = std::make_shared<std::function<void(int, int)>>();
   auto* stepp = step.get();
-  auto counts =
-      std::make_shared<std::vector<int>>(static_cast<std::size_t>(shards));
-  *step = [&eng, stepp, counts, rounds](int s, int round) {
-    ++(*counts)[static_cast<std::size_t>(s)];
+  int count = 0;
+  *step = [&eng, stepp, &count, rounds](int c, int round) {
+    ++count;
     if (round + 1 < rounds) {
-      eng.at(eng.now() + usec(7), [stepp, s, round] { (*stepp)(s, round + 1); });
+      eng.at(eng.now() + usec(7), [stepp, c, round] { (*stepp)(c, round + 1); });
     }
   };
   const SimTime base = eng.now();  // a rerun starts where the last ended
-  for (int s = 0; s < shards; ++s) {
-    eng.atOn(static_cast<ShardId>(s), base + usec(s),
-             [step, s] { (*step)(s, 0); });
+  for (int c = 0; c < chains; ++c) {
+    eng.at(base + usec(c), [step, c] { (*step)(c, 0); });
   }
-  ParallelPolicy policy;
-  policy.threads = threads;
-  policy.clamp_to_hardware = false;
-  eng.run(policy);
-  EXPECT_EQ(std::accumulate(counts->begin(), counts->end(), 0),
-            shards * rounds);
+  eng.run();
+  EXPECT_EQ(count, chains * rounds);
   return eng.poolSlots();
 }
 
-TEST(Arena, WorkerArenasRecycleNodesAcrossWindows) {
-  // 4 chains × 200 rounds = 800 events over ~280 barrier windows; the pool
-  // must stay near the live-event watermark (plus one worker refill batch
-  // per worker), not grow with the executed-event count.
-  Engine eng;
-  const std::uint32_t slots = runChains(eng, 4, 200, 2);
-  EXPECT_GE(eng.executedEvents(), 800u);
-  EXPECT_LE(slots, 1024u);  // 2 workers × 256-slot refill + live slack
-}
-
 TEST(Arena, ArenasResetBetweenRuns) {
-  // A second identical run on the same engine reuses the folded-back slots
+  // A second identical run on the same engine reuses the released slots
   // instead of acquiring fresh ones.
   Engine eng;
-  const std::uint32_t first = runChains(eng, 3, 100, 3);
-  const std::uint32_t second = runChains(eng, 3, 100, 3);
+  const std::uint32_t first = runChains(eng, 3, 100);
+  const std::uint32_t second = runChains(eng, 3, 100);
   EXPECT_EQ(second, first);
 }
 
 TEST(Arena, ExhaustionGrowsChunkTable) {
-  // Thousands of simultaneously-live events force the node pool through its
-  // chunk-growth path mid-parallel-run; every event must still fire.
+  // More simultaneously-live events than one 1,024-node chunk holds force
+  // the node pool through its chunk-growth path; every event must still
+  // fire.
   Engine eng;
-  std::array<int, 2> counts{};  // one per shard: they drain on two threads
+  int count = 0;
   constexpr int kLive = 5000;
   for (int i = 0; i < kLive; ++i) {
-    eng.atOn(static_cast<ShardId>(i % 2), usec(1) + i,
-             [&counts, i] { ++counts[static_cast<std::size_t>(i % 2)]; });
+    eng.at(usec(1) + i, [&count] { ++count; });
   }
-  ParallelPolicy policy;
-  policy.threads = 2;
-  policy.clamp_to_hardware = false;
-  eng.run(policy);
-  EXPECT_EQ(counts[0] + counts[1], kLive);
+  eng.run();
+  EXPECT_EQ(count, kLive);
   EXPECT_GE(eng.poolSlots(), static_cast<std::uint32_t>(kLive));
 }
 
-TEST(Arena, PayloadPoolRecyclesThroughStripes) {
+TEST(Arena, PayloadPoolRecyclesBuffers) {
   PayloadPool pool;
   auto buf = pool.acquire(512);
   std::vector<std::byte>* raw = buf.get();
-  buf.reset();  // released to this thread's stripe
+  buf.reset();  // released to the freelist
   EXPECT_EQ(pool.spareBuffers(), 1u);
   auto again = pool.acquire(64);
   EXPECT_EQ(again.get(), raw);  // same buffer back, capacity retained
@@ -1063,31 +1003,18 @@ TEST(Arena, PayloadPoolCapsSpareBuffers) {
   PayloadPool pool;
   std::vector<PayloadPool::Ptr> held;
   for (int i = 0; i < 200; ++i) held.push_back(pool.acquire(32));
-  held.clear();  // all release onto one stripe: capped at kMaxSpare
+  held.clear();  // all release into the freelist: capped at kMaxSpare
   EXPECT_LE(pool.spareBuffers(), PayloadPool::kMaxSpare);
   EXPECT_GT(pool.spareBuffers(), 0u);
-}
-
-TEST(Arena, PayloadPoolCrossThreadReleaseIsSafe) {
-  // A buffer acquired here and released on another thread lands on that
-  // thread's stripe; the handle may even outlive the pool.
-  auto pool = std::make_unique<PayloadPool>();
-  auto buf = pool->acquire(128);
-  std::thread t([moved = std::move(buf)]() mutable { moved.reset(); });
-  t.join();
-  EXPECT_LE(pool->spareBuffers(), 1u);
-  auto survivor = pool->acquire(64);
-  pool.reset();   // pool dies first...
-  survivor.reset();  // ...the orphaned handle must still free cleanly
 }
 
 TEST(Arena, PayloadPoolHandlesOutlivingPoolRecycleAndFree) {
   // The audited post-mortem sequence from pool.hpp: handles that outlive
   // the pool object keep the shared State alive, park their buffers in its
-  // orphaned stripes on release (from any thread), and the last deleter
-  // frees everything when it drops the final State reference.  Runs under
-  // the sanitize preset (label: arena), so a leak or use-after-free in any
-  // step fails the build, not just this assertion list.
+  // orphaned freelist on release, and the last deleter frees everything
+  // when it drops the final State reference.  Runs under the sanitize
+  // preset (label: arena), so a leak or use-after-free in any step fails
+  // the build, not just this assertion list.
   auto pool = std::make_unique<PayloadPool>();
   auto a = pool->acquire(256);
   auto b = pool->acquire(256);
@@ -1097,11 +1024,8 @@ TEST(Arena, PayloadPoolHandlesOutlivingPoolRecycleAndFree) {
   EXPECT_EQ(pool->liveHandles(), 2u);
 
   pool.reset();  // the pool dies with two handles still outstanding
-  b.reset();     // parks in the orphaned State's stripe — no pool touched
-  std::thread t([moved = std::move(c)]() mutable {
-    moved.reset();  // last handle, released cross-thread: State + parked
-  });               // buffers free here
-  t.join();
+  b.reset();     // parks in the orphaned State's freelist — no pool touched
+  c.reset();     // last handle: State and its parked buffers free here
 }
 
 }  // namespace

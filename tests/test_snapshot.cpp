@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "snapshot/checkpoint.hpp"
@@ -24,6 +25,7 @@
 #include "snapshot/format.hpp"
 #include "snapshot/scenario.hpp"
 #include "snapshot/state_io.hpp"
+#include "snapshot/wire.hpp"
 
 namespace {
 
@@ -173,6 +175,61 @@ TEST(SnapshotRestore, RejectsCorruptedBlobEndToEnd) {
   std::vector<std::uint8_t> cut(blob.begin(),
                                 blob.begin() + static_cast<long>(40));
   EXPECT_THROW((void)snapshot::restore(spec, cut), SnapshotError);
+}
+
+/// Re-encodes `blob` with its engine section's key-counter layout replaced:
+/// `nshards` per-shard counters (the real counter first, then 1s) and the
+/// given trailing cross-shard counter.  Every other section is copied as is.
+std::vector<std::uint8_t> withEngineShards(
+    const std::vector<std::uint8_t>& blob, std::uint32_t nshards,
+    std::uint64_t trailing) {
+  const snapshot::SnapshotReader r(blob);
+  snapshot::SnapshotWriter w;
+  for (const snapshot::SectionInfo& info : r.sections()) {
+    const std::string raw = r.section(info.name);
+    if (info.name != "engine") {
+      w.addSection(info.name, raw);
+      continue;
+    }
+    snapshot::Decoder d(raw, "engine");
+    snapshot::Encoder e;
+    e.i64(d.i64());  // clock
+    EXPECT_EQ(d.u32(), 1u);  // a serial run writes one shard
+    e.u32(nshards);
+    e.u64(d.u64());  // key counter
+    for (std::uint32_t s = 1; s < nshards; ++s) e.u64(1);
+    EXPECT_EQ(d.u64(), 1u);  // and a trailing counter of 1
+    e.u64(trailing);
+    for (int i = 0; i < 3; ++i) e.u64(d.u64());  // executed/cancelled/dropped
+    d.expectEnd();
+    w.addSection(info.name, e.data());
+  }
+  return w.finish(r.fingerprint());
+}
+
+TEST(SnapshotRestore, RejectsShardedEngineSection) {
+  ScenarioSpec spec = snapshot::ckptRing();
+  spec.mpi.checkpoint_every_slices = 2;
+  Simulation b = snapshot::build(spec);
+  std::vector<std::uint8_t> blob;
+  b.runtime->setSnapshotSink(
+      [&b, &blob](std::uint64_t) { blob = snapshot::capture(b); });
+  b.cluster->run(sim::msec(2));
+  ASSERT_FALSE(blob.empty());
+
+  // The re-encoding itself is faithful: one shard and a trailing counter
+  // of 1 give back the original bytes.
+  EXPECT_EQ(withEngineShards(blob, 1, 1), blob);
+  for (const auto& [nshards, trailing] :
+       {std::pair<std::uint32_t, std::uint64_t>{2, 1}, {1, 7}}) {
+    try {
+      (void)snapshot::restore(spec, withEngineShards(blob, nshards, trailing));
+      FAIL() << "restored an engine section with " << nshards
+             << " shard(s) and trailing counter " << trailing;
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.section(), "engine");
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

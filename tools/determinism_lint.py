@@ -50,9 +50,8 @@ anywhere a Python interpreter exists, with no compiler involvement.
 
 Usage: tools/determinism_lint.py [paths...]   (default: rules 1-3 over
 src/sim src/net src/bcsmpi src/storm src/verify src/snapshot src/codec
-src/race src/apps src/bcs, rule 4 over src/, relative to the repository
-root, which is inferred from this file's location; explicit paths get all
-four rules)
+src/apps src/bcs, rule 4 over src/, relative to the repository root, which
+is inferred from this file's location; explicit paths get all four rules)
 """
 
 import re
@@ -60,8 +59,8 @@ import sys
 from pathlib import Path
 
 DEFAULT_SCOPE = ["src/sim", "src/net", "src/bcsmpi", "src/storm",
-                 "src/verify", "src/snapshot", "src/codec", "src/race",
-                 "src/apps", "src/bcs"]
+                 "src/verify", "src/snapshot", "src/codec", "src/apps",
+                 "src/bcs"]
 EXTENSIONS = {".hpp", ".cpp", ".h", ".cc"}
 
 BANNED = [
