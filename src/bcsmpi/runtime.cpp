@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <utility>
+
+#include "sim/stats.hpp"
 
 namespace bcs::bcsmpi {
 
@@ -432,6 +435,7 @@ void Runtime::startSlice() {
   ++stats_.slices;
   slice_start_ = cluster_.engine().now();
   root_msgs_slice_ = 0;
+  if (replaySlice()) return;
   strobePhase(Phase::kDem);
 }
 
@@ -594,6 +598,7 @@ void Runtime::phaseComplete(Phase p) {
     if (epoch != control_epoch_) return;
     startSlice();
   });
+  if (recording_.active) finishRecording(next);
 }
 
 void Runtime::maybeStop() {
@@ -603,6 +608,221 @@ void Runtime::maybeStop() {
   stop_requested_ = true;
   stopWatchdogs();
   if (verifier_ && !verifier_->finalized()) runVerifyAudit();
+}
+
+// ---------------------------------------------------------------------------
+// Quiescent-slice replay (DESIGN.md §5b)
+// ---------------------------------------------------------------------------
+//
+// A slice that starts with nothing to do on any live node runs a fixed
+// schedule: the strobe, the DEM and MSM floors, three empty transmission
+// microphases.  The first such slice under a control plane runs normally
+// and is recorded; later ones apply the recording in one store loop and
+// schedule the next slice, one engine event in all.
+//
+// Why this is exact.  Replay demands that no engine event falls at or
+// before the recorded RM completion S + rm_offset, so in the normal run
+// only the slice's own events fire in [S, S + rm_offset], and nothing they
+// do leaves the runtime, fabric or core state the template covers.  The
+// next startSlice key is drawn at S instead of at RM completion; no other
+// key is drawn in between, so every surviving event keeps its order
+// relative to it.  The window also ends within the engine's run limit, so
+// a caller never sees the slice before the time it would have completed.
+
+bool Runtime::nodeIdle(const NodeState& ns, Phase p) const {
+  // An entry in pending_coll outlives its operation (active flips false on
+  // completion), so emptiness of the map is the wrong test — scan for an
+  // actionable entry instead.  Conservative on purpose: any active
+  // collective marks the MSM/BBM/RM phases busy without re-deriving the
+  // scheduling preconditions those phases check themselves.
+  const auto any_collective = [&ns] {
+    for (const auto& [job, pc] : ns.pending_coll) {
+      if (pc.active && !pc.executing) return true;
+    }
+    return false;
+  };
+  switch (p) {
+    case Phase::kDem:
+      // The Node Manager's slice-start duties count as DEM work: processes
+      // to wake (completions and blocked probes) and the gang-scheduling
+      // decision.
+      return ns.wake_list.empty() && ns.probe_waiters.empty() &&
+             !(config_.gang_scheduling && jobs_.size() > 1) &&
+             ns.bs_retry.empty() && ns.bs_fresh.empty() &&
+             ns.recv_fresh.empty() && ns.coll_fresh.empty() &&
+             ns.rma_fresh.empty() && ns.rma_retry.empty();
+    case Phase::kMsm:
+      // Mirrors matchDescriptors' own early-out (matching needs both sides)
+      // plus the chunk scheduler's queue, the RMA epoch apply and the
+      // collective CAW query.
+      return (ns.recv_eligible.empty() || ns.remote_sends.empty()) &&
+             ns.match_queue.empty() && ns.rma_inbound.empty() &&
+             !any_collective();
+    case Phase::kP2p:
+      return ns.slice_gets.empty() && ns.rma_returns.empty();
+    case Phase::kBbm:
+    case Phase::kRm:
+      return !any_collective();
+  }
+  return false;
+}
+
+bool Runtime::sliceQuiescent(SimTime now) const {
+  if (trace_->enabled() || active_ranks_ == 0 || live_compute_nodes_.empty()) {
+    return false;
+  }
+  for (int n : live_compute_nodes_) {
+    const NodeState& ns = nodes_[static_cast<std::size_t>(n)];
+    if (config_.watchdog_slices > 0 && !ns.watchdog_armed) return false;
+    for (int p = 0; p < kNumPhases; ++p) {
+      if (!nodeIdle(ns, static_cast<Phase>(p))) return false;
+    }
+  }
+  return cluster_.fabric().quiet(now);
+}
+
+bool Runtime::controlPlaneDownDuring(SimTime from, SimTime to) const {
+  const int compute = cluster_.numComputeNodes();
+  return cluster_.faults()->anyDownDuring(from, to, [&](int node) {
+    return node == strobe_node_ || (node >= 0 && node < compute &&
+                                    !nodeEvicted(node));
+  });
+}
+
+bool Runtime::replaySlice() {
+  recording_.active = false;
+  sim::Engine& engine = cluster_.engine();
+  const SimTime now = engine.now();
+  // The O(1) tests first: a pending event in the window declines before
+  // the O(nodes) walk.
+  const SimTime next_event = engine.nextEventTime();
+  if (next_event <= now) return false;
+  if (slice_template_) {
+    const SimTime end = now + slice_template_->rm_offset;
+    if (next_event <= end || end > engine.runLimit()) return false;
+  }
+  if (!sliceQuiescent(now)) return false;
+  if (!slice_template_) {
+    // Record this slice if it runs undisturbed to its RM completion; that
+    // is checked when it gets there (finishRecording).
+    SliceRecording& r = recording_;
+    r.active = true;
+    r.start = now;
+    r.next_event = next_event;
+    r.pending = engine.pendingEvents();
+    r.phase_seq = phase_seq_;
+    r.stats = stats_;
+    cluster_.fabric().mark(r.fabric);
+    r.nodes.resize(live_compute_nodes_.size());
+    for (std::size_t i = 0; i < live_compute_nodes_.size(); ++i) {
+      const int n = live_compute_nodes_[i];
+      const NodeState& ns = nodes_[static_cast<std::size_t>(n)];
+      SliceTemplate::NodeEnd& e = r.nodes[i];
+      e.phase_seq = static_cast<std::int64_t>(ns.phase_seq);
+      e.phase_done = core_.readVar(n, phase_done_var_);
+      e.last_strobe = ns.last_strobe;
+    }
+    r.racks.resize(tree_racks_.size());
+    for (std::size_t k = 0; k < tree_racks_.size(); ++k) {
+      r.racks[k].seq = static_cast<std::int64_t>(tree_racks_[k].seq);
+      r.racks[k].acked_seq = static_cast<std::int64_t>(tree_racks_[k].acked_seq);
+    }
+    return false;
+  }
+  const SliceTemplate& t = *slice_template_;
+  if (controlPlaneDownDuring(now, now + t.rm_offset)) return false;
+  const std::int64_t base = static_cast<std::int64_t>(phase_seq_);
+  phase_seq_ += t.phases;
+  stats_ = sim::zipCounters(stats_, t.stats, std::plus<>());
+  stats_.fanout_msgs_per_slice = t.root_msgs;
+  root_msgs_slice_ = t.root_msgs;
+  cluster_.fabric().apply(t.fabric, now);
+  constexpr std::int64_t kKeep = SliceTemplate::kKeep;
+  for (std::size_t i = 0; i < t.nodes.size(); ++i) {
+    const int n = live_compute_nodes_[i];
+    const SliceTemplate::NodeEnd& e = t.nodes[i];
+    NodeState& ns = nodes_[static_cast<std::size_t>(n)];
+    if (e.phase_seq != kKeep) {
+      ns.phase_seq = static_cast<std::uint64_t>(base + e.phase_seq);
+    }
+    if (e.phase_done != kKeep) {
+      core_.writeVarLocal(n, phase_done_var_, base + e.phase_done);
+    }
+    if (e.last_strobe != kKeep) ns.last_strobe = now + e.last_strobe;
+    ns.outstanding = e.outstanding;
+    ns.tree_floor = e.tree_floor;
+    ns.tree_drain = e.tree_drain;
+  }
+  for (std::size_t k = 0; k < t.racks.size(); ++k) {
+    const SliceTemplate::RackEnd& e = t.racks[k];
+    TreeRackState& rk = tree_racks_[k];
+    if (e.seq != kKeep) rk.seq = static_cast<std::uint64_t>(base + e.seq);
+    if (e.acked_seq != kKeep) {
+      rk.acked_seq = static_cast<std::uint64_t>(base + e.acked_seq);
+    }
+    rk.pending = e.pending;
+  }
+  tree_phase_ = t.tree_phase;
+  tree_phase_open_ = t.tree_phase_open;
+  const std::uint64_t epoch = control_epoch_;
+  engine.at(now + t.next_offset, [this, epoch] {
+    if (epoch != control_epoch_) return;
+    startSlice();
+  });
+  return true;
+}
+
+void Runtime::finishRecording(SimTime next) {
+  SliceRecording& r = recording_;
+  r.active = false;
+  const sim::Engine& engine = cluster_.engine();
+  const SimTime now = engine.now();
+  // Undisturbed: no event that was pending at S has fired, and the slice
+  // left nothing pending but the next startSlice.
+  if (r.next_event <= now || engine.pendingEvents() != r.pending + 1 ||
+      controlPlaneDownDuring(r.start, now)) {
+    return;
+  }
+  constexpr std::int64_t kKeep = SliceTemplate::kKeep;
+  const std::int64_t base = static_cast<std::int64_t>(r.phase_seq);
+  const auto rel = [](std::int64_t after, std::int64_t before,
+                      std::int64_t origin) {
+    return after == before ? kKeep : after - origin;
+  };
+  SliceTemplate t;
+  t.rm_offset = now - r.start;
+  t.next_offset = next - r.start;
+  t.phases = phase_seq_ - r.phase_seq;
+  t.stats = sim::zipCounters(stats_, r.stats, std::minus<>());
+  t.root_msgs = root_msgs_slice_;
+  t.fabric = cluster_.fabric().deltaSince(r.fabric, r.start);
+  t.nodes.resize(live_compute_nodes_.size());
+  for (std::size_t i = 0; i < live_compute_nodes_.size(); ++i) {
+    const int n = live_compute_nodes_[i];
+    const NodeState& ns = nodes_[static_cast<std::size_t>(n)];
+    const SliceTemplate::NodeEnd& was = r.nodes[i];
+    SliceTemplate::NodeEnd& e = t.nodes[i];
+    e.phase_seq =
+        rel(static_cast<std::int64_t>(ns.phase_seq), was.phase_seq, base);
+    e.phase_done =
+        rel(core_.readVar(n, phase_done_var_), was.phase_done, base);
+    e.last_strobe = rel(ns.last_strobe, was.last_strobe, r.start);
+    e.outstanding = ns.outstanding;
+    e.tree_floor = ns.tree_floor;
+    e.tree_drain = ns.tree_drain;
+  }
+  t.racks.resize(tree_racks_.size());
+  for (std::size_t k = 0; k < tree_racks_.size(); ++k) {
+    const TreeRackState& rk = tree_racks_[k];
+    SliceTemplate::RackEnd& e = t.racks[k];
+    e.seq = rel(static_cast<std::int64_t>(rk.seq), r.racks[k].seq, base);
+    e.acked_seq = rel(static_cast<std::int64_t>(rk.acked_seq),
+                      r.racks[k].acked_seq, base);
+    e.pending = rk.pending;
+  }
+  t.tree_phase = tree_phase_;
+  t.tree_phase_open = tree_phase_open_;
+  slice_template_ = std::move(t);
 }
 
 // ---------------------------------------------------------------------------
@@ -819,6 +1039,7 @@ void Runtime::notifyNodeFailure(int node) {
   }
   evicted_[static_cast<std::size_t>(node)] = 1;
   ++stats_.evictions;
+  dropSliceTemplate();
   live_compute_nodes_.erase(std::remove(live_compute_nodes_.begin(),
                                         live_compute_nodes_.end(), node),
                             live_compute_nodes_.end());
@@ -1099,6 +1320,7 @@ void Runtime::beginElection(int node) {
     election_inflight_ = false;
     ++control_epoch_;
     ++stats_.elections;
+    dropSliceTemplate();
     const int old_ss = strobe_node_;
     strobe_node_ = node;
     strobing_ = true;
@@ -1192,6 +1414,7 @@ void Runtime::performRejoins() {
   for (int node : back) {
     if (!nodeEvicted(node)) continue;
     evicted_[static_cast<std::size_t>(node)] = 0;
+    dropSliceTemplate();
     // The node returns scrubbed: NIC queues rebuilt from scratch (its ranks
     // were force-finished at eviction and stay finished).
     nodeState(node) = NodeState{};

@@ -30,6 +30,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -138,6 +139,7 @@ struct RuntimeStats {
   /// Prefer Runtime::resetStats, which preserves structural gauges like
   /// tree_levels across the reset.
   void reset() { *this = RuntimeStats{}; }
+  bool operator==(const RuntimeStats&) const = default;
 };
 
 class Runtime {
@@ -465,12 +467,78 @@ class Runtime {
     int pending = 0;              ///< members still busy with `seq`
   };
 
+  /// Everything one normally simulated quiescent slice changed, as offsets
+  /// from its start instant S and from phase_seq_ at S (DESIGN.md §5b,
+  /// "Quiescent-slice replay").  Replaying it at a later quiescent start
+  /// under the same control plane reproduces that slice exactly.
+  struct SliceTemplate {
+    /// An end value the slice left alone.
+    static constexpr std::int64_t kKeep = INT64_MIN;
+    /// One per live node, in live_compute_nodes_ order.
+    struct NodeEnd {
+      std::int64_t phase_seq = kKeep;   ///< offset from phase_seq_ at S
+      std::int64_t phase_done = kKeep;  ///< replica, same base
+      std::int64_t last_strobe = kKeep;  ///< offset from S
+      int outstanding = 0;
+      bool tree_floor = false;
+      bool tree_drain = false;
+    };
+    /// One per rack (tree mode).
+    struct RackEnd {
+      std::int64_t seq = kKeep;  ///< offsets from phase_seq_ at S
+      std::int64_t acked_seq = kKeep;
+      int pending = 0;
+    };
+    Duration rm_offset = 0;    ///< RM completion, after S
+    Duration next_offset = 0;  ///< the next slice's start, after S
+    std::uint64_t phases = 0;  ///< phase_seq_ advance
+    RuntimeStats stats;        ///< counter deltas
+    std::uint64_t root_msgs = 0;  ///< root_msgs_slice_ at RM completion
+    net::FabricDelta fabric;
+    std::vector<NodeEnd> nodes;
+    std::vector<RackEnd> racks;
+    Phase tree_phase = Phase::kDem;
+    bool tree_phase_open = false;
+  };
+  /// The state at S of a quiescent slice being recorded: the slice's end
+  /// minus this is the template.  Node and rack entries hold absolute
+  /// values; the buffers keep their capacity from one attempt to the next.
+  struct SliceRecording {
+    bool active = false;
+    SimTime start = 0;
+    SimTime next_event = 0;  ///< earliest pending engine event at S
+    std::size_t pending = 0;  ///< pending engine events at S
+    std::uint64_t phase_seq = 0;
+    RuntimeStats stats;
+    net::Fabric::Mark fabric;
+    std::vector<SliceTemplate::NodeEnd> nodes;
+    std::vector<SliceTemplate::RackEnd> racks;
+  };
+
   // ---- Strobe Sender (management node) ----
   void startSlice();
   void strobePhase(Phase p);
   void pollPhaseDone(Phase p, std::uint64_t seq);
   void phaseComplete(Phase p);
   void maybeStop();
+
+  // Quiescent-slice replay (runtime.cpp, DESIGN.md §5b)
+  /// At a slice start, after the boundary bookkeeping: replays the slice
+  /// from the template and returns true, or starts recording one.
+  bool replaySlice();
+  /// Every condition but the template's: trace off, ranks active, every
+  /// live node idle in all five microphases with its watchdog armed, and a
+  /// quiet fabric.
+  bool sliceQuiescent(SimTime now) const;
+  /// A live node or the Strobe Sender is down somewhere in [from, to].
+  bool controlPlaneDownDuring(SimTime from, SimTime to) const;
+  void finishRecording(SimTime next);
+  /// Evictions, rejoins and elections change the control plane a template
+  /// was recorded under.
+  void dropSliceTemplate() {
+    slice_template_.reset();
+    recording_.active = false;
+  }
 
   // ---- Strobe Receiver / NIC threads (compute nodes) ----
   void onStrobe(int node, Phase p, std::uint64_t seq);
@@ -515,7 +583,11 @@ class Runtime {
   void onRackStrobe(int rack, Phase p, std::uint64_t seq);
   void rackFanout(int rack, Phase p, std::uint64_t seq);
   Duration treeInitMember(int node, Phase p, std::uint64_t seq);
-  bool treeMemberIdle(const NodeState& ns, Phase p) const;
+  /// True iff microphase `p` has nothing to do on the node: no Node Manager
+  /// duty, nothing to drain, match, get or execute.  The tree skips such a
+  /// member's tokens; a slice in which every live node is idle in every
+  /// microphase can be replayed.
+  bool nodeIdle(const NodeState& ns, Phase p) const;
   void treeReleaseFloor(int rack, std::uint64_t seq);
   void treeDrain(int rack, std::uint64_t seq);
   void treeMemberDone(int node);
@@ -643,6 +715,11 @@ class Runtime {
   /// Control messages the root touched since the slice started (both
   /// modes); snapshotted into stats_.fanout_msgs_per_slice at slice end.
   std::uint64_t root_msgs_slice_ = 0;
+
+  /// Quiescent-slice replay: the template for the current control plane,
+  /// and the slice recording one.  Neither is part of a snapshot.
+  std::optional<SliceTemplate> slice_template_;
+  SliceRecording recording_;
 
   std::vector<std::function<void(const CheckpointRecord&)>> checkpoint_cbs_;
 

@@ -146,7 +146,7 @@ void Runtime::rackFanout(int rack, Phase p, std::uint64_t seq) {
     }
     ns.last_strobe = now;
     if (!ns.watchdog_armed) armWatchdogAt(m, now + watchdogTimeout());
-    if (treeMemberIdle(ns, p)) {
+    if (nodeIdle(ns, p)) {
       // Idle fast path: the member observes the strobe (sequence number
       // and watchdog above) but holds no completion tokens — there is no
       // process to wake, nothing to drain, match, get or execute, so the
@@ -191,40 +191,6 @@ void Runtime::rackFanout(int rack, Phase p, std::uint64_t seq) {
     }
   }
   if (rk.pending == 0) sendRackAck(rack, seq);
-}
-
-bool Runtime::treeMemberIdle(const NodeState& ns, Phase p) const {
-  // An entry in pending_coll outlives its operation (active flips false on
-  // completion), so emptiness of the map is the wrong test — scan for an
-  // actionable entry instead.  Conservative on purpose: any active
-  // collective marks the MSM/BBM/RM phases busy without re-deriving the
-  // scheduling preconditions those phases check themselves.
-  const auto any_collective = [&ns] {
-    for (const auto& [job, pc] : ns.pending_coll) {
-      if (pc.active && !pc.executing) return true;
-    }
-    return false;
-  };
-  switch (p) {
-    case Phase::kDem:
-      return ns.wake_list.empty() && ns.bs_retry.empty() &&
-             ns.bs_fresh.empty() && ns.recv_fresh.empty() &&
-             ns.coll_fresh.empty() && ns.rma_fresh.empty() &&
-             ns.rma_retry.empty();
-    case Phase::kMsm:
-      // Mirrors matchDescriptors' own early-out (matching needs both sides)
-      // plus the chunk scheduler's queue, the RMA epoch apply and the
-      // collective CAW query.
-      return (ns.recv_eligible.empty() || ns.remote_sends.empty()) &&
-             ns.match_queue.empty() && ns.rma_inbound.empty() &&
-             !any_collective();
-    case Phase::kP2p:
-      return ns.slice_gets.empty() && ns.rma_returns.empty();
-    case Phase::kBbm:
-    case Phase::kRm:
-      return !any_collective();
-  }
-  return false;
 }
 
 Duration Runtime::treeInitMember(int node, Phase p, std::uint64_t seq) {
@@ -481,6 +447,7 @@ void Runtime::beginTreeElection(int node) {
         election_inflight_ = false;
         ++control_epoch_;
         ++stats_.elections;
+        dropSliceTemplate();
         const SimTime now = cluster_.engine().now();
         if (!was_rack_ss) {
           const int old_ss = sstree_.ss(rack);

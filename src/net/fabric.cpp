@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <utility>
+
+#include "sim/stats.hpp"
 
 namespace bcs::net {
 
@@ -306,6 +309,37 @@ void Fabric::softwareMulticast(int src, const std::vector<int>& dests,
     }
   }
   issueSoftwareMulticast(*this, st, 0);
+}
+
+bool Fabric::quiet(SimTime now) const {
+  for (const Endpoint& e : endpoints_) {
+    if (e.egress_free > now || e.ingress_free > now) return false;
+  }
+  return true;
+}
+
+FabricDelta Fabric::deltaSince(const Mark& m, SimTime base) const {
+  FabricDelta d;
+  d.stats = sim::zipCounters(stats_, m.stats, std::minus<>());
+  for (std::size_t n = 0; n < endpoints_.size(); ++n) {
+    const Endpoint& now = endpoints_[n];
+    const Endpoint& was = m.endpoints[n];
+    if (now.egress_free != was.egress_free) {
+      d.busy.push_back({static_cast<int>(n), false, now.egress_free - base});
+    }
+    if (now.ingress_free != was.ingress_free) {
+      d.busy.push_back({static_cast<int>(n), true, now.ingress_free - base});
+    }
+  }
+  return d;
+}
+
+void Fabric::apply(const FabricDelta& d, SimTime base) {
+  stats_ = sim::zipCounters(stats_, d.stats, std::plus<>());
+  for (const FabricDelta::Busy& b : d.busy) {
+    Endpoint& e = endpoints_[static_cast<std::size_t>(b.node)];
+    (b.ingress ? e.ingress_free : e.egress_free) = base + b.offset;
+  }
 }
 
 Duration Fabric::conditionalLatency(int n) const {

@@ -67,6 +67,21 @@ struct FabricStats {
 
   /// Zeroes every counter (interval measurements around a workload).
   void reset() { *this = FabricStats{}; }
+  bool operator==(const FabricStats&) const = default;
+};
+
+/// What a stretch of fabric activity did, relative to the instant it began
+/// on a quiet fabric (Fabric::quiet): its counter deltas and the endpoint
+/// free-times it left behind, as offsets from that instant.  Applying it at
+/// another quiet instant reproduces the stretch's effect on the fabric.
+struct FabricDelta {
+  FabricStats stats;
+  struct Busy {
+    int node = 0;
+    bool ingress = false;  ///< ingress free-time, else egress
+    Duration offset = 0;
+  };
+  std::vector<Busy> busy;
 };
 
 /// Per-send options for unicast.  Default-constructed == the historical
@@ -128,6 +143,33 @@ class Fabric {
   /// Counters since construction (see FabricStats).
   const FabricStats& stats() const { return stats_; }
 
+  // ---- Replaying a recorded stretch (bcsmpi quiescent slices) ----
+
+  /// True iff no endpoint is busy past `now`.  Every transfer started from
+  /// a quiet instant finds its wires free, so its timing depends only on
+  /// how long after that instant it starts.
+  bool quiet(SimTime now) const;
+
+  /// One node's NIC: the instants its egress and ingress are free again.
+  struct Endpoint {
+    SimTime egress_free = 0;
+    SimTime ingress_free = 0;
+  };
+  /// Counters and endpoint free-times at one instant, to diff against.
+  struct Mark {
+    FabricStats stats;
+    std::vector<Endpoint> endpoints;
+  };
+  /// Fills `m` with the current state, reusing its capacity.
+  void mark(Mark& m) const {
+    m.stats = stats_;
+    m.endpoints = endpoints_;
+  }
+  /// What changed since `m`, free-times as offsets from `base`.
+  FabricDelta deltaSince(const Mark& m, SimTime base) const;
+  /// Replays `d` at `base`: adds its counters and sets its free-times.
+  void apply(const FabricDelta& d, SimTime base);
+
   /// Attaches (or detaches, with nullptr) a fault injector.  Not owned; must
   /// outlive the fabric or be detached first.
   void setFaultInjector(sim::FaultInjector* injector) { fault_ = injector; }
@@ -136,11 +178,6 @@ class Fabric {
   sim::Engine& engine() { return engine_; }
 
  private:
-  struct Endpoint {
-    SimTime egress_free = 0;
-    SimTime ingress_free = 0;
-  };
-
   void softwareMulticast(int src, const std::vector<int>& dests,
                          std::size_t bytes, NodeCallback on_delivered_at,
                          EventCallback on_all);

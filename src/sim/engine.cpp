@@ -166,6 +166,26 @@ bool Engine::peekNext(QEntry& entry, bool& from_overflow) {
   return true;
 }
 
+SimTime Engine::nextEventTime() const {
+  // The overflow top is its heap's minimum, live or not.
+  SimTime best = overflow_.empty() ? INT64_MAX : overflow_.front().when;
+  if (wheel_count_ == 0) return best;
+  // Every wheel entry lies in one of the kNumBuckets buckets from the
+  // cursor on, and only the cursor's bucket can hold times below its own
+  // start (late arrivals clamped to it).  The first bucket with a live
+  // entry holds the wheel's minimum; no later bucket can beat `best` once
+  // its start reaches it.
+  for (std::uint64_t b = base_; b < base_ + kNumBuckets; ++b) {
+    if (b != base_ && static_cast<SimTime>(b << kBucketShift) >= best) break;
+    SimTime first = INT64_MAX;
+    for (const QEntry& e : buckets_[b & kBucketMask]) {
+      if (e.when < first && node(e.slot).armed) first = e.when;
+    }
+    if (first != INT64_MAX) return std::min(best, first);
+  }
+  return best;
+}
+
 void Engine::extract(bool from_overflow) {
   if (from_overflow) {
     heapPop(overflow_);
@@ -278,6 +298,7 @@ bool Engine::step() {
   bool from_overflow;
   if (!peekNext(entry, from_overflow)) return false;
   extract(from_overflow);
+  run_limit_ = entry.when;
   fire(entry);
   cur_key_ = 0;
   return true;
@@ -286,6 +307,7 @@ SimTime Engine::run(SimTime until) {
   // Fused peek + extract + fire loop.  Equivalent to `while (step())` with
   // an `until` bound, but keeps the bucket reference and queue entry in
   // registers across the pop instead of re-deriving them per event.
+  run_limit_ = until;
   for (;;) {
     while (!overflow_.empty() && !node(overflow_.front().slot).armed) {
       releaseNode(overflow_.front().slot);

@@ -129,6 +129,21 @@ class Engine {
   /// Number of live (scheduled, not cancelled, not yet fired) events.
   std::size_t pendingEvents() const { return live_; }
 
+  /// Earliest instant at which a pending event may fire; INT64_MAX when
+  /// nothing is pending.  Conservative: never later than the earliest live
+  /// event, but possibly earlier, since a cancelled entry on top of the
+  /// overflow heap counts as pending.  It moves no cursor, sorts no bucket
+  /// and reclaims no tombstone, so asking changes nothing a later event
+  /// sees.  Asked from an EventRun member, it does not see the run's
+  /// members still to fire: they are not queue entries, and fire at now().
+  SimTime nextEventTime() const;
+
+  /// Latest instant the engine may reach before handing control back: the
+  /// `until` of the run() in progress, or the firing entry's own time
+  /// under step().  Work a callback completes ahead of the clock must not
+  /// reach past it, or the caller would observe it early.
+  SimTime runLimit() const { return run_limit_; }
+
   /// Total number of events executed since construction.
   std::uint64_t executedEvents() const { return executed_; }
 
@@ -211,6 +226,9 @@ class Engine {
   Node& node(std::uint32_t slot) {
     return chunks_[slot >> kChunkShift][slot & kChunkMask];
   }
+  const Node& node(std::uint32_t slot) const {
+    return chunks_[slot >> kChunkShift][slot & kChunkMask];
+  }
   std::uint32_t acquireNode();
   void releaseNode(std::uint32_t slot);
   void enqueue(QEntry entry);
@@ -259,6 +277,7 @@ class Engine {
 
   std::uint64_t next_key_ = 1;  ///< key of the next scheduled event
   std::uint64_t cur_key_ = 0;   ///< key of the event firing now
+  SimTime run_limit_ = 0;       ///< see runLimit()
 
   std::vector<std::unique_ptr<Node[]>> chunks_;  ///< stable pooled nodes
   std::uint32_t node_count_ = 0;  ///< slots handed out so far

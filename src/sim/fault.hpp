@@ -119,6 +119,18 @@ class FaultInjector {
   /// function of the plan and the clock — no state, no draws.
   bool nodeDown(int node, SimTime now) const;
 
+  /// True iff some node `watched(node)` accepts is down at any instant of
+  /// [from, to]: crashed by `to`, or inside a hang window that overlaps the
+  /// interval.  Pure like nodeDown, and O(node faults), not O(nodes).
+  template <typename Pred>
+  bool anyDownDuring(SimTime from, SimTime to, Pred&& watched) const {
+    for (const FaultPlan::NodeFault& f : plan_.node_faults) {
+      if (f.at > to || (f.hang != 0 && f.at + f.hang <= from)) continue;
+      if (watched(f.node)) return true;
+    }
+    return false;
+  }
+
   /// Registers a permanent node-down fault at run time.  This is how actors
   /// that *cause* failures (e.g. Storm::killNode) publish them: the injector
   /// is the single source of truth for endpoint liveness, and the fabric's

@@ -2,12 +2,33 @@
 
 // Statistics accumulators used by benches and EXPERIMENTS.md tables.
 
+#include <array>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace bcs::sim {
+
+/// Applies `op` field by field to two counter structs made only of
+/// std::uint64_t fields (net::FabricStats, bcsmpi::RuntimeStats).  With
+/// std::minus<>() it records what a stretch of work counted, with
+/// std::plus<>() it adds that back later, without naming a single field;
+/// the unsigned arithmetic is modulo 2^64 either way.
+template <typename Counters, typename Op>
+Counters zipCounters(const Counters& a, const Counters& b, Op op) {
+  static_assert(std::is_trivially_copyable_v<Counters> &&
+                sizeof(Counters) % sizeof(std::uint64_t) == 0);
+  std::array<std::uint64_t, sizeof(Counters) / sizeof(std::uint64_t)> x, y;
+  std::memcpy(x.data(), &a, sizeof a);
+  std::memcpy(y.data(), &b, sizeof b);
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] = op(x[i], y[i]);
+  Counters out = a;
+  std::memcpy(static_cast<void*>(&out), x.data(), sizeof out);
+  return out;
+}
 
 /// Streaming mean/variance (Welford) plus min/max.
 class Accumulator {

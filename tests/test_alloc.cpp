@@ -11,9 +11,12 @@
 //     exactly two: its shared request and the fabric's one shared state for
 //     the callback and the legs (DESIGN.md §5b);
 //   * the idle steady state of the strobe-sender tree (every member
-//     computing, nothing to match or move) stays within 4 allocations per
-//     rack per microphase: the relay's destination set, the ack's
-//     destination set and its shared request, plus the root's share;
+//     computing, nothing to match or move), simulated slice by slice, stays
+//     within 4 allocations per rack per microphase: the relay's destination
+//     set, the ack's destination set and its shared request, plus the
+//     root's share;
+//   * a replayed quiescent slice (DESIGN.md §5b) allocates nothing, flat or
+//     tree;
 //   * a warmed-up EventRun (the flat runtime's per-node NIC timers) files
 //     and fires a microphase's 31 same-instant members without allocating.
 
@@ -23,6 +26,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <new>
 #include <numeric>
@@ -195,23 +199,43 @@ TEST(AllocBudget, EventRunMicrophasesAllocateNothing) {
                                        (kWarmup + kMicrophases)));
 }
 
+/// `nodes` ranks, one per node, computing for 300 ms: after launch every
+/// slice is pure control plane.  `at_boundary(slice)` runs at every slice
+/// boundary (the periodic snapshot sink).
+std::shared_ptr<bcsmpi::Runtime> launchIdleJob(
+    net::Cluster& cluster, int nodes, int fanout,
+    std::function<void(std::uint64_t)> at_boundary) {
+  bcsmpi::BcsMpiConfig cfg;
+  cfg.runtime_init_overhead = sim::usec(50);
+  cfg.tree_fanout = fanout;
+  cfg.checkpoint_every_slices = 1;
+  auto runtime = std::make_shared<bcsmpi::Runtime>(cluster, cfg);
+  runtime->setSnapshotSink(std::move(at_boundary));
+  std::vector<int> map(static_cast<std::size_t>(nodes));
+  std::iota(map.begin(), map.end(), 0);
+  bcsmpi::launchJob(*runtime, map,
+                    [](mpi::Comm& comm) { comm.compute(sim::msec(300)); });
+  return runtime;
+}
+
+net::ClusterConfig computeNodes(int n) {
+  net::ClusterConfig ccfg;
+  ccfg.num_compute_nodes = n;
+  return ccfg;
+}
+
 TEST(AllocBudget, IdleTreeSlicesStayWithinFourPerRackPerMicrophase) {
   constexpr int kNodes = 256;
   constexpr int kFanout = 16;
   constexpr int kRacks = kNodes / kFanout;
   constexpr std::uint64_t kMicrophases = 5;  // DEM, MSM, P2P, BBM, RM
 
-  net::ClusterConfig ccfg;
-  ccfg.num_compute_nodes = kNodes;
-  net::Cluster cluster(ccfg);
-  bcsmpi::BcsMpiConfig cfg;
-  cfg.runtime_init_overhead = sim::usec(50);
-  cfg.tree_fanout = kFanout;
-  auto runtime = std::make_shared<bcsmpi::Runtime>(cluster, cfg);
-  std::vector<int> map(kNodes);
-  std::iota(map.begin(), map.end(), 0);
-  bcsmpi::launchJob(*runtime, map,
-                    [](mpi::Comm& comm) { comm.compute(sim::msec(200)); });
+  net::Cluster cluster(computeNodes(kNodes));
+  // A no-op event 1 ns into every slice makes the quiescent-slice replay
+  // decline, so every slice runs the relay path this budget measures.
+  auto runtime = launchIdleJob(cluster, kNodes, kFanout, [&](std::uint64_t) {
+    cluster.engine().after(1, [] {});
+  });
 
   // Past launch every rank is inside its compute: the slices in between are
   // pure control plane.
@@ -233,6 +257,40 @@ TEST(AllocBudget, IdleTreeSlicesStayWithinFourPerRackPerMicrophase) {
               static_cast<unsigned long long>(allocs),
               static_cast<unsigned long long>(slices), per_rack_microphase);
   EXPECT_LE(per_rack_microphase, 4.0);
+}
+
+TEST(AllocBudget, ReplayedIdleSlicesAllocateNothing) {
+  for (const int fanout : {0, 16}) {
+    const int nodes = fanout == 0 ? 32 : 256;
+    net::Cluster cluster(computeNodes(nodes));
+    // Allocations and engine events at every boundary.  A slice that ran
+    // exactly one engine event (its successor's startSlice) was replayed.
+    std::vector<std::uint64_t> allocs;
+    std::vector<std::uint64_t> events;
+    allocs.reserve(1024);
+    events.reserve(1024);
+    auto runtime = launchIdleJob(cluster, nodes, fanout, [&](std::uint64_t) {
+      allocs.push_back(allocations());
+      events.push_back(cluster.engine().executedEvents());
+    });
+    cluster.run();
+    EXPECT_TRUE(cluster.allProcessesFinished());
+
+    // Warm-up: bring-up, the slice that records the template, and enough
+    // slices for the next-slice events to have visited every wheel bucket
+    // (each slice start lands 244.14 buckets after the last), so every
+    // bucket vector already has capacity.
+    constexpr std::size_t kWarmupSlices = 300;
+    std::uint64_t replayed = 0;
+    std::uint64_t replayed_allocs = 0;
+    for (std::size_t i = kWarmupSlices; i + 1 < events.size(); ++i) {
+      if (events[i + 1] - events[i] != 1) continue;
+      ++replayed;
+      replayed_allocs += allocs[i + 1] - allocs[i];
+    }
+    EXPECT_GE(replayed, 100u) << "fanout " << fanout;
+    EXPECT_EQ(replayed_allocs, 0u) << "fanout " << fanout;
+  }
 }
 
 }  // namespace

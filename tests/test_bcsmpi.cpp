@@ -444,11 +444,10 @@ TEST(BcsMpi, SliceGridIsPeriodic) {
   EXPECT_LE(slices, static_cast<std::uint64_t>(span / cfg.time_slice) + 3);
 }
 
-TEST(BcsMpi, GangSchedulingSharesMachineBetweenJobs) {
-  // Two jobs on the same nodes with gang scheduling: both make progress
-  // and finish; each sees roughly half the CPU.
+/// Two jobs on the same four nodes with gang scheduling: both must make
+/// progress and finish; each sees roughly half the CPU.
+void expectGangSharing(BcsMpiConfig cfg, sim::SimTime until) {
   net::Cluster cluster(smallCluster(4));
-  BcsMpiConfig cfg = fastConfig();
   cfg.gang_scheduling = true;
   auto runtime = std::make_shared<bcsmpi::Runtime>(cluster, cfg);
   std::vector<sim::SimTime> fin_a, fin_b;
@@ -460,12 +459,50 @@ TEST(BcsMpi, GangSchedulingSharesMachineBetweenJobs) {
   };
   bcsmpi::launchJob(*runtime, {0, 1, 2, 3}, body, &fin_a);
   bcsmpi::launchJob(*runtime, {0, 1, 2, 3}, body, &fin_b);
-  cluster.run();
+  cluster.run(until);
   ASSERT_TRUE(cluster.allProcessesFinished());
   // Serial work is 10 ms per job; with slice-level gang sharing both jobs
   // take at least ~2x minus overlap slack, and both complete.
   for (auto t : fin_a) EXPECT_GT(t, msec(15));
   for (auto t : fin_b) EXPECT_GT(t, msec(15));
+}
+
+TEST(BcsMpi, GangSchedulingSharesMachineBetweenJobs) {
+  expectGangSharing(fastConfig(), INT64_MAX);
+}
+
+TEST(BcsMpi, TreeGangSchedulingSharesMachineBetweenJobs) {
+  // The gang-scheduling decision is a Node Manager duty of every slice
+  // start, so the strobe tree must not skip it on idle members: a job whose
+  // ranks all block would otherwise keep its CPUs frozen for good.
+  BcsMpiConfig cfg = fastConfig();
+  cfg.tree_fanout = 2;
+  expectGangSharing(cfg, msec(500));
+}
+
+TEST(BcsMpi, TreeBlockingProbeSeesTheMessage) {
+  // A rank blocked in MPI_Probe is woken at every slice start to look
+  // again; under the strobe tree an otherwise idle member must be too.
+  net::Cluster cluster(smallCluster(8));
+  BcsMpiConfig cfg = fastConfig();
+  cfg.tree_fanout = 4;
+  auto runtime = std::make_shared<bcsmpi::Runtime>(cluster, cfg);
+  char got = 0;
+  bcsmpi::launchJob(*runtime, oneRankPerNode(2), [&got](Comm& comm) {
+    if (comm.rank() == 0) {
+      comm.compute(msec(2));
+      char c = 9;
+      comm.send(&c, 1, 1, 5);
+    } else {
+      mpi::Status st;
+      ASSERT_TRUE(comm.probe(0, 5, &st, /*blocking=*/true));
+      EXPECT_EQ(st.bytes, 1u);
+      comm.recv(&got, 1, 0, 5);
+    }
+  });
+  cluster.run(msec(100));
+  EXPECT_TRUE(cluster.allProcessesFinished());
+  EXPECT_EQ(got, 9);
 }
 
 TEST(BcsMpi, ManySmallMessagesAllToOne) {

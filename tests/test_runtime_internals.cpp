@@ -1,16 +1,25 @@
 // White-box tests of the BCS-MPI runtime: statistics accounting, slice-grid
 // behaviour, error reporting, the spin-vs-descheduled wait distinction, the
-// DEM drain window, and multi-job isolation.
+// DEM drain window, multi-job isolation, and the exactness of quiescent-slice
+// replay.
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
+#include "apps/selfsched.hpp"
 #include "bcsmpi/comm.hpp"
 #include "bcsmpi/runtime.hpp"
 #include "net/cluster.hpp"
+#include "snapshot/checkpoint.hpp"
+#include "snapshot/format.hpp"
+#include "snapshot/scenario.hpp"
 
 namespace {
 
@@ -252,6 +261,358 @@ TEST(RuntimeInternals, SnapshotOfFreshRuntimeIsEmptyAndQuiescent) {
                   n.unmatched_recvs + n.partial_messages,
               0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Quiescent-slice replay is exact (DESIGN.md §5b).  Each scenario runs
+// twice: as is, and with a no-op engine event 1 ns into every slice, which
+// makes the replay decline and so simulates every slice normally.  The
+// periodic snapshot sink is the per-boundary hook of both runs.
+// ---------------------------------------------------------------------------
+
+struct Boundary {
+  std::uint64_t slice = 0;
+  sim::SimTime at = 0;
+  bcsmpi::RuntimeStats runtime;
+  net::FabricStats fabric;
+};
+
+struct ReplayRun {
+  std::vector<Boundary> boundaries;
+  /// Engine events executed by each boundary (its startSlice included).
+  std::vector<std::uint64_t> events;
+  std::vector<sim::SimTime> finish;
+  std::vector<std::uint64_t> results;
+};
+
+struct ReplayScenario {
+  net::ClusterConfig cluster;
+  BcsMpiConfig mpi = fast();
+  std::vector<int> map;
+  std::function<std::uint64_t(Comm&)> body;
+  sim::SimTime until = INT64_MAX;
+};
+
+/// Records one slice boundary; in the declining run, also files the no-op
+/// event 1 ns into the slice.
+void atBoundary(ReplayRun& out, net::Cluster& cluster,
+                const bcsmpi::Runtime& rt, bool decline) {
+  sim::Engine& engine = cluster.engine();
+  out.boundaries.push_back(Boundary{rt.sliceIndex(), engine.now(), rt.stats(),
+                                    cluster.fabric().stats()});
+  out.events.push_back(engine.executedEvents());
+  if (decline) engine.after(1, [] {});
+}
+
+ReplayRun runReplayScenario(const ReplayScenario& sc, bool decline) {
+  net::Cluster cluster(sc.cluster);
+  BcsMpiConfig cfg = sc.mpi;
+  cfg.checkpoint_every_slices = 1;
+  auto runtime = std::make_shared<bcsmpi::Runtime>(cluster, cfg);
+  ReplayRun out;
+  out.results.assign(sc.map.size(), 0);
+  runtime->setSnapshotSink(
+      [&out, &cluster, rt = runtime.get(), decline](std::uint64_t) {
+        atBoundary(out, cluster, *rt, decline);
+      });
+  bcsmpi::launchJob(
+      *runtime, sc.map,
+      [&out, &sc](Comm& comm) {
+        out.results[static_cast<std::size_t>(comm.rank())] = sc.body(comm);
+      },
+      &out.finish);
+  cluster.run(sc.until);
+  EXPECT_TRUE(cluster.allProcessesFinished());
+  return out;
+}
+
+void expectSameBoundaries(const ReplayRun& a, const ReplayRun& b) {
+  ASSERT_EQ(a.boundaries.size(), b.boundaries.size());
+  for (std::size_t i = 0; i < a.boundaries.size(); ++i) {
+    const Boundary& x = a.boundaries[i];
+    const Boundary& y = b.boundaries[i];
+    EXPECT_EQ(x.slice, y.slice) << "boundary " << i;
+    EXPECT_EQ(x.at, y.at) << "boundary " << i;
+    EXPECT_TRUE(x.runtime == y.runtime) << "RuntimeStats at slice " << x.slice;
+    EXPECT_TRUE(x.fabric == y.fabric) << "FabricStats at slice " << x.slice;
+  }
+}
+
+/// Runs `sc` both ways, checks they agree, and returns the as-is run.
+ReplayRun expectReplayExact(const ReplayScenario& sc) {
+  const ReplayRun replayed = runReplayScenario(sc, /*decline=*/false);
+  const ReplayRun simulated = runReplayScenario(sc, /*decline=*/true);
+  expectSameBoundaries(replayed, simulated);
+  EXPECT_EQ(replayed.finish, simulated.finish);
+  EXPECT_EQ(replayed.results, simulated.results);
+  return replayed;
+}
+
+/// Slices (between consecutive boundaries) that executed exactly one engine
+/// event — their next startSlice, nothing else.
+std::size_t oneEventSlices(const ReplayRun& run) {
+  std::size_t n = 0;
+  for (std::size_t i = 1; i < run.events.size(); ++i) {
+    if (run.events[i] - run.events[i - 1] == 1) ++n;
+  }
+  return n;
+}
+
+/// Expects at least 75% of the steady-state slices to execute exactly one
+/// engine event.  Steady state: from the first replayed slice on, the
+/// slices that exchanged, chunked and scheduled nothing (perfbench's idle
+/// classification).  Watchdog re-arms decline the rest — one chain in flat
+/// mode, two side by side in the tree (DESIGN.md §5b).
+void expectMostlyReplayed(const ReplayRun& run) {
+  std::size_t steady = 0;
+  std::size_t replayed = 0;
+  bool started = false;
+  for (std::size_t i = 1; i < run.boundaries.size(); ++i) {
+    const bcsmpi::RuntimeStats& a = run.boundaries[i - 1].runtime;
+    const bcsmpi::RuntimeStats& b = run.boundaries[i].runtime;
+    const bool one_event = run.events[i] - run.events[i - 1] == 1;
+    started = started || one_event;
+    if (!started || a.descriptors_exchanged != b.descriptors_exchanged ||
+        a.chunks_transferred != b.chunks_transferred ||
+        a.collectives_scheduled != b.collectives_scheduled) {
+      continue;
+    }
+    ++steady;
+    if (one_event) ++replayed;
+  }
+  ASSERT_GT(steady, 100u);
+  EXPECT_GE(4 * replayed, 3 * steady)
+      << replayed << " of " << steady << " steady-state slices replayed";
+}
+
+std::vector<int> blockMap(int nodes, int ranks_per_node) {
+  std::vector<int> map;
+  for (int n = 0; n < nodes; ++n) {
+    for (int k = 0; k < ranks_per_node; ++k) map.push_back(n);
+  }
+  return map;
+}
+
+/// bench_engine's sparse job: a ring exchange, then a long compute, twice.
+std::uint64_t sparseRing(Comm& comm, sim::Duration compute) {
+  const int P = comm.size();
+  const int me = comm.rank();
+  std::uint64_t sum = 0;
+  for (int round = 0; round < 2; ++round) {
+    std::array<std::uint8_t, 64> out{};
+    std::array<std::uint8_t, 64> in{};
+    out.fill(static_cast<std::uint8_t>(me * 7 + round));
+    std::vector<mpi::Request> reqs;
+    reqs.push_back(comm.irecv(in.data(), in.size(), (me + P - 1) % P, round));
+    reqs.push_back(comm.isend(out.data(), out.size(), (me + 1) % P, round));
+    comm.waitall(reqs);
+    comm.compute(compute);
+    for (std::uint8_t b : in) sum += b;
+  }
+  return sum;
+}
+
+ReplayScenario sparseScenario(int node_count, int ranks_per_node,
+                              sim::Duration compute) {
+  ReplayScenario sc;
+  sc.cluster = nodes(node_count);
+  sc.map = blockMap(node_count, ranks_per_node);
+  sc.body = [compute](Comm& comm) { return sparseRing(comm, compute); };
+  return sc;
+}
+
+TEST(SliceReplay, FlatSparseJobMatchesSimulatedSlices) {
+  expectMostlyReplayed(expectReplayExact(sparseScenario(32, 1, msec(40))));
+}
+
+TEST(SliceReplay, TreeSparseJobMatchesSimulatedSlices) {
+  ReplayScenario sc = sparseScenario(256, 1, msec(40));
+  sc.mpi.tree_fanout = 16;
+  expectMostlyReplayed(expectReplayExact(sc));
+}
+
+TEST(SliceReplay, TwoRanksPerNodeMatchesSimulatedSlices) {
+  const ReplayRun run = expectReplayExact(sparseScenario(16, 2, msec(10)));
+  EXPECT_GT(oneEventSlices(run), 0u);
+}
+
+TEST(SliceReplay, CollectivesMatchSimulatedSlices) {
+  ReplayScenario sc;
+  sc.cluster = nodes(8);
+  sc.map = blockMap(8, 1);
+  sc.body = [](Comm& comm) {
+    std::uint64_t sum = 0;
+    for (int i = 0; i < 3; ++i) {
+      comm.compute(msec(3) + usec(170) * comm.rank());
+      comm.barrier();
+      double v = comm.rank() + i;
+      double total = 0;
+      comm.allreduce(&v, &total, 1, mpi::Datatype::kFloat64,
+                     mpi::ReduceOp::kSum);
+      int word = comm.rank() == 2 ? 40 + i : 0;
+      comm.bcast(&word, sizeof word, 2);
+      sum += static_cast<std::uint64_t>(total) * 100 +
+             static_cast<std::uint64_t>(word);
+    }
+    return sum;
+  };
+  const ReplayRun run = expectReplayExact(sc);
+  EXPECT_GT(oneEventSlices(run), 0u);
+}
+
+TEST(SliceReplay, RmaSelfSchedulerMatchesSimulatedSlices) {
+  ReplayScenario sc;
+  sc.cluster = nodes(8);
+  sc.map = blockMap(8, 1);
+  sc.body = [](Comm& comm) {
+    apps::SelfSchedConfig cfg;
+    cfg.chunks = 48;
+    cfg.base_cost = usec(600);
+    cfg.cost_ramp = 4.0;
+    const std::uint64_t first = apps::selfSchedule(comm, cfg).digest;
+    comm.compute(msec(4));  // an idle stretch between two loops
+    return first ^ apps::selfSchedule(comm, cfg).digest;
+  };
+  const ReplayRun run = expectReplayExact(sc);
+  EXPECT_GT(oneEventSlices(run), 0u);
+}
+
+TEST(SliceReplay, VerifyOnMatchesSimulatedSlices) {
+  ReplayScenario sc = sparseScenario(8, 1, msec(10));
+  sc.mpi.verify = true;
+  const ReplayRun run = expectReplayExact(sc);
+  EXPECT_GT(oneEventSlices(run), 0u);
+}
+
+TEST(SliceReplay, DropRateFaultsMatchSimulatedSlices) {
+  ReplayScenario sc = sparseScenario(16, 1, msec(10));
+  sc.cluster.seed = 91;
+  sc.cluster.faults.dropRate(0.05);
+  const ReplayRun run = expectReplayExact(sc);
+  EXPECT_GT(oneEventSlices(run), 0u);
+}
+
+TEST(SliceReplay, HangInsideAnIdleWindowDeclinesAndMatches) {
+  // Slices start at 50 us + k * 500 us.  Node 5 hangs 30 us into slice 20,
+  // while every rank computes: nothing but the fault is in that window.
+  constexpr int kSlice = 20;
+  const sim::SimTime hang_at = usec(50) + kSlice * usec(500) + usec(30);
+  ReplayScenario sc = sparseScenario(8, 1, msec(20));
+  sc.cluster.faults.hangNode(5, hang_at, usec(300));
+  const ReplayRun run = expectReplayExact(sc);
+  // Idle slices before the hang were replayed, the hung one was not.
+  std::size_t hung = 0;
+  while (hung + 1 < run.boundaries.size() &&
+         run.boundaries[hung + 1].at <= hang_at) {
+    ++hung;
+  }
+  ASSERT_EQ(run.boundaries[hung].slice, static_cast<std::uint64_t>(kSlice));
+  ASSERT_GT(hung, 0u);
+  ASSERT_LT(hung + 1, run.events.size());
+  EXPECT_GT(run.events[hung + 1] - run.events[hung], 1u);
+  EXPECT_EQ(run.events[hung] - run.events[hung - 1], 1u);
+}
+
+TEST(SliceReplay, StrobeSenderCrashAfterIdleSlicesMatches) {
+  // The management node dies in an idle stretch.  The watchdog deadlines
+  // come from replayed last_strobe values, the backup's recovery poll reads
+  // replayed phase_done replicas (the tree's also replayed rack books), and
+  // the new Strobe Sender is a compute node that strobes itself through
+  // NIC-local memory, which the template recorded after the election holds.
+  for (const int fanout : {0, 4}) {
+    ReplayScenario sc = sparseScenario(16, 1, msec(20));
+    sc.mpi.tree_fanout = fanout;
+    sc.cluster.faults.crashManagementNode(usec(50) + 12 * usec(500) +
+                                          usec(250));
+    sc.until = msec(200);
+    const ReplayRun run = expectReplayExact(sc);
+    ASSERT_FALSE(run.boundaries.empty());
+    EXPECT_EQ(run.boundaries.back().runtime.elections, 1u) << fanout;
+    std::size_t replayed_after = 0;
+    for (std::size_t i = 1; i < run.boundaries.size(); ++i) {
+      if (run.boundaries[i - 1].runtime.elections == 1 &&
+          run.events[i] - run.events[i - 1] == 1) {
+        ++replayed_after;
+      }
+    }
+    EXPECT_GT(replayed_after, 0u) << fanout;
+  }
+}
+
+TEST(SliceReplay, ObserversInsideAnIdleSliceSeeItUnderWay) {
+  // Whoever looks at the runtime while a slice is under way sees it under
+  // way, not replayed to its end: a run() bound inside the slice declines
+  // the replay, and so does an engine event inside it.
+  net::Cluster cluster(nodes(8));
+  auto runtime = std::make_shared<bcsmpi::Runtime>(cluster, fast());
+  bcsmpi::launchJob(*runtime, blockMap(8, 1),
+                    [](Comm& comm) { comm.compute(msec(20)); });
+  const auto under_way = [&runtime] {
+    // Only the slice's DEM strobe is out.
+    const bcsmpi::RuntimeStats& st = runtime->stats();
+    return st.microstrobes == 5 * (st.slices - 1) + 1;
+  };
+  // Slices start at 50 us + k * 500 us; the earlier ones were replayed.
+  const auto slice = [](int k) { return usec(50) + k * usec(500); };
+  cluster.run(slice(10) + usec(10));
+  EXPECT_EQ(runtime->stats().slices, 11u);
+  EXPECT_TRUE(under_way());
+  EXPECT_LT(cluster.engine().executedEvents(), 11u * 20u);
+  bool seen = false;
+  cluster.engine().at(slice(14) + usec(10), [&] { seen = under_way(); });
+  cluster.run();
+  EXPECT_TRUE(cluster.allProcessesFinished());
+  EXPECT_TRUE(seen);
+}
+
+/// Runs a checkpointable scenario untraced to `until` with a snapshot at
+/// every boundary.  An extra detached rank that never posts anything keeps
+/// the strobe going once the ring is done, so the tail is quiescent.
+struct CapturedRun {
+  ReplayRun run;
+  std::vector<std::vector<std::uint8_t>> blobs;
+};
+
+CapturedRun captureEverySlice(snapshot::ScenarioSpec spec, bool decline,
+                              sim::SimTime until) {
+  spec.trace = false;
+  spec.mpi.checkpoint_every_slices = 1;
+  snapshot::Simulation sim = snapshot::build(spec);
+  sim.runtime->registerDetachedRank(sim.runtime->createJob({0}), 0);
+  CapturedRun out;
+  sim.runtime->setSnapshotSink([&](std::uint64_t) {
+    out.blobs.push_back(snapshot::capture(sim));
+    atBoundary(out.run, *sim.cluster, *sim.runtime, decline);
+  });
+  sim.cluster->run(until);
+  EXPECT_TRUE(sim.workload->allFinished());
+  return out;
+}
+
+void expectSnapshotsMatchExceptTheEngine(const snapshot::ScenarioSpec& spec) {
+  const CapturedRun a = captureEverySlice(spec, false, msec(25));
+  const CapturedRun b = captureEverySlice(spec, true, msec(25));
+  expectSameBoundaries(a.run, b.run);
+  EXPECT_GT(oneEventSlices(a.run), 10u);
+  ASSERT_EQ(a.blobs.size(), b.blobs.size());
+  for (std::size_t i = 0; i < a.blobs.size(); ++i) {
+    const snapshot::SnapshotReader x(a.blobs[i]);
+    const snapshot::SnapshotReader y(b.blobs[i]);
+    ASSERT_EQ(x.sections().size(), y.sections().size());
+    for (const snapshot::SectionInfo& info : x.sections()) {
+      if (info.name == "engine") continue;
+      EXPECT_EQ(x.section(info.name), y.section(info.name))
+          << "section " << info.name << " of blob " << i;
+    }
+  }
+}
+
+TEST(SliceReplay, DetachedRingSnapshotsMatchExceptTheEngine) {
+  expectSnapshotsMatchExceptTheEngine(snapshot::ckptRing());
+}
+
+TEST(SliceReplay, DetachedTreeSnapshotsMatchExceptTheEngine) {
+  expectSnapshotsMatchExceptTheEngine(snapshot::ckptTree());
 }
 
 }  // namespace

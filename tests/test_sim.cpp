@@ -240,6 +240,69 @@ TEST(Engine, PendingCountsLiveEventsAndTombstonesAreObservable) {
   EXPECT_EQ(eng.droppedTombstones(), 4u);  // reclaimed during the run
 }
 
+// nextEventTime() reports the earliest queue entry without touching the
+// queue: wheel entries, a cancelled wheel entry (skipped), overflow entries,
+// a cancelled overflow top (reported: the query may only err early), and
+// both sides of the wheel horizon.
+TEST(Engine, NextEventTimeIsConservativeAndTouchesNothing) {
+  constexpr SimTime kEdge = nsec(256 * 2048);  // wheel horizon at time 0
+  Engine eng;
+  EXPECT_EQ(eng.nextEventTime(), INT64_MAX);
+  const EventId far = eng.at(kEdge + 5, [] {});  // overflow
+  EXPECT_EQ(eng.nextEventTime(), kEdge + 5);
+  eng.at(kEdge, [] {});  // overflow: the horizon itself
+  EXPECT_EQ(eng.nextEventTime(), kEdge);
+  eng.at(kEdge - 1, [] {});  // wheel, last bucket
+  EXPECT_EQ(eng.nextEventTime(), kEdge - 1);
+  const EventId near = eng.at(usec(3), [] {});
+  eng.at(usec(7), [] {});
+  EXPECT_EQ(eng.nextEventTime(), usec(3));
+  EXPECT_TRUE(eng.cancel(near));  // a wheel tombstone is skipped
+  EXPECT_EQ(eng.nextEventTime(), usec(7));
+  EXPECT_EQ(eng.droppedTombstones(), 0u);  // and not reclaimed
+  EXPECT_EQ(eng.pendingEvents(), 4u);
+
+  // From inside a callback: a late arrival at now() lands in the cursor's
+  // own bucket and is seen.
+  SimTime asked = 0;
+  eng.at(usec(7), [&] {
+    eng.at(eng.now(), [] {});
+    asked = eng.nextEventTime();
+  });
+  eng.run(usec(7));
+  EXPECT_EQ(asked, usec(7));
+  EXPECT_EQ(eng.nextEventTime(), kEdge - 1);
+  eng.run(kEdge);
+  EXPECT_EQ(eng.nextEventTime(), kEdge + 5);
+
+  // Only the cancelled overflow top is left: reported, never reclaimed by
+  // asking.
+  EXPECT_TRUE(eng.cancel(far));
+  EXPECT_EQ(eng.pendingEvents(), 0u);
+  EXPECT_EQ(eng.nextEventTime(), kEdge + 5);
+  const std::uint64_t dropped = eng.droppedTombstones();
+  EXPECT_EQ(eng.nextEventTime(), kEdge + 5);
+  EXPECT_EQ(eng.droppedTombstones(), dropped);
+  eng.run();
+  EXPECT_EQ(eng.droppedTombstones(), dropped + 1);
+  EXPECT_EQ(eng.nextEventTime(), INT64_MAX);
+}
+
+// runLimit() is the bound of the run() in progress, and the firing entry's
+// own time under step().
+TEST(Engine, RunLimitIsTheBoundOfTheRunInProgress) {
+  Engine eng;
+  std::vector<SimTime> limits;
+  const auto note = [&] { limits.push_back(eng.runLimit()); };
+  eng.at(usec(1), note);
+  eng.at(usec(2), note);
+  eng.at(usec(9), note);
+  eng.run(usec(5));
+  EXPECT_EQ(limits, (std::vector<SimTime>{usec(5), usec(5)}));
+  EXPECT_TRUE(eng.step());
+  EXPECT_EQ(limits.back(), usec(9));
+}
+
 // Callables larger than the inline slot take the heap fallback; both paths
 // must run and destruct correctly.
 TEST(Engine, LargeCallbacksUseHeapFallbackCorrectly) {
@@ -308,6 +371,9 @@ class Twin {
 
   Engine eng;
   std::vector<Seen> seen;
+  /// When set, every callback asks nextEventTime() after its spawns.
+  bool ask = false;
+  std::vector<SimTime> asked;
 
  private:
   void fired(std::int64_t id) {
@@ -316,6 +382,7 @@ class Twin {
     for (const Spawn& s : script_(id)) {
       schedule(s.member, eng.now() + s.delay, s.id);
     }
+    if (ask) asked.push_back(eng.nextEventTime());
     if (id == throw_id_) throw std::runtime_error("member threw");
   }
 
@@ -461,6 +528,31 @@ TEST(EventRun, SeededSoupMatchesPlainEvents) {
     plain.eng.run();
     EXPECT_EQ(runs.seen, plain.seen) << "seed " << seed;
     EXPECT_GT(runs.seen.size(), 15u) << "seed " << seed;
+  }
+}
+
+// Twin engines run one soup of plain events; on one of them every callback
+// asks nextEventTime().  Asking must change nothing either twin sees, and
+// the answer must lie between now and the instant that fires next.
+TEST(Engine, NextEventTimeQueryChangesNothingLater) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    Twin asks(false, soupScript(seed));
+    Twin plain(false, soupScript(seed));
+    asks.ask = true;
+    std::vector<std::tuple<bool, SimTime, std::int64_t>> roots;
+    for (std::int64_t r = 1; r <= 15; ++r) {
+      roots.emplace_back(false, nsec(2048) * (r % 3) + (r % 2), r);
+    }
+    seedTwins(asks, plain, roots);
+    asks.eng.run();
+    plain.eng.run();
+    EXPECT_EQ(asks.seen, plain.seen) << "seed " << seed;
+    ASSERT_EQ(asks.asked.size(), asks.seen.size());
+    for (std::size_t i = 0; i + 1 < asks.seen.size(); ++i) {
+      EXPECT_GE(asks.asked[i], asks.seen[i].now) << "seed " << seed;
+      EXPECT_LE(asks.asked[i], asks.seen[i + 1].now) << "seed " << seed;
+    }
+    EXPECT_EQ(asks.asked.back(), INT64_MAX) << "seed " << seed;
   }
 }
 
