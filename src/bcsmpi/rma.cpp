@@ -121,6 +121,7 @@ std::uint64_t Runtime::postPut(int job, int rank, int target, int window,
   d.call_index = rs.next_rma_call++;
   ++stats_.rma_ops;
   nodeState(rs.node).rma_fresh.push_back(d);
+  noteWork();
   return req;
 }
 
@@ -150,6 +151,7 @@ std::uint64_t Runtime::postGet(int job, int rank, int target, int window,
   d.call_index = rs.next_rma_call++;
   ++stats_.rma_ops;
   nodeState(rs.node).rma_fresh.push_back(d);
+  noteWork();
   return req;
 }
 
@@ -181,6 +183,7 @@ std::uint64_t Runtime::postFetchAdd(int job, int rank, int target, int window,
   d.call_index = rs.next_rma_call++;
   ++stats_.rma_ops;
   nodeState(rs.node).rma_fresh.push_back(d);
+  noteWork();
   return req;
 }
 

@@ -89,6 +89,7 @@ int Runtime::createJob(std::vector<int> node_of_rank) {
   js.coll_flag = core_.allocVar("coll_flag_j" + std::to_string(id), -1);
   js.coll_sched = core_.allocVar("coll_sched_j" + std::to_string(id), -1);
   jobs_.push_back(std::move(js));
+  noteWork();  // a second job gives the Node Manager a gang decision
   return id;
 }
 
@@ -199,6 +200,7 @@ std::uint64_t Runtime::postSend(int job, int rank, const void* buf,
   d.posted_at = rs.proc ? rs.proc->now() : cluster_.engine().now();
   d.seq = ++desc_seq_;
   nodeState(rs.node).bs_fresh.push_back(d);
+  noteWork();
   return req;
 }
 
@@ -220,6 +222,7 @@ std::uint64_t Runtime::postRecv(int job, int rank, void* buf,
   d.posted_at = rs.proc ? rs.proc->now() : cluster_.engine().now();
   d.seq = ++desc_seq_;
   nodeState(rs.node).recv_fresh.push_back(d);
+  noteWork();
   return req;
 }
 
@@ -250,6 +253,7 @@ std::uint64_t Runtime::postCollective(int job, int rank, CollectiveType type,
                                   jobSize(job));
   }
   nodeState(rs.node).coll_fresh.push_back(d);
+  noteWork();
   return req;
 }
 
@@ -328,6 +332,7 @@ bool Runtime::probe(int job, int rank, int src, int tag, mpi::Status* status,
     }
     if (!blocking) return false;
     ns.probe_waiters.emplace_back(job, rank);
+    noteWork();
     rs.proc->block();
   }
 }
@@ -348,6 +353,7 @@ void Runtime::completeRequest(int job, int rank, std::uint64_t req, int peer,
     if (rs.proc) rs.proc->wake();
   } else {
     nodeState(rs.node).wake_list.emplace_back(job, rank);
+    noteWork();
   }
 }
 
@@ -375,6 +381,7 @@ void Runtime::failRequest(int job, int rank, std::uint64_t req, int peer,
     if (rs.proc) rs.proc->wake();
   } else {
     nodeState(rs.node).wake_list.emplace_back(job, rank);
+    noteWork();
   }
 }
 
@@ -667,16 +674,24 @@ bool Runtime::nodeIdle(const NodeState& ns, Phase p) const {
   return false;
 }
 
-bool Runtime::sliceQuiescent(SimTime now) const {
+bool Runtime::sliceQuiescent(SimTime now, bool after_replay) {
   if (trace_->enabled() || active_ranks_ == 0 || live_compute_nodes_.empty()) {
     return false;
   }
-  for (int n : live_compute_nodes_) {
-    const NodeState& ns = nodes_[static_cast<std::size_t>(n)];
-    if (config_.watchdog_slices > 0 && !ns.watchdog_armed) return false;
-    for (int p = 0; p < kNumPhases; ++p) {
-      if (!nodeIdle(ns, static_cast<Phase>(p))) return false;
+  // A replayed slice changes no node queue and arms or disarms no watchdog,
+  // and everything else that does between slices bumps work_epoch_: rank-
+  // side posts, blocking probes, wake-list pushes, job creation, a watchdog
+  // left disarmed (and evictions, rejoins and elections end the replay run
+  // through dropSliceTemplate).  So the last walk's verdict still holds.
+  if (!after_replay || work_epoch_ != idle_epoch_) {
+    for (int n : live_compute_nodes_) {
+      const NodeState& ns = nodes_[static_cast<std::size_t>(n)];
+      if (config_.watchdog_slices > 0 && !ns.watchdog_armed) return false;
+      for (int p = 0; p < kNumPhases; ++p) {
+        if (!nodeIdle(ns, static_cast<Phase>(p))) return false;
+      }
     }
+    idle_epoch_ = work_epoch_;
   }
   return cluster_.fabric().quiet(now);
 }
@@ -691,6 +706,7 @@ bool Runtime::controlPlaneDownDuring(SimTime from, SimTime to) const {
 
 bool Runtime::replaySlice() {
   recording_.active = false;
+  const bool after_replay = std::exchange(slice_replayed_, false);
   sim::Engine& engine = cluster_.engine();
   const SimTime now = engine.now();
   // The O(1) tests first: a pending event in the window declines before
@@ -701,7 +717,7 @@ bool Runtime::replaySlice() {
     const SimTime end = now + slice_template_->rm_offset;
     if (next_event <= end || end > engine.runLimit()) return false;
   }
-  if (!sliceQuiescent(now)) return false;
+  if (!sliceQuiescent(now, after_replay)) return false;
   if (!slice_template_) {
     // Record this slice if it runs undisturbed to its RM completion; that
     // is checked when it gets there (finishRecording).
@@ -769,6 +785,7 @@ bool Runtime::replaySlice() {
     if (epoch != control_epoch_) return;
     startSlice();
   });
+  slice_replayed_ = true;
   return true;
 }
 
@@ -1074,7 +1091,6 @@ void Runtime::performRecovery() {
 
 void Runtime::evictNodeState(int node) {
   NodeState& dead_ns = nodeState(node);
-  if (dead_ns.watchdog_armed) cluster_.engine().cancel(dead_ns.watchdog);
 
   // 1. Requests of *live* ranks whose completion depended on the dead node's
   //    local queues.  (The counterpart descriptor lives on the dead node and
@@ -1225,9 +1241,45 @@ void Runtime::armWatchdogAt(int node, SimTime when) {
   if (config_.watchdog_slices <= 0 || stop_requested_) return;
   NodeState& ns = nodeState(node);
   ns.watchdog_armed = true;
-  const SimTime at = std::max(when, cluster_.engine().now());
-  ns.watchdog_at = at;  // recorded so snapshots can re-arm at the deadline
-  ns.watchdog = cluster_.engine().at(at, [this, node] { onWatchdog(node); });
+  ns.watchdog_at = std::max(when, cluster_.engine().now());
+  if (!running_watchdogs_) scheduleWatchdogTimer(ns.watchdog_at);
+}
+
+SimTime Runtime::watchdogRecheckAt(SimTime deadline, SimTime now) const {
+  // Elections and overruns resume on slice_start_ + k * time_slice, so the
+  // grid is the same one every slice boundary of the run sits on.
+  const Duration period = config_.time_slice;
+  Duration past = (deadline - slice_start_) % period;
+  if (past < 0) past += period;
+  const SimTime boundary = deadline - past;
+  return boundary > now ? boundary : deadline;
+}
+
+void Runtime::scheduleWatchdogTimer(SimTime at) {
+  if (at >= watchdog_timer_at_) return;
+  sim::Engine& engine = cluster_.engine();
+  if (watchdog_timer_at_ != kNoTimer) engine.cancel(watchdog_timer_);
+  watchdog_timer_at_ = at;
+  watchdog_timer_ = engine.at(at, [this] { runDueWatchdogs(); });
+}
+
+void Runtime::runDueWatchdogs() {
+  watchdog_timer_at_ = kNoTimer;
+  const SimTime now = cluster_.engine().now();
+  running_watchdogs_ = true;
+  for (int n : all_compute_nodes_) {
+    const NodeState& ns = nodes_[static_cast<std::size_t>(n)];
+    if (!ns.watchdog_armed || ns.watchdog_at > now) continue;
+    onWatchdog(n);
+    // The quiescence walk must see a live node whose watchdog stays off.
+    if (!ns.watchdog_armed && !nodeEvicted(n)) noteWork();
+  }
+  running_watchdogs_ = false;
+  SimTime next = kNoTimer;
+  for (const NodeState& ns : nodes_) {
+    if (ns.watchdog_armed) next = std::min(next, ns.watchdog_at);
+  }
+  if (next != kNoTimer) scheduleWatchdogTimer(next);
 }
 
 void Runtime::onWatchdog(int node) {
@@ -1244,8 +1296,11 @@ void Runtime::onWatchdog(int node) {
   }
   const SimTime deadline = ns.last_strobe + watchdogTimeout();
   if (now < deadline) {
-    // A strobe arrived since the timer was set — re-check at its deadline.
-    armWatchdogAt(node, deadline);
+    // A strobe arrived since the watchdog was armed.  Check again at the
+    // slice boundary before the deadline, where the timer fires ahead of
+    // that boundary's startSlice instead of inside a slice; the last step
+    // of the chain lands on the deadline itself.
+    armWatchdogAt(node, watchdogRecheckAt(deadline, now));
     return;
   }
   if (node == strobe_node_) return;  // the Strobe Sender never suspects itself
@@ -1271,11 +1326,10 @@ void Runtime::onWatchdog(int node) {
 }
 
 void Runtime::stopWatchdogs() {
-  for (int n : all_compute_nodes_) {
-    NodeState& ns = nodeState(n);
-    if (!ns.watchdog_armed) continue;
-    cluster_.engine().cancel(ns.watchdog);
-    ns.watchdog_armed = false;
+  for (NodeState& ns : nodes_) ns.watchdog_armed = false;
+  if (watchdog_timer_at_ != kNoTimer) {
+    cluster_.engine().cancel(watchdog_timer_);
+    watchdog_timer_at_ = kNoTimer;
   }
 }
 

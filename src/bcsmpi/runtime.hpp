@@ -451,11 +451,11 @@ class Runtime {
     // FIFO-drain token the rack's shared drain event releases.
     bool tree_floor = false;
     bool tree_drain = false;
-    // Slice watchdog (Strobe Receiver side of control-plane failover).
+    // Slice watchdog (Strobe Receiver side of control-plane failover).  The
+    // runtime's one watchdog timer runs it once watchdog_at is due.
     SimTime last_strobe = 0;
-    sim::EventId watchdog{};
     bool watchdog_armed = false;
-    SimTime watchdog_at = 0;  ///< deadline of the armed watchdog (snapshots)
+    SimTime watchdog_at = 0;  ///< when the armed watchdog runs
   };
 
   /// Per-rack strobe-protocol state (tree mode).  Role/membership live in
@@ -528,8 +528,9 @@ class Runtime {
   bool replaySlice();
   /// Every condition but the template's: trace off, ranks active, every
   /// live node idle in all five microphases with its watchdog armed, and a
-  /// quiet fabric.
-  bool sliceQuiescent(SimTime now) const;
+  /// quiet fabric.  After a replayed slice the node walk is skipped while
+  /// work_epoch_ still equals the value the last walk admitted.
+  bool sliceQuiescent(SimTime now, bool after_replay);
   /// A live node or the Strobe Sender is down somewhere in [from, to].
   bool controlPlaneDownDuring(SimTime from, SimTime to) const;
   void finishRecording(SimTime next);
@@ -538,7 +539,11 @@ class Runtime {
   void dropSliceTemplate() {
     slice_template_.reset();
     recording_.active = false;
+    slice_replayed_ = false;
   }
+  /// Marks a change the quiescence walk must see: NIC work queued outside a
+  /// simulated slice, or a live node's watchdog left disarmed.
+  void noteWork() { ++work_epoch_; }
 
   // ---- Strobe Receiver / NIC threads (compute nodes) ----
   void onStrobe(int node, Phase p, std::uint64_t seq);
@@ -636,6 +641,14 @@ class Runtime {
     return static_cast<Duration>(config_.watchdog_slices) * config_.time_slice;
   }
   void armWatchdogAt(int node, SimTime when);
+  /// Where a watchdog that heard a strobe since it was armed checks again:
+  /// the last slice boundary at or before `deadline`, or the deadline
+  /// itself when that boundary is not after now.
+  SimTime watchdogRecheckAt(SimTime deadline, SimTime now) const;
+  /// The watchdog timer's event: runs every due node's watchdog in
+  /// ascending node order, then re-files itself at the earliest deadline.
+  void runDueWatchdogs();
+  void scheduleWatchdogTimer(SimTime at);
   void onWatchdog(int node);
   void stopWatchdogs();
   void beginElection(int node);
@@ -691,6 +704,15 @@ class Runtime {
   std::vector<int> pending_rejoins_;  ///< reintegrated at next slice boundary
   std::function<void(int, std::uint64_t)> failover_handler_;
 
+  /// The slice watchdogs' one engine event (DESIGN.md §4c), pending at
+  /// watchdog_timer_at_; kNoTimer when none is.  While runDueWatchdogs is
+  /// running, re-arms only update their node and the timer is re-filed at
+  /// the end.
+  static constexpr SimTime kNoTimer = INT64_MAX;
+  sim::EventId watchdog_timer_{};
+  SimTime watchdog_timer_at_ = kNoTimer;
+  bool running_watchdogs_ = false;
+
   bool strobing_ = false;
   bool stop_requested_ = false;
   std::uint64_t slice_index_ = 0;
@@ -720,6 +742,12 @@ class Runtime {
   /// and the slice recording one.  Neither is part of a snapshot.
   std::optional<SliceTemplate> slice_template_;
   SliceRecording recording_;
+  /// The slice that started last was replayed.
+  bool slice_replayed_ = false;
+  /// Bumped by noteWork(); idle_epoch_ is its value at the last node walk
+  /// that found every live node idle and armed.
+  std::uint64_t work_epoch_ = 0;
+  std::uint64_t idle_epoch_ = 0;
 
   std::vector<std::function<void(const CheckpointRecord&)>> checkpoint_cbs_;
 

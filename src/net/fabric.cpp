@@ -127,7 +127,7 @@ void Fabric::unicast(int src, int dst, std::size_t bytes,
 
   const SimTime inject = now + params_.nic_tx_overhead + params_.pci_latency;
   const SimTime start_tx = std::max(inject, e_src.egress_free);
-  e_src.egress_free = start_tx + serial;
+  setFree(e_src.egress_free, start_tx + serial);
 
   // Fault decisions: the packet occupies the source egress either way (it
   // was injected), but a lost packet never occupies the destination ingress
@@ -164,7 +164,7 @@ void Fabric::unicast(int src, int dst, std::size_t bytes,
 
   const SimTime deliver_end =
       std::max(arrival, e_dst.ingress_free + serial);
-  e_dst.ingress_free = deliver_end;
+  setFree(e_dst.ingress_free, deliver_end);
 
   const SimTime completion = deliver_end + params_.nic_rx_overhead;
 
@@ -212,7 +212,7 @@ void Fabric::multicast(int src, std::vector<int> dests, std::size_t bytes,
   Endpoint& e_src = endpoints_[static_cast<std::size_t>(src)];
   const SimTime inject = now + params_.nic_tx_overhead + params_.pci_latency;
   const SimTime start_tx = std::max(inject, e_src.egress_free);
-  e_src.egress_free = start_tx + serial;
+  setFree(e_src.egress_free, start_tx + serial);
 
   // The switch fans out; the fixed part is the depth of the tree.
   const Duration fanout_latency =
@@ -238,7 +238,8 @@ void Fabric::multicast(int src, std::vector<int> dests, std::size_t bytes,
       continue;
     }
     Endpoint& e_dst = endpoints_[static_cast<std::size_t>(d)];
-    e_dst.ingress_free = std::max(arrival, e_dst.ingress_free + dserial);
+    setFree(e_dst.ingress_free,
+            std::max(arrival, e_dst.ingress_free + dserial));
     last = std::max(last, e_dst.ingress_free + params_.nic_rx_overhead);
     dests[live++] = d;
   }
@@ -311,13 +312,6 @@ void Fabric::softwareMulticast(int src, const std::vector<int>& dests,
   issueSoftwareMulticast(*this, st, 0);
 }
 
-bool Fabric::quiet(SimTime now) const {
-  for (const Endpoint& e : endpoints_) {
-    if (e.egress_free > now || e.ingress_free > now) return false;
-  }
-  return true;
-}
-
 FabricDelta Fabric::deltaSince(const Mark& m, SimTime base) const {
   FabricDelta d;
   d.stats = sim::zipCounters(stats_, m.stats, std::minus<>());
@@ -338,7 +332,7 @@ void Fabric::apply(const FabricDelta& d, SimTime base) {
   stats_ = sim::zipCounters(stats_, d.stats, std::plus<>());
   for (const FabricDelta::Busy& b : d.busy) {
     Endpoint& e = endpoints_[static_cast<std::size_t>(b.node)];
-    (b.ingress ? e.ingress_free : e.egress_free) = base + b.offset;
+    setFree(b.ingress ? e.ingress_free : e.egress_free, base + b.offset);
   }
 }
 

@@ -32,6 +32,7 @@
 // simulated instant and (optionally) writes a value back at that same
 // instant — this is what makes Compare-And-Write sequentially consistent.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -147,8 +148,8 @@ class Fabric {
 
   /// True iff no endpoint is busy past `now`.  Every transfer started from
   /// a quiet instant finds its wires free, so its timing depends only on
-  /// how long after that instant it starts.
-  bool quiet(SimTime now) const;
+  /// how long after that instant it starts.  O(1): free-times only grow.
+  bool quiet(SimTime now) const { return busy_until_ <= now; }
 
   /// One node's NIC: the instants its egress and ingress are free again.
   struct Endpoint {
@@ -186,12 +187,20 @@ class Fabric {
   void scheduleLegs(std::vector<int> dests, NodeCallback per_dest);
 
   void checkNode(int node) const;
+  /// Sets an endpoint free-time, keeping busy_until_ the latest of them.
+  void setFree(SimTime& free_at, SimTime at) {
+    free_at = at;
+    busy_until_ = std::max(busy_until_, at);
+  }
 
   sim::Engine& engine_;
   NetworkParams params_;
   int num_nodes_;
   FatTree tree_;
   std::vector<Endpoint> endpoints_;
+  /// The latest endpoint free-time.  Every write moves a free-time forward
+  /// (replays apply theirs at a quiet instant), so this is their maximum.
+  SimTime busy_until_ = 0;
   sim::Trace* trace_;
   sim::FaultInjector* fault_ = nullptr;
   FabricStats stats_;

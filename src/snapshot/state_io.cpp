@@ -847,8 +847,8 @@ void StateIO::restoreAll(Simulation& sim, const SnapshotReader& r) {
     const std::uint32_t n = d.u32();
     if (n != f.endpoints_.size()) d.fail("endpoint count mismatch");
     for (auto& ep : f.endpoints_) {
-      ep.egress_free = d.i64();
-      ep.ingress_free = d.i64();
+      f.setFree(ep.egress_free, d.i64());
+      f.setFree(ep.ingress_free, d.i64());
     }
     net::FabricStats& s = f.stats_;
     s.unicasts = d.u64();
@@ -906,7 +906,9 @@ void StateIO::restoreAll(Simulation& sim, const SnapshotReader& r) {
   // interrupted run, where all pending events were armed before the
   // boundary.
 
-  // Slice watchdogs, node-ascending (their original arming order).
+  // Slice watchdogs: re-arming them files the runtime's one watchdog timer
+  // at the earliest deadline.  A deadline on a slice boundary still fires
+  // before that boundary's startSlice, whose key the continuation draws.
   for (int n : rt.all_compute_nodes_) {
     auto& ns = rt.nodes_[static_cast<std::size_t>(n)];
     if (!ns.watchdog_armed) continue;

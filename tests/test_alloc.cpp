@@ -22,7 +22,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bitset>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -259,7 +261,35 @@ TEST(AllocBudget, IdleTreeSlicesStayWithinFourPerRackPerMicrophase) {
   EXPECT_LE(per_rack_microphase, 4.0);
 }
 
+/// Replayed slices before the next-slice entries they file have reached
+/// every bucket of the engine's wheel (256 buckets of 2,048 ns), from the
+/// worst start.  Each replayed slice files its successor 500,000 ns ahead:
+/// 244.140625 buckets on, so the filing bucket steps back 11.859375
+/// buckets per slice around the wheel.  As gcd(500,000, 524,288) = 32, the
+/// filings fall into 16,384 distinct positions within a bucket lap; from
+/// the worst of them it takes 367 slices to have filed into every bucket.
+std::size_t slicesToFileIntoEveryBucket() {
+  constexpr std::int64_t kSlice = 500'000;
+  constexpr std::int64_t kBucket = 2'048;
+  constexpr std::size_t kBuckets = 256;
+  constexpr std::int64_t kLap = kBucket * static_cast<std::int64_t>(kBuckets);
+  std::size_t worst = 0;
+  for (std::int64_t start = 0; start < kLap; start += std::gcd(kSlice, kLap)) {
+    std::bitset<kBuckets> filed;
+    std::size_t slices = 0;
+    for (; !filed.all(); ++slices) {
+      const std::int64_t when =
+          start + static_cast<std::int64_t>(slices) * kSlice;
+      filed.set(static_cast<std::size_t>(when / kBucket) % kBuckets);
+    }
+    worst = std::max(worst, slices);
+  }
+  return worst;
+}
+
 TEST(AllocBudget, ReplayedIdleSlicesAllocateNothing) {
+  const std::size_t wheel_warmup = slicesToFileIntoEveryBucket();
+  ASSERT_EQ(wheel_warmup, 367u);
   for (const int fanout : {0, 16}) {
     const int nodes = fanout == 0 ? 32 : 256;
     net::Cluster cluster(computeNodes(nodes));
@@ -276,14 +306,20 @@ TEST(AllocBudget, ReplayedIdleSlicesAllocateNothing) {
     cluster.run();
     EXPECT_TRUE(cluster.allProcessesFinished());
 
-    // Warm-up: bring-up, the slice that records the template, and enough
-    // slices for the next-slice events to have visited every wheel bucket
-    // (each slice start lands 244.14 buckets after the last), so every
-    // bucket vector already has capacity.
-    constexpr std::size_t kWarmupSlices = 300;
+    // Warm-up: bring-up and the slice that records the template, up to the
+    // first replayed slice, then enough replayed slices for their
+    // next-slice entries to have been filed into every wheel bucket, so
+    // every bucket vector already has capacity.  The watchdog timer runs
+    // between some slices; it files into the overflow heap.
+    std::size_t first_replay = 0;
+    while (first_replay + 1 < events.size() &&
+           events[first_replay + 1] - events[first_replay] != 1) {
+      ++first_replay;
+    }
     std::uint64_t replayed = 0;
     std::uint64_t replayed_allocs = 0;
-    for (std::size_t i = kWarmupSlices; i + 1 < events.size(); ++i) {
+    for (std::size_t i = first_replay + wheel_warmup; i + 1 < events.size();
+         ++i) {
       if (events[i + 1] - events[i] != 1) continue;
       ++replayed;
       replayed_allocs += allocs[i + 1] - allocs[i];

@@ -196,6 +196,64 @@ INSTANTIATE_TEST_SUITE_P(EveryMicrophase, SsCrashDuringPhase,
                          ::testing::Values("DEM", "MSM", "P2P", "BBM", "RM"),
                          [](const auto& info) { return info.param; });
 
+/// Simulated instant of the first failover record containing `text`, or -1.
+SimTime firstFailoverAt(const std::vector<sim::TraceRecord>& records,
+                        const std::string& text) {
+  for (const sim::TraceRecord& r : records) {
+    if (r.category == sim::TraceCategory::kFailover &&
+        r.message.find(text) != std::string::npos) {
+      return r.time;
+    }
+  }
+  return -1;
+}
+
+/// The fault-free run's first `phase` microstrobe at or after 3 ms.
+SimTime midRunStrobeAt(const std::vector<sim::TraceRecord>& records,
+                       const std::string& phase) {
+  for (const sim::TraceRecord& r : records) {
+    if (r.category == sim::TraceCategory::kStrobe && r.time >= msec(3) &&
+        r.message.rfind("microstrobe " + phase + " ", 0) == 0) {
+      return r.time;
+    }
+  }
+  return -1;
+}
+
+/// When the Strobe Sender is suspected and when its backup takes over, for
+/// a crash just after the mid-run microstrobe of `phase`.  The watchdogs'
+/// re-arm schedule is host-side bookkeeping: however it is laid out, a
+/// silent Strobe Sender must be suspected exactly `watchdog_slices` slices
+/// after the last strobe a node heard.
+struct FailoverTiming {
+  const char* phase;
+  SimTime first_fire;
+  SimTime elected;
+};
+
+class SsCrashFailoverTiming : public ::testing::TestWithParam<FailoverTiming> {
+};
+
+TEST_P(SsCrashFailoverTiming, SuspicionAndElectionInstantsArePinned) {
+  const FailoverTiming& want = GetParam();
+  const SimTime strobe_at = midRunStrobeAt(runSsCrash(-1).records, want.phase);
+  ASSERT_GE(strobe_at, 0);
+  const SsCrashOut a = runSsCrash(strobe_at + usec(1));
+  EXPECT_EQ(firstFailoverAt(a.records, "slice watchdog fired"),
+            want.first_fire);
+  EXPECT_EQ(firstFailoverAt(a.records, "elected backup Strobe Sender"),
+            want.elected);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryMicrophase, SsCrashFailoverTiming,
+    ::testing::Values(FailoverTiming{"DEM", 5'054'600, 5'059'600},
+                      FailoverTiming{"MSM", 5'119'600, 5'124'600},
+                      FailoverTiming{"P2P", 5'194'600, 5'199'600},
+                      FailoverTiming{"BBM", 5'209'600, 5'214'600},
+                      FailoverTiming{"RM", 5'214'600, 5'219'600}),
+    [](const auto& info) { return std::string(info.param.phase); });
+
 TEST(SsCrash, WatchdogDisabledMeansNoElection) {
   // Negative control for the watchdog_slices knob: with the watchdog off the
   // Strobe Sender's death is fatal — no election, every rank stranded.

@@ -291,6 +291,8 @@ struct ReplayScenario {
   std::vector<int> map;
   std::function<std::uint64_t(Comm&)> body;
   sim::SimTime until = INT64_MAX;
+  /// Runs after the job's launch, before the engine starts.
+  std::function<void(net::Cluster&, bcsmpi::Runtime&)> extra;
 };
 
 /// Records one slice boundary; in the declining run, also files the no-op
@@ -321,6 +323,7 @@ ReplayRun runReplayScenario(const ReplayScenario& sc, bool decline) {
         out.results[static_cast<std::size_t>(comm.rank())] = sc.body(comm);
       },
       &out.finish);
+  if (sc.extra) sc.extra(cluster, *runtime);
   cluster.run(sc.until);
   EXPECT_TRUE(cluster.allProcessesFinished());
   return out;
@@ -358,31 +361,39 @@ std::size_t oneEventSlices(const ReplayRun& run) {
   return n;
 }
 
-/// Expects at least 75% of the steady-state slices to execute exactly one
-/// engine event.  Steady state: from the first replayed slice on, the
-/// slices that exchanged, chunked and scheduled nothing (perfbench's idle
-/// classification).  Watchdog re-arms decline the rest — one chain in flat
-/// mode, two side by side in the tree (DESIGN.md §5b).
-void expectMostlyReplayed(const ReplayRun& run) {
-  std::size_t steady = 0;
-  std::size_t replayed = 0;
-  bool started = false;
-  for (std::size_t i = 1; i < run.boundaries.size(); ++i) {
+/// Expects every steady-state slice from the first replayed one on to be
+/// replayed: its interval runs its successor's startSlice and, at most once
+/// every `watchdog_slices` − 1 slices, the watchdog timer just before it
+/// (DESIGN.md §4c).  Steady state: the slices that exchanged, chunked and
+/// scheduled nothing (perfbench's idle classification) between two that
+/// did neither, so no rank posted, was woken or finished in them.
+void expectAllReplayed(const ReplayRun& run, int watchdog_slices) {
+  const auto moved = [&run](std::size_t i) {
     const bcsmpi::RuntimeStats& a = run.boundaries[i - 1].runtime;
     const bcsmpi::RuntimeStats& b = run.boundaries[i].runtime;
-    const bool one_event = run.events[i] - run.events[i - 1] == 1;
-    started = started || one_event;
-    if (!started || a.descriptors_exchanged != b.descriptors_exchanged ||
-        a.chunks_transferred != b.chunks_transferred ||
-        a.collectives_scheduled != b.collectives_scheduled) {
-      continue;
-    }
+    return a.descriptors_exchanged != b.descriptors_exchanged ||
+           a.chunks_transferred != b.chunks_transferred ||
+           a.collectives_scheduled != b.collectives_scheduled;
+  };
+  std::size_t steady = 0;
+  std::size_t last_timer = 0;
+  bool started = false;
+  for (std::size_t i = 2; i + 1 < run.boundaries.size(); ++i) {
+    const std::uint64_t events = run.events[i] - run.events[i - 1];
+    started = started || events == 1;
+    if (!started || moved(i - 1) || moved(i) || moved(i + 1)) continue;
     ++steady;
-    if (one_event) ++replayed;
+    EXPECT_LE(events, 2u) << "slice " << run.boundaries[i - 1].slice
+                          << " was not replayed";
+    if (events != 2) continue;
+    if (last_timer > 0) {
+      EXPECT_GE(i - last_timer, static_cast<std::size_t>(watchdog_slices - 1))
+          << "two extra events within " << watchdog_slices - 1
+          << " slices, at slice " << run.boundaries[i - 1].slice;
+    }
+    last_timer = i;
   }
   ASSERT_GT(steady, 100u);
-  EXPECT_GE(4 * replayed, 3 * steady)
-      << replayed << " of " << steady << " steady-state slices replayed";
 }
 
 std::vector<int> blockMap(int nodes, int ranks_per_node) {
@@ -422,13 +433,14 @@ ReplayScenario sparseScenario(int node_count, int ranks_per_node,
 }
 
 TEST(SliceReplay, FlatSparseJobMatchesSimulatedSlices) {
-  expectMostlyReplayed(expectReplayExact(sparseScenario(32, 1, msec(40))));
+  const ReplayScenario sc = sparseScenario(32, 1, msec(40));
+  expectAllReplayed(expectReplayExact(sc), sc.mpi.watchdog_slices);
 }
 
 TEST(SliceReplay, TreeSparseJobMatchesSimulatedSlices) {
   ReplayScenario sc = sparseScenario(256, 1, msec(40));
   sc.mpi.tree_fanout = 16;
-  expectMostlyReplayed(expectReplayExact(sc));
+  expectAllReplayed(expectReplayExact(sc), sc.mpi.watchdog_slices);
 }
 
 TEST(SliceReplay, TwoRanksPerNodeMatchesSimulatedSlices) {
@@ -488,6 +500,147 @@ TEST(SliceReplay, DropRateFaultsMatchSimulatedSlices) {
   ReplayScenario sc = sparseScenario(16, 1, msec(10));
   sc.cluster.seed = 91;
   sc.cluster.faults.dropRate(0.05);
+  const ReplayRun run = expectReplayExact(sc);
+  EXPECT_GT(oneEventSlices(run), 0u);
+}
+
+/// 350 us into slice k: after an idle slice's RM completion, so what a
+/// rank does then falls between two replayed slices.
+sim::SimTime betweenSlices(int k) {
+  return usec(50) + k * usec(500) + usec(350);
+}
+
+void computeUntil(Comm& comm, sim::SimTime t) { comm.compute(t - comm.now()); }
+
+TEST(SliceReplay, RankWorkBetweenIdleSlicesMatches) {
+  // One rank at a time acts after idle slices: a lone receive for a send
+  // that has waited at its node since the start, a lone send for a posted
+  // receive, a blocking probe four slices before its message is sent, the
+  // first arrival at a barrier, and a put, a get and a fetch-add.  Each is
+  // NIC work queued between two replayed slices, which the next slice must
+  // notice.
+  for (const int fanout : {0, 4}) {
+    auto probing = std::make_shared<std::array<sim::SimTime, 2>>();
+    ReplayScenario sc;
+    sc.cluster = nodes(16);
+    sc.map = blockMap(16, 1);
+    sc.mpi.tree_fanout = fanout;
+    sc.body = [probing](Comm& comm) -> std::uint64_t {
+      bcsmpi::BcsApi& api = dynamic_cast<bcsmpi::BcsComm&>(comm).api();
+      const bcsmpi::BcsWindow win{0};  // rank 7's first window
+      std::array<std::uint8_t, 64> buf{};
+      std::int64_t word = 0;
+      std::uint64_t result = 0;
+      switch (comm.rank()) {
+        case 0:  // a lone send for a receive posted at the start
+          computeUntil(comm, betweenSlices(8));
+          buf.fill(1);
+          comm.send(buf.data(), buf.size(), 4, 2);
+          break;
+        case 1: {  // a blocking probe four slices before its message
+          computeUntil(comm, betweenSlices(12));
+          mpi::Status st;
+          (*probing)[0] = comm.now();
+          comm.probe(5, 5, &st, /*blocking=*/true);
+          (*probing)[1] = comm.now();
+          comm.recv(buf.data(), st.bytes, 5, 5);
+          result = st.bytes * 100 + buf[0];
+          break;
+        }
+        case 2:  // a send that waits at rank 3's node from the start
+          buf.fill(3);
+          comm.send(buf.data(), buf.size(), 3, 1);
+          break;
+        case 3:  // its lone receive
+          computeUntil(comm, betweenSlices(4));
+          comm.recv(buf.data(), buf.size(), 2, 1);
+          result = buf[0];
+          break;
+        case 4:
+          comm.recv(buf.data(), buf.size(), 0, 2);
+          result = buf[0];
+          break;
+        case 5:
+          computeUntil(comm, betweenSlices(16));
+          buf.fill(6);
+          comm.send(buf.data(), buf.size(), 1, 5);
+          break;
+        case 7:
+          api.winCreate(&word, sizeof word);
+          break;
+        default:
+          break;
+      }
+      // Rank 6 reaches the barrier two slices before everyone else.
+      computeUntil(comm, betweenSlices(comm.rank() == 6 ? 20 : 22));
+      comm.barrier();
+      switch (comm.rank()) {
+        case 8: {
+          const std::int64_t v = 40;
+          computeUntil(comm, betweenSlices(26));
+          api.put(&v, sizeof v, 7, win, 0);
+          break;
+        }
+        case 9: {
+          std::int64_t got = 0;
+          computeUntil(comm, betweenSlices(30));
+          api.get(&got, sizeof got, 7, win, 0);
+          result = static_cast<std::uint64_t>(got);
+          break;
+        }
+        case 10:
+          computeUntil(comm, betweenSlices(34));
+          result = static_cast<std::uint64_t>(api.fetchAdd(7, win, 0, 2));
+          break;
+        default:
+          break;
+      }
+      computeUntil(comm, betweenSlices(38));
+      comm.barrier();  // the window outlives every op on it
+      return comm.rank() == 7 ? static_cast<std::uint64_t>(word) : result;
+    };
+    const ReplayRun run = expectReplayExact(sc);
+    const std::vector<std::uint64_t> want = {0, 6400 + 6, 0, 3, 1, 0,
+                                             0, 42, 0, 40, 40};
+    for (std::size_t r = 0; r < want.size(); ++r) {
+      EXPECT_EQ(run.results[r], want[r])
+          << "rank " << r << ", fanout " << fanout;
+    }
+    // The blocked prober's Node Manager wakes it at every slice start to
+    // look again, so no slice that starts while it waits is replayed.
+    std::size_t waited = 0;
+    for (std::size_t i = 1; i < run.boundaries.size(); ++i) {
+      const sim::SimTime start = run.boundaries[i - 1].at;
+      if (start <= (*probing)[0] || start >= (*probing)[1]) continue;
+      ++waited;
+      EXPECT_GT(run.events[i] - run.events[i - 1], 1u)
+          << "slice " << run.boundaries[i - 1].slice << ", fanout " << fanout;
+    }
+    EXPECT_GE(waited, 3u) << fanout;
+    // The premise: each lone action lands in a replayed slice, which runs
+    // only its own events and the rank's (a simulated one runs over 50).
+    for (const int k : {4, 8, 12, 20, 26, 30, 34}) {
+      const sim::SimTime t = betweenSlices(k);
+      std::size_t i = 1;
+      while (i < run.boundaries.size() && run.boundaries[i].at <= t) ++i;
+      ASSERT_LT(i, run.boundaries.size());
+      EXPECT_LT(run.events[i] - run.events[i - 1], 10u)
+          << "slice " << k << ", fanout " << fanout;
+    }
+  }
+}
+
+TEST(SliceReplay, SecondJobUnderGangSchedulingMatches) {
+  // A second job arrives between two replayed slices.  From then on the
+  // Node Manager picks one job per slice, so no slice is quiescent.
+  ReplayScenario sc = sparseScenario(8, 1, msec(6));
+  sc.mpi.gang_scheduling = true;
+  sc.extra = [](net::Cluster& cluster, bcsmpi::Runtime& rt) {
+    cluster.engine().at(betweenSlices(4), [&rt] {
+      bcsmpi::launchJob(rt, blockMap(8, 1),
+                        [](Comm& comm) { comm.compute(msec(3)); });
+    });
+  };
   const ReplayRun run = expectReplayExact(sc);
   EXPECT_GT(oneEventSlices(run), 0u);
 }

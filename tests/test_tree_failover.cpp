@@ -295,6 +295,44 @@ TEST(TreeRackSsCrash, MemberPromotedMidMicrophase) {
   EXPECT_EQ(a.trace, b.trace);
 }
 
+/// Simulated instant of the first failover record containing `text`, or -1.
+SimTime firstFailoverAt(const std::vector<sim::TraceRecord>& records,
+                        const std::string& text) {
+  for (const sim::TraceRecord& r : records) {
+    if (r.category == sim::TraceCategory::kFailover &&
+        r.message.find(text) != std::string::npos) {
+      return r.time;
+    }
+  }
+  return -1;
+}
+
+/// The fault-free run's first `phase` microstrobe at or after 3 ms.
+SimTime midRunStrobeAt(const std::vector<sim::TraceRecord>& records,
+                       const std::string& phase) {
+  for (const sim::TraceRecord& r : records) {
+    if (r.category == sim::TraceCategory::kStrobe && r.time >= msec(3) &&
+        r.message.rfind("microstrobe " + phase + " ", 0) == 0) {
+      return r.time;
+    }
+  }
+  return -1;
+}
+
+TEST(TreeRackSsCrash, SuspicionAndPromotionInstantsArePinned) {
+  // The members' watchdogs re-arm on their own schedule, but a silent rack
+  // Strobe Sender is suspected exactly `watchdog_slices` slices after the
+  // last strobe its members heard.
+  const SimTime strobe_at =
+      midRunStrobeAt(runRackSsCrash(-1).records, "MSM");
+  ASSERT_GE(strobe_at, 0);
+  const RackCrashOut a = runRackSsCrash(strobe_at + usec(1));
+  EXPECT_EQ(firstFailoverAt(a.records, "slice watchdog fired"), 5'059'270);
+  EXPECT_EQ(firstFailoverAt(a.records,
+                            "promoted to rack Strobe Sender of rack 1"),
+            8'250'000);
+}
+
 // ---------------------------------------------------------------------------
 // Root SS crash (rack-SS-led election)
 // ---------------------------------------------------------------------------
@@ -395,6 +433,15 @@ TEST(TreeRootCrash, RackSsElectedBackupRoot) {
 
   const RootCrashOut b = runRootCrash(strobe_at + usec(1));
   EXPECT_EQ(a.trace, b.trace);
+}
+
+TEST(TreeRootCrash, SuspicionAndElectionInstantsArePinned) {
+  const SimTime strobe_at = midRunStrobeAt(runRootCrash(-1).records, "P2P");
+  ASSERT_GE(strobe_at, 0);
+  const RootCrashOut a = runRootCrash(strobe_at + usec(1));
+  EXPECT_EQ(firstFailoverAt(a.records, "slice watchdog fired"), 5'208'172);
+  EXPECT_EQ(firstFailoverAt(a.records, "elected backup root Strobe Sender"),
+            5'213'672);
 }
 
 // ---------------------------------------------------------------------------
