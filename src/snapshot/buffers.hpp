@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "snapshot/error.hpp"
-#include "snapshot/wire.hpp"
 
 namespace bcs::snapshot {
 
@@ -74,40 +73,31 @@ class BufferRegistry {
                         "unknown buffer id " + std::to_string(ref.id));
   }
 
-  void saveRef(Encoder& e, const std::byte* p) const {
-    const BufRef r = refOf(p);
-    e.u32(r.id);
-    e.u64(r.offset);
-  }
-  std::byte* loadRef(Decoder& d) const {
+  /// A pointer field, written as (buffer id, offset) and resolved against
+  /// this registry at restore.
+  template <class Ar, class Ptr>
+  void ref(Ar& a, Ptr& p) const {
     BufRef r;
-    r.id = d.u32();
-    r.offset = d.u64();
-    return resolve(r);
+    if constexpr (!Ar::kLoading) r = refOf(p);
+    a(r.id, r.offset);
+    if constexpr (Ar::kLoading) p = resolve(r);
   }
 
-  void saveContents(Encoder& e) const {
-    e.u32(static_cast<std::uint32_t>(entries_.size()));
-    for (const Entry& ent : entries_) {
-      e.u32(ent.id);
-      e.u64(ent.size);
-      e.bytes(ent.data, ent.size);
-    }
-  }
-  void restoreContents(Decoder& d) {
-    const std::uint32_t n = d.u32();
-    if (n != entries_.size()) {
-      d.fail("buffer count " + std::to_string(n) + " != registered " +
-             std::to_string(entries_.size()));
-    }
-    for (Entry& ent : entries_) {
-      const std::uint32_t id = d.u32();
-      const std::uint64_t size = d.u64();
-      if (id != ent.id || size != ent.size) {
-        d.fail("buffer " + std::to_string(ent.id) + " shape mismatch");
+  /// Every buffer's contents, in registration order.  The fresh build
+  /// registered the same buffers, so a restore checks each id and size.
+  template <class Ar>
+  void contents(Ar& a) {
+    a.sameSize(entries_, "buffer", [&a](auto& ent) {
+      std::uint32_t id = ent.id;
+      std::size_t size = ent.size;
+      a(id, size);
+      if constexpr (Ar::kLoading) {
+        if (id != ent.id || size != ent.size) {
+          a.fail("buffer " + std::to_string(ent.id) + " shape mismatch");
+        }
       }
-      d.bytes(ent.data, ent.size);
-    }
+      a.bytes(ent.data, ent.size);
+    });
   }
 
  private:

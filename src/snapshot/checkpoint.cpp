@@ -4,13 +4,12 @@
 #include <utility>
 
 #include "snapshot/state_io.hpp"
-#include "snapshot/wire.hpp"
 
 namespace bcs::snapshot {
 
 namespace {
 
-// build() and buildBare() must construct the stack in the same order: the
+// build() and restore() both construct the stack here, in one order: the
 // engine's variable/event allocations and the runtime's per-node layout
 // depend only on construction order, and a restore writes captured state
 // into a structurally identical fresh build.
@@ -126,12 +125,7 @@ Simulation restore(const ScenarioSpec& spec,
 }
 
 std::uint64_t traceDumpBytesAt(const std::vector<std::uint8_t>& blob) {
-  SnapshotReader reader(blob);
-  const std::string raw = reader.section("meta");
-  Decoder d(raw, "meta");
-  d.i64();  // capture instant
-  d.u64();  // slice index
-  return d.u64();
+  return StateIO::readMeta(SnapshotReader(blob)).trace_bytes;
 }
 
 }  // namespace bcs::snapshot

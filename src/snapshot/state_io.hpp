@@ -9,6 +9,12 @@
 // keeps the snapshot surface out of each class's contract — the serializer
 // versions with the repo, not with callers.
 //
+// Each subsystem's state is one field list, `fields(Ar&, T&)`, that the
+// Encoder runs at capture and the Decoder at restore (wire.hpp), so no field
+// can be written on one side only.  The few steps only a restore runs
+// (recomputing derived state, load-side consistency checks) sit beside the
+// fields under `Ar::kLoading`.
+//
 // Pending engine events are never serialized (they are closures).  Capture
 // records each timer's *logical* deadline (watchdog_at, next_round_at_,
 // inspect_at_, next_tick_at); restore warps the fresh engine's clock to the
@@ -20,6 +26,8 @@
 // the continuation schedules draws a sequence number *after* all re-armed
 // events — exactly the pending-before-boundary < scheduled-at-boundary
 // order the interrupted run had.
+
+#include <cstdint>
 
 #include "snapshot/checkpoint.hpp"
 #include "snapshot/format.hpp"
@@ -38,25 +46,45 @@ class StateIO {
   /// Serializes every subsystem into `w` (one section each).
   static void saveAll(Simulation& sim, SnapshotWriter& w);
 
-  /// Restores a bare-built simulation (checkpoint.cpp's buildBare) from the
-  /// reader's sections, then re-arms all timers and the resume event.
+  /// Restores a simulation built by checkpoint.cpp's buildCommon (nothing
+  /// started) from the reader's sections, then re-arms all timers and the
+  /// resume event.
   static void restoreAll(Simulation& sim, const SnapshotReader& r);
 
+  /// The "meta" section: the capture instant and what the stack held.
+  struct Meta {
+    sim::SimTime now = 0;
+    std::uint64_t slice = 0;  ///< informational; restored with the runtime
+    std::uint64_t trace_bytes = 0;    ///< trace dump length at capture
+    std::uint64_t trace_records = 0;  ///< trace record count at capture
+    bool with_storm = false;
+    bool with_verify = false;
+  };
+  static Meta readMeta(const SnapshotReader& r);
+
  private:
-  // Per-subsystem (de)serializers.  Static members rather than file-local
-  // helpers because friendship is granted to StateIO, not to free functions.
-  static void saveCore(Encoder& e, const core::BcsCore& c);
-  static void restoreCore(Decoder& d, core::BcsCore& c);
-  static void saveStorm(Encoder& e, const storm::Storm& st);
-  static void restoreStorm(Decoder& d, storm::Storm& st);
-  static void saveVerifier(Encoder& e, const verify::Verifier& v);
-  static void restoreVerifier(Decoder& d, verify::Verifier& v);
-  static void saveRuntime(Encoder& e, const bcsmpi::Runtime& rt,
-                          const BufferRegistry& reg);
-  static void restoreRuntime(Decoder& d, bcsmpi::Runtime& rt,
-                             const BufferRegistry& reg);
-  static void saveWorkload(Encoder& e, const DetachedRing& wl);
-  static void restoreWorkload(Decoder& d, DetachedRing& wl);
+  // One field list per subsystem, run as is by the Encoder at capture and
+  // by the Decoder at restore (wire.hpp).  Static members rather than
+  // file-local helpers because friendship is granted to StateIO, not to
+  // free functions.
+  template <class Ar>
+  static void fields(Ar& a, Meta& m);
+  template <class Ar>
+  static void fields(Ar& a, core::BcsCore& c);
+  template <class Ar>
+  static void fields(Ar& a, storm::Storm& st);
+  template <class Ar>
+  static void fields(Ar& a, verify::Verifier& v);
+  template <class Ar>
+  static void fields(Ar& a, bcsmpi::Runtime& rt, const BufferRegistry& reg);
+  template <class Ar>
+  static void fields(Ar& a, DetachedRing& wl);
+
+  /// The section sequence shared by saveAll and restoreAll: calls
+  /// `section(name, body)` once per section, in blob order, where body
+  /// runs that section's fields on an Ar.
+  template <class Ar, class Section>
+  static void sections(Simulation& sim, Section&& section);
 };
 
 }  // namespace bcs::snapshot

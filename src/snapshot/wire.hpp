@@ -1,49 +1,148 @@
 #pragma once
 
-// Little-endian scalar encoding for snapshot sections.
+// Little-endian encoding for snapshot sections, and the archive interface
+// the StateIO field lists are written against (DESIGN.md §8).
 //
 // Every section payload is built with an Encoder and parsed with a Decoder.
-// The Decoder is bounds-checked on every read and throws SnapshotError
-// naming its section, so a truncated or bit-flipped payload that slips past
-// the CRC (it cannot, but defense in depth is free here) still fails loudly
-// instead of reading out of bounds.
+// The two share one interface, so a subsystem's field list is a single
+// template that the Encoder runs at capture and the Decoder at restore:
+//
+//   a(x, y, ...)              each field at the width of its type: bool and
+//                             char 1 byte, int and enums 4, SimTime, size_t
+//                             and uint64_t 8; a string as a u64 length and
+//                             its bytes; pairs and fixed-size arrays field
+//                             by field, with no count
+//   a.list(c, each)           a u32 count, then each(element); the Decoder
+//                             clears c and refills it.  Hashed containers are
+//                             written in key order (an optional third
+//                             argument projects a key that has no `<`)
+//   a.sameSize(c, what, each) a u32 count, then each(element) in place: the
+//                             fresh build already sized c, and the Decoder
+//                             refuses a count that differs
+//   Ar::kLoading              true for the Decoder: guards the few steps that
+//                             only a restore runs
+//
+// `each` defaults to writing the element as one field.  The Decoder is
+// bounds-checked on every read and throws SnapshotError naming its section,
+// so a truncated or bit-flipped payload that slips past the CRC (it cannot,
+// but defense in depth is free here) still fails loudly instead of reading
+// out of bounds.
 
-#include <bit>
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "snapshot/error.hpp"
 
 namespace bcs::snapshot {
 
+namespace wire {
+
+template <class C>
+concept Sequence = requires { typename C::value_type; };
+template <class C>
+concept Keyed = Sequence<C> && requires { typename C::mapped_type; };
+
+template <class M>
+struct ArgOf;
+template <class C, class T>
+struct ArgOf<void (C::*)(const T&)> {
+  using type = T;
+};
+
+/// What the Decoder builds before adding it to a C: what insert() takes for
+/// the match indexes, value_type for sequences, a (key, value) pair for maps.
+template <class C>
+struct ElementOf {
+  using type = typename ArgOf<decltype(&C::insert)>::type;
+};
+template <Sequence C>
+struct ElementOf<C> {
+  using type = typename C::value_type;
+};
+template <Keyed C>
+struct ElementOf<C> {
+  using type = std::pair<typename C::key_type, typename C::mapped_type>;
+};
+
+}  // namespace wire
+
 class Encoder {
  public:
-  void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void u16(std::uint16_t v) { le(v, 2); }
-  void u32(std::uint32_t v) { le(v, 4); }
-  void u64(std::uint64_t v) { le(v, 8); }
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void boolean(bool v) { u8(v ? 1 : 0); }
+  static constexpr bool kLoading = false;
+
+  template <class... T>
+  void operator()(const T&... v) {
+    (put(v), ...);
+  }
+
+  template <class C, class Each, class Order = std::identity>
+  void list(const C& c, Each each, Order order = {}) {
+    put(static_cast<std::uint32_t>(c.size()));
+    if constexpr (requires { c.forEach(each); }) {
+      c.forEach(each);
+    } else if constexpr (requires { typename C::hasher; }) {
+      // Hash order depends on the table's history; key order does not.
+      std::vector<const typename C::value_type*> sorted;
+      sorted.reserve(c.size());
+      for (const auto& kv : c) sorted.push_back(&kv);
+      std::sort(sorted.begin(), sorted.end(), [&order](auto* x, auto* y) {
+        return order(x->first) < order(y->first);
+      });
+      for (const auto* kv : sorted) each(*kv);
+    } else {
+      for (const auto& x : c) each(x);
+    }
+  }
+  template <class C>
+  void list(const C& c) {
+    list(c, [this](const auto& x) { put(x); });
+  }
+
+  template <class C, class Each>
+  void sameSize(const C& c, const char* /*what*/, Each each) {
+    list(c, each);
+  }
+  template <class C>
+  void sameSize(const C& c, const char* what) {
+    sameSize(c, what, [this](const auto& x) { put(x); });
+  }
+
+  void u16(std::uint16_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
+  void i64(std::int64_t v) { put(v); }
   void bytes(const void* p, std::size_t n) {
     out_.append(static_cast<const char*>(p), n);
   }
-  void str(const std::string& s) {
-    u64(s.size());
-    out_.append(s);
-  }
 
   const std::string& data() const { return out_; }
-  std::string take() { return std::move(out_); }
 
  private:
-  void le(std::uint64_t v, int width) {
-    for (int i = 0; i < width; ++i) {
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  template <class T>
+  void put(const T& v) {
+    if constexpr (std::is_enum_v<T>) {
+      put(static_cast<std::int32_t>(v));
+    } else if constexpr (std::is_integral_v<T>) {
+      const auto u = static_cast<std::uint64_t>(v);
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        out_.push_back(static_cast<char>((u >> (8 * i)) & 0xff));
+      }
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      put(static_cast<std::uint64_t>(v.size()));
+      out_.append(v);
+    } else if constexpr (requires { v.first; v.second; }) {
+      put(v.first);
+      put(v.second);
+    } else {
+      for (const auto& x : v) put(x);
     }
   }
 
@@ -52,48 +151,108 @@ class Encoder {
 
 class Decoder {
  public:
+  static constexpr bool kLoading = true;
+
   Decoder(std::string_view data, std::string section)
       : data_(data), section_(std::move(section)) {}
 
-  std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(data_[pos_++]);
+  template <class... T>
+  void operator()(T&... v) {
+    (get(v), ...);
   }
-  std::uint16_t u16() { return static_cast<std::uint16_t>(le(2)); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(le(4)); }
-  std::uint64_t u64() { return le(8); }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64() { return std::bit_cast<double>(u64()); }
-  bool boolean() { return u8() != 0; }
+
+  template <class C, class Each, class Order = std::identity>
+  void list(C& c, Each each, Order = {}) {
+    const std::uint32_t n = u32();
+    c.clear();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      typename wire::ElementOf<C>::type x{};
+      each(x);
+      if constexpr (requires { c.push_back(std::move(x)); }) {
+        c.push_back(std::move(x));
+      } else {
+        c.insert(std::move(x));
+      }
+    }
+  }
+  template <class C>
+  void list(C& c) {
+    list(c, [this](auto& x) { get(x); });
+  }
+
+  template <class C, class Each>
+  void sameSize(C& c, const char* what, Each each) {
+    const std::uint32_t n = u32();
+    if (n != c.size()) {
+      fail(std::string(what) + " count mismatch (snapshot " +
+           std::to_string(n) + ", fresh " + std::to_string(c.size()) + ")");
+    }
+    for (auto& x : c) each(x);
+  }
+  template <class C>
+  void sameSize(C& c, const char* what) {
+    sameSize(c, what, [this](auto& x) { get(x); });
+  }
+
+  std::uint16_t u16() { return scalar<std::uint16_t>(); }
+  std::uint32_t u32() { return scalar<std::uint32_t>(); }
+  std::uint64_t u64() { return scalar<std::uint64_t>(); }
+  std::int64_t i64() { return scalar<std::int64_t>(); }
   void bytes(void* dst, std::size_t n) {
     need(n);
     std::memcpy(dst, data_.data() + pos_, n);
     pos_ += n;
   }
-  std::string str() {
-    const std::uint64_t n = u64();
-    need(n);
-    std::string s(data_.substr(pos_, n));
-    pos_ += n;
-    return s;
-  }
 
-  bool atEnd() const { return pos_ == data_.size(); }
   /// Call after the last field: trailing garbage means the payload does not
   /// match the schema this build expects.
   void expectEnd() const {
-    if (!atEnd()) {
+    if (pos_ != data_.size()) {
       throw SnapshotError(section_, std::to_string(data_.size() - pos_) +
                                         " trailing byte(s) after last field");
     }
   }
-  const std::string& section() const { return section_; }
   [[noreturn]] void fail(const std::string& reason) const {
     throw SnapshotError(section_, reason);
   }
 
  private:
+  template <class T>
+  T scalar() {
+    T v{};
+    get(v);
+    return v;
+  }
+
+  template <class T>
+  void get(T& v) {
+    if constexpr (std::is_enum_v<T>) {
+      v = static_cast<T>(scalar<std::int32_t>());
+    } else if constexpr (std::is_same_v<T, bool>) {
+      v = scalar<std::uint8_t>() != 0;
+    } else if constexpr (std::is_integral_v<T>) {
+      need(sizeof(T));
+      std::uint64_t u = 0;
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        u |= static_cast<std::uint64_t>(
+                 static_cast<std::uint8_t>(data_[pos_ + i]))
+             << (8 * i);
+      }
+      pos_ += sizeof(T);
+      v = static_cast<T>(u);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      const std::uint64_t n = scalar<std::uint64_t>();
+      need(n);
+      v.assign(data_.substr(pos_, n));
+      pos_ += n;
+    } else if constexpr (requires { v.first; v.second; }) {
+      get(v.first);
+      get(v.second);
+    } else {
+      for (auto& x : v) get(x);
+    }
+  }
+
   void need(std::size_t n) const {
     if (data_.size() - pos_ < n) {
       throw SnapshotError(section_,
@@ -101,17 +260,6 @@ class Decoder {
                               " byte(s) at offset " + std::to_string(pos_) +
                               " of " + std::to_string(data_.size()));
     }
-  }
-  std::uint64_t le(int width) {
-    need(static_cast<std::size_t>(width));
-    std::uint64_t v = 0;
-    for (int i = 0; i < width; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<std::uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += static_cast<std::size_t>(width);
-    return v;
   }
 
   std::string_view data_;

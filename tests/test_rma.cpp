@@ -373,7 +373,9 @@ std::string cleanRmaTrace(bool verify) {
   if (verify) {
     const verify::VerifyReport* rep = h.runtime->verifyAudit();
     EXPECT_NE(rep, nullptr);
-    if (rep) EXPECT_EQ(rep->count(Category::kEpochRace), 0u);
+    if (rep) {
+      EXPECT_EQ(rep->count(Category::kEpochRace), 0u);
+    }
   }
   EXPECT_EQ(counter, P);
   return h.cluster->trace().dump();

@@ -232,6 +232,67 @@ TEST(SnapshotRestore, RejectsShardedEngineSection) {
   }
 }
 
+/// Re-encodes `blob` with section `name`'s payload passed through `patch`;
+/// every other section is copied as is.
+std::vector<std::uint8_t> withPatchedSection(
+    const std::vector<std::uint8_t>& blob, const std::string& name,
+    void (*patch)(std::string& raw)) {
+  const snapshot::SnapshotReader r(blob);
+  snapshot::SnapshotWriter w;
+  for (const snapshot::SectionInfo& info : r.sections()) {
+    std::string raw = r.section(info.name);
+    if (info.name == name) patch(raw);
+    w.addSection(info.name, raw);
+  }
+  return w.finish(r.fingerprint());
+}
+
+// The checks only a restore runs sit beside the shared field lists; each
+// still refuses a well-formed blob that disagrees with the fresh build, and
+// names the section it found the disagreement in.
+TEST(SnapshotRestore, LoadSideChecksNameTheirSection) {
+  ScenarioSpec spec = snapshot::ckptRing();
+  spec.mpi.checkpoint_every_slices = 2;
+  Simulation b = snapshot::build(spec);
+  std::vector<std::uint8_t> blob;
+  b.runtime->setSnapshotSink([&b, &blob](std::uint64_t) {
+    if (blob.empty()) blob = snapshot::capture(b);
+  });
+  b.cluster->run(sim::msec(2));
+  ASSERT_FALSE(blob.empty());
+
+  struct Case {
+    const char* section;
+    const char* reason;
+    void (*patch)(std::string& raw);
+  };
+  const Case cases[] = {
+      // meta ends with the STORM and verifier presence flags.
+      {"meta", "STORM", [](std::string& raw) { raw[raw.size() - 2] ^= 1; }},
+      {"meta", "verifier", [](std::string& raw) { raw[raw.size() - 1] ^= 1; }},
+      // engine opens with the clock, which must equal meta's.
+      {"engine", "clock", [](std::string& raw) { raw[0] ^= 1; }},
+      // core.runtime and workload open with a count the build fixes.
+      {"core.runtime", "count mismatch",
+       [](std::string& raw) { raw[0] ^= 1; }},
+      {"workload", "rank count mismatch", [](std::string& raw) { raw[0] ^= 1; }},
+      // buffers: u32 count, then buffer 0's u32 id and u64 size.
+      {"buffers", "shape mismatch", [](std::string& raw) { raw[8] ^= 1; }},
+  };
+  for (const Case& tc : cases) {
+    try {
+      (void)snapshot::restore(spec, withPatchedSection(blob, tc.section,
+                                                       tc.patch));
+      FAIL() << "restored a blob with a patched " << tc.section;
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.section(), tc.section);
+      EXPECT_NE(e.reason().find(tc.reason), std::string::npos) << e.what();
+    }
+  }
+  // The unpatched blob restores.
+  EXPECT_NO_THROW({ Simulation c = snapshot::restore(spec, blob); });
+}
+
 // ---------------------------------------------------------------------------
 // Crash-and-restore drills
 // ---------------------------------------------------------------------------
@@ -394,6 +455,146 @@ TEST(SnapshotPolicy, SinkIsPureObservation) {
   EXPECT_EQ(observed.runtime->stats().checkpoints_taken, captures);
   EXPECT_EQ(plain.cluster->trace().dump(), observed.cluster->trace().dump());
   EXPECT_EQ(plain.workload->dataDigest(), observed.workload->dataDigest());
+}
+
+// ---------------------------------------------------------------------------
+// Field lists: capture and restore walk the same fields, and the bytes hold
+// ---------------------------------------------------------------------------
+
+/// Number of byte positions at which `x` and `y` differ; a length mismatch
+/// counts every byte of the longer one.
+std::size_t differingBytes(const std::string& x, const std::string& y) {
+  if (x.size() != y.size()) return std::max(x.size(), y.size());
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < x.size(); ++i) n += x[i] != y[i];
+  return n;
+}
+
+// Restoring a capture and capturing again before running gives back every
+// section except three known differences: `meta` (the restored trace starts
+// empty), `engine` (re-arming the timers drew event keys) and one byte of
+// `runtime` (RuntimeStats::restores goes from 0 to 1).  A field that only
+// one side of the serializer handles breaks this.
+TEST(SnapshotFields, CaptureAfterRestoreGivesBackTheSameSections) {
+  struct Case {
+    const char* name;
+    ScenarioSpec (*make)(bool verify);
+    sim::SimTime end;
+  };
+  for (const Case& tc : {Case{"ring", &snapshot::ckptRing, 0},
+                         Case{"soup", &snapshot::ckptSoup, sim::msec(30)},
+                         Case{"tree", &snapshot::ckptTree, 0}}) {
+    for (const bool verify : {false, true}) {
+      SCOPED_TRACE(std::string(tc.name) + (verify ? "_verify" : ""));
+      ScenarioSpec spec = tc.make(verify);
+      spec.mpi.checkpoint_every_slices = 2;
+      Simulation b = snapshot::build(spec);
+      std::vector<std::vector<std::uint8_t>> blobs;
+      b.runtime->setSnapshotSink([&b, &blobs](std::uint64_t) {
+        blobs.push_back(snapshot::capture(b));
+      });
+      runUntil(b, tc.end);
+      ASSERT_GT(blobs.size(), 2u);
+
+      for (std::size_t k = 0; k < blobs.size(); ++k) {
+        Simulation c = snapshot::restore(spec, blobs[k]);
+        const snapshot::SnapshotReader before(blobs[k]);
+        const snapshot::SnapshotReader after(snapshot::capture(c));
+        ASSERT_EQ(before.sections().size(), after.sections().size());
+        for (std::size_t s = 0; s < before.sections().size(); ++s) {
+          const std::string& name = before.sections()[s].name;
+          ASSERT_EQ(after.sections()[s].name, name);
+          if (name == "meta" || name == "engine") continue;
+          const std::size_t want = name == "runtime" ? 1 : 0;
+          EXPECT_EQ(differingBytes(before.section(name), after.section(name)),
+                    want)
+              << "capture " << k << ", section " << name;
+        }
+      }
+    }
+  }
+}
+
+// The snapshot format holds still: the section table (name, raw size, CRC-32
+// of the stored payload) of the first capture at slice 4 of the three
+// verify-on scenarios.  A deliberate change to the state layout (a field
+// added, dropped or re-typed in a StateIO field list, or a new section)
+// changes these bytes; such a change updates this table, with a CHANGES.md
+// line saying why.  A change that moves them by accident breaks every saved
+// snapshot.
+TEST(SnapshotFields, SectionTableIsPinned) {
+  struct Row {
+    const char* name;
+    std::uint64_t raw_size;
+    std::uint32_t crc;
+  };
+  struct Case {
+    const char* name;
+    ScenarioSpec (*make)(bool verify);
+    std::vector<Row> rows;
+  };
+  const Case cases[] = {
+      {"ring",
+       &snapshot::ckptRing,
+       {{"meta", 34, 0x78e116a7u},
+        {"engine", 52, 0x94e404ccu},
+        {"rng", 32, 0xb1ce89beu},
+        {"fault", 60, 0xcaa11f99u},
+        {"fabric", 212, 0xf54ca355u},
+        {"core.runtime", 392, 0xe5d80b26u},
+        {"runtime", 1264, 0xa63ad718u},
+        {"verify", 97, 0x07f50b15u},
+        {"workload", 264, 0x16e7ff5fu},
+        {"buffers", 8388, 0x7dd570d0u}}},
+      {"soup",
+       &snapshot::ckptSoup,
+       {{"meta", 34, 0xec163c8au},
+        {"engine", 52, 0xfbaf759fu},
+        {"rng", 32, 0x0e267e9cu},
+        {"fault", 60, 0xf23b1c03u},
+        {"fabric", 596, 0x1e12384bu},
+        {"core.runtime", 1352, 0x6e00040cu},
+        {"runtime", 6089, 0xce5815b4u},
+        {"core.storm", 544, 0x0bf60c42u},
+        {"storm", 346, 0xaa9d6f85u},
+        {"verify", 97, 0x82acfbf7u},
+        {"workload", 1032, 0x0f9a8d37u},
+        {"buffers", 17156, 0xb52c8366u}}},
+      {"tree",
+       &snapshot::ckptTree,
+       {{"meta", 34, 0x4ed7d7bcu},
+        {"engine", 52, 0x6e035319u},
+        {"rng", 32, 0x689ea870u},
+        {"fault", 60, 0x953ff308u},
+        {"fabric", 596, 0x64fc67f2u},
+        {"core.runtime", 1352, 0x72db451eu},
+        {"runtime", 6400, 0xd27c8c62u},
+        {"verify", 97, 0x28a5337cu},
+        {"workload", 1032, 0x6bfd5f9fu},
+        {"buffers", 17156, 0xb6acebeau}}},
+  };
+  for (const Case& tc : cases) {
+    SCOPED_TRACE(tc.name);
+    ScenarioSpec spec = tc.make(/*verify=*/true);
+    spec.mpi.checkpoint_every_slices = 4;
+    Simulation b = snapshot::build(spec);
+    std::vector<std::uint8_t> blob;
+    b.runtime->setSnapshotSink([&b, &blob](std::uint64_t) {
+      if (blob.empty()) blob = snapshot::capture(b);
+    });
+    b.cluster->run(sim::msec(3));
+    ASSERT_FALSE(blob.empty());
+
+    const snapshot::SnapshotReader r(blob);
+    ASSERT_EQ(r.sections().size(), tc.rows.size());
+    for (std::size_t s = 0; s < tc.rows.size(); ++s) {
+      const snapshot::SectionInfo& got = r.sections()[s];
+      const Row& want = tc.rows[s];
+      EXPECT_EQ(got.name, want.name);
+      EXPECT_EQ(got.raw_size, want.raw_size) << want.name;
+      EXPECT_EQ(got.crc, want.crc) << want.name;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -83,7 +83,9 @@ TEST(Storm, HeartbeatsDetectDeadNode) {
   EXPECT_GE(storm.heartbeatsSent(), 15u);
   EXPECT_FALSE(storm.nodeAlive(5));
   for (int n = 0; n < 8; ++n) {
-    if (n != 5) EXPECT_TRUE(storm.nodeAlive(n)) << n;
+    if (n != 5) {
+      EXPECT_TRUE(storm.nodeAlive(n)) << n;
+    }
   }
   EXPECT_EQ(storm.deadNodes(), std::vector<int>{5});
 }
