@@ -224,9 +224,10 @@ double quadraticMatchesPerSec(const MatchSoup& soup) {
 // completion acks — and slices/sec measures that plane's scheduling cost
 // rather than fiber context switches or payload movement.  Only the
 // steady-state window (sim time 10ms..240ms, ~460 slices) is timed: job
-// launch maps one fiber stack per rank and teardown unwinds and unmaps them,
-// a fixed O(nodes) host cost that belongs to neither the flat nor the tree
-// control plane and would otherwise swamp the short tree runs.  tree_fanout
+// launch starts one fiber per rank (on stacks recycled from the previous
+// run, mapped only by the first) and teardown unwinds them, a fixed
+// O(nodes) host cost that belongs to neither the flat nor the tree control
+// plane and would otherwise swamp the short tree runs.  tree_fanout
 // = 0 is the flat Strobe Sender; > 0 routes the same job through the
 // hierarchical strobe tree (DESIGN.md §7).
 // ---------------------------------------------------------------------------

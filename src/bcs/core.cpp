@@ -1,5 +1,6 @@
 #include "bcs/core.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -56,6 +57,18 @@ void BcsCore::writeVarLocal(int node, GlobalVarId var, std::int64_t value) {
   checkVar(var);
   vars_[static_cast<std::size_t>(var)].at(static_cast<std::size_t>(node)) =
       value;
+}
+
+void BcsCore::fillVarLocal(int first, int count, GlobalVarId var,
+                           std::int64_t value) {
+  checkVar(var);
+  std::vector<std::int64_t>& copies = vars_[static_cast<std::size_t>(var)];
+  if (first < 0 || count < 0 ||
+      static_cast<std::size_t>(first) + static_cast<std::size_t>(count) >
+          copies.size()) {
+    throw sim::SimError("BcsCore: node range out of bounds");
+  }
+  std::fill_n(copies.begin() + first, count, value);
 }
 
 GlobalEventId BcsCore::allocEvent(std::string name) {

@@ -109,6 +109,9 @@ class BcsCore {
 
   /// Local write to this node's copy (a NIC-memory store; free).
   void writeVarLocal(int node, GlobalVarId var, std::int64_t value);
+  /// writeVarLocal of one value on nodes first..first+count-1.
+  void fillVarLocal(int first, int count, GlobalVarId var,
+                    std::int64_t value);
 
   // ---- Events ----
 

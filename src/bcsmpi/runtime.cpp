@@ -42,7 +42,8 @@ Runtime::Runtime(net::Cluster& cluster, BcsMpiConfig config)
                     drainDescriptorFifos(node);
                     opFinished(node);
                   }),
-      nodes_(static_cast<std::size_t>(cluster.numComputeNodes())) {
+      nodes_(static_cast<std::size_t>(cluster.numComputeNodes())),
+      ctl_(nodes_.size()) {
   for (int n = 0; n < cluster.numComputeNodes(); ++n) {
     all_compute_nodes_.push_back(n);
   }
@@ -107,10 +108,9 @@ void Runtime::registerProcess(int job, int rank, sim::Process& proc) {
   proc.compute(config_.runtime_init_overhead);
   // The Strobe Receiver on this rank's node starts its slice watchdog as
   // part of bring-up: from here on, microstrobe silence is suspicious.
-  NodeState& ns = nodeState(rs.node);
-  ns.last_strobe = proc.now();
-  if (!ns.watchdog_armed) {
-    armWatchdogAt(rs.node, ns.last_strobe + watchdogTimeout());
+  ctl_.last_strobe[rs.node] = proc.now();
+  if (!ctl_.watchdog_armed[rs.node]) {
+    armWatchdogAt(rs.node, ctl_.last_strobe[rs.node] + watchdogTimeout());
   }
   if (!strobing_) {
     strobing_ = true;
@@ -131,10 +131,10 @@ void Runtime::registerDetachedRank(int job, int rank) {
   // Same bring-up charge as registerProcess, but without a fiber to bill it
   // to: the rank becomes communication-ready after the init overhead.
   const SimTime ready = cluster_.engine().now() + config_.runtime_init_overhead;
-  NodeState& ns = nodeState(rs.node);
-  ns.last_strobe = std::max(ns.last_strobe, ready);
-  if (!ns.watchdog_armed) {
-    armWatchdogAt(rs.node, ns.last_strobe + watchdogTimeout());
+  SimTime& last_strobe = ctl_.last_strobe[rs.node];
+  last_strobe = std::max(last_strobe, ready);
+  if (!ctl_.watchdog_armed[rs.node]) {
+    armWatchdogAt(rs.node, last_strobe + watchdogTimeout());
   }
   if (!strobing_) {
     strobing_ = true;
@@ -624,8 +624,9 @@ void Runtime::maybeStop() {
 // A slice that starts with nothing to do on any live node runs a fixed
 // schedule: the strobe, the DEM and MSM floors, three empty transmission
 // microphases.  The first such slice under a control plane runs normally
-// and is recorded; later ones apply the recording in one store loop and
-// schedule the next slice, one engine event in all.
+// and is recorded; later ones apply the recording, a fill per field over
+// runs of nodes that end the slice alike, and schedule the next slice, one
+// engine event in all.
 //
 // Why this is exact.  Replay demands that no engine event falls at or
 // before the recorded RM completion S + rm_offset, so in the normal run
@@ -686,7 +687,9 @@ bool Runtime::sliceQuiescent(SimTime now, bool after_replay) {
   if (!after_replay || work_epoch_ != idle_epoch_) {
     for (int n : live_compute_nodes_) {
       const NodeState& ns = nodes_[static_cast<std::size_t>(n)];
-      if (config_.watchdog_slices > 0 && !ns.watchdog_armed) return false;
+      if (config_.watchdog_slices > 0 && !ctl_.watchdog_armed[n]) {
+        return false;
+      }
       for (int p = 0; p < kNumPhases; ++p) {
         if (!nodeIdle(ns, static_cast<Phase>(p))) return false;
       }
@@ -732,11 +735,10 @@ bool Runtime::replaySlice() {
     r.nodes.resize(live_compute_nodes_.size());
     for (std::size_t i = 0; i < live_compute_nodes_.size(); ++i) {
       const int n = live_compute_nodes_[i];
-      const NodeState& ns = nodes_[static_cast<std::size_t>(n)];
       SliceTemplate::NodeEnd& e = r.nodes[i];
-      e.phase_seq = static_cast<std::int64_t>(ns.phase_seq);
+      e.phase_seq = static_cast<std::int64_t>(ctl_.phase_seq[n]);
       e.phase_done = core_.readVar(n, phase_done_var_);
-      e.last_strobe = ns.last_strobe;
+      e.last_strobe = ctl_.last_strobe[n];
     }
     r.racks.resize(tree_racks_.size());
     for (std::size_t k = 0; k < tree_racks_.size(); ++k) {
@@ -754,20 +756,22 @@ bool Runtime::replaySlice() {
   root_msgs_slice_ = t.root_msgs;
   cluster_.fabric().apply(t.fabric, now);
   constexpr std::int64_t kKeep = SliceTemplate::kKeep;
-  for (std::size_t i = 0; i < t.nodes.size(); ++i) {
-    const int n = live_compute_nodes_[i];
-    const SliceTemplate::NodeEnd& e = t.nodes[i];
-    NodeState& ns = nodes_[static_cast<std::size_t>(n)];
+  for (const SliceTemplate::NodeRun& run : t.nodes) {
+    const SliceTemplate::NodeEnd& e = run.end;
+    const auto fill = [&run](auto& field, auto value) {
+      std::fill_n(field.begin() + run.first, run.count, value);
+    };
     if (e.phase_seq != kKeep) {
-      ns.phase_seq = static_cast<std::uint64_t>(base + e.phase_seq);
+      fill(ctl_.phase_seq, static_cast<std::uint64_t>(base + e.phase_seq));
     }
     if (e.phase_done != kKeep) {
-      core_.writeVarLocal(n, phase_done_var_, base + e.phase_done);
+      core_.fillVarLocal(run.first, run.count, phase_done_var_,
+                         base + e.phase_done);
     }
-    if (e.last_strobe != kKeep) ns.last_strobe = now + e.last_strobe;
-    ns.outstanding = e.outstanding;
-    ns.tree_floor = e.tree_floor;
-    ns.tree_drain = e.tree_drain;
+    if (e.last_strobe != kKeep) fill(ctl_.last_strobe, now + e.last_strobe);
+    fill(ctl_.outstanding, e.outstanding);
+    fill(ctl_.tree_floor, static_cast<char>(e.tree_floor));
+    fill(ctl_.tree_drain, static_cast<char>(e.tree_drain));
   }
   for (std::size_t k = 0; k < t.racks.size(); ++k) {
     const SliceTemplate::RackEnd& e = t.racks[k];
@@ -813,20 +817,26 @@ void Runtime::finishRecording(SimTime next) {
   t.stats = sim::zipCounters(stats_, r.stats, std::minus<>());
   t.root_msgs = root_msgs_slice_;
   t.fabric = cluster_.fabric().deltaSince(r.fabric, r.start);
-  t.nodes.resize(live_compute_nodes_.size());
   for (std::size_t i = 0; i < live_compute_nodes_.size(); ++i) {
     const int n = live_compute_nodes_[i];
-    const NodeState& ns = nodes_[static_cast<std::size_t>(n)];
     const SliceTemplate::NodeEnd& was = r.nodes[i];
-    SliceTemplate::NodeEnd& e = t.nodes[i];
-    e.phase_seq =
-        rel(static_cast<std::int64_t>(ns.phase_seq), was.phase_seq, base);
+    SliceTemplate::NodeEnd e;
+    e.phase_seq = rel(static_cast<std::int64_t>(ctl_.phase_seq[n]),
+                      was.phase_seq, base);
     e.phase_done =
         rel(core_.readVar(n, phase_done_var_), was.phase_done, base);
-    e.last_strobe = rel(ns.last_strobe, was.last_strobe, r.start);
-    e.outstanding = ns.outstanding;
-    e.tree_floor = ns.tree_floor;
-    e.tree_drain = ns.tree_drain;
+    e.last_strobe = rel(ctl_.last_strobe[n], was.last_strobe, r.start);
+    e.outstanding = ctl_.outstanding[n];
+    e.tree_floor = ctl_.tree_floor[n] != 0;
+    e.tree_drain = ctl_.tree_drain[n] != 0;
+    if (!t.nodes.empty()) {
+      SliceTemplate::NodeRun& run = t.nodes.back();
+      if (run.first + run.count == n && run.end == e) {
+        ++run.count;
+        continue;
+      }
+    }
+    t.nodes.push_back({n, 1, e});
   }
   t.racks.resize(tree_racks_.size());
   for (std::size_t k = 0; k < tree_racks_.size(); ++k) {
@@ -1003,24 +1013,22 @@ void Runtime::runVerifyAudit() {
 // Strobe Receiver + NIC threads (compute nodes)
 // ---------------------------------------------------------------------------
 
-void Runtime::opStarted(int node) { ++nodeState(node).outstanding; }
+void Runtime::opStarted(int node) { ++ctl_.outstanding[node]; }
 
 void Runtime::opFinished(int node) {
-  NodeState& ns = nodeState(node);
-  if (--ns.outstanding == 0) {
+  if (--ctl_.outstanding[node] == 0) {
     // The phase_done replica is written in both modes: tree-mode recovery
     // after a root election still quiesces via this variable.
     core_.writeVarLocal(node, phase_done_var_,
-                        static_cast<std::int64_t>(ns.phase_seq));
+                        static_cast<std::int64_t>(ctl_.phase_seq[node]));
     if (tree_mode_) treeMemberDone(node);
   }
 }
 
 void Runtime::beginNodePhase(int node, std::uint64_t seq, Duration floor,
                              Duration work_cost) {
-  NodeState& ns = nodeState(node);
-  ns.phase_seq = seq;
-  ns.outstanding = 0;
+  ctl_.phase_seq[node] = seq;
+  ctl_.outstanding[node] = 0;
   // One token for the NIC-thread processing time (at least the phase
   // floor).  An idle node's token is released by an event at this very
   // instant, so the outstanding counter still guards against completing
@@ -1032,10 +1040,9 @@ void Runtime::beginNodePhase(int node, std::uint64_t seq, Duration floor,
 void Runtime::onStrobe(int node, Phase p, std::uint64_t seq) {
   if (nodeEvicted(node)) return;  // strobe raced an eviction
   // Feed the slice watchdog: a strobe is proof of Strobe Sender life.
-  NodeState& ns = nodeState(node);
-  ns.last_strobe = cluster_.engine().now();
-  if (!ns.watchdog_armed) {
-    armWatchdogAt(node, ns.last_strobe + watchdogTimeout());
+  ctl_.last_strobe[node] = cluster_.engine().now();
+  if (!ctl_.watchdog_armed[node]) {
+    armWatchdogAt(node, ctl_.last_strobe[node] + watchdogTimeout());
   }
   switch (p) {
     case Phase::kDem: runDem(node, seq); return;
@@ -1137,6 +1144,7 @@ void Runtime::evictNodeState(int node) {
 
   // 3. Drop every queue of the dead node (its NIC memory is unreachable).
   dead_ns = NodeState{};
+  ctl_.reset(node);
 
   // 4. Scrub the survivors' queues of work pinned to the dead node.
   for (int n : live_compute_nodes_) {
@@ -1239,10 +1247,14 @@ void Runtime::evictNodeState(int node) {
 
 void Runtime::armWatchdogAt(int node, SimTime when) {
   if (config_.watchdog_slices <= 0 || stop_requested_) return;
-  NodeState& ns = nodeState(node);
-  ns.watchdog_armed = true;
-  ns.watchdog_at = std::max(when, cluster_.engine().now());
-  if (!running_watchdogs_) scheduleWatchdogTimer(ns.watchdog_at);
+  const SimTime at = std::max(when, cluster_.engine().now());
+  ctl_.watchdog_armed[node] = true;
+  ctl_.watchdog_at[node] = at;
+  if (!running_watchdogs_) {
+    scheduleWatchdogTimer(at);
+  } else if (node < watchdog_cursor_) {
+    watchdog_rescan_ = true;
+  }
 }
 
 SimTime Runtime::watchdogRecheckAt(SimTime deadline, SimTime now) const {
@@ -1267,42 +1279,60 @@ void Runtime::runDueWatchdogs() {
   watchdog_timer_at_ = kNoTimer;
   const SimTime now = cluster_.engine().now();
   running_watchdogs_ = true;
-  for (int n : all_compute_nodes_) {
-    const NodeState& ns = nodes_[static_cast<std::size_t>(n)];
-    if (!ns.watchdog_armed || ns.watchdog_at > now) continue;
-    onWatchdog(n);
-    // The quiescence walk must see a live node whose watchdog stays off.
-    if (!ns.watchdog_armed && !nodeEvicted(n)) noteWork();
+  watchdog_rescan_ = false;
+  // One pass in ascending node order runs the due watchdogs and takes the
+  // earliest deadline left behind.  A node a watchdog arms further on is
+  // seen when the pass gets there, as if it had been armed before.
+  SimTime next = kNoTimer;
+  const int nodes = static_cast<int>(nodes_.size());
+  for (int n = 0; n < nodes; ++n) {
+    if (!ctl_.watchdog_armed[n]) continue;
+    if (ctl_.watchdog_at[n] <= now) {
+      // The common outcome stays inline: the node checks again later, as
+      // onWatchdog's disarm and re-arm would leave it.
+      const SimTime recheck = watchdogRecheck(n, now);
+      if (recheck != kNoTimer) {
+        ctl_.watchdog_at[n] = recheck;
+      } else {
+        watchdog_cursor_ = n;
+        onWatchdog(n);
+        // The quiescence walk must see a live node whose watchdog stays off.
+        if (!ctl_.watchdog_armed[n]) {
+          if (!nodeEvicted(n)) noteWork();
+          continue;
+        }
+      }
+    }
+    next = std::min(next, ctl_.watchdog_at[n]);
   }
   running_watchdogs_ = false;
-  SimTime next = kNoTimer;
-  for (const NodeState& ns : nodes_) {
-    if (ns.watchdog_armed) next = std::min(next, ns.watchdog_at);
+  watchdog_cursor_ = 0;
+  if (watchdog_rescan_) {
+    next = kNoTimer;
+    for (int n = 0; n < nodes; ++n) {
+      if (ctl_.watchdog_armed[n]) next = std::min(next, ctl_.watchdog_at[n]);
+    }
   }
   if (next != kNoTimer) scheduleWatchdogTimer(next);
 }
 
 void Runtime::onWatchdog(int node) {
-  NodeState& ns = nodeState(node);
-  ns.watchdog_armed = false;
+  ctl_.watchdog_armed[node] = false;
+  const SimTime now = cluster_.engine().now();
+  const SimTime recheck = watchdogRecheck(node, now);
+  if (recheck != kNoTimer) {
+    armWatchdogAt(node, recheck);
+    return;
+  }
   if (stop_requested_ || config_.watchdog_slices <= 0 || nodeEvicted(node)) {
     return;
   }
-  const SimTime now = cluster_.engine().now();
   if (cluster_.faults()->nodeDown(node, now)) {
     // This SR's own node is down; a later strobe receipt (short hang) or
     // rejoin re-arms the watchdog.
     return;
   }
-  const SimTime deadline = ns.last_strobe + watchdogTimeout();
-  if (now < deadline) {
-    // A strobe arrived since the watchdog was armed.  Check again at the
-    // slice boundary before the deadline, where the timer fires ahead of
-    // that boundary's startSlice instead of inside a slice; the last step
-    // of the chain lands on the deadline itself.
-    armWatchdogAt(node, watchdogRecheckAt(deadline, now));
-    return;
-  }
+  // No strobe for a whole timeout.
   if (node == strobe_node_) return;  // the Strobe Sender never suspects itself
   ++stats_.watchdog_fires;
   sim::traceRecord(trace_, now, sim::TraceCategory::kFailover, node, [&] {
@@ -1326,7 +1356,8 @@ void Runtime::onWatchdog(int node) {
 }
 
 void Runtime::stopWatchdogs() {
-  for (NodeState& ns : nodes_) ns.watchdog_armed = false;
+  std::fill(ctl_.watchdog_armed.begin(), ctl_.watchdog_armed.end(), false);
+  watchdog_rescan_ = true;  // a pass in progress keeps no deadline
   if (watchdog_timer_at_ != kNoTimer) {
     cluster_.engine().cancel(watchdog_timer_);
     watchdog_timer_at_ = kNoTimer;
@@ -1472,6 +1503,7 @@ void Runtime::performRejoins() {
     // The node returns scrubbed: NIC queues rebuilt from scratch (its ranks
     // were force-finished at eviction and stay finished).
     nodeState(node) = NodeState{};
+    ctl_.reset(node);
     live_compute_nodes_.insert(
         std::lower_bound(live_compute_nodes_.begin(),
                          live_compute_nodes_.end(), node),
@@ -1487,10 +1519,9 @@ void Runtime::performRejoins() {
       return "rejoined at slice " + std::to_string(slice_index_) + " (epoch " +
              std::to_string(control_epoch_) + "): queues rebuilt";
     });
-    NodeState& ns = nodeState(node);
-    ns.last_strobe = now;
-    if (!ns.watchdog_armed) {
-      armWatchdogAt(node, ns.last_strobe + watchdogTimeout());
+    ctl_.last_strobe[node] = now;
+    if (!ctl_.watchdog_armed[node]) {
+      armWatchdogAt(node, now + watchdogTimeout());
     }
     if (tree_mode_) treeHandleRejoin(node);
   }

@@ -406,10 +406,14 @@ class Runtime {
     }
   };
 
+  /// A node's NIC queues.  The FIFOs that are only appended to and then
+  /// drained whole by the DEM are vectors: an empty vector allocates
+  /// nothing, while an empty std::deque holds a 512-byte block and its map,
+  /// ≈2.4 KB of each NodeState's heap for these four, ≈5 MB at 2,048 nodes.
   struct NodeState {
     // Buffer Sender
-    std::deque<SendDescriptor> bs_fresh;
-    std::deque<SendDescriptor> bs_retry;  ///< lost in DEM, resent next slice
+    std::vector<SendDescriptor> bs_fresh;
+    std::vector<SendDescriptor> bs_retry;  ///< lost in DEM, resent next slice
     // Buffer Receiver
     SendMatchIndex remote_sends;   ///< arrived during DEMs, by envelope
     std::deque<RecvDescriptor> recv_fresh;  ///< posted by local ranks
@@ -435,27 +439,50 @@ class Runtime {
     // rma_retry; ops that arrived for windows homed on this node are
     // applied by the MSM from rma_inbound; applied ops ride rma_returns
     // back to their origin node in the P2P microphase.
-    std::deque<RmaOpDescriptor> rma_fresh;
-    std::deque<RmaOpDescriptor> rma_retry;
+    std::vector<RmaOpDescriptor> rma_fresh;
+    std::vector<RmaOpDescriptor> rma_retry;
     std::vector<RmaOpDescriptor> rma_inbound;
     std::vector<RmaOpDescriptor> rma_returns;
     // Node Manager
     std::vector<std::pair<int, int>> wake_list;   ///< (job, rank)
     std::vector<std::pair<int, int>> probe_waiters;
+  };
+
+  /// The nodes' control-plane state: the fields a replayed slice and the
+  /// watchdog pass write, kept apart from the queues in NodeState as one
+  /// contiguous array per field, indexed by compute node.  A replay fills
+  /// each array over runs of nodes, and the watchdog pass scans two of
+  /// them, instead of touching every node's scattered NodeState.
+  struct NodeControl {
+    explicit NodeControl(std::size_t nodes)
+        : phase_seq(nodes),
+          outstanding(nodes),
+          tree_floor(nodes),
+          tree_drain(nodes),
+          last_strobe(nodes),
+          watchdog_armed(nodes),
+          watchdog_at(nodes) {}
+    /// Node `n`'s fields back to their initial values.
+    void reset(int n) {
+      phase_seq[n] = 0;
+      outstanding[n] = 0;
+      tree_floor[n] = tree_drain[n] = watchdog_armed[n] = false;
+      last_strobe[n] = watchdog_at[n] = 0;
+    }
     // Microphase completion tracking
-    std::uint64_t phase_seq = 0;
-    int outstanding = 0;
+    std::vector<std::uint64_t> phase_seq;
+    std::vector<int> outstanding;
     // Tree mode (tree_fanout > 0): tokens released by rack-level events
     // rather than per-node timers.  `tree_floor` marks the phase-floor token
     // the rack's shared floor event releases; `tree_drain` marks the DEM
     // FIFO-drain token the rack's shared drain event releases.
-    bool tree_floor = false;
-    bool tree_drain = false;
+    std::vector<char> tree_floor;
+    std::vector<char> tree_drain;
     // Slice watchdog (Strobe Receiver side of control-plane failover).  The
     // runtime's one watchdog timer runs it once watchdog_at is due.
-    SimTime last_strobe = 0;
-    bool watchdog_armed = false;
-    SimTime watchdog_at = 0;  ///< when the armed watchdog runs
+    std::vector<SimTime> last_strobe;
+    std::vector<char> watchdog_armed;
+    std::vector<SimTime> watchdog_at;  ///< when the armed watchdog runs
   };
 
   /// Per-rack strobe-protocol state (tree mode).  Role/membership live in
@@ -474,7 +501,7 @@ class Runtime {
   struct SliceTemplate {
     /// An end value the slice left alone.
     static constexpr std::int64_t kKeep = INT64_MIN;
-    /// One per live node, in live_compute_nodes_ order.
+    /// How a live node ends the slice.
     struct NodeEnd {
       std::int64_t phase_seq = kKeep;   ///< offset from phase_seq_ at S
       std::int64_t phase_done = kKeep;  ///< replica, same base
@@ -482,6 +509,14 @@ class Runtime {
       int outstanding = 0;
       bool tree_floor = false;
       bool tree_drain = false;
+      bool operator==(const NodeEnd&) const = default;
+    };
+    /// Live nodes first..first+count-1, every one ending alike, as the
+    /// members of a rack do.
+    struct NodeRun {
+      int first = 0;
+      int count = 0;
+      NodeEnd end;
     };
     /// One per rack (tree mode).
     struct RackEnd {
@@ -495,7 +530,7 @@ class Runtime {
     RuntimeStats stats;        ///< counter deltas
     std::uint64_t root_msgs = 0;  ///< root_msgs_slice_ at RM completion
     net::FabricDelta fabric;
-    std::vector<NodeEnd> nodes;
+    std::vector<NodeRun> nodes;  ///< ascending, covering the live nodes
     std::vector<RackEnd> racks;
     Phase tree_phase = Phase::kDem;
     bool tree_phase_open = false;
@@ -511,6 +546,7 @@ class Runtime {
     std::uint64_t phase_seq = 0;
     RuntimeStats stats;
     net::Fabric::Mark fabric;
+    /// One per live node, in live_compute_nodes_ order.
     std::vector<SliceTemplate::NodeEnd> nodes;
     std::vector<SliceTemplate::RackEnd> racks;
   };
@@ -645,6 +681,21 @@ class Runtime {
   /// the last slice boundary at or before `deadline`, or the deadline
   /// itself when that boundary is not after now.
   SimTime watchdogRecheckAt(SimTime deadline, SimTime now) const;
+  /// A due watchdog's usual outcome: its node is live and up and heard a
+  /// strobe since the watchdog was armed, so it checks again at the slice
+  /// boundary before the deadline, where the timer fires ahead of that
+  /// boundary's startSlice instead of inside a slice; the last step of the
+  /// chain lands on the deadline itself.  Always after now; kNoTimer when
+  /// onWatchdog must disarm the watchdog, suspect the Strobe Sender or
+  /// elect.  Inline: the watchdog pass runs it for every due node.
+  SimTime watchdogRecheck(int node, SimTime now) const {
+    const SimTime deadline = ctl_.last_strobe[node] + watchdogTimeout();
+    if (now >= deadline || stop_requested_ || config_.watchdog_slices <= 0 ||
+        nodeEvicted(node) || cluster_.faults()->nodeDown(node, now)) {
+      return kNoTimer;
+    }
+    return watchdogRecheckAt(deadline, now);
+  }
   /// The watchdog timer's event: runs every due node's watchdog in
   /// ascending node order, then re-files itself at the earliest deadline.
   void runDueWatchdogs();
@@ -683,6 +734,7 @@ class Runtime {
 
   std::vector<JobState> jobs_;
   std::vector<NodeState> nodes_;
+  NodeControl ctl_;
   std::vector<int> all_compute_nodes_;
   std::vector<int> live_compute_nodes_;  ///< strobe/poll set, minus evictions
   std::vector<char> evicted_;            ///< per compute node
@@ -707,11 +759,15 @@ class Runtime {
   /// The slice watchdogs' one engine event (DESIGN.md §4c), pending at
   /// watchdog_timer_at_; kNoTimer when none is.  While runDueWatchdogs is
   /// running, re-arms only update their node and the timer is re-filed at
-  /// the end.
+  /// the end, at the earliest deadline its pass saw.  The pass is at node
+  /// watchdog_cursor_; a re-arm behind it, or a stop, makes the pass
+  /// rescan for that deadline.
   static constexpr SimTime kNoTimer = INT64_MAX;
   sim::EventId watchdog_timer_{};
   SimTime watchdog_timer_at_ = kNoTimer;
   bool running_watchdogs_ = false;
+  bool watchdog_rescan_ = false;
+  int watchdog_cursor_ = 0;
 
   bool strobing_ = false;
   bool stop_requested_ = false;

@@ -79,10 +79,9 @@ void Runtime::onRackStrobe(int rack, Phase p, std::uint64_t seq) {
   const int ss = sstree_.ss(rack);
   if (nodeEvicted(ss)) return;  // strobe raced an eviction
   // A strobe reaching the rack SS is proof of root life.
-  NodeState& ss_ns = nodeState(ss);
-  ss_ns.last_strobe = cluster_.engine().now();
-  if (!ss_ns.watchdog_armed) {
-    armWatchdogAt(ss, ss_ns.last_strobe + watchdogTimeout());
+  ctl_.last_strobe[ss] = cluster_.engine().now();
+  if (!ctl_.watchdog_armed[ss]) {
+    armWatchdogAt(ss, ctl_.last_strobe[ss] + watchdogTimeout());
   }
   TreeRackState& rk = tree_racks_[static_cast<std::size_t>(rack)];
   if (seq < rk.seq) return;  // stale duplicate from an abandoned recovery
@@ -131,12 +130,11 @@ void Runtime::rackFanout(int rack, Phase p, std::uint64_t seq) {
   int pending = 0;
   bool any_drain = false;
   for (int m : members) {
-    NodeState& ns = nodeState(m);
-    if (ns.phase_seq >= seq) {
+    if (ctl_.phase_seq[m] >= seq) {
       // Already in (or past) this phase — a recovery re-strobe re-enters
       // here with members that hold tokens from the original strobe; they
       // stay pending until their ops drain.
-      if (ns.phase_seq == seq && ns.outstanding > 0) ++pending;
+      if (ctl_.phase_seq[m] == seq && ctl_.outstanding[m] > 0) ++pending;
       continue;
     }
     if (cluster_.faults()->nodeDown(m, now)) {
@@ -144,9 +142,9 @@ void Runtime::rackFanout(int rack, Phase p, std::uint64_t seq) {
       // it and heartbeat eviction (or a rejoin) repairs it later.
       continue;
     }
-    ns.last_strobe = now;
-    if (!ns.watchdog_armed) armWatchdogAt(m, now + watchdogTimeout());
-    if (nodeIdle(ns, p)) {
+    ctl_.last_strobe[m] = now;
+    if (!ctl_.watchdog_armed[m]) armWatchdogAt(m, now + watchdogTimeout());
+    if (nodeIdle(nodeState(m), p)) {
       // Idle fast path: the member observes the strobe (sequence number
       // and watchdog above) but holds no completion tokens — there is no
       // process to wake, nothing to drain, match, get or execute, so the
@@ -156,10 +154,10 @@ void Runtime::rackFanout(int rack, Phase p, std::uint64_t seq) {
       // microphase.  Its host cost is still O(members): this loop visits
       // every member, and the relay multicast updated every member's
       // ingress (ROADMAP lists the measured profile).
-      ns.phase_seq = seq;
-      ns.outstanding = 0;
-      ns.tree_floor = false;
-      ns.tree_drain = false;
+      ctl_.phase_seq[m] = seq;
+      ctl_.outstanding[m] = 0;
+      ctl_.tree_floor[m] = false;
+      ctl_.tree_drain[m] = false;
       continue;
     }
     max_busy = std::max(max_busy, treeInitMember(m, p, seq));
@@ -195,17 +193,17 @@ void Runtime::rackFanout(int rack, Phase p, std::uint64_t seq) {
 
 Duration Runtime::treeInitMember(int node, Phase p, std::uint64_t seq) {
   NodeState& ns = nodeState(node);
-  ns.phase_seq = seq;
-  ns.outstanding = 0;
+  ctl_.phase_seq[node] = seq;
+  ctl_.outstanding[node] = 0;
   // The NIC-thread floor token, released by the rack-shared floor event.
   opStarted(node);
-  ns.tree_floor = true;
+  ctl_.tree_floor[node] = true;
   switch (p) {
     case Phase::kDem: {
       wakeAtSliceStart(node);
       // FIFO-drain token, released by the rack-shared drain event.
       opStarted(node);
-      ns.tree_drain = true;
+      ctl_.tree_drain[node] = true;
       return config_.dem_floor;
     }
     case Phase::kMsm: {
@@ -247,9 +245,8 @@ Duration Runtime::treeInitMember(int node, Phase p, std::uint64_t seq) {
 
 void Runtime::treeReleaseFloor(int rack, std::uint64_t seq) {
   for (int m : sstree_.members(rack)) {
-    NodeState& ns = nodeState(m);
-    if (ns.tree_floor && ns.phase_seq == seq) {
-      ns.tree_floor = false;
+    if (ctl_.tree_floor[m] && ctl_.phase_seq[m] == seq) {
+      ctl_.tree_floor[m] = false;
       opFinished(m);
     }
   }
@@ -257,9 +254,8 @@ void Runtime::treeReleaseFloor(int rack, std::uint64_t seq) {
 
 void Runtime::treeDrain(int rack, std::uint64_t seq) {
   for (int m : sstree_.members(rack)) {
-    NodeState& ns = nodeState(m);
-    if (ns.tree_drain && ns.phase_seq == seq) {
-      ns.tree_drain = false;
+    if (ctl_.tree_drain[m] && ctl_.phase_seq[m] == seq) {
+      ctl_.tree_drain[m] = false;
       drainDescriptorFifos(m);
       opFinished(m);
     }
@@ -274,7 +270,7 @@ void Runtime::treeMemberDone(int node) {
   if (nodeEvicted(node)) return;
   const int rack = sstree_.rackOf(node);
   TreeRackState& rk = tree_racks_[static_cast<std::size_t>(rack)];
-  if (nodeState(node).phase_seq != rk.seq) return;  // stale completion
+  if (ctl_.phase_seq[node] != rk.seq) return;  // stale completion
   if (rk.pending > 0 && --rk.pending == 0 && rk.acked_seq < rk.seq) {
     sendRackAck(rack, rk.seq);
   }
@@ -488,9 +484,8 @@ void Runtime::treeHandleEviction(int node) {
   // Whether the dead member was gating the current microphase must be read
   // BEFORE the membership edit (its NodeState is scrubbed later, at the
   // boundary, but the pending count is rack bookkeeping).
-  const NodeState& ns = nodeState(node);
-  const bool counted =
-      rk.seq == phase_seq_ && ns.phase_seq == rk.seq && ns.outstanding > 0;
+  const bool counted = rk.seq == phase_seq_ && ctl_.phase_seq[node] == rk.seq &&
+                       ctl_.outstanding[node] > 0;
   const storm::SsTree::EvictResult ev = sstree_.evict(node);
   if (!ev.removed) return;
   if (counted && rk.pending > 0) --rk.pending;
@@ -585,7 +580,7 @@ void Runtime::treeAudit(verify::Verifier& v, SimTime now) {
         std::to_string(rk.acked_seq) + ", " + std::to_string(rk.pending) +
         " member(s) pending";
     for (int m : members) {
-      if (nodeState(m).outstanding > 0) detail += " n" + std::to_string(m);
+      if (ctl_.outstanding[m] > 0) detail += " n" + std::to_string(m);
     }
     detail += ")";
     v.addFinding(verify::Category::kLeakedAck, now, slice_index_,

@@ -315,14 +315,24 @@ void Fabric::softwareMulticast(int src, const std::vector<int>& dests,
 FabricDelta Fabric::deltaSince(const Mark& m, SimTime base) const {
   FabricDelta d;
   d.stats = sim::zipCounters(stats_, m.stats, std::minus<>());
-  for (std::size_t n = 0; n < endpoints_.size(); ++n) {
-    const Endpoint& now = endpoints_[n];
-    const Endpoint& was = m.endpoints[n];
-    if (now.egress_free != was.egress_free) {
-      d.busy.push_back({static_cast<int>(n), false, now.egress_free - base});
-    }
-    if (now.ingress_free != was.ingress_free) {
-      d.busy.push_back({static_cast<int>(n), true, now.ingress_free - base});
+  for (const bool ingress : {false, true}) {
+    const auto side = [ingress](const Endpoint& e) {
+      return ingress ? e.ingress_free : e.egress_free;
+    };
+    for (std::size_t n = 0; n < endpoints_.size(); ++n) {
+      const SimTime free_at = side(endpoints_[n]);
+      if (free_at == side(m.endpoints[n])) continue;
+      const int node = static_cast<int>(n);
+      const Duration offset = free_at - base;
+      if (!d.busy.empty()) {
+        FabricDelta::Busy& run = d.busy.back();
+        if (run.ingress == ingress && run.first + run.count == node &&
+            run.offset == offset) {
+          ++run.count;
+          continue;
+        }
+      }
+      d.busy.push_back({node, 1, ingress, offset});
     }
   }
   return d;
@@ -330,9 +340,13 @@ FabricDelta Fabric::deltaSince(const Mark& m, SimTime base) const {
 
 void Fabric::apply(const FabricDelta& d, SimTime base) {
   stats_ = sim::zipCounters(stats_, d.stats, std::plus<>());
-  for (const FabricDelta::Busy& b : d.busy) {
-    Endpoint& e = endpoints_[static_cast<std::size_t>(b.node)];
-    setFree(b.ingress ? e.ingress_free : e.egress_free, base + b.offset);
+  for (const FabricDelta::Busy& run : d.busy) {
+    const SimTime free_at = base + run.offset;
+    Endpoint* const first = &endpoints_[static_cast<std::size_t>(run.first)];
+    for (Endpoint* e = first; e != first + run.count; ++e) {
+      (run.ingress ? e->ingress_free : e->egress_free) = free_at;
+    }
+    busy_until_ = std::max(busy_until_, free_at);
   }
 }
 

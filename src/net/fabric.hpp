@@ -77,9 +77,12 @@ struct FabricStats {
 /// another quiet instant reproduces the stretch's effect on the fabric.
 struct FabricDelta {
   FabricStats stats;
+  /// Nodes first..first+count-1 whose free-time on one side moved to one
+  /// offset, as a multicast's destinations do.
   struct Busy {
-    int node = 0;
-    bool ingress = false;  ///< ingress free-time, else egress
+    int first = 0;
+    int count = 0;
+    bool ingress = false;  ///< ingress free-times, else egress
     Duration offset = 0;
   };
   std::vector<Busy> busy;

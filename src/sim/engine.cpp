@@ -93,6 +93,20 @@ static constexpr auto kLaterFirst = [](const auto& a, const auto& b) {
 };
 
 void Engine::enqueue(QEntry entry) {
+  if (entry.when != now_) {
+    enqueueOrdered(entry);
+    return;
+  }
+  // A fresh key at now_ is the largest drawn so far: the entry fires after
+  // every one queued at now_ and before anything later, so the FIFO's tail
+  // is its exact place.  It counts as a push under the bucket it would
+  // have been inserted into, for EventRun's exactness check.
+  ++pushes_[bucketIndex(now_) & kBucketMask];
+  same_instant_.push_back(entry);
+  ++wheel_count_;
+}
+
+void Engine::enqueueOrdered(QEntry entry) {
   // The cursor may already have scanned past this event's natural bucket
   // (base_ tracks the wheel minimum, and `when >= now_` is all we checked).
   // Clamping keeps ordering correct: within a bucket entries order by
@@ -116,7 +130,7 @@ void Engine::enqueue(QEntry entry) {
   }
 }
 
-bool Engine::peekNext(QEntry& entry, bool& from_overflow) {
+Engine::Source Engine::peekNext(QEntry& entry) {
   // Drop dead entries from the overflow top first so the comparison below
   // sees a live candidate (or none).
   while (!overflow_.empty() && !node(overflow_.front().slot).armed) {
@@ -124,49 +138,88 @@ bool Engine::peekNext(QEntry& entry, bool& from_overflow) {
     heapPop(overflow_);
     ++dropped_tombstones_;
   }
-  // Advance the cursor to the first bucket with a live entry, sorting each
-  // bucket once as the cursor reaches it.
-  const QEntry* wheel_top = nullptr;
+  // Advance the cursor to the first bucket with a live entry.
+  Source wheel = Source::kNone;
   while (wheel_count_ > 0) {
-    auto& bucket = buckets_[base_ & kBucketMask];
-    if (!bucket.empty() && base_ != sorted_bucket_) {
-      std::sort(bucket.begin(), bucket.end(), kLaterFirst);
-      sorted_bucket_ = base_;
-    }
-    while (!bucket.empty() && !node(bucket.back().slot).armed) {
-      releaseNode(bucket.back().slot);
-      bucket.pop_back();
-      --wheel_count_;
-      ++dropped_tombstones_;
-    }
-    if (!bucket.empty()) {
-      wheel_top = &bucket.back();
+    wheel = cursorFront();
+    if (wheel != Source::kNone) {
+      entry = wheel == Source::kSameInstant
+                  ? same_instant_[same_instant_head_]
+                  : buckets_[base_ & kBucketMask].back();
       break;
     }
     ++base_;
   }
-  if (wheel_top == nullptr && overflow_.empty()) return false;
-  if (wheel_top == nullptr) {
+  if (!overflow_.empty() &&
+      (wheel == Source::kNone || overflow_.front().firesBefore(entry))) {
     entry = overflow_.front();
-    from_overflow = true;
-    // All activity lives beyond the horizon; jump the cursor so future
-    // enqueues near this time land in the wheel again.
-    const std::uint64_t idx =
-        static_cast<std::uint64_t>(overflow_.front().when) >> kBucketShift;
-    if (idx > base_) base_ = idx;
-    return true;
+    return Source::kOverflow;
   }
-  if (!overflow_.empty() && overflow_.front().firesBefore(*wheel_top)) {
-    entry = overflow_.front();
-    from_overflow = true;
-    return true;
+  return wheel;
+}
+
+Engine::Source Engine::cursorFront() {
+  // The bucket is sorted once, when the cursor first reaches it.  Merged
+  // with the same-instant FIFO, both in firing order, the earlier of the
+  // two fronts is the bucket's front.
+  auto& bucket = buckets_[base_ & kBucketMask];
+  if (!bucket.empty() && base_ != sorted_bucket_) {
+    std::sort(bucket.begin(), bucket.end(), kLaterFirst);
+    sorted_bucket_ = base_;
   }
-  entry = *wheel_top;
-  from_overflow = false;
-  return true;
+  for (;;) {
+    const bool fifo =
+        same_instant_head_ < same_instant_.size() &&
+        (bucket.empty() ||
+         same_instant_[same_instant_head_].firesBefore(bucket.back()));
+    if (!fifo && bucket.empty()) return Source::kNone;
+    const Source src = fifo ? Source::kSameInstant : Source::kBucket;
+    const QEntry& front = fifo ? same_instant_[same_instant_head_]
+                               : bucket.back();
+    if (node(front.slot).armed) return src;
+    releaseNode(front.slot);
+    extract(src, front);
+    ++dropped_tombstones_;
+  }
+}
+
+void Engine::extract(Source src, const QEntry& entry) {
+  switch (src) {
+    case Source::kBucket: {
+      auto& bucket = buckets_[base_ & kBucketMask];
+      bucket.pop_back();
+      --wheel_count_;
+      // Warm the next victim's node line while this callback runs.
+      if (!bucket.empty()) __builtin_prefetch(&node(bucket.back().slot));
+      break;
+    }
+    case Source::kSameInstant:
+      if (++same_instant_head_ == same_instant_.size()) {
+        same_instant_.clear();
+        same_instant_head_ = 0;
+      }
+      --wheel_count_;
+      break;
+    case Source::kOverflow:
+      heapPop(overflow_);
+      if (wheel_count_ == 0) {
+        // All activity lives beyond the horizon; jump the cursor so future
+        // enqueues near this time land in the wheel again.
+        const std::uint64_t idx =
+            static_cast<std::uint64_t>(entry.when) >> kBucketShift;
+        if (idx > base_) base_ = idx;
+      }
+      break;
+    case Source::kNone:
+      break;
+  }
 }
 
 SimTime Engine::nextEventTime() const {
+  // Same-instant entries fire at now_, before anything else can.
+  for (std::size_t i = same_instant_head_; i < same_instant_.size(); ++i) {
+    if (node(same_instant_[i].slot).armed) return same_instant_[i].when;
+  }
   // The overflow top is its heap's minimum, live or not.
   SimTime best = overflow_.empty() ? INT64_MAX : overflow_.front().when;
   if (wheel_count_ == 0) return best;
@@ -184,15 +237,6 @@ SimTime Engine::nextEventTime() const {
     if (first != INT64_MAX) return std::min(best, first);
   }
   return best;
-}
-
-void Engine::extract(bool from_overflow) {
-  if (from_overflow) {
-    heapPop(overflow_);
-  } else {
-    buckets_[base_ & kBucketMask].pop_back();
-    --wheel_count_;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -256,7 +300,9 @@ void Engine::requeueRun(SimTime when, std::uint64_t key, EventCallback fn) {
   Node& n = node(slot);
   n.armed = true;
   n.fn = std::move(fn);
-  enqueue(QEntry{when, key, slot});
+  // An old key: entries filed since may fire after it, so the same-instant
+  // FIFO's tail is no place for it.
+  enqueueOrdered(QEntry{when, key, slot});
 }
 
 // ---------------------------------------------------------------------------
@@ -295,18 +341,20 @@ void Engine::fire(const QEntry& entry) {
 
 bool Engine::step() {
   QEntry entry;
-  bool from_overflow;
-  if (!peekNext(entry, from_overflow)) return false;
-  extract(from_overflow);
+  const Source src = peekNext(entry);
+  if (src == Source::kNone) return false;
+  extract(src, entry);
   run_limit_ = entry.when;
   fire(entry);
   cur_key_ = 0;
   return true;
 }
+
 SimTime Engine::run(SimTime until) {
   // Fused peek + extract + fire loop.  Equivalent to `while (step())` with
   // an `until` bound, but keeps the bucket reference and queue entry in
-  // registers across the pop instead of re-deriving them per event.
+  // registers across the pop instead of re-deriving them per event, and
+  // merges the same-instant FIFO only while it holds entries.
   run_limit_ = until;
   for (;;) {
     while (!overflow_.empty() && !node(overflow_.front().slot).armed) {
@@ -314,10 +362,17 @@ SimTime Engine::run(SimTime until) {
       heapPop(overflow_);
       ++dropped_tombstones_;
     }
+    // Same-instant entries belong to the cursor's bucket, so while there
+    // are any, the cursor stays; once they are gone, the walk is the plain
+    // bucket walk.
     std::vector<QEntry>* bucket = nullptr;
-    while (wheel_count_ > 0) {
+    Source src = same_instant_.empty() ? Source::kNone : cursorFront();
+    if (src != Source::kNone) bucket = &buckets_[base_ & kBucketMask];
+    while (src == Source::kNone && wheel_count_ > 0) {
+      // Every wheel entry is in a bucket now, so one lies ahead.
+      while (buckets_[base_ & kBucketMask].empty()) ++base_;
       bucket = &buckets_[base_ & kBucketMask];
-      if (!bucket->empty() && base_ != sorted_bucket_) {
+      if (base_ != sorted_bucket_) {
         std::sort(bucket->begin(), bucket->end(), kLaterFirst);
         sorted_bucket_ = base_;
       }
@@ -327,7 +382,10 @@ SimTime Engine::run(SimTime until) {
         --wheel_count_;
         ++dropped_tombstones_;
       }
-      if (!bucket->empty()) break;
+      if (!bucket->empty()) {
+        src = Source::kBucket;
+        break;
+      }
       bucket = nullptr;
       ++base_;
     }
@@ -335,16 +393,13 @@ SimTime Engine::run(SimTime until) {
       if (overflow_.empty()) break;  // queue exhausted
       const QEntry entry = overflow_.front();
       if (entry.when > until) break;
-      // All activity lives beyond the horizon; jump the cursor so future
-      // enqueues near this time land in the wheel again.
-      const std::uint64_t idx =
-          static_cast<std::uint64_t>(entry.when) >> kBucketShift;
-      if (idx > base_) base_ = idx;
-      heapPop(overflow_);
+      extract(Source::kOverflow, entry);
       fire(entry);
       continue;
     }
-    const QEntry wheel_top = bucket->back();
+    const QEntry wheel_top = src == Source::kSameInstant
+                                 ? same_instant_[same_instant_head_]
+                                 : bucket->back();
     if (!overflow_.empty() && overflow_.front().firesBefore(wheel_top)) {
       const QEntry entry = overflow_.front();
       if (entry.when > until) break;
@@ -353,10 +408,14 @@ SimTime Engine::run(SimTime until) {
       continue;
     }
     if (wheel_top.when > until) break;
-    bucket->pop_back();
-    --wheel_count_;
-    // Warm the next victim's node line while this callback runs.
-    if (!bucket->empty()) __builtin_prefetch(&node(bucket->back().slot));
+    if (src == Source::kSameInstant) {
+      extract(src, wheel_top);
+    } else {
+      bucket->pop_back();
+      --wheel_count_;
+      // Warm the next victim's node line while this callback runs.
+      if (!bucket->empty()) __builtin_prefetch(&node(bucket->back().slot));
+    }
     fire(wheel_top);
   }
   cur_key_ = 0;

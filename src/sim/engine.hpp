@@ -18,9 +18,13 @@
 //    cursor on every pop — watchdogs, compute completions and retransmit
 //    timers live there.  Buckets are plain vectors: enqueue is push_back,
 //    and the bucket is sorted by (when, key) exactly once, when the cursor
-//    first reaches it, after which draining is pop_back.  Late arrivals
-//    into the already-sorted current bucket (a callback scheduling within
-//    the same ~2 us window) use a sorted insert.
+//    first reaches it, after which draining is pop_back.  An event filed
+//    at now() draws the largest key so far, so it fires after everything
+//    already queued at now() and before anything later: it is appended to
+//    a same-instant FIFO in O(1), merged with the cursor's bucket on every
+//    pop.  Other late arrivals into the already-sorted current bucket (a
+//    callback scheduling later within the same ~2 us window) use a sorted
+//    insert.
 //  * Event nodes are pooled and reused; the callback lives in a
 //    small-buffer-optimized slot inside the node, so the common
 //    at/after/cancel/run cycle performs zero heap allocations for callables
@@ -231,11 +235,23 @@ class Engine {
   }
   std::uint32_t acquireNode();
   void releaseNode(std::uint32_t slot);
+  /// Files an entry under a freshly drawn key.
   void enqueue(QEntry entry);
-  /// Locates the earliest live event without removing it, dropping any
-  /// tombstones in the way.  Returns false when no live event remains.
-  bool peekNext(QEntry& entry, bool& from_overflow);
-  void extract(bool from_overflow);
+  /// Files an entry in (when, key) order wherever it falls; the only path
+  /// for an old key (requeueRun).
+  void enqueueOrdered(QEntry entry);
+  /// Where the earliest live entry sits.
+  enum class Source : std::uint8_t { kNone, kBucket, kSameInstant, kOverflow };
+  /// Locates the earliest live entry without removing it, dropping any
+  /// tombstones in the way.  Returns kNone when no live entry remains.
+  Source peekNext(QEntry& entry);
+  /// The front of the cursor's bucket merged with the same-instant FIFO's:
+  /// sorts the bucket if the cursor just reached it, drops the tombstones
+  /// in front and says which of the two holds the live front (kBucket or
+  /// kSameInstant), or kNone when both are exhausted.
+  Source cursorFront();
+  /// Removes the entry peekNext() just returned from `src`.
+  void extract(Source src, const QEntry& entry);
   void fire(const QEntry& entry);
   static void heapPush(std::vector<QEntry>& heap, QEntry entry);
   static void heapPop(std::vector<QEntry>& heap);
@@ -292,6 +308,12 @@ class Engine {
   /// Per-bucket entry lists; the bucket at sorted_bucket_ is sorted
   /// descending by (when, key) so back() is the earliest entry.
   std::vector<std::vector<QEntry>> buckets_;
+  /// Entries filed at now_ under fresh keys, in key order from
+  /// same_instant_head_ on.  They belong to the cursor's bucket (counted in
+  /// wheel_count_, tombstones dropped when they reach the merged front),
+  /// and the queue is empty whenever the clock moves.
+  std::vector<QEntry> same_instant_;
+  std::size_t same_instant_head_ = 0;
   std::vector<QEntry> overflow_;  ///< beyond-horizon min-heap
   /// Entries ever filed per bucket slot (wheel or overflow, by the
   /// bucketIndex they were filed under); EventRun's exactness check.

@@ -6,8 +6,10 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
+#include <mutex>
 #include <system_error>
 #include <utility>
+#include <vector>
 
 // x86-64 switches with the hand-written routine below; every other target
 // falls back to makecontext/swapcontext, which is portable but makes a
@@ -87,7 +89,65 @@ std::size_t guardSize() {
   return page;
 }
 
+// Stacks released by dead fibers, reused last-in first-out by the next
+// start().  A fiber may die on another thread than the one starting the
+// next, hence the lock.  The list never holds more stacks than were live at
+// once; it and its stacks live until the process exits, so a fiber
+// destroyed during static destruction can still hand its stack back.
+struct StackPool {
+  std::mutex mutex;
+  std::vector<void*> stacks;
+  std::size_t mapped = 0;  ///< stacks ever mapped
+};
+
+StackPool& stackPool() {
+  static StackPool* const pool = new StackPool;
+  return *pool;
+}
+
+// Kept out of Fiber::start(): makecontext's getcontext returns twice, and
+// GCC's -Wclobbered flags the locals of code inlined next to it.
+[[gnu::noinline]] void* takeStack() {
+  {
+    StackPool& pool = stackPool();
+    const std::lock_guard<std::mutex> lock(pool.mutex);
+    if (!pool.stacks.empty()) {
+      void* map = pool.stacks.back();
+      pool.stacks.pop_back();
+      return map;
+    }
+  }
+  const std::size_t guard = guardSize();
+  void* map = mmap(nullptr, guard + kStackSize, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                   -1, 0);
+  if (map == MAP_FAILED) {
+    throw std::system_error(errno, std::generic_category(), "Fiber stack");
+  }
+  if (mprotect(map, guard, PROT_NONE) != 0) {
+    const int err = errno;
+    munmap(map, guard + kStackSize);
+    throw std::system_error(err, std::generic_category(), "Fiber guard page");
+  }
+  StackPool& pool = stackPool();
+  const std::lock_guard<std::mutex> lock(pool.mutex);
+  ++pool.mapped;
+  return map;
+}
+
+void releaseStack(void* map) {
+  StackPool& pool = stackPool();
+  const std::lock_guard<std::mutex> lock(pool.mutex);
+  pool.stacks.push_back(map);
+}
+
 }  // namespace
+
+std::size_t Fiber::stacksMapped() {
+  StackPool& pool = stackPool();
+  const std::lock_guard<std::mutex> lock(pool.mutex);
+  return pool.mapped;
+}
 
 Fiber::Fiber(std::function<void()> body) : body_(std::move(body)) {}
 
@@ -101,11 +161,11 @@ Fiber::~Fiber() {
 #endif
 #if defined(__SANITIZE_ADDRESS__)
   // The frames the fiber never returned from leave their redzones poisoned;
-  // the next stack mapped at this address must not inherit them.
+  // the next fiber to run on this stack must not inherit them.
   __asan_unpoison_memory_region(static_cast<char*>(stack_) + guardSize(),
                                 kStackSize);
 #endif
-  munmap(stack_, guardSize() + kStackSize);
+  releaseStack(stack_);
 }
 
 void Fiber::resume() {
@@ -139,17 +199,7 @@ void Fiber::run(Fiber* self) {
 
 void Fiber::start() {
   const std::size_t guard = guardSize();
-  void* map = mmap(nullptr, guard + kStackSize, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
-                   -1, 0);
-  if (map == MAP_FAILED) {
-    throw std::system_error(errno, std::generic_category(), "Fiber stack");
-  }
-  if (mprotect(map, guard, PROT_NONE) != 0) {
-    const int err = errno;
-    munmap(map, guard + kStackSize);
-    throw std::system_error(err, std::generic_category(), "Fiber guard page");
-  }
+  void* map = takeStack();
   stack_ = map;
   char* const top = static_cast<char*>(map) + guard + kStackSize;
 #if defined(BCS_FIBER_ASM)

@@ -18,10 +18,14 @@
 // to the engine.  A fiber destroyed before finishing is unwound by throwing
 // FiberKilled through its stack.  A fiber never resumed never runs.
 //
-// Stacks: 8 MiB each, mapped on first resume with a PROT_NONE guard page
-// below and committed lazily by the kernel as the body touches them, so
-// thousands of ranks cost a few pages each and an overflow faults on the
-// guard page instead of running into a neighbour.
+// Stacks: 8 MiB each with a PROT_NONE guard page below, committed lazily by
+// the kernel as the body touches them, so thousands of ranks cost a few
+// pages each and an overflow faults on the guard page instead of running
+// into a neighbour.  A fiber takes its stack on first resume and hands it
+// back when destroyed; released stacks go on a process-wide free list and
+// are reused before any new one is mapped, so repeated runs of one job map
+// no more stacks than its first.  A reused stack keeps the pages its
+// earlier bodies touched.
 //
 // Switching stacks inside one OS thread imposes two rules on fiber code:
 //   * Never yield inside a catch handler, or in a destructor that runs
@@ -64,6 +68,11 @@ class Fiber {
 
   /// True once the body has returned (or was unwound).
   bool finished() const { return finished_; }
+
+  /// Stacks mapped by this process so far, on any thread; never shrinks.
+  /// Released stacks are reused first, so it grows only with the peak
+  /// number of fibers running at once.
+  static std::size_t stacksMapped();
 
  private:
   [[noreturn]] static void run(Fiber* self);

@@ -1,6 +1,7 @@
 #include "sim/trace.hpp"
 
 #include <cstdio>
+#include <cstring>
 #include <utility>
 
 namespace bcs::sim {
@@ -36,6 +37,9 @@ void Trace::record(SimTime t, TraceCategory cat, int node, std::string msg) {
     std::fprintf(stderr, "[%14s] %-8s n%-3d %s\n", formatTime(t).c_str(),
                  traceCategoryName(cat), node, msg.c_str());
   }
+  // The line dump() renders: "[" time "] " category " n" node ": " msg "\n".
+  dump_bytes_ += formatTime(t).size() + std::strlen(traceCategoryName(cat)) +
+                 std::to_string(node).size() + msg.size() + 8;
   records_.push_back(TraceRecord{t, cat, node, std::move(msg)});
 }
 

@@ -62,7 +62,10 @@ class Trace {
   void record(SimTime t, TraceCategory cat, int node, std::string msg);
 
   const std::vector<TraceRecord>& records() const { return records_; }
-  void clear() { records_.clear(); }
+  void clear() {
+    records_.clear();
+    dump_bytes_ = 0;
+  }
 
   /// Number of records matching a predicate — handy in protocol tests.
   std::size_t count(const std::function<bool(const TraceRecord&)>& pred) const;
@@ -70,10 +73,14 @@ class Trace {
   /// Renders all records as text ("[time] CATEGORY node: message").
   std::string dump() const;
 
+  /// dump().size(), kept as records are added: O(1).
+  std::size_t dumpBytes() const { return dump_bytes_; }
+
  private:
   bool enabled_ = false;
   bool echo_ = false;
   std::vector<TraceRecord> records_;
+  std::size_t dump_bytes_ = 0;
 };
 
 /// Records `message()` at (t, cat, node) if `trace` is attached and enabled;

@@ -153,6 +153,7 @@ void StateIO::fields(Ar& a, bcsmpi::Runtime& rt, const BufferRegistry& reg) {
     reg.ref(a, d.data);
     a(d.bytes, d.request, d.posted_at, d.seq);
   };
+  std::size_t node = 0;
   a.sameSize(rt.nodes_, "node", [&](auto& ns) {
     a.list(ns.bs_fresh, send);
     a.list(ns.bs_retry, send);
@@ -182,8 +183,11 @@ void StateIO::fields(Ar& a, bcsmpi::Runtime& rt, const BufferRegistry& reg) {
         });
     a.list(ns.wake_list);
     a.list(ns.probe_waiters);
-    a(ns.phase_seq, ns.outstanding, ns.tree_floor, ns.tree_drain,
-      ns.last_strobe, ns.watchdog_armed, ns.watchdog_at);
+    auto& c = rt.ctl_;
+    a(c.phase_seq[node], c.outstanding[node], c.tree_floor[node],
+      c.tree_drain[node], c.last_strobe[node], c.watchdog_armed[node],
+      c.watchdog_at[node]);
+    ++node;
   });
   a.sameSize(rt.tree_racks_, "tree rack",
              [&a](auto& rack) { a(rack.seq, rack.acked_seq, rack.pending); });
@@ -229,7 +233,7 @@ void StateIO::sections(Simulation& sim, Section&& section) {
   const sim::Trace& trace = sim.cluster->trace();
 
   Meta meta{eng.now(),           rt.slice_index_,
-            trace.dump().size(), trace.records().size(),
+            trace.dumpBytes(),   trace.records().size(),
             sim.storm != nullptr, rt.verifier_ != nullptr};
   section("meta", [&](Ar& a) {
     fields(a, meta);
@@ -356,10 +360,9 @@ void StateIO::restoreAll(Simulation& sim, const SnapshotReader& r) {
   // at the earliest deadline.  A deadline on a slice boundary still fires
   // before that boundary's startSlice, whose key the continuation draws.
   for (int n : rt.all_compute_nodes_) {
-    auto& ns = rt.nodes_[static_cast<std::size_t>(n)];
-    if (!ns.watchdog_armed) continue;
-    ns.watchdog_armed = false;
-    rt.armWatchdogAt(n, ns.watchdog_at);
+    if (!rt.ctl_.watchdog_armed[n]) continue;
+    rt.ctl_.watchdog_armed[n] = false;
+    rt.armWatchdogAt(n, rt.ctl_.watchdog_at[n]);
   }
 
   // STORM heartbeat chain: the pending inspection first, then the next

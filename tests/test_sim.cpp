@@ -319,6 +319,131 @@ TEST(Engine, LargeCallbacksUseHeapFallbackCorrectly) {
   EXPECT_EQ(sum, 7u * 16u);
 }
 
+// ------------------------------------------------- same-instant arrivals --
+//
+// An event filed at now() draws the largest key so far, so it fires after
+// every entry already queued at that instant and before the next instant;
+// the engine appends it to a same-instant FIFO instead of inserting it into
+// the sorted bucket being drained.
+
+constexpr int kArrivals = 4096;
+constexpr SimTime kInstant = usec(5);
+
+/// One callback at kInstant files kArrivals events at now(); entries
+/// already queued at kInstant, at kInstant + 1 ns (one from the callback
+/// itself, filed before the arrivals) and beyond the wheel horizon surround
+/// them.  Logs ids and keys as they fire.
+struct ArrivalScript {
+  Engine eng;
+  std::vector<int> order;
+  std::vector<std::uint64_t> keys;
+
+  ArrivalScript() {
+    eng.at(kInstant, [this] {
+      log(0);
+      eng.at(eng.now() + 1, [this] { log(5); });
+      for (int i = 0; i < kArrivals; ++i) {
+        eng.at(eng.now(), [this, i] { log(100 + i); });
+      }
+    });
+    eng.at(kInstant, [this] { log(1); });
+    eng.at(kInstant + 1, [this] { log(2); });
+    eng.at(kInstant, [this] { log(3); });
+    eng.at(kInstant + msec(1), [this] { log(4); });
+  }
+  void log(int id) {
+    order.push_back(id);
+    keys.push_back(eng.currentEventKey());
+  }
+  /// The ids that fire at kInstant, in firing order.
+  static std::vector<int> atInstant() {
+    std::vector<int> ids = {0, 1, 3};
+    for (int i = 0; i < kArrivals; ++i) ids.push_back(100 + i);
+    return ids;
+  }
+  static std::vector<int> all() {
+    std::vector<int> ids = atInstant();
+    ids.insert(ids.end(), {2, 5, 4});
+    return ids;
+  }
+  /// The firings at kInstant run in key order.
+  void expectKeysAscend() const {
+    for (std::size_t i = 1; i < atInstant().size(); ++i) {
+      ASSERT_LT(keys[i - 1], keys[i]) << "at firing " << i;
+    }
+  }
+};
+
+TEST(Engine, SameInstantArrivalsFireInKeyOrderUnderRun) {
+  ArrivalScript s;
+  s.eng.run();
+  EXPECT_EQ(s.order, ArrivalScript::all());
+  s.expectKeysAscend();
+  EXPECT_EQ(s.eng.pendingEvents(), 0u);
+}
+
+TEST(Engine, SameInstantArrivalsFireInKeyOrderUnderRunUntil) {
+  ArrivalScript s;
+  s.eng.run(kInstant);
+  EXPECT_EQ(s.order, ArrivalScript::atInstant());  // all before the bound
+  EXPECT_EQ(s.eng.pendingEvents(), 3u);
+  s.eng.run();
+  EXPECT_EQ(s.order, ArrivalScript::all());
+  s.expectKeysAscend();
+}
+
+TEST(Engine, SameInstantArrivalsFireInKeyOrderUnderStep) {
+  ArrivalScript s;
+  std::size_t steps = 0;
+  while (s.eng.step()) {
+    ++steps;
+    EXPECT_EQ(s.order.size(), steps);  // one entry per step
+  }
+  EXPECT_EQ(s.order, ArrivalScript::all());
+  s.expectKeysAscend();
+}
+
+// Cancelled same-instant entries are skipped, whether first, inside or
+// last in line, and reclaimed into droppedTombstones() as the walk
+// reaches them.
+TEST(Engine, CancelledSameInstantEntriesAreDroppedAndCounted) {
+  Engine eng;
+  std::vector<int> fired;
+  eng.at(usec(1), [&] {
+    std::vector<EventId> ids;
+    for (int i = 0; i < 6; ++i) {
+      ids.push_back(eng.at(eng.now(), [&fired, i] { fired.push_back(i); }));
+    }
+    for (int i : {0, 2, 3, 5}) EXPECT_TRUE(eng.cancel(ids[i]));
+    EXPECT_EQ(eng.pendingEvents(), 3u);  // two of them and the one at 2 us
+  });
+  eng.at(usec(2), [&] { fired.push_back(9); });
+  eng.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 4, 9}));
+  EXPECT_EQ(eng.cancelledEvents(), 4u);
+  EXPECT_EQ(eng.droppedTombstones(), 4u);
+  EXPECT_EQ(eng.pendingEvents(), 0u);
+}
+
+// While a same-instant entry is pending, the earliest pending instant is
+// now(): a slice replay asking at that point declines.  A cancelled one
+// no longer counts.
+TEST(Engine, NextEventTimeSeesPendingSameInstantEntries) {
+  Engine eng;
+  SimTime pending_at = 0;
+  SimTime cancelled_at = 0;
+  eng.at(usec(10), [] {});
+  eng.at(usec(3), [&] {
+    const EventId id = eng.at(eng.now(), [] {});
+    pending_at = eng.nextEventTime();
+    EXPECT_TRUE(eng.cancel(id));
+    cancelled_at = eng.nextEventTime();
+  });
+  eng.run();
+  EXPECT_EQ(pending_at, usec(3));
+  EXPECT_EQ(cancelled_at, usec(10));
+}
+
 // -------------------------------------------------------------- EventRun --
 //
 // Twin engines run one script: on the run twin members go through an
@@ -556,6 +681,33 @@ TEST(Engine, NextEventTimeQueryChangesNothingLater) {
   }
 }
 
+// Members and plain events filed at now() interleave in the same-instant
+// FIFO exactly as plain events would, behind the entries already queued at
+// that instant and ahead of the next instant.
+TEST(EventRun, SameInstantMembersAndPlainEventsKeepTheirOrder) {
+  const Script script = [](std::int64_t id) -> std::vector<Spawn> {
+    if (id != 1) return {};
+    std::vector<Spawn> out;
+    for (std::int64_t i = 0; i < 64; ++i) {
+      out.push_back(Spawn{i % 3 != 0, 0, 100 + i});
+    }
+    return out;
+  };
+  Twin runs(true, script);
+  Twin plain(false, script);
+  seedTwins(runs, plain,
+            {{false, usec(5), 1},
+             {true, usec(5), 2},
+             {false, usec(5), 3},
+             {true, usec(5) + 1, 4}});
+  runs.eng.run();
+  plain.eng.run();
+  EXPECT_EQ(runs.seen, plain.seen);
+  ASSERT_EQ(runs.seen.size(), 68u);
+  EXPECT_EQ(runs.seen[3].id, 100);
+  EXPECT_EQ(runs.seen.back().id, 4);
+}
+
 // A member that throws leaves its run's later members pending under their
 // own keys; a second run() picks them up exactly where plain events would.
 TEST(EventRun, ThrowingMemberLeavesTheRestPending) {
@@ -715,9 +867,103 @@ TEST(Fiber, RunsOnWhicheverThreadResumesIt) {
   EXPECT_EQ(ran_on[2], std::this_thread::get_id());
 }
 
+// The page a fiber's body starts in: the top page of the stack it runs on.
+[[gnu::noinline]] std::uintptr_t stackTopPage() {
+  char local = 0;
+  asm volatile("" : : "r"(&local) : "memory");
+  static const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  return reinterpret_cast<std::uintptr_t>(&local) & ~(page - 1);
+}
+
+// Stacks are recycled: a fiber started after another died runs on the
+// stack that one handed back, and no new stack is mapped for it.
+TEST(Fiber, StackIsReusedAfterTheFiberDies) {
+  std::uintptr_t first = 0;
+  {
+    Fiber f([&] { first = stackTopPage(); });
+    f.resume();
+  }
+  const std::size_t mapped = Fiber::stacksMapped();
+  for (int i = 0; i < 50; ++i) {
+    std::uintptr_t again = 0;
+    Fiber g([&] { again = stackTopPage(); });
+    g.resume();
+    EXPECT_EQ(again, first);
+  }
+  EXPECT_EQ(Fiber::stacksMapped(), mapped);
+}
+
+// Parks a body `depth` frames deep, each frame holding an array (and so, under
+// ASan, poisoned redzones around it), so that killing it leaves frames the
+// body never returned from.
+[[gnu::noinline]] void parkDeep(Fiber& self, int depth) {
+  volatile char frame[512];
+  frame[0] = static_cast<char>(depth);
+  if (depth > 0) {
+    parkDeep(self, depth - 1);
+  } else {
+    self.yield();
+  }
+  frame[sizeof frame - 1] = frame[0];
+}
+
+[[gnu::noinline]] int touchStack(int depth) {
+  volatile char frame[4096];
+  for (std::size_t i = 0; i < sizeof frame; ++i) {
+    frame[i] = static_cast<char>(i + static_cast<std::size_t>(depth));
+  }
+  return depth > 0 ? touchStack(depth - 1) + frame[7] : frame[7];
+}
+
+// A stack released by a fiber killed mid-body runs the next body cleanly:
+// no redzone of the dead frames survives into it (ASan builds check this).
+TEST(Fiber, KilledFibersStackRunsANewBodyCleanly) {
+  std::uintptr_t killed_on = 0;
+  {
+    Fiber* self = nullptr;
+    Fiber f([&] {
+      killed_on = stackTopPage();
+      parkDeep(*self, 32);
+    });
+    self = &f;
+    f.resume();  // parked 32 frames deep; the destructor kills it
+  }
+  const std::size_t mapped = Fiber::stacksMapped();
+  std::uintptr_t ran_on = 0;
+  int result = 0;
+  Fiber g([&] {
+    ran_on = stackTopPage();
+    result = touchStack(16);
+  });
+  g.resume();
+  EXPECT_TRUE(g.finished());
+  EXPECT_EQ(ran_on, killed_on);
+  EXPECT_EQ(Fiber::stacksMapped(), mapped);
+  EXPECT_NE(result, 0);
+}
+
+// The free list is shared by every thread: a stack a fiber released on one
+// thread serves the next fiber started on another.
+TEST(Fiber, StackReleasedOnOneThreadIsReusedOnAnother) {
+  std::uintptr_t released = 0;
+  std::thread t([&] {
+    Fiber f([&] { released = stackTopPage(); });
+    f.resume();
+  });  // f dies on the helper thread
+  t.join();
+  const std::size_t mapped = Fiber::stacksMapped();
+  std::uintptr_t reused = 0;
+  Fiber g([&] { reused = stackTopPage(); });
+  g.resume();
+  EXPECT_NE(released, 0u);
+  EXPECT_EQ(reused, released);
+  EXPECT_EQ(Fiber::stacksMapped(), mapped);
+}
+
 constexpr std::uintptr_t kFiberStack = std::uintptr_t{8} << 20;
 constexpr int kGuardHit = 42;
 constexpr int kFaultElsewhere = 43;
+constexpr int kNotRecycled = 44;
 std::uintptr_t g_page = 0;
 std::uintptr_t g_fiber_local = 0;  // a local in the stack's topmost page
 
@@ -740,7 +986,9 @@ void exitOnFault(int, siginfo_t* info, void*) {
   return recurseForever(depth + 1) + frame[0];
 }
 
-void overflowFiberStack() {
+/// Overflows a fiber's stack.  With `recycled`, another fiber runs and
+/// dies first, and the overflowing one must run on the stack it released.
+void overflowFiberStack(bool recycled = false) {
   static std::array<char, 64 * 1024> alt_stack;
   stack_t ss{};
   ss.ss_sp = alt_stack.data();
@@ -751,9 +999,20 @@ void overflowFiberStack() {
   sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
   sigaction(SIGSEGV, &sa, nullptr);
   g_page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
-  Fiber f([] {
+  std::uintptr_t released = 0;
+  std::size_t mapped = 0;
+  if (recycled) {
+    Fiber first([&released] { released = stackTopPage(); });
+    first.resume();
+    mapped = Fiber::stacksMapped();
+  }
+  Fiber f([released, mapped] {
     char local = 0;
     g_fiber_local = reinterpret_cast<std::uintptr_t>(&local);
+    if (released != 0 && (stackTopPage() != released ||
+                          Fiber::stacksMapped() != mapped)) {
+      _exit(kNotRecycled);
+    }
     recurseForever(local);
   });
   f.resume();
@@ -762,6 +1021,13 @@ void overflowFiberStack() {
 TEST(FiberDeathTest, StackOverflowFaultsOnGuardPage) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   EXPECT_EXIT(overflowFiberStack(), ::testing::ExitedWithCode(kGuardHit), "");
+}
+
+// A recycled stack keeps its guard page.
+TEST(FiberDeathTest, StackOverflowOnARecycledStackFaultsOnGuardPage) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(overflowFiberStack(/*recycled=*/true),
+              ::testing::ExitedWithCode(kGuardHit), "");
 }
 
 // ------------------------------------------------------------------ CPU --
@@ -1020,6 +1286,26 @@ TEST(TraceTest, RecordsAndCounts) {
             }),
             1u);
   EXPECT_NE(t.dump().find("microstrobe"), std::string::npos);
+}
+
+// dumpBytes() is dump().size(), kept as records arrive (snapshot captures
+// store it instead of rendering the trace).
+TEST(TraceTest, DumpBytesTracksTheDump) {
+  Trace t;
+  t.record(usec(1), TraceCategory::kNet, 0, "dropped (disabled)");
+  EXPECT_EQ(t.dumpBytes(), 0u);
+  t.enable();
+  t.record(0, TraceCategory::kEngine, -1, "");
+  t.record(999, TraceCategory::kStrobe, 3, "microstrobe DEM");
+  t.record(usec(12) + 345, TraceCategory::kEpochRace, 1234, "race");
+  t.record(msec(7), TraceCategory::kFailover, 0, std::string(300, 'x'));
+  t.record(sec(3) + 17, TraceCategory::kDma, 2047, "get 4096B");
+  EXPECT_EQ(t.dumpBytes(), t.dump().size());
+  t.clear();
+  EXPECT_EQ(t.dumpBytes(), 0u);
+  EXPECT_EQ(t.dump().size(), 0u);
+  t.record(usec(2), TraceCategory::kApp, 7, "after clear");
+  EXPECT_EQ(t.dumpBytes(), t.dump().size());
 }
 
 TEST(TimeFormat, HumanReadable) {
