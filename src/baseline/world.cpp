@@ -117,7 +117,8 @@ void World::deliverEager(int dst_rank, int src_rank, int tag,
                           "B message (src=" + std::to_string(src_rank) +
                           ", tag=" + std::to_string(tag) + ")");
     }
-    std::memcpy(it->buf, data->data(), data->size());
+    // Zero-byte messages may carry null buffers (see the BCS-MPI DH get).
+    if (!data->empty()) std::memcpy(it->buf, data->data(), data->size());
     const std::uint64_t req = it->req_id;
     state.posted.erase(it);
     completeRequest(dst_rank, req, src_rank, tag, data->size());

@@ -128,35 +128,36 @@ void BcsCore::testEventBlocking(sim::Process& proc, GlobalEventId ev) {
 }
 
 void BcsCore::xferAndSignal(XferRequest req) {
+  const std::span<const int> dests = req.dest_nodes;
   sim::traceRecord(trace_, fabric_.engine().now(), sim::TraceCategory::kBcsCore,
                    req.src_node, [&] {
                      return "Xfer-And-Signal " + std::to_string(req.bytes) +
-                            "B to " + std::to_string(req.dest_nodes.size()) +
+                            "B to " + std::to_string(dests.size()) +
                             " node(s)";
                    });
-  if (req.dest_nodes.empty()) {
+  if (dests.empty()) {
     throw sim::SimError("Xfer-And-Signal: empty destination set");
   }
 
-  // A request with neither per-destination data movement nor a remote event
-  // gives the fabric no per-destination callback: the multicast then
+  // A multicast that signals no event needs no shared state: the fabric
+  // holds `deliver` and `on_all` itself.  A request with no `deliver`
+  // either gives the fabric no per-destination callback, so the multicast
   // schedules no per-destination engine events at all, only the aggregate
-  // `on_all` completion — one event per fan-out, however wide.  With no
-  // local event either, `on_all` *is* the completion and goes to the
-  // fabric as is.
-  const bool per_dest = req.deliver || req.remote_event >= 0;
-  if (req.dest_nodes.size() > 1 && !per_dest && req.local_event < 0 &&
-      req.on_all) {
-    fabric_.multicast(req.src_node, std::move(req.dest_nodes), req.bytes, {},
+  // `on_all` completion — one event per fan-out, however wide.
+  const bool events = req.remote_event >= 0 || req.local_event >= 0;
+  if (dests.size() > 1 && !events) {
+    fabric_.multicast(req.src_node, dests, req.bytes, std::move(req.deliver),
                       std::move(req.on_all));
     return;
   }
 
   // Every other shape shares the request itself (one allocation); each
   // closure below is a pointer pair that fits the inline callback slot.
+  // The shared copy keeps no view of the caller's destination set.
+  req.dest_nodes = {};
   auto st = std::make_shared<XferRequest>(std::move(req));
-  if (st->dest_nodes.size() == 1) {
-    const int dest = st->dest_nodes.front();
+  if (dests.size() == 1) {
+    const int dest = dests.front();
     net::SendOptions opts;
     opts.droppable = st->droppable;
     if (st->on_failed) {
@@ -172,11 +173,11 @@ void BcsCore::xferAndSignal(XferRequest req) {
     return;
   }
   net::NodeCallback per_dest_cb;
-  if (per_dest) {
+  if (st->deliver || st->remote_event >= 0) {
     per_dest_cb = [this, st](int dest) { deliverXfer(*st, dest); };
   }
-  fabric_.multicast(st->src_node, std::move(st->dest_nodes), st->bytes,
-                    std::move(per_dest_cb), [this, st] { completeXfer(*st); });
+  fabric_.multicast(st->src_node, dests, st->bytes, std::move(per_dest_cb),
+                    [this, st] { completeXfer(*st); });
 }
 
 void BcsCore::deliverXfer(const XferRequest& req, int dest) {
@@ -189,37 +190,50 @@ void BcsCore::completeXfer(const XferRequest& req) {
   if (req.on_all) req.on_all();
 }
 
-void BcsCore::compareAndWriteAsync(CompareAndWriteRequest req,
+void BcsCore::traceCompareAndWrite(const CompareAndWriteRequest& req,
+                                   sim::SimTime at) {
+  sim::traceRecord(trace_, at, sim::TraceCategory::kBcsCore, req.src_node, [&] {
+    return "Compare-And-Write " +
+           var_names_[static_cast<std::size_t>(req.var)] + " " +
+           cmpOpName(req.op) + " " + std::to_string(req.value) + " on " +
+           std::to_string(req.nodes.size()) + " node(s)";
+  });
+}
+
+void BcsCore::compareAndWriteAsync(const CompareAndWriteRequest& req,
                                    sim::InlineFunction<void(bool)> on_result) {
   checkVar(req.var);
   if (req.do_write) checkVar(req.write_var);
   if (req.nodes.empty()) {
     throw sim::SimError("Compare-And-Write: empty node set");
   }
-  sim::traceRecord(
-      trace_, fabric_.engine().now(), sim::TraceCategory::kBcsCore,
-      req.src_node, [&] {
-        return "Compare-And-Write " +
-               var_names_[static_cast<std::size_t>(req.var)] + " " +
-               cmpOpName(req.op) + " " + std::to_string(req.value) + " on " +
-               std::to_string(req.nodes.size()) + " node(s)";
-      });
-  auto st = std::make_shared<CompareAndWriteRequest>(std::move(req));
+  traceCompareAndWrite(req, fabric_.engine().now());
+  // The evaluation and the write capture the fields they read by value, so
+  // the round holds no reference to the request.
+  net::NodeCallback write;
+  if (req.do_write) {
+    write = [this, var = req.write_var, value = req.write_value](int node) {
+      writeVarLocal(node, var, value);
+    };
+  }
   fabric_.conditional(
-      st->src_node, std::move(st->nodes),
-      /*eval=*/
-      [this, st](int node) { return cmpEval(st->op, readVar(node, st->var), st->value); },
-      /*write=*/
-      [this, st](int node) {
-        if (st->do_write) writeVarLocal(node, st->write_var, st->write_value);
+      req.src_node, req.nodes,
+      [this, op = req.op, var = req.var, value = req.value](int node) {
+        return cmpEval(op, readVar(node, var), value);
       },
-      std::move(on_result));
+      std::move(write), std::move(on_result));
+}
+
+void BcsCore::countFailedCompareAndWrite(const CompareAndWriteRequest& req,
+                                         sim::SimTime at) {
+  traceCompareAndWrite(req, at);
+  fabric_.countConditional();
 }
 
 bool BcsCore::compareAndWriteBlocking(sim::Process& proc,
-                                      CompareAndWriteRequest req) {
+                                      const CompareAndWriteRequest& req) {
   bool result = false;
-  compareAndWriteAsync(std::move(req), [&proc, &result](bool ok) {
+  compareAndWriteAsync(req, [&proc, &result](bool ok) {
     result = ok;
     proc.wake();
   });

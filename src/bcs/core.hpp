@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,7 +52,8 @@ bool cmpEval(CmpOp op, std::int64_t lhs, std::int64_t rhs);
 /// Parameters of one Xfer-And-Signal invocation.
 struct XferRequest {
   int src_node = 0;
-  std::vector<int> dest_nodes;  ///< Destination set (may include src).
+  /// Destination set (may include src), read during the call only.
+  std::span<const int> dest_nodes;
   std::size_t bytes = 0;        ///< Payload size for the timing model.
   /// Data movement: invoked once per destination at its delivery instant.
   /// This is where callers copy real payload bytes (the fabric itself only
@@ -144,12 +146,19 @@ class BcsCore {
   // ---- Compare-And-Write ----
 
   /// Actor-style: `on_result` runs when the conditional round completes.
-  void compareAndWriteAsync(CompareAndWriteRequest req,
+  /// The request is read during the call only.
+  void compareAndWriteAsync(const CompareAndWriteRequest& req,
                             sim::InlineFunction<void(bool)> on_result);
+
+  /// Accounts a round of `req` issued at `at` (>= now) without running it,
+  /// for a caller that proved the round fails: the round's record and the
+  /// fabric's round counter.  The caller stands in for its result.
+  void countFailedCompareAndWrite(const CompareAndWriteRequest& req,
+                                  sim::SimTime at);
 
   /// Fiber-blocking variant: returns the condition outcome.
   bool compareAndWriteBlocking(sim::Process& proc,
-                               CompareAndWriteRequest req);
+                               const CompareAndWriteRequest& req);
 
  private:
   struct EventState {
@@ -163,6 +172,9 @@ class BcsCore {
   void deliverXfer(const XferRequest& req, int dest);
   void completeXfer(const XferRequest& req);
 
+  /// The "Compare-And-Write ..." record of a round issued at `at`.
+  void traceCompareAndWrite(const CompareAndWriteRequest& req,
+                            sim::SimTime at);
   void checkVar(GlobalVarId var) const;
   void checkEvent(GlobalEventId ev) const;
   EventState& eventState(int node, GlobalEventId ev);

@@ -246,7 +246,7 @@ void Runtime::reduceSendUp(int node, int job) {
   cluster_.engine().after(cost, [this, node, job, parent, snapshot] {
     core::XferRequest xfer;
     xfer.src_node = node;
-    xfer.dest_nodes = {parent};
+    xfer.dest_nodes = {&parent, 1};
     xfer.bytes = snapshot->size() + 16;
     xfer.deliver = [this, parent, job, snapshot](int) {
       reduceIncoming(parent, job, snapshot);

@@ -81,7 +81,7 @@ void Runtime::runDem(int node, std::uint64_t seq) {
   // next descriptor into the current slice (FIFO-read semantics of the real
   // NIC threads).
   opStarted(node);
-  dem_drains_.after(config_.dem_drain_window, node);
+  dem_drains_.afterRange(config_.dem_drain_window, node);
 }
 
 void Runtime::drainDescriptorFifos(int node) {
@@ -100,9 +100,7 @@ void Runtime::drainDescriptorFifos(int node) {
                      std::make_move_iterator(ns.bs_fresh.end()));
   ns.bs_retry.clear();
   ns.bs_fresh.clear();
-  while (!ns.recv_fresh.empty()) {
-    RecvDescriptor r = ns.recv_fresh.front();
-    ns.recv_fresh.pop_front();
+  for (const RecvDescriptor& r : ns.recv_fresh) {
     if (r.want_src != mpi::kAnySource &&
         nodeEvicted(nodeOfRank(r.job, r.want_src))) {
       // Posted after the wanted source's node was evicted: can never match.
@@ -111,6 +109,7 @@ void Runtime::drainDescriptorFifos(int node) {
     }
     ns.recv_eligible.insert(r);
   }
+  ns.recv_fresh.clear();
   const int coll_processed = preprocessCollectivesCount(node);
   // One-sided ops drained from the same FIFOs, coalesced per destination
   // (rma.cpp); a no-op with no RMA in flight.
@@ -122,7 +121,7 @@ void Runtime::drainDescriptorFifos(int node) {
       config_.nic_desc_processing;
   if (work > 0) {
     opStarted(node);
-    op_timers_.after(work, node);
+    op_timers_.afterRange(work, node);
   }
 
   // BS: deliver each send descriptor to the destination node's BR.  The
@@ -140,7 +139,7 @@ void Runtime::drainDescriptorFifos(int node) {
     ++stats_.descriptors_exchanged;
     core::XferRequest xfer;
     xfer.src_node = node;
-    xfer.dest_nodes = {dst_node};
+    xfer.dest_nodes = {&dst_node, 1};
     xfer.bytes = config_.descriptor_bytes;
     xfer.droppable = true;
     xfer.deliver = [this, node, dst_node, d](int) {
@@ -187,9 +186,7 @@ int Runtime::preprocessCollectivesCount(int node) {
   // bookkeeping needed to finish the operation locally.
   NodeState& ns = nodeState(node);
   int processed = 0;
-  while (!ns.coll_fresh.empty()) {
-    CollectiveDescriptor d = ns.coll_fresh.front();
-    ns.coll_fresh.pop_front();
+  for (const CollectiveDescriptor& d : ns.coll_fresh) {
     ++processed;
 
     if (jobState(d.job).degraded) {
@@ -238,6 +235,7 @@ int Runtime::preprocessCollectivesCount(int node) {
           });
     }
   }
+  ns.coll_fresh.clear();
   return processed;
 }
 
@@ -373,7 +371,7 @@ void Runtime::scheduleCollectiveQueries(int node) {
     req.write_var = js.coll_sched;
     req.write_value = pc.gen;
     const int job_id = job;
-    core_.compareAndWriteAsync(std::move(req), [this, node, job_id](bool ok) {
+    core_.compareAndWriteAsync(req, [this, node, job_id](bool ok) {
       NodeState& my = nodeState(node);
       auto it = my.pending_coll.find(job_id);
       if (it != my.pending_coll.end()) it->second.caw_inflight = false;
@@ -388,21 +386,23 @@ void Runtime::scheduleCollectiveQueries(int node) {
 // ---------------------------------------------------------------------------
 
 void Runtime::runP2p(int node, std::uint64_t seq) {
-  NodeState& ns = nodeState(node);
-  std::vector<GetOp> gets;
-  gets.swap(ns.slice_gets);
-  // The swapped-out vector returns its capacity at the end of the phase (a
-  // retransmission push_back mid-phase may allocate; steady state does not).
-  ns.slice_gets.reserve(gets.capacity());
+  const NodeState& ns = nodeState(node);
   beginNodePhase(node, seq, 0,
-                 static_cast<Duration>(gets.size() + ns.rma_returns.size()) *
+                 static_cast<Duration>(ns.slice_gets.size() +
+                                       ns.rma_returns.size()) *
                      config_.nic_desc_processing);
-  issueGets(node, gets);
+  issueGets(node);
   // RMA completion returns share the transmission phase with the DH gets.
   runRmaReturns(node);
 }
 
-void Runtime::issueGets(int node, const std::vector<GetOp>& gets) {
+void Runtime::issueGets(int node) {
+  // The node's queue swaps with the (empty) scratch vector, so no phase
+  // reserves anew: a get lost in this phase re-queues into the scratch
+  // vector's recycled capacity.
+  std::vector<GetOp>& gets = gets_scratch_;
+  gets.clear();
+  gets.swap(nodeState(node).slice_gets);
   for (const GetOp& op : gets) {
     const ProgressKey key{op.job, op.dst_rank, op.recv_req};
     if (nodeEvicted(op.src_node)) {
@@ -418,11 +418,13 @@ void Runtime::issueGets(int node, const std::vector<GetOp>& gets) {
     // step 9).
     core::XferRequest xfer;
     xfer.src_node = op.src_node;
-    xfer.dest_nodes = {node};
+    xfer.dest_nodes = {&node, 1};
     xfer.bytes = op.bytes;
     xfer.droppable = true;
     xfer.deliver = [this, node, op, key](int) {
-      std::memcpy(op.dst, op.src, op.bytes);
+      // A zero-byte message may carry null buffers, which memcpy must not
+      // be handed even for no bytes.
+      if (op.bytes > 0) std::memcpy(op.dst, op.src, op.bytes);
       sim::traceRecord(
           trace_, cluster_.engine().now(), sim::TraceCategory::kDma, node, [&] {
             return "get " + std::to_string(op.bytes) + "B from rank " +

@@ -253,7 +253,7 @@ void Runtime::drainRmaFifos(int node) {
       const int dst = dst_node;
       core::XferRequest xfer;
       xfer.src_node = node;
-      xfer.dest_nodes = {dst};
+      xfer.dest_nodes = {&dst, 1};
       xfer.bytes = bytes;
       xfer.droppable = true;
       xfer.deliver = [this, node, dst, batch](int) {
@@ -368,9 +368,11 @@ void Runtime::applyRmaOp(int node, const RmaOpDescriptor& op) {
 void Runtime::runRmaReturns(int node) {
   NodeState& ns = nodeState(node);
   if (ns.rma_returns.empty()) return;
-  std::vector<RmaOpDescriptor> rets;
+  // Swapped with the (empty) scratch vector: a return lost in this phase
+  // re-queues into the scratch vector's recycled capacity.
+  std::vector<RmaOpDescriptor>& rets = returns_scratch_;
+  rets.clear();
   rets.swap(ns.rma_returns);
-  ns.rma_returns.reserve(rets.capacity());
 
   std::map<int, std::vector<RmaOpDescriptor>> by_origin;
   for (RmaOpDescriptor& op : rets) {
@@ -390,7 +392,7 @@ void Runtime::runRmaReturns(int node) {
     const int origin = origin_node;
     core::XferRequest xfer;
     xfer.src_node = node;
-    xfer.dest_nodes = {origin};
+    xfer.dest_nodes = {&origin, 1};
     xfer.bytes = bytes;
     xfer.droppable = true;
     xfer.deliver = [this, node, batch](int) {

@@ -548,33 +548,76 @@ void Runtime::pollPhaseDone(Phase p, std::uint64_t seq) {
     phaseComplete(p);
     return;
   }
-  // The node set is rebuilt on every poll round, so an eviction that happens
-  // while a phase is stuck immediately unblocks the next poll: the dead node
-  // (whose phase_done can never advance) is simply no longer asked.
   ++root_msgs_slice_;
-  core::CompareAndWriteRequest req;
-  req.src_node = strobe_node_;
-  req.nodes = live_compute_nodes_;
-  req.var = phase_done_var_;
-  req.op = core::CmpOp::kGE;
-  req.value = static_cast<std::int64_t>(seq);
   // Epoch fence: if a failover election promotes a new Strobe Sender while
   // this round is in flight, the stale chain must not continue strobing in
   // parallel with the new one.  (A *dead* old SS is already cut off by the
   // fabric suppressing its conditional results; the fence also covers an
   // old SS that is merely stalled.)
   const std::uint64_t epoch = control_epoch_;
-  core_.compareAndWriteAsync(std::move(req), [this, p, seq, epoch](bool done) {
+  core_.compareAndWriteAsync(
+      pollRequest(seq), [this, p, seq, epoch](bool done) {
+        if (epoch != control_epoch_) return;
+        if (done) {
+          phaseComplete(p);
+        } else {
+          repoll(p, seq);
+        }
+      });
+}
+
+const core::CompareAndWriteRequest& Runtime::pollRequest(std::uint64_t seq) {
+  // The node set is rebuilt on every poll round, so an eviction that happens
+  // while a phase is stuck immediately unblocks the next poll: the dead node
+  // (whose phase_done can never advance) is simply no longer asked.  The
+  // request is reused, so the copy allocates nothing.
+  core::CompareAndWriteRequest& req = poll_request_;
+  req.src_node = strobe_node_;
+  req.nodes = live_compute_nodes_;
+  req.var = phase_done_var_;
+  req.op = core::CmpOp::kGE;
+  req.value = static_cast<std::int64_t>(seq);
+  return req;
+}
+
+// A round that failed at E is followed by one issued a poll interval later.
+// Until the next engine event, and while no live node or Strobe Sender goes
+// down, nothing can change what a round evaluates, so every round evaluated
+// in that stretch fails as this one did.  Such a round is counted, not run,
+// when the round after it is also due before the next event; the poll
+// timer is filed for the first round that is not (DESIGN.md §5b, "The flat
+// Strobe Sender loop").
+void Runtime::repoll(Phase p, std::uint64_t seq) {
+  sim::Engine& engine = cluster_.engine();
+  const SimTime next_event = engine.nextEventTime();
+  const SimTime limit = engine.runLimit();
+  const Duration interval = config_.strobe_poll_interval;
+  const Duration latency = cluster_.fabric().conditionalLatency(
+      static_cast<int>(live_compute_nodes_.size()));
+  SimTime evaluated = engine.now();
+  SimTime issue = evaluated + interval;
+  // The round issued at `issue` fails when no live node or Strobe Sender is
+  // down from the last evaluation through its own.  Counting it now is
+  // exact when its successor is issued before anything else fires and no
+  // later than run()'s limit, so no caller sees the count early.
+  const auto countable = [&] {
+    const SimTime successor = issue + latency + interval;
+    return successor < next_event && successor <= limit &&
+           !controlPlaneDownDuring(evaluated, issue + latency);
+  };
+  if (!live_compute_nodes_.empty() && countable()) {
+    const core::CompareAndWriteRequest& round = pollRequest(seq);
+    do {
+      ++root_msgs_slice_;
+      core_.countFailedCompareAndWrite(round, issue);
+      evaluated = issue + latency;
+      issue = evaluated + interval;
+    } while (countable());
+  }
+  const std::uint64_t epoch = control_epoch_;
+  engine.at(issue, [this, p, seq, epoch] {
     if (epoch != control_epoch_) return;
-    if (done) {
-      phaseComplete(p);
-    } else {
-      cluster_.engine().after(config_.strobe_poll_interval,
-                              [this, p, seq, epoch] {
-                                if (epoch != control_epoch_) return;
-                                pollPhaseDone(p, seq);
-                              });
-    }
+    pollPhaseDone(p, seq);
   });
 }
 
@@ -1034,7 +1077,7 @@ void Runtime::beginNodePhase(int node, std::uint64_t seq, Duration floor,
   // instant, so the outstanding counter still guards against completing
   // before the node's other work is scheduled.
   opStarted(node);
-  op_timers_.after(std::max(floor, work_cost), node);
+  op_timers_.afterRange(std::max(floor, work_cost), node);
 }
 
 void Runtime::onStrobe(int node, Phase p, std::uint64_t seq) {
@@ -1388,7 +1431,7 @@ void Runtime::beginElection(int node) {
   req.do_write = true;
   req.write_var = epoch_var_;
   req.write_value = static_cast<std::int64_t>(control_epoch_ + 1);
-  core_.compareAndWriteAsync(std::move(req), [this, node](bool claimed) {
+  core_.compareAndWriteAsync(req, [this, node](bool claimed) {
     if (!claimed) {
       sim::traceRecord(
           trace_, cluster_.engine().now(), sim::TraceCategory::kFailover,
@@ -1442,7 +1485,7 @@ void Runtime::recoverPhase() {
   req.op = core::CmpOp::kGE;
   req.value = static_cast<std::int64_t>(phase_seq_);
   const std::uint64_t epoch = control_epoch_;
-  core_.compareAndWriteAsync(std::move(req), [this, epoch](bool done) {
+  core_.compareAndWriteAsync(req, [this, epoch](bool done) {
     if (epoch != control_epoch_) return;
     if (done) {
       resumeStrobe();

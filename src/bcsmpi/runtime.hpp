@@ -409,17 +409,18 @@ class Runtime {
   /// A node's NIC queues.  The FIFOs that are only appended to and then
   /// drained whole by the DEM are vectors: an empty vector allocates
   /// nothing, while an empty std::deque holds a 512-byte block and its map,
-  /// ≈2.4 KB of each NodeState's heap for these four, ≈5 MB at 2,048 nodes.
+  /// ≈0.6 KB of each NodeState's heap per queue, ≈1.2 MB at 2,048 nodes.
+  /// match_queue stays a deque: the chunk scheduler erases inside it.
   struct NodeState {
     // Buffer Sender
     std::vector<SendDescriptor> bs_fresh;
     std::vector<SendDescriptor> bs_retry;  ///< lost in DEM, resent next slice
     // Buffer Receiver
     SendMatchIndex remote_sends;   ///< arrived during DEMs, by envelope
-    std::deque<RecvDescriptor> recv_fresh;  ///< posted by local ranks
+    std::vector<RecvDescriptor> recv_fresh;  ///< posted by local ranks
     RecvMatchIndex recv_eligible;  ///< visible to matching, by envelope
     std::deque<MatchDescriptor> match_queue;   ///< unscheduled remainders
-    std::deque<CollectiveDescriptor> coll_fresh;
+    std::vector<CollectiveDescriptor> coll_fresh;
     std::map<int, PendingCollective> pending_coll;  ///< by job id
     // DMA Helper work for the current slice
     std::vector<GetOp> slice_gets;
@@ -555,6 +556,11 @@ class Runtime {
   void startSlice();
   void strobePhase(Phase p);
   void pollPhaseDone(Phase p, std::uint64_t seq);
+  /// The phase-done poll of `seq`, in poll_request_.
+  const core::CompareAndWriteRequest& pollRequest(std::uint64_t seq);
+  /// After a failed round: the next one, counting the rounds that cannot
+  /// see anything change (DESIGN.md §5b, "The flat Strobe Sender loop").
+  void repoll(Phase p, std::uint64_t seq);
   void phaseComplete(Phase p);
   void maybeStop();
 
@@ -610,9 +616,9 @@ class Runtime {
   void matchDescriptors(int node, Duration& cost);
   void scheduleChunks(int node);
   void scheduleCollectiveQueries(int node);
-  /// Issues the DH gets of one P2P microphase (shared by the flat and tree
-  /// strobe paths; behavior-identical to the historical runP2p loop).
-  void issueGets(int node, const std::vector<GetOp>& gets);
+  /// Issues the DH gets queued on the node for one P2P microphase (shared
+  /// by the flat and tree strobe paths).
+  void issueGets(int node);
   /// CH/RM pickup: marks schedulable collectives of the requested kind
   /// (reduce_phase selects RM's reduce/allreduce vs BBM's bcast/barrier)
   /// executing and returns how many were picked up.
@@ -723,11 +729,18 @@ class Runtime {
   core::BcsCore core_;
   sim::Trace* trace_;
 
-  /// Per-node NIC-thread timers, one engine event per microphase instant
-  /// (sim/event_run.hpp): completions release an opFinished token, drains
-  /// run the DEM descriptor-FIFO read a window after the strobe.
+  /// Per-node NIC-thread timers, filed by node range (sim/event_run.hpp):
+  /// one engine event releases a microphase instant's run of consecutive
+  /// nodes.  Completions release an opFinished token, drains run the DEM
+  /// descriptor-FIFO read a window after the strobe.
   sim::EventRun<int> op_timers_;
   sim::EventRun<int> dem_drains_;
+  /// The phase-done poll's request, reused round after round.
+  core::CompareAndWriteRequest poll_request_;
+  /// A P2P microphase's gets and RMA returns, swapped with the node's
+  /// queue so neither reserves anew every phase.
+  std::vector<GetOp> gets_scratch_;
+  std::vector<RmaOpDescriptor> returns_scratch_;
 
   /// One-sided RMA window table, keyed by windowOwnerKey(job, rank).
   core::WindowRegistry windows_;

@@ -54,7 +54,7 @@ void Runtime::strobePhaseTree(Phase p, std::uint64_t seq) {
   if (!ss_nodes.empty()) {
     core::XferRequest strobe;
     strobe.src_node = strobe_node_;
-    strobe.dest_nodes = std::move(ss_nodes);
+    strobe.dest_nodes = ss_nodes;
     strobe.bytes = 16;  // phase id + sequence number
     strobe.deliver = [this, p, seq, epoch](int node) {
       if (epoch != control_epoch_) return;
@@ -108,7 +108,7 @@ void Runtime::onRackStrobe(int rack, Phase p, std::uint64_t seq) {
   // in host work: the multicast still updates every member's ingress.
   core::XferRequest relay;
   relay.src_node = ss;
-  relay.dest_nodes = std::move(dests);
+  relay.dest_nodes = dests;
   relay.bytes = 16;
   relay.on_all = [this, rack, p, seq] { rackFanout(rack, p, seq); };
   core_.xferAndSignal(std::move(relay));
@@ -215,13 +215,10 @@ Duration Runtime::treeInitMember(int node, Phase p, std::uint64_t seq) {
       return std::max(config_.msm_floor, match_cost);
     }
     case Phase::kP2p: {
-      std::vector<GetOp> gets;
-      gets.swap(ns.slice_gets);
-      ns.slice_gets.reserve(gets.capacity());
       const Duration busy =
-          static_cast<Duration>(gets.size() + ns.rma_returns.size()) *
+          static_cast<Duration>(ns.slice_gets.size() + ns.rma_returns.size()) *
           config_.nic_desc_processing;
-      issueGets(node, gets);
+      issueGets(node);
       runRmaReturns(node);
       return busy;
     }
@@ -294,7 +291,7 @@ void Runtime::sendRackAck(int rack, std::uint64_t seq) {
   }
   core::XferRequest ack;
   ack.src_node = ss;
-  ack.dest_nodes = {strobe_node_};
+  ack.dest_nodes = {&strobe_node_, 1};
   // Coalesced completion plus the rack's descriptor summary for the global
   // half of the MSM — one message upward per rack per microphase.
   ack.bytes = 64;
@@ -428,7 +425,7 @@ void Runtime::beginTreeElection(int node) {
   req.write_var = epoch_var_;
   req.write_value = static_cast<std::int64_t>(control_epoch_ + 1);
   core_.compareAndWriteAsync(
-      std::move(req), [this, node, rack, was_rack_ss](bool claimed) {
+      req, [this, node, rack, was_rack_ss](bool claimed) {
         if (!claimed) {
           sim::traceRecord(
               trace_, cluster_.engine().now(), sim::TraceCategory::kFailover,
@@ -527,7 +524,7 @@ void Runtime::treeHandleEviction(int node) {
         ++root_msgs_slice_;
         core::XferRequest restrobe;
         restrobe.src_node = strobe_node_;
-        restrobe.dest_nodes = {new_ss};
+        restrobe.dest_nodes = {&new_ss, 1};
         restrobe.bytes = 16;
         restrobe.deliver = [this, rack, p, seq, epoch](int) {
           if (epoch != control_epoch_) return;

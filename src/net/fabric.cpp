@@ -51,11 +51,11 @@ void issueSoftwareMulticast(Fabric& fabric,
   }
 }
 
-// A hardware multicast's live legs, grouped by completion instant with
-// ascending destinations inside a group, and the callback they share.
-struct MulticastLegs {
-  NodeCallback per_dest;
-  std::vector<int> dests;
+/// Runs `fn` when the scope ends, also on unwind.
+template <typename F>
+struct AtExit {
+  F fn;
+  ~AtExit() { fn(); }
 };
 
 }  // namespace
@@ -177,13 +177,27 @@ void Fabric::unicast(int src, int dst, std::size_t bytes,
   engine_.at(completion, std::move(on_delivered));
 }
 
-void Fabric::multicast(int src, std::vector<int> dests, std::size_t bytes,
-                       NodeCallback on_delivered_at, EventCallback on_all) {
+void Fabric::multicast(int src, std::span<const int> dest_set,
+                       std::size_t bytes, NodeCallback on_delivered_at,
+                       EventCallback on_all) {
   checkNode(src);
-  dests.erase(std::remove(dests.begin(), dests.end(), src), dests.end());
-  std::sort(dests.begin(), dests.end());
+  if (!dest_set.empty()) {
+    const auto [lo, hi] =
+        std::minmax_element(dest_set.begin(), dest_set.end());
+    checkNode(*lo);
+    checkNode(*hi);
+  }
+  const std::uint32_t slot = legs_.acquire();
+  std::vector<int>& dests = legs_.items[slot].dests;
+  dests.assign(dest_set.begin(), dest_set.end());
+  // Most sets come sorted and duplicate-free (the runtime's live compute
+  // nodes); only the source needs removing from those.
+  if (!std::is_sorted(dests.begin(), dests.end())) {
+    std::sort(dests.begin(), dests.end());
+  }
   dests.erase(std::unique(dests.begin(), dests.end()), dests.end());
-  for (int d : dests) checkNode(d);
+  const auto self = std::lower_bound(dests.begin(), dests.end(), src);
+  if (self != dests.end() && *self == src) dests.erase(self);
 
   ++stats_.multicasts;
   stats_.payload_bytes +=
@@ -191,6 +205,7 @@ void Fabric::multicast(int src, std::vector<int> dests, std::size_t bytes,
       static_cast<std::uint64_t>(std::max<std::size_t>(dests.size(), 1));
 
   if (dests.empty()) {
+    releaseLegs(slot);
     if (on_all) engine_.at(engine_.now(), std::move(on_all));
     return;
   }
@@ -198,6 +213,7 @@ void Fabric::multicast(int src, std::vector<int> dests, std::size_t bytes,
   if (!params_.hw_multicast) {
     softwareMulticast(src, dests, bytes, std::move(on_delivered_at),
                       std::move(on_all));
+    releaseLegs(slot);
     return;
   }
 
@@ -249,7 +265,10 @@ void Fabric::multicast(int src, std::vector<int> dests, std::size_t bytes,
            std::to_string(bytes) + "B";
   });
   if (on_delivered_at && live > 0) {
-    scheduleLegs(std::move(dests), std::move(on_delivered_at));
+    legs_.items[slot].per_dest = std::move(on_delivered_at);
+    scheduleLegs(slot);
+  } else {
+    releaseLegs(slot);
   }
   if (on_all) engine_.at(last, std::move(on_all));
 }
@@ -261,7 +280,9 @@ void Fabric::multicast(int src, std::vector<int> dests, std::size_t bytes,
 // anything a leg schedules at that instant draws a later key and runs after
 // the last leg.  A live leg's completion is its endpoint's fresh
 // ingress_free plus the rx overhead (each destination appears once).
-void Fabric::scheduleLegs(std::vector<int> dests, NodeCallback per_dest) {
+void Fabric::scheduleLegs(std::uint32_t slot) {
+  Legs& legs = legs_.items[slot];
+  std::vector<int>& dests = legs.dests;
   const auto completion = [this](int d) {
     return endpoints_[static_cast<std::size_t>(d)].ingress_free +
            params_.nic_rx_overhead;
@@ -275,21 +296,35 @@ void Fabric::scheduleLegs(std::vector<int> dests, NodeCallback per_dest) {
   if (!std::is_sorted(dests.begin(), dests.end(), by_instant)) {
     std::sort(dests.begin(), dests.end(), by_instant);
   }
-  const std::size_t n = dests.size();
-  auto legs = std::make_shared<const MulticastLegs>(
-      MulticastLegs{std::move(per_dest), std::move(dests)});
-  for (std::size_t begin = 0; begin < n;) {
-    const SimTime t = completion(legs->dests[begin]);
-    std::size_t end = begin + 1;
-    while (end < n && completion(legs->dests[end]) == t) ++end;
-    engine_.at(t, [legs, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) legs->per_dest(legs->dests[i]);
-    });
+  const auto n = static_cast<std::uint32_t>(dests.size());
+  for (std::uint32_t begin = 0; begin < n;) {
+    const SimTime t = completion(dests[begin]);
+    std::uint32_t end = begin + 1;
+    while (end < n && completion(dests[end]) == t) ++end;
+    ++legs.instants;
+    engine_.at(t, [this, slot, begin, end] { fireLegs(slot, begin, end); });
     begin = end;
   }
 }
 
-void Fabric::softwareMulticast(int src, const std::vector<int>& dests,
+void Fabric::fireLegs(std::uint32_t slot, std::uint32_t begin,
+                      std::uint32_t end) {
+  // The last instant frees the slot, also when a leg throws (the rest of
+  // its instant's legs are lost with the event, as with any event that
+  // throws).
+  const AtExit done{[this, slot] {
+    if (--legs_.items[slot].instants == 0) releaseLegs(slot);
+  }};
+  const Legs& legs = legs_.items[slot];
+  for (std::uint32_t i = begin; i < end; ++i) legs.per_dest(legs.dests[i]);
+}
+
+void Fabric::releaseLegs(std::uint32_t slot) {
+  legs_.items[slot].per_dest.reset();
+  legs_.free.push_back(slot);
+}
+
+void Fabric::softwareMulticast(int src, std::span<const int> dests,
                                std::size_t bytes, NodeCallback on_delivered_at,
                                EventCallback on_all) {
   auto st = std::make_shared<SoftwareMulticast>();
@@ -376,7 +411,7 @@ Duration Fabric::multicastLatency() const {
          (params_.sw_step_latency + params_.wire_latency);
 }
 
-void Fabric::conditional(int src, std::vector<int> nodes,
+void Fabric::conditional(int src, const std::vector<int>& nodes,
                          sim::InlineFunction<bool(int)> eval,
                          NodeCallback write,
                          sim::InlineFunction<void(bool)> on_result) {
@@ -384,35 +419,58 @@ void Fabric::conditional(int src, std::vector<int> nodes,
   for (int d : nodes) checkNode(d);
   ++stats_.conditionals;
 
-  const Duration lat = conditionalLatency(static_cast<int>(nodes.size()));
-  engine_.after(lat, [this, src, nodes = std::move(nodes),
-                      eval = std::move(eval), write = std::move(write),
-                      on_result = std::move(on_result)] {
-    // A round whose issuing NIC died before the combine returns delivers its
-    // result to no one: the poll chain of a dead Strobe Sender ends here
-    // instead of keeping a ghost SS alive.  (Down *participants* merely
-    // evaluate false, below — the issuer is special.)
-    if (fault_ && fault_->nodeDown(src, engine_.now())) {
+  const std::uint32_t slot = rounds_.acquire();
+  Round& round = rounds_.items[slot];
+  round.src = src;
+  round.nodes.assign(nodes.begin(), nodes.end());
+  round.eval = std::move(eval);
+  round.write = std::move(write);
+  round.on_result = std::move(on_result);
+  engine_.after(conditionalLatency(static_cast<int>(nodes.size())),
+                [this, slot] { evaluate(slot); });
+}
+
+void Fabric::evaluate(std::uint32_t slot) {
+  const SimTime now = engine_.now();
+  sim::InlineFunction<void(bool)> on_result;
+  bool all = true;
+  {
+    // The round's slot is free again before its result runs, which may
+    // issue the next round, and also when an evaluation or write throws.
+    const AtExit release{[this, slot] { releaseRound(slot); }};
+    Round& round = rounds_.items[slot];
+    on_result = std::move(round.on_result);
+    // A round whose issuing NIC died before the combine returns delivers
+    // its result to no one: the poll chain of a dead Strobe Sender ends
+    // here instead of keeping a ghost SS alive.  (Down *participants*
+    // merely evaluate false, below — the issuer is special.)
+    if (fault_ && fault_->nodeDown(round.src, now)) {
       ++stats_.suppressed_conditionals;
       sim::traceRecord(
-          trace_, engine_.now(), sim::TraceCategory::kFault, src,
+          trace_, now, sim::TraceCategory::kFault, round.src,
           [] { return "conditional result suppressed: issuer down"; });
       return;
     }
-    bool all = true;
-    for (int n : nodes) {
+    for (int n : round.nodes) {
       // A down node never answers the query broadcast, so the combine
       // reports false — the conditional cannot hang, it just fails.
-      if ((fault_ && fault_->nodeDown(n, engine_.now())) || !eval(n)) {
+      if ((fault_ && fault_->nodeDown(n, now)) || !round.eval(n)) {
         all = false;
         break;
       }
     }
-    if (all && write) {
-      for (int n : nodes) write(n);
+    if (all && round.write) {
+      for (int n : round.nodes) round.write(n);
     }
-    if (on_result) on_result(all);
-  });
+  }
+  if (on_result) on_result(all);
+}
+
+void Fabric::releaseRound(std::uint32_t slot) {
+  Round& round = rounds_.items[slot];
+  round.eval.reset();
+  round.write.reset();
+  rounds_.free.push_back(slot);
 }
 
 }  // namespace bcs::net

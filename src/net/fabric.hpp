@@ -35,6 +35,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <span>
 #include <vector>
 
 #include "net/params.hpp"
@@ -121,22 +123,30 @@ class Fabric {
   void unicast(int src, int dst, std::size_t bytes, EventCallback on_delivered,
                EventCallback on_injected = {}, SendOptions opts = {});
 
-  /// Multicasts `bytes` from src to every node in `dests` (src excluded
-  /// automatically if present; pass an rvalue to hand the set over without
-  /// a copy).  `on_delivered_at(node)` fires per destination — one callback
-  /// shared by every leg, never copied — and `on_all` (optional) once after
-  /// the last delivery.  With hardware multicast, one engine event runs
-  /// every leg that lands at the same instant, in ascending node order.
-  void multicast(int src, std::vector<int> dests, std::size_t bytes,
+  /// Multicasts `bytes` from src to every node in `dest_set` (src excluded
+  /// automatically if present; duplicates count once).  The set is read
+  /// during the call only: it is copied into recycled leg storage, so a
+  /// warm fabric allocates nothing for it, and a set that is already sorted
+  /// and duplicate-free is not sorted again.  `on_delivered_at(node)` fires
+  /// per destination — one callback shared by every leg, never copied — and
+  /// `on_all` (optional) once after the last delivery.  With hardware
+  /// multicast, one engine event runs every leg that lands at the same
+  /// instant, in ascending node order.
+  void multicast(int src, std::span<const int> dest_set, std::size_t bytes,
                  NodeCallback on_delivered_at, EventCallback on_all = {});
 
   /// Network conditional: at one instant T (= now + conditional latency),
   /// evaluates eval(node) for each node in `nodes`; if all are true, runs
   /// write(node) for each node at T.  on_result(all_true) also runs at T.
-  /// This is the substrate for Compare-And-Write.
-  void conditional(int src, std::vector<int> nodes,
+  /// The node set is copied once into a recycled round.  This is the
+  /// substrate for Compare-And-Write.
+  void conditional(int src, const std::vector<int>& nodes,
                    sim::InlineFunction<bool(int)> eval, NodeCallback write,
                    sim::InlineFunction<void(bool)> on_result);
+
+  /// Counts a conditional round that was issued but not run: its caller
+  /// proved it evaluates false and writes nothing.
+  void countConditional() { ++stats_.conditionals; }
 
   /// Latency of one conditional round for `n` participating nodes.
   Duration conditionalLatency(int n) const;
@@ -182,12 +192,52 @@ class Fabric {
   sim::Engine& engine() { return engine_; }
 
  private:
-  void softwareMulticast(int src, const std::vector<int>& dests,
+  /// Recycled storage: slots keep their vectors' capacity, and a deque
+  /// keeps a slot in place while its callbacks run.  A slot is freed when
+  /// its last event is done, also when a callback of that event throws.
+  template <typename T>
+  struct Slots {
+    std::deque<T> items;
+    std::vector<std::uint32_t> free;
+    std::uint32_t acquire() {
+      if (free.empty()) {
+        items.emplace_back();
+        // Room for every slot, so freeing one (on unwind too) never
+        // allocates.
+        free.reserve(items.size());
+        return static_cast<std::uint32_t>(items.size() - 1);
+      }
+      const std::uint32_t i = free.back();
+      free.pop_back();
+      return i;
+    }
+  };
+  /// A conditional round between its issue and its evaluation.
+  struct Round {
+    int src = 0;
+    std::vector<int> nodes;
+    sim::InlineFunction<bool(int)> eval;
+    NodeCallback write;
+    sim::InlineFunction<void(bool)> on_result;
+  };
+  /// A hardware multicast's live legs and the callback they share, until
+  /// its last completion instant.
+  struct Legs {
+    std::vector<int> dests;
+    NodeCallback per_dest;
+    std::uint32_t instants = 0;  ///< leg events still to fire
+  };
+
+  void softwareMulticast(int src, std::span<const int> dests,
                          std::size_t bytes, NodeCallback on_delivered_at,
                          EventCallback on_all);
-  /// Schedules a hardware multicast's live legs (ingress already updated):
-  /// one event per distinct completion instant.
-  void scheduleLegs(std::vector<int> dests, NodeCallback per_dest);
+  /// Schedules the live legs in `slot` (ingress already updated): one
+  /// event per distinct completion instant.
+  void scheduleLegs(std::uint32_t slot);
+  void fireLegs(std::uint32_t slot, std::uint32_t begin, std::uint32_t end);
+  void releaseLegs(std::uint32_t slot);
+  void evaluate(std::uint32_t slot);
+  void releaseRound(std::uint32_t slot);
 
   void checkNode(int node) const;
   /// Sets an endpoint free-time, keeping busy_until_ the latest of them.
@@ -207,6 +257,8 @@ class Fabric {
   sim::Trace* trace_;
   sim::FaultInjector* fault_ = nullptr;
   FabricStats stats_;
+  Slots<Round> rounds_;
+  Slots<Legs> legs_;
 
   /// Snapshot serializer (src/snapshot): endpoint free-times and the stats
   /// round-trip.

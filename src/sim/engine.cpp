@@ -260,15 +260,17 @@ bool Engine::cancel(EventId id) {
 // Same-instant runs (EventRun)
 // ---------------------------------------------------------------------------
 //
-// Why extendRun is exact.  A run's members draw keys k1 < ... < kn, and its
-// one queue entry is (when, k1).  Plain events would have fired them in key
-// order; the run does the same, so the two differ only if some other event
-// at `when` has a key between k1 and kn.  Such a key was drawn, and so
-// filed (scheduling files at once), after k1's.  It was filed under
+// Why canExtendRun is exact.  A run's members draw keys k1 < ... < kn, and
+// its one queue entry is (when, k1).  Plain events would have fired them in
+// key order; the run does the same, so the two differ only if some other
+// event at `when` has a key between k1 and kn.  Such a key was drawn, and
+// so filed (scheduling files at once), after k1's.  It was filed under
 // bucketIndex(when) as it stood then, which lies between the mark's bucket
 // and the bucket the new member files under (the cursor only moves
-// forward).  extendRun demands those two be equal, so the intruder went to
-// the mark's slot and moved its push count.
+// forward).  canExtendRun demands those two be equal, so the intruder went
+// to the mark's slot and moved its push count.  The same holds for the
+// arguments a range takes on under one key: each would have been a member
+// with its own key, and nothing could fall between them.
 
 std::uint64_t Engine::scheduleRunHead(SimTime when, EventCallback fn,
                                       RunMark& mark) {
@@ -279,27 +281,19 @@ std::uint64_t Engine::scheduleRunHead(SimTime when, EventCallback fn,
   return next_key_ - 1;
 }
 
-std::uint64_t Engine::extendRun(const RunMark& mark, SimTime when) {
-  // The run's entry has not finished firing, so `when` >= now_ already.
-  if (when != mark.when || bucketIndex(when) != mark.bucket ||
-      pushes_[mark.bucket & kBucketMask] != mark.pushes) {
-    return 0;
-  }
-  ++live_;
-  return next_key_++;
-}
-
 void Engine::enterRunMember(std::uint64_t key) {
   cur_key_ = key;
   --live_;
   ++executed_;
 }
 
-void Engine::requeueRun(SimTime when, std::uint64_t key, EventCallback fn) {
+void Engine::requeueRun(SimTime when, std::uint64_t key, EventCallback fn,
+                        bool entered) {
   const std::uint32_t slot = acquireNode();
   Node& n = node(slot);
   n.armed = true;
   n.fn = std::move(fn);
+  if (entered) ++live_;
   // An old key: entries filed since may fire after it, so the same-instant
   // FIFO's tail is no place for it.
   enqueueOrdered(QEntry{when, key, slot});

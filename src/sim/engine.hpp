@@ -39,6 +39,8 @@
 //    can fire between them.  Each member still draws its own key, counts
 //    as its own pending and executed event and runs under its own
 //    currentEventKey(), so a run is invisible to everything but the queue.
+//    A range member covers consecutive arguments on the same proof under
+//    one key, and counts as one event.
 //  * Serial is the only mode: one thread drains one queue, so a program
 //    gives the same trace, counters and checkpoint bytes on every host.
 
@@ -274,16 +276,29 @@ class Engine {
   };
   /// Files a run's first member as an event; returns its key.
   std::uint64_t scheduleRunHead(SimTime when, EventCallback fn, RunMark& mark);
-  /// Draws the key of another member at `when` for the run filed under
-  /// `mark`, or returns 0 when the run cannot take it exactly.
-  std::uint64_t extendRun(const RunMark& mark, SimTime when);
+  /// True iff the run filed under `mark` can take another member at `when`
+  /// exactly: nothing else has been filed at its instant since.  Draws no
+  /// key, so a range can join its last member on the same proof.
+  bool canExtendRun(const RunMark& mark, SimTime when) const {
+    // The run's entry has not finished firing, so `when` >= now_ already.
+    return when == mark.when && bucketIndex(when) == mark.bucket &&
+           pushes_[mark.bucket & kBucketMask] == mark.pushes;
+  }
+  /// Draws the key of a new member for a run canExtendRun admitted; the
+  /// member is pending from here on.
+  std::uint64_t drawRunKey() {
+    ++live_;
+    return next_key_++;
+  }
   /// Accounts the next member of the firing run exactly as fire() accounts
   /// an event: its key becomes currentEventKey(), and it leaves the pending
   /// count for the executed count.
   void enterRunMember(std::uint64_t key);
   /// Refiles the rest of a run whose member threw, under the key of its
-  /// first unfired member; the members are still pending.
-  void requeueRun(SimTime when, std::uint64_t key, EventCallback fn);
+  /// first unfired member.  Members not yet entered are still pending; an
+  /// `entered` one (the rest of a range) becomes pending again.
+  void requeueRun(SimTime when, std::uint64_t key, EventCallback fn,
+                  bool entered);
 
   SimTime now_ = 0;
   std::uint64_t executed_ = 0;

@@ -18,11 +18,23 @@
 // that throws leaves the rest pending under their own keys, so the next
 // run() continues exactly where plain events would.
 //
+// Ranges.  For an integral Arg, `run.atRange(when, arg)` files fn(arg) the
+// same way, except where at() would have added a member right behind one
+// that ends at arg - 1: that member then covers arg too, and no key is
+// drawn.  A range of consecutive arguments is one event: it draws one key,
+// counts as one pending and one executed event, and calls fn once per
+// argument, in ascending order, under its key.  The calls are those the
+// members would have made, in the order they would have made them; only
+// the key count and the event count fall.  A range that throws leaves its
+// later arguments pending, as one event under its key.
+//
 // Members are not cancellable.  The flat BCS-MPI runtime's per-node NIC
 // timers are the motivating use: one microstrobe reaches every node at one
 // instant, and each node's NIC-thread completion falls due at the same
-// instant as its neighbours' (DESIGN.md §5b).
+// instant as its neighbours', so one range releases a run of node ids
+// (DESIGN.md §5b).
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -44,20 +56,7 @@ class EventRun {
   EventRun& operator=(const EventRun&) = delete;
 
   /// Schedules fn(arg) at absolute time `when` (must be >= now()).
-  void at(SimTime when, Arg arg) {
-    if (open_ != kNone) {
-      const std::uint64_t key = engine_.extendRun(mark_, when);
-      if (key != 0) {
-        runs_[open_].push_back(Member{key, arg});
-        return;
-      }
-    }
-    const std::uint32_t r = acquireRun();
-    const std::uint64_t key =
-        engine_.scheduleRunHead(when, [this, r] { fire(r); }, mark_);
-    runs_[r].push_back(Member{key, arg});
-    open_ = r;
-  }
+  void at(SimTime when, Arg arg) { file(when, arg, /*join=*/false); }
 
   /// Schedules fn(arg) `delay` nanoseconds from now (delay >= 0).
   void after(Duration delay, Arg arg) {
@@ -65,13 +64,59 @@ class EventRun {
     at(engine_.now() + delay, arg);
   }
 
+  /// at(), but joining the range of the member it would follow when that
+  /// range ends at arg - 1.
+  void atRange(SimTime when, Arg arg)
+    requires std::integral<Arg>
+  {
+    file(when, arg, /*join=*/true);
+  }
+
+  /// after() for atRange().
+  void afterRange(Duration delay, Arg arg)
+    requires std::integral<Arg>
+  {
+    if (delay < 0) Engine::failNegativeDelay();
+    atRange(engine_.now() + delay, arg);
+  }
+
  private:
   static constexpr std::uint32_t kNone = UINT32_MAX;
 
+  /// Arguments first, first + 1, ..., first + count - 1 under one key
+  /// (count is 1 unless Arg is integral).
   struct Member {
     std::uint64_t key;
-    Arg arg;
+    Arg first;
+    std::uint32_t count;
   };
+
+  /// The argument `offset` places into a range starting at `first`.
+  static Arg nth(Arg first, std::uint32_t offset) {
+    if constexpr (std::integral<Arg>) {
+      return static_cast<Arg>(first + static_cast<Arg>(offset));
+    } else {
+      return first;
+    }
+  }
+
+  void file(SimTime when, Arg arg, bool join) {
+    if (open_ != kNone && engine_.canExtendRun(mark_, when)) {
+      std::vector<Member>& members = runs_[open_];
+      Member& last = members.back();
+      if (join && nth(last.first, last.count) == arg) {
+        ++last.count;
+        return;
+      }
+      members.push_back(Member{engine_.drawRunKey(), arg, 1});
+      return;
+    }
+    const std::uint32_t r = acquireRun();
+    const std::uint64_t key =
+        engine_.scheduleRunHead(when, [this, r] { fire(r); }, mark_);
+    runs_[r].push_back(Member{key, arg, 1});
+    open_ = r;
+  }
 
   std::uint32_t acquireRun() {
     if (free_.empty()) {
@@ -90,38 +135,54 @@ class EventRun {
   }
 
   // Callback of run r's queue entry: fires its unfired members in key
-  // order.  The engine has already entered the first one.  A member may
-  // append to this very run (at its own instant), so the bound is re-read
-  // after every call; runs_ may grow during a call, hence indices, not
-  // references.
+  // order, each range in ascending order.  The engine has already entered
+  // the first member.  A call may extend this very run (at its own
+  // instant), so the bounds are re-read after every call; runs_ may grow
+  // during a call, hence indices, not references.
   void fire(std::uint32_t r) {
-    std::size_t i = 0;
+    std::size_t i = 0;    // member
+    std::uint32_t j = 0;  // argument within member i
     for (;;) {
-      const Arg arg = runs_[r][i].arg;
-      ++i;
+      const Arg arg = nth(runs_[r][i].first, j);
 #if defined(__cpp_exceptions)
       try {
         fn_(arg);
       } catch (...) {
-        std::vector<Member>& members = runs_[r];
-        if (i < members.size()) {
-          if (open_ == r) open_ = kNone;
-          members.erase(members.begin(),
-                        members.begin() + static_cast<std::ptrdiff_t>(i));
-          engine_.requeueRun(engine_.now(), members.front().key,
-                             [this, r] { fire(r); });
-        } else {
-          releaseRun(r);
-        }
+        requeueAfterThrow(r, i, j);
         throw;
       }
 #else
       fn_(arg);
 #endif
-      if (i == runs_[r].size()) break;
+      if (++j < runs_[r][i].count) continue;
+      j = 0;
+      if (++i == runs_[r].size()) break;
       engine_.enterRunMember(runs_[r][i].key);
     }
     releaseRun(r);
+  }
+
+  // Argument j of member i threw: what is left of its range stays pending
+  // under the range's key (it was entered, so it is pending again), and
+  // the members behind it under their own.
+  void requeueAfterThrow(std::uint32_t r, std::size_t i, std::uint32_t j) {
+    std::vector<Member>& members = runs_[r];
+    Member& m = members[i];
+    const bool range_left = j + 1 < m.count;
+    if (range_left) {
+      m.first = nth(m.first, j + 1);
+      m.count -= j + 1;
+    }
+    const std::size_t keep = range_left ? i : i + 1;
+    if (keep == members.size()) {
+      releaseRun(r);
+      return;
+    }
+    if (open_ == r) open_ = kNone;
+    members.erase(members.begin(),
+                  members.begin() + static_cast<std::ptrdiff_t>(keep));
+    engine_.requeueRun(engine_.now(), members.front().key,
+                       [this, r] { fire(r); }, /*entered=*/range_left);
   }
 
   Engine& engine_;

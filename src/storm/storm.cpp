@@ -123,7 +123,7 @@ void Storm::pollLaunch(std::shared_ptr<const LaunchPoll> launch) {
   req.var = launch_var_;
   req.op = core::CmpOp::kGE;
   req.value = launch->seq;
-  core_.compareAndWriteAsync(std::move(req), [this, launch](bool ready) {
+  core_.compareAndWriteAsync(req, [this, launch](bool ready) {
     if (ready) {
       if (launch->on_launched) {
         launch->on_launched(cluster_.engine().now() - launch->t0);

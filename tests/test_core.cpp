@@ -73,9 +73,10 @@ TEST_F(CoreFixture, XferAndSignalMovesDataAndSignalsRemote) {
   const auto ev = core.allocEvent("arrived");
   std::vector<std::byte> src_buf(256, std::byte{7});
   std::vector<std::byte> dst_buf(256);
+  const std::vector<int> dests{3};
   core::XferRequest req;
   req.src_node = 0;
-  req.dest_nodes = {3};
+  req.dest_nodes = dests;
   req.bytes = src_buf.size();
   req.deliver = [&](int dest) {
     ASSERT_EQ(dest, 3);
@@ -92,9 +93,10 @@ TEST_F(CoreFixture, XferAndSignalMovesDataAndSignalsRemote) {
 TEST_F(CoreFixture, XferAndSignalLocalEventFiresOnCompletion) {
   const auto lev = core.allocEvent("local-done");
   const auto rev = core.allocEvent("remote");
+  const std::vector<int> dests{2, 3, 4};
   core::XferRequest req;
   req.src_node = 1;
-  req.dest_nodes = {2, 3, 4};
+  req.dest_nodes = dests;
   req.bytes = 1024;
   req.local_event = lev;
   req.remote_event = rev;

@@ -94,7 +94,7 @@ TEST(FabricEdge, MulticastToOnlySelfCompletesImmediately) {
   sim::Engine eng;
   net::Fabric fabric(eng, net::NetworkParams::qsnet(), 4);
   bool all = false;
-  fabric.multicast(2, {2}, 1024, {}, [&] { all = true; });
+  fabric.multicast(2, std::vector<int>{2}, 1024, {}, [&] { all = true; });
   eng.run();
   EXPECT_TRUE(all);
 }
@@ -115,9 +115,11 @@ TEST(BcsCoreEdge, XferSignalsEveryNodeOfTheDestinationSet) {
   net::Cluster cluster(ccfg);
   core::BcsCore core(cluster.fabric());
   const auto ev = core.allocEvent("e");
+  std::vector<int> dests;
+  for (int n = 1; n < 16; ++n) dests.push_back(n);
   core::XferRequest req;
   req.src_node = 0;
-  for (int n = 1; n < 16; ++n) req.dest_nodes.push_back(n);
+  req.dest_nodes = dests;
   req.bytes = 4096;
   req.remote_event = ev;
   core.xferAndSignal(std::move(req));

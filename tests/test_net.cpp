@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -153,7 +154,7 @@ TEST_F(FabricFixture, SelfSendUsesLoopback) {
 TEST_F(FabricFixture, HardwareMulticastReachesAllDestinations) {
   std::vector<int> got;
   bool all = false;
-  fabric.multicast(0, {1, 2, 3, 8, 16, 32}, 256,
+  fabric.multicast(0, std::vector<int>{1, 2, 3, 8, 16, 32}, 256,
                    [&](int node) { got.push_back(node); }, [&] { all = true; });
   eng.run();
   EXPECT_TRUE(all);
@@ -162,8 +163,8 @@ TEST_F(FabricFixture, HardwareMulticastReachesAllDestinations) {
 
 TEST_F(FabricFixture, MulticastExcludesSourceAndDedups) {
   std::vector<int> got;
-  fabric.multicast(0, {0, 1, 1, 2}, 64, [&](int node) { got.push_back(node); },
-                   {});
+  fabric.multicast(0, std::vector<int>{0, 1, 1, 2}, 64,
+                   [&](int node) { got.push_back(node); }, {});
   eng.run();
   EXPECT_EQ(got.size(), 2u);
 }
@@ -235,12 +236,39 @@ TEST_F(FabricFixture, HardwareMulticastKeepsLateAndSuppressedLegsExact) {
   EXPECT_EQ(eng.executedEvents(), 4u);
 }
 
+// A leg that throws ends its instant's event, and the legs after it there
+// are lost with it, as with any throwing event.  The multicast's other
+// instants still fire on the next run(), and the last of them frees the
+// legs and the callback they share.
+TEST_F(FabricFixture, ThrowingLegFreesItsMulticastAtTheLastInstant) {
+  // A large transfer into node 7 keeps its ingress busy, so its leg lands
+  // at its own later instant.
+  fabric.unicast(32, 7, 1 << 20, [] {});
+  auto sentinel = std::make_shared<int>(0);
+  std::vector<int> got;
+  fabric.multicast(0, std::vector<int>{1, 2, 7}, 256,
+                   [&got, sentinel](int node) {
+                     got.push_back(node);
+                     if (node == 1) throw std::runtime_error("leg threw");
+                   });
+  EXPECT_THROW(eng.run(), std::runtime_error);
+  EXPECT_EQ(got, std::vector<int>{1});
+  eng.run();
+  EXPECT_EQ(got, (std::vector<int>{1, 7}));
+  EXPECT_EQ(sentinel.use_count(), 1);
+  fabric.multicast(0, std::vector<int>{3, 4}, 64,
+                   [&got](int node) { got.push_back(node); });
+  eng.run();
+  EXPECT_EQ(got, (std::vector<int>{1, 7, 3, 4}));
+}
+
 TEST_F(FabricFixture, MulticastLatencyIsNearlyFlatInFanout) {
   SimTime small_fan = -1, large_fan = -1;
   {
     sim::Engine e1;
     Fabric f1(e1, params, 130);
-    f1.multicast(0, {1, 2}, 64, {}, [&] { small_fan = e1.now(); });
+    f1.multicast(0, std::vector<int>{1, 2}, 64, {},
+                 [&] { small_fan = e1.now(); });
     e1.run();
   }
   {
@@ -295,6 +323,29 @@ TEST_F(FabricFixture, ConditionalSkipsWriteWhenFalse) {
   EXPECT_EQ(value, (std::vector<int>{0, 0, 0}));
 }
 
+// An evaluation that throws frees its round: its callbacks are released,
+// the result is never delivered, and the next round runs as usual.
+TEST_F(FabricFixture, ThrowingEvaluationFreesItsRound) {
+  const std::vector<int> nodes{0, 1, 2};
+  auto sentinel = std::make_shared<int>(0);
+  bool delivered = false;
+  fabric.conditional(
+      0, nodes,
+      [sentinel](int n) {
+        if (n == 1) throw std::runtime_error("evaluation threw");
+        return true;
+      },
+      [sentinel](int) {}, [sentinel, &delivered](bool) { delivered = true; });
+  EXPECT_THROW(eng.run(), std::runtime_error);
+  EXPECT_FALSE(delivered);
+  EXPECT_EQ(sentinel.use_count(), 1);
+  bool all = false;
+  fabric.conditional(0, nodes, [](int) { return true; }, {},
+                     [&all](bool ok) { all = ok; });
+  eng.run();
+  EXPECT_TRUE(all);
+}
+
 TEST(SoftwareCollectives, EmulatedMulticastScalesLogarithmically) {
   // Myrinet-style software tree: latency grows with log2(n), not n.
   const auto params = NetworkParams::myrinet();
@@ -323,7 +374,7 @@ TEST(SoftwareCollectives, EmulatedMulticastReleasesItsCallbacks) {
   Fabric fabric(eng, NetworkParams::myrinet(), 16);
   auto sentinel = std::make_shared<int>(0);
   std::vector<int> got;
-  fabric.multicast(0, {1, 2, 3, 5, 8, 13}, 64,
+  fabric.multicast(0, std::vector<int>{1, 2, 3, 5, 8, 13}, 64,
                    [&got](int node) { got.push_back(node); },
                    [sentinel] { ++*sentinel; });
   eng.run();
@@ -353,7 +404,7 @@ TEST(FabricStatsTest, CountsOperations) {
   sim::Engine eng;
   Fabric fabric(eng, NetworkParams::qsnet(), 8);
   fabric.unicast(0, 1, 100, [] {});
-  fabric.multicast(0, {1, 2}, 100, {}, {});
+  fabric.multicast(0, std::vector<int>{1, 2}, 100, {}, {});
   fabric.conditional(0, {0, 1}, [](int) { return true; }, {}, {});
   eng.run();
   EXPECT_EQ(fabric.stats().unicasts, 1u);

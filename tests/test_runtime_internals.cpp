@@ -1,7 +1,7 @@
 // White-box tests of the BCS-MPI runtime: statistics accounting, slice-grid
 // behaviour, error reporting, the spin-vs-descheduled wait distinction, the
 // DEM drain window, multi-job isolation, and the exactness of quiescent-slice
-// replay.
+// replay and of the flat Strobe Sender loop's skipped poll rounds.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "apps/selfsched.hpp"
+#include "apps/wavefront.hpp"
 #include "bcsmpi/comm.hpp"
 #include "bcsmpi/runtime.hpp"
 #include "net/cluster.hpp"
@@ -716,6 +717,220 @@ TEST(SliceReplay, ObserversInsideAnIdleSliceSeeItUnderWay) {
   cluster.run();
   EXPECT_TRUE(cluster.allProcessesFinished());
   EXPECT_TRUE(seen);
+}
+
+// ---------------------------------------------------------------------------
+// The flat Strobe Sender loop is exact (DESIGN.md §5b, "The flat Strobe
+// Sender loop").  Each scenario runs traced twice: as is, and with a no-op
+// engine event re-filed every 1 us.  The tick lies between every failed
+// poll round and the next, 5 us later, so no round is skipped.  (NIC timer
+// ranges form inside one event's callbacks, where no tick can fall, so
+// both runs form them; EventRunRange in test_sim.cpp checks ranges against
+// plain events.)  Both runs must agree on every slice boundary's counters,
+// on every rank's finish time and result, and on the whole trace.
+// ---------------------------------------------------------------------------
+
+struct LoopRun {
+  ReplayRun run;
+  std::string trace;
+  std::vector<sim::SimTime> polls;  ///< issue instants of the phase polls
+  std::uint64_t events = 0;  ///< engine events executed, the ticks' excluded
+  std::size_t unfinished = 0;
+  /// At the scenario's pause: the counters and the trace so far.
+  bcsmpi::RuntimeStats paused_runtime;
+  net::FabricStats paused_fabric;
+  std::string paused_trace;
+};
+
+LoopRun runFlatLoop(const ReplayScenario& sc, bool tick,
+                    sim::SimTime pause = INT64_MAX) {
+  net::Cluster cluster(sc.cluster);
+  cluster.trace().enable();
+  BcsMpiConfig cfg = sc.mpi;
+  cfg.checkpoint_every_slices = 1;
+  auto runtime = std::make_shared<bcsmpi::Runtime>(cluster, cfg);
+  LoopRun out;
+  out.run.results.assign(sc.map.size(), 0);
+  runtime->setSnapshotSink([&out, &cluster, rt = runtime.get()](std::uint64_t) {
+    atBoundary(out.run, cluster, *rt, /*decline=*/false);
+  });
+  bcsmpi::launchJob(
+      *runtime, sc.map,
+      [&out, &sc](Comm& comm) {
+        out.run.results[static_cast<std::size_t>(comm.rank())] = sc.body(comm);
+      },
+      &out.run.finish);
+  if (sc.extra) sc.extra(cluster, *runtime);
+  std::uint64_t ticks = 0;
+  std::function<void()> next_tick = [&] {
+    ++ticks;
+    if (!cluster.allProcessesFinished()) {
+      cluster.engine().after(usec(1), next_tick);
+    }
+  };
+  if (tick) cluster.engine().at(0, next_tick);
+  if (pause != INT64_MAX) {
+    cluster.run(pause);
+    out.paused_runtime = runtime->stats();
+    out.paused_fabric = cluster.fabric().stats();
+    out.paused_trace = cluster.trace().dump();
+  }
+  cluster.run(sc.until);
+  out.trace = cluster.trace().dump();
+  for (const sim::TraceRecord& r : cluster.trace().records()) {
+    if (r.message.starts_with("Compare-And-Write phase_done")) {
+      out.polls.push_back(r.time);
+    }
+  }
+  out.events = cluster.engine().executedEvents() - ticks;
+  out.unfinished = cluster.unfinishedProcesses().size();
+  return out;
+}
+
+/// Runs `sc` both ways, checks they agree, and returns the as-is run.
+LoopRun expectFlatLoopExact(const ReplayScenario& sc,
+                            sim::SimTime pause = INT64_MAX) {
+  LoopRun as_is = runFlatLoop(sc, /*tick=*/false, pause);
+  const LoopRun ticked = runFlatLoop(sc, /*tick=*/true, pause);
+  expectSameBoundaries(as_is.run, ticked.run);
+  EXPECT_EQ(as_is.run.finish, ticked.run.finish);
+  EXPECT_EQ(as_is.run.results, ticked.run.results);
+  EXPECT_EQ(as_is.unfinished, ticked.unfinished);
+  EXPECT_TRUE(as_is.paused_runtime == ticked.paused_runtime);
+  EXPECT_TRUE(as_is.paused_fabric == ticked.paused_fabric);
+  EXPECT_EQ(as_is.paused_trace, ticked.paused_trace);
+  EXPECT_EQ(as_is.trace, ticked.trace);
+  EXPECT_GT(as_is.run.boundaries.size(), 5u);
+  // The as-is run skipped poll rounds the ticked one ran, two events each.
+  EXPECT_LT(as_is.events, ticked.events);
+  return as_is;
+}
+
+/// Slice k's start: the ranks register after the 50 us bring-up.
+sim::SimTime sliceStart(int k) { return usec(50) + k * usec(500); }
+
+TEST(FlatLoop, SparseJobMatchesEveryRoundRun) {
+  expectFlatLoopExact(sparseScenario(32, 1, msec(3)));
+}
+
+TEST(FlatLoop, BlockingWavefrontMatchesEveryRoundRun) {
+  // SWEEP3D's shape at 62 ranks, two per node, cut down to one time step
+  // of two sweeps.
+  ReplayScenario sc;
+  sc.cluster = nodes(31);
+  sc.map = blockMap(31, 2);
+  sc.body = [](Comm& comm) {
+    apps::Sweep3dConfig cfg;
+    cfg.time_steps = 1;
+    cfg.sweeps_per_step = 2;
+    cfg.blocks = 2;
+    cfg.step_compute = usec(700);
+    return static_cast<std::uint64_t>(apps::sweep3d(comm, cfg) * 1e6);
+  };
+  expectFlatLoopExact(sc);
+}
+
+TEST(FlatLoop, CollectivesMatchEveryRoundRun) {
+  ReplayScenario sc;
+  sc.cluster = nodes(8);
+  sc.map = blockMap(8, 1);
+  sc.body = [](Comm& comm) {
+    std::uint64_t sum = 0;
+    for (int i = 0; i < 3; ++i) {
+      comm.compute(usec(900) + usec(170) * comm.rank());
+      comm.barrier();
+      double v = comm.rank() + i;
+      double total = 0;
+      comm.allreduce(&v, &total, 1, mpi::Datatype::kFloat64,
+                     mpi::ReduceOp::kSum);
+      int word = comm.rank() == 2 ? 40 + i : 0;
+      comm.bcast(&word, sizeof word, 2);
+      sum += static_cast<std::uint64_t>(total) * 100 +
+             static_cast<std::uint64_t>(word);
+    }
+    return sum;
+  };
+  expectFlatLoopExact(sc);
+}
+
+TEST(FlatLoop, RmaSelfSchedulerMatchesEveryRoundRun) {
+  ReplayScenario sc;
+  sc.cluster = nodes(8);
+  sc.map = blockMap(8, 1);
+  sc.body = [](Comm& comm) {
+    apps::SelfSchedConfig cfg;
+    cfg.chunks = 24;
+    cfg.base_cost = usec(600);
+    cfg.cost_ramp = 4.0;
+    return apps::selfSchedule(comm, cfg).digest;
+  };
+  expectFlatLoopExact(sc);
+}
+
+TEST(FlatLoop, DropRateFaultsMatchEveryRoundRun) {
+  ReplayScenario sc = sparseScenario(16, 1, msec(2));
+  sc.cluster.seed = 91;
+  sc.cluster.faults.dropRate(0.05);
+  const LoopRun run = expectFlatLoopExact(sc);
+  EXPECT_GT(run.run.boundaries.back().runtime.retransmits, 0u);
+}
+
+TEST(FlatLoop, StrobeSenderCrashWithComputeNodeBackupMatches) {
+  // The management node dies 30 us into slice 12, while the DEM's polls
+  // run; compute node 0 takes over and strobes itself through NIC-local
+  // memory.
+  ReplayScenario sc = sparseScenario(16, 1, msec(8));
+  sc.cluster.faults.crashManagementNode(sliceStart(12) + usec(30));
+  sc.until = msec(60);
+  const LoopRun run = expectFlatLoopExact(sc);
+  EXPECT_EQ(run.run.boundaries.back().runtime.elections, 1u);
+  EXPECT_EQ(run.unfinished, 0u);
+}
+
+TEST(FlatLoop, EvictionInsideAMicrophaseMatches) {
+  // Node 5 crashes 30 us into slice 6 and is evicted there, mid-DEM; its
+  // ring neighbours' second exchange fails.
+  ReplayScenario sc = sparseScenario(16, 1, msec(4));
+  const sim::SimTime crash = sliceStart(6) + usec(30);
+  sc.cluster.faults.crashNode(5, crash);
+  sc.until = msec(30);
+  sc.extra = [crash](net::Cluster& cluster, bcsmpi::Runtime& rt) {
+    cluster.engine().at(crash, [&rt] { rt.notifyNodeFailure(5); });
+  };
+  const LoopRun run = expectFlatLoopExact(sc);
+  EXPECT_EQ(run.run.boundaries.back().runtime.evictions, 1u);
+  EXPECT_GT(run.run.boundaries.back().runtime.requests_failed, 0u);
+}
+
+TEST(FlatLoop, RunBoundInsideAPollWindowMatches) {
+  // run() stops 33 us into slice 4, between two DEM poll rounds: the run so
+  // far must hold no round issued after the bound.
+  const LoopRun run = expectFlatLoopExact(sparseScenario(16, 1, msec(4)),
+                                          sliceStart(4) + usec(33));
+  EXPECT_GT(run.paused_fabric.conditionals, 0u);
+}
+
+TEST(FlatLoop, EventAtAPollIssueInstantMatches) {
+  // An engine event due exactly when a round is issued fires first, since
+  // it was filed first, and records a line before the round's.  A round is
+  // therefore counted ahead only while the round after it is due before
+  // the next event's own instant.
+  ReplayScenario sc = sparseScenario(16, 1, msec(3));
+  std::vector<sim::SimTime> probes;
+  for (const sim::SimTime t : runFlatLoop(sc, /*tick=*/false).polls) {
+    if (t > sliceStart(3) && t < sliceStart(4)) probes.push_back(t);
+  }
+  ASSERT_GT(probes.size(), 10u);
+  sc.extra = [probes](net::Cluster& cluster, bcsmpi::Runtime&) {
+    for (const sim::SimTime t : probes) {
+      cluster.engine().at(t, [&cluster] {
+        sim::traceRecord(&cluster.trace(), cluster.engine().now(),
+                         sim::TraceCategory::kApp, -1,
+                         [] { return std::string("probe"); });
+      });
+    }
+  };
+  expectFlatLoopExact(sc);
 }
 
 /// Runs a checkpointable scenario untraced to `until` with a snapshot at

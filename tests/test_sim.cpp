@@ -739,6 +739,168 @@ TEST(EventRun, ThrowingMemberLeavesTheRestPending) {
   EXPECT_EQ(runs.eng.pendingEvents(), 0u);
 }
 
+// ------------------------------------------------------- EventRun ranges --
+//
+// One script on two engines: on one, members go through atRange; on the
+// other, each member is a plain event.  A range draws one key and counts as
+// one event, so what is compared is what the ranges may not change: which
+// callbacks fire, in which order, at which instants.
+
+/// (id, now) of one callback.
+using Firing = std::pair<std::int64_t, SimTime>;
+
+class RangeTwin {
+ public:
+  RangeTwin(bool ranges, Script script, std::int64_t throw_id = -1)
+      : ranges_(ranges),
+        script_(std::move(script)),
+        throw_id_(throw_id),
+        run_(eng, [this](std::int64_t id) { fired(id); }) {}
+
+  void schedule(bool member, SimTime when, std::int64_t id) {
+    if (member && ranges_) {
+      run_.atRange(when, id);
+    } else {
+      eng.at(when, [this, id] { fired(id); });
+    }
+  }
+
+  Engine eng;
+  std::vector<Firing> seen;
+
+ private:
+  void fired(std::int64_t id) {
+    seen.emplace_back(id, eng.now());
+    for (const Spawn& s : script_(id)) {
+      schedule(s.member, eng.now() + s.delay, s.id);
+    }
+    if (id == throw_id_) throw std::runtime_error("range threw");
+  }
+
+  bool ranges_;
+  Script script_;
+  std::int64_t throw_id_;
+  EventRun<std::int64_t> run_;
+};
+
+TEST(EventRunRange, ConsecutiveArgumentsAtOneInstantAreOneEvent) {
+  std::vector<std::int64_t> order;
+  Engine eng;
+  EventRun<std::int64_t> run(eng, [&](std::int64_t id) {
+    order.push_back(id);
+    EXPECT_EQ(eng.currentEventKey(), 1u);
+  });
+  for (std::int64_t id = 0; id < 31; ++id) run.atRange(usec(60), id);
+  EXPECT_EQ(eng.pendingEvents(), 1u);
+  ASSERT_TRUE(eng.step());
+  EXPECT_FALSE(eng.step());
+  EXPECT_EQ(eng.executedEvents(), 1u);
+  ASSERT_EQ(order.size(), 31u);
+  for (std::int64_t id = 0; id < 31; ++id) EXPECT_EQ(order[id], id);
+}
+
+// An argument joins a range only where its own member could have joined
+// the run: a plain event filed at the range's instant in between fires
+// between the two, as it would among plain events.
+TEST(EventRunRange, JoinsOnlyWhereAMemberCouldJoinTheRun) {
+  const Script script = [](std::int64_t id) -> std::vector<Spawn> {
+    if (id != 1) return {};
+    return {{true, usec(3), 10}, {false, usec(3), 99}, {true, usec(3), 11},
+            {true, usec(3), 12}, {true, usec(4), 13}, {true, usec(3), 14}};
+  };
+  RangeTwin ranges(true, script);
+  RangeTwin plain(false, script);
+  ranges.schedule(false, usec(1), 1);
+  plain.schedule(false, usec(1), 1);
+  ranges.eng.run();
+  plain.eng.run();
+  EXPECT_EQ(ranges.seen, plain.seen);
+  ASSERT_EQ(ranges.seen.size(), 7u);
+  EXPECT_EQ(ranges.seen[2].first, 99);
+  // 10, then 11-12 as one range, then 13 and 14 on their own.
+  EXPECT_EQ(ranges.eng.executedEvents(), 6u);
+}
+
+/// Bursts of consecutive ids: a callback spawns up to two bursts of one to
+/// four members at one delay each, sometimes with a plain event among them
+/// or after them at the same instant.  Member children of id are
+/// 16 * id + 1.., to depth three; plain events are leaves.
+Script burstScript(std::uint64_t seed) {
+  return [seed](std::int64_t id) {
+    static constexpr std::array<Duration, 6> kDelays = {
+        0, 0, 1, 2047, usec(60), kHorizon};
+    constexpr std::int64_t kLeaf = std::int64_t{1} << 40;
+    std::vector<Spawn> out;
+    if (id >= 16 * 16 * 16) return out;
+    std::uint64_t state = seed ^ (static_cast<std::uint64_t>(id) << 20);
+    const std::uint64_t h = splitmix64(state);
+    std::int64_t child = 16 * id + 1;
+    for (int b = 0; b < 2; ++b) {
+      const std::uint64_t bits = h >> (16 * b);
+      const int members = static_cast<int>(bits & 3) + (b == 0 ? 1 : 0);
+      const Duration delay = kDelays[(bits >> 2) % kDelays.size()];
+      const int plain_at = static_cast<int>((bits >> 5) & 7);
+      for (int m = 0; m < members; ++m) {
+        if (m == plain_at) out.push_back(Spawn{false, delay, kLeaf + child});
+        out.push_back(Spawn{true, delay, child++});
+      }
+    }
+    return out;
+  };
+}
+
+TEST(EventRunRange, SeededBurstsFireAsPlainEvents) {
+  std::uint64_t range_events = 0;
+  std::uint64_t plain_events = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    RangeTwin ranges(true, burstScript(seed));
+    RangeTwin plain(false, burstScript(seed));
+    for (std::int64_t r = 1; r <= 6; ++r) {
+      const SimTime when = nsec(2048) * (r % 3) + (r % 2);
+      ranges.schedule(r % 3 != 0, when, r);
+      plain.schedule(r % 3 != 0, when, r);
+    }
+    ranges.eng.run();
+    plain.eng.run();
+    EXPECT_EQ(ranges.seen, plain.seen) << "seed " << seed;
+    EXPECT_GT(ranges.seen.size(), 30u) << "seed " << seed;
+    EXPECT_EQ(ranges.eng.pendingEvents(), 0u);
+    range_events += ranges.eng.executedEvents();
+    plain_events += plain.eng.executedEvents();
+  }
+  EXPECT_LT(range_events, plain_events);
+}
+
+// A range that throws leaves its later arguments pending as one event under
+// its key; the members behind it keep theirs.  A second run() fires them
+// where plain events would.
+TEST(EventRunRange, ThrowingRangeLeavesItsRestPending) {
+  const Script script = [](std::int64_t id) -> std::vector<Spawn> {
+    if (id == 3) return {{true, 0, 7}, {false, 0, 20}, {true, 0, 8}};
+    return {};
+  };
+  RangeTwin ranges(true, script, /*throw_id=*/3);
+  RangeTwin plain(false, script, /*throw_id=*/3);
+  for (std::int64_t id = 1; id <= 6; ++id) {
+    ranges.schedule(true, usec(7), id);
+    plain.schedule(true, usec(7), id);
+  }
+  ranges.schedule(false, usec(7), 30);
+  plain.schedule(false, usec(7), 30);
+  EXPECT_THROW(ranges.eng.run(), std::runtime_error);
+  EXPECT_THROW(plain.eng.run(), std::runtime_error);
+  EXPECT_EQ(ranges.seen, plain.seen);
+  // 4..6 pending as one range, then 30, 7, 20 and 8.
+  EXPECT_EQ(ranges.eng.pendingEvents(), 5u);
+  EXPECT_EQ(ranges.eng.currentEventKey(), 0u);
+  ranges.eng.run();
+  plain.eng.run();
+  EXPECT_EQ(ranges.seen, plain.seen);
+  EXPECT_EQ(ranges.seen.size(), 10u);
+  EXPECT_EQ(ranges.eng.pendingEvents(), 0u);
+  EXPECT_EQ(ranges.eng.executedEvents(), 6u);
+}
+
 // ---------------------------------------------------------------- Fiber --
 
 TEST(Fiber, RunsToCompletionAcrossResumes) {

@@ -537,7 +537,7 @@ TEST(SnapshotFields, SectionTableIsPinned) {
       {"ring",
        &snapshot::ckptRing,
        {{"meta", 34, 0x78e116a7u},
-        {"engine", 52, 0x94e404ccu},
+        {"engine", 52, 0x6bb7dcdeu},
         {"rng", 32, 0xb1ce89beu},
         {"fault", 60, 0xcaa11f99u},
         {"fabric", 212, 0xf54ca355u},
@@ -549,7 +549,7 @@ TEST(SnapshotFields, SectionTableIsPinned) {
       {"soup",
        &snapshot::ckptSoup,
        {{"meta", 34, 0xec163c8au},
-        {"engine", 52, 0xfbaf759fu},
+        {"engine", 52, 0xfb938953u},
         {"rng", 32, 0x0e267e9cu},
         {"fault", 60, 0xf23b1c03u},
         {"fabric", 596, 0x1e12384bu},
@@ -563,7 +563,7 @@ TEST(SnapshotFields, SectionTableIsPinned) {
       {"tree",
        &snapshot::ckptTree,
        {{"meta", 34, 0x4ed7d7bcu},
-        {"engine", 52, 0x6e035319u},
+        {"engine", 52, 0x84598c9bu},
         {"rng", 32, 0x689ea870u},
         {"fault", 60, 0x953ff308u},
         {"fabric", 596, 0x64fc67f2u},
