@@ -1,14 +1,17 @@
 // Compile-and-run proof that the simulator's hot-path layers — the calendar
-// event engine, the envelope-hash MSM match indexes, and the payload pool —
-// stay fully usable under -fno-exceptions (fatal errors route through
-// sim::simFail, which aborts instead of throwing).  Built only in the bench
-// preset, where this file and the engine sources are compiled with
-// -fno-exceptions; a stray `throw` in any of these layers breaks the build.
+// event engine, the flat MSM match indexes, the recycled message slots and
+// the payload pool — stay fully usable under -fno-exceptions (fatal errors
+// route through sim::simFail, which aborts instead of throwing).  Built
+// only in the bench preset, where this file and the engine sources are
+// compiled with -fno-exceptions; a stray `throw` in any of these layers
+// breaks the build.
 #include <cstdio>
+#include <vector>
 
 #include "bcsmpi/matching.hpp"
 #include "sim/engine.hpp"
 #include "sim/pool.hpp"
+#include "sim/slots.hpp"
 
 #if defined(__cpp_exceptions)
 #error "noexcept_smoke must be compiled with -fno-exceptions"
@@ -48,6 +51,33 @@ int main() {
   recvs.insert(r);
   const bcs::bcsmpi::SendDescriptor* hit = sends.lowestSeqMatch(r);
   if (hit == nullptr || hit->seq != 1) return 1;
+  if (sends.take(1).tag != 7 || !sends.empty()) return 1;
+  if (recvs.take(2).bytes != 64 || !recvs.empty()) return 1;
+  for (std::uint64_t seq = 3; seq < 7; ++seq) {
+    s.seq = seq;
+    s.tag = static_cast<int>(seq % 2);
+    sends.insert(s);
+  }
+  sends.eraseIf([](const bcs::bcsmpi::SendDescriptor& d) { return d.tag == 1; });
+  if (sends.size() != 2) return 1;
+  r.want_tag = 0;
+  r.want_src = 1;
+  hit = sends.lowestSeqMatch(r);
+  if (hit == nullptr || hit->seq != 4) return 1;
+
+  // A slot is freed with its last Ref and comes back cleared, its vector's
+  // capacity kept.
+  bcs::sim::Slots<std::vector<int>> slots;
+  {
+    auto a = slots.acquire();
+    a->assign(32, 1);
+    auto b = a;
+  }
+  if (slots.inUse() != 0) return 1;
+  auto again = slots.acquire();
+  if (slots.capacity() != 1 || !again->empty() || again->capacity() < 32) {
+    return 1;
+  }
 
   std::puts("noexcept smoke: ok");
   return 0;

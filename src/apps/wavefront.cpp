@@ -16,10 +16,6 @@ void gridShape(int nprocs, int& px, int& py) {
   py = nprocs / px;
 }
 
-namespace {
-
-/// Deterministic payload byte: the same on sender and receiver, so the
-/// receiver-side checksum is comparable across MPI implementations.
 std::uint8_t payloadByte(int from_rank, int sweep, int block, std::size_t i) {
   return static_cast<std::uint8_t>(
       (static_cast<std::size_t>(from_rank) * 131 +
@@ -27,6 +23,22 @@ std::uint8_t payloadByte(int from_rank, int sweep, int block, std::size_t i) {
        static_cast<std::size_t>(block) * 7 + i * 3) &
       0xFF);
 }
+
+void fillBoundaries(int rank, int sweep, int block, std::uint8_t* east,
+                    std::uint8_t* south, std::size_t bytes) {
+  // payloadByte(.., i) is (base + 3 i) mod 256, so consecutive bytes step
+  // by 3 in uint8_t arithmetic and the south byte is the east byte plus 3.
+  // Byte-wide state lets the compiler fill 16 bytes per vector lane group
+  // instead of widening every index to 64 bits.
+  std::uint8_t e = payloadByte(rank, sweep, block, 0);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    east[i] = e;
+    e = static_cast<std::uint8_t>(e + 3);
+    south[i] = e;
+  }
+}
+
+namespace {
 
 struct GridPos {
   int x, y, px, py, rank;
@@ -60,10 +72,8 @@ double wavefront(mpi::Comm& comm, const WavefrontConfig& cfg) {
       const int tag_base = (iter * cfg.sweeps + sweep) * 4 * cfg.blocks;
 
       auto fill_out = [&](int block) {
-        for (std::size_t i = 0; i < cfg.message_bytes; ++i) {
-          e_out[i] = payloadByte(pos.rank, sweep, block, i);
-          s_out[i] = payloadByte(pos.rank, sweep, block, i + 1);
-        }
+        fillBoundaries(pos.rank, sweep, block, e_out.data(), s_out.data(),
+                       cfg.message_bytes);
       };
       auto absorb = [&](const std::vector<std::uint8_t>& buf, int from,
                         int block, std::size_t shift) {

@@ -18,6 +18,7 @@
 //     b+1 overlap the computation of block b, hiding the slice latency.
 
 #include <cstddef>
+#include <cstdint>
 
 #include "mpi/comm.hpp"
 #include "sim/time.hpp"
@@ -37,6 +38,16 @@ struct WavefrontConfig {
 
 /// Near-square factorization helper (largest divisor pair).
 void gridShape(int nprocs, int& px, int& py);
+
+/// Deterministic boundary byte `i` sent by `from_rank` for (sweep, block):
+/// the same on sender and receiver, so the receiver-side checksum is
+/// comparable across MPI implementations.
+std::uint8_t payloadByte(int from_rank, int sweep, int block, std::size_t i);
+
+/// Writes a block's two outgoing boundary buffers: east[i] is
+/// payloadByte(rank, sweep, block, i) and south[i] the same at i + 1.
+void fillBoundaries(int rank, int sweep, int block, std::uint8_t* east,
+                    std::uint8_t* south, std::size_t bytes);
 
 /// Runs the wavefront; returns a checksum over all received boundary data
 /// (bitwise identical across MPI implementations — used for validation).

@@ -24,19 +24,19 @@
 // Process::wake is always harmless.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mpi/comm.hpp"
 #include "mpi/reduce_ops.hpp"
 #include "mpi/types.hpp"
 #include "net/cluster.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/process.hpp"
+#include "sim/slots.hpp"
 
 namespace bcs::baseline {
 
@@ -116,42 +116,62 @@ class World {
   /// (this is "MPI_Init": it also charges init_overhead).
   std::unique_ptr<BaselineComm> init(int rank, sim::Process& proc);
 
+  /// Eager payloads and rendezvous whose recycled slot is still held
+  /// (diagnostic: zero once the engine has run or dropped their callbacks).
+  std::size_t messagesInFlight() const {
+    return payloads_.inUse() + rendezvous_.inUse();
+  }
+
  private:
   friend class BaselineComm;
 
   // ---- point-to-point plumbing ----
+  //
+  // A message's state on the wire lives in recycled slots (sim/slots.hpp):
+  // an eager message's payload copy, and a rendezvous' RTS and then its
+  // CTS-and-payload exchange.  The fabric callbacks hold a slot's Ref, so
+  // each fits the inline callback slot and a warm world allocates nothing
+  // per message.
+  using Payload = sim::Slots<std::vector<std::byte>>::Ref;
   struct PostedRecv {
-    std::uint64_t req_id;
-    void* buf;
-    std::size_t bytes;
-    int src;  // kAnySource allowed
-    int tag;  // kAnyTag allowed
+    std::uint64_t req_id = 0;
+    void* buf = nullptr;
+    std::size_t bytes = 0;
+    int src = 0;  // kAnySource allowed
+    int tag = 0;  // kAnyTag allowed
   };
   struct UnexpectedEager {
-    std::shared_ptr<std::vector<std::byte>> data;
+    Payload data;
     int src;
     int tag;
     SimTime arrived;
   };
   struct PendingRts {
-    std::uint64_t sender_req;
-    const void* sender_buf;
-    std::size_t bytes;
-    int src;
-    int tag;
+    std::uint64_t sender_req = 0;
+    const void* sender_buf = nullptr;
+    std::size_t bytes = 0;
+    int src = 0;
+    int tag = 0;
+  };
+  /// A rendezvous in flight: the RTS, and once matched, its receive.
+  struct Rendezvous {
+    PendingRts rts;
+    PostedRecv recv;
   };
   struct ReqState {
     bool complete = false;
     bool is_send = false;
     mpi::Status status;
   };
+  /// The queues are vectors, FIFO by position: a warm vector serves every
+  /// message without allocating.
   struct RankState {
     sim::Process* proc = nullptr;
     std::uint64_t next_req = 1;
-    std::unordered_map<std::uint64_t, ReqState> requests;
-    std::deque<PostedRecv> posted;        // receive queue, FIFO
-    std::deque<UnexpectedEager> unexpected;
-    std::deque<PendingRts> pending_rts;   // RTSes with no matching recv yet
+    sim::FlatMap<std::uint64_t, ReqState> requests;  ///< by request id
+    std::vector<PostedRecv> posted;        // receive queue, FIFO
+    std::vector<UnexpectedEager> unexpected;
+    std::vector<PendingRts> pending_rts;   // RTSes with no matching recv yet
     // Collective generations (each rank calls collectives in order).
     int barrier_gen = 0;
     int bcast_gen = 0;
@@ -188,9 +208,8 @@ class World {
   std::uint64_t startRecv(int dst_rank, void* buf, std::size_t bytes, int src,
                           int tag);
 
-  void deliverEager(int dst_rank, int src_rank, int tag,
-                    std::shared_ptr<std::vector<std::byte>> data);
-  void deliverRts(int dst_rank, PendingRts rts);
+  void deliverEager(int dst_rank, int src_rank, int tag, Payload data);
+  void deliverRts(int dst_rank, const PendingRts& rts);
   void issueCts(int dst_rank, const PendingRts& rts, const PostedRecv& recv);
   void matchPosted(int dst_rank);
 
@@ -198,6 +217,8 @@ class World {
   BaselineConfig config_;
   std::vector<int> node_of_rank_;
   std::vector<RankState> ranks_;
+  sim::Slots<std::vector<std::byte>> payloads_;
+  sim::Slots<Rendezvous> rendezvous_;
   std::map<int, BarrierState> barriers_;  // by generation
   std::map<int, BcastState> bcasts_;      // by generation
 };

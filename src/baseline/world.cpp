@@ -74,13 +74,13 @@ std::uint64_t World::startSend(int src_rank, const void* buf,
   if (bytes <= config_.eager_threshold) {
     // Eager: copy out of the user buffer now; the send completes once the
     // NIC has injected the message (the buffer is reusable from then on).
-    auto data = std::make_shared<std::vector<std::byte>>(
-        static_cast<const std::byte*>(buf),
-        static_cast<const std::byte*>(buf) + bytes);
+    Payload data = payloads_.acquire();
+    data->assign(static_cast<const std::byte*>(buf),
+                 static_cast<const std::byte*>(buf) + bytes);
     cluster_.fabric().unicast(
         src_node, dst_node, bytes + kEagerHeaderBytes,
         /*on_delivered=*/
-        [this, dest, src_rank, tag, data] {
+        [this, dest, src_rank, tag, data = std::move(data)] {
           deliverEager(dest, src_rank, tag, data);
         },
         /*on_injected=*/
@@ -93,19 +93,15 @@ std::uint64_t World::startSend(int src_rank, const void* buf,
   // Rendezvous: send an RTS; the payload moves zero-copy once the receiver
   // posts a matching receive and returns a CTS.
   state.proc->compute(config_.rendezvous_overhead);
-  PendingRts rts;
-  rts.sender_req = req;
-  rts.sender_buf = buf;
-  rts.bytes = bytes;
-  rts.src = src_rank;
-  rts.tag = tag;
-  cluster_.fabric().unicast(src_node, dst_node, config_.control_message_bytes,
-                            [this, dest, rts] { deliverRts(dest, rts); });
+  sim::Slots<Rendezvous>::Ref rv = rendezvous_.acquire();
+  rv->rts = PendingRts{req, buf, bytes, src_rank, tag};
+  cluster_.fabric().unicast(
+      src_node, dst_node, config_.control_message_bytes,
+      [this, dest, rv = std::move(rv)] { deliverRts(dest, rv->rts); });
   return req;
 }
 
-void World::deliverEager(int dst_rank, int src_rank, int tag,
-                         std::shared_ptr<std::vector<std::byte>> data) {
+void World::deliverEager(int dst_rank, int src_rank, int tag, Payload data) {
   RankState& state = rs(dst_rank);
   // Try to match a posted receive (FIFO).
   for (auto it = state.posted.begin(); it != state.posted.end(); ++it) {
@@ -134,7 +130,7 @@ void World::deliverEager(int dst_rank, int src_rank, int tag,
   if (state.proc) state.proc->wake();  // a blocking probe may be waiting
 }
 
-void World::deliverRts(int dst_rank, PendingRts rts) {
+void World::deliverRts(int dst_rank, const PendingRts& rts) {
   RankState& state = rs(dst_rank);
   for (auto it = state.posted.begin(); it != state.posted.end(); ++it) {
     if (!tagMatches(it->src, it->tag, rts.src, rts.tag)) continue;
@@ -156,17 +152,20 @@ void World::issueCts(int dst_rank, const PendingRts& rts,
   }
   const int dst_node = nodeOfRank(dst_rank);
   const int src_node = nodeOfRank(rts.src);
+  sim::Slots<Rendezvous>::Ref rv = rendezvous_.acquire();
+  *rv = Rendezvous{rts, recv};
   // CTS control message back to the sender...
   cluster_.fabric().unicast(
       dst_node, src_node, config_.control_message_bytes,
-      [this, dst_rank, dst_node, src_node, rts, recv] {
+      [this, dst_rank, rv = std::move(rv)] {
         // ...then the payload, zero-copy out of the sender buffer.
         // The payload moves as a get out of the sender buffer, so the
         // sender's request must stay open (buffer pinned) until delivery.
         cluster_.fabric().unicast(
-            src_node, dst_node, rts.bytes,
+            nodeOfRank(rv->rts.src), nodeOfRank(dst_rank), rv->rts.bytes,
             /*on_delivered=*/
-            [this, dst_rank, rts, recv] {
+            [this, dst_rank, rv] {
+              const auto& [rts, recv] = *rv;
               std::memcpy(recv.buf, rts.sender_buf, rts.bytes);
               completeRequest(dst_rank, recv.req_id, rts.src, rts.tag,
                               rts.bytes);

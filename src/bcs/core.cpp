@@ -1,7 +1,6 @@
 #include "bcs/core.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 namespace bcs::core {
@@ -151,11 +150,14 @@ void BcsCore::xferAndSignal(XferRequest req) {
     return;
   }
 
-  // Every other shape shares the request itself (one allocation); each
-  // closure below is a pointer pair that fits the inline callback slot.
-  // The shared copy keeps no view of the caller's destination set.
+  // Every other shape keeps the request in a recycled slot that its fabric
+  // callbacks share; each closure below holds the slot's Ref and fits the
+  // inline callback slot.  The slot is free again once the fabric has run
+  // or dropped every callback (a unicast lost with no on_failed runs none),
+  // and it keeps no view of the caller's destination set.
   req.dest_nodes = {};
-  auto st = std::make_shared<XferRequest>(std::move(req));
+  XferRef st = xfers_.acquire();
+  *st = std::move(req);
   if (dests.size() == 1) {
     const int dest = dests.front();
     net::SendOptions opts;

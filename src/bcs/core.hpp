@@ -36,6 +36,7 @@
 
 #include "net/fabric.hpp"
 #include "sim/process.hpp"
+#include "sim/slots.hpp"
 #include "sim/trace.hpp"
 
 namespace bcs::core {
@@ -160,11 +161,19 @@ class BcsCore {
   bool compareAndWriteBlocking(sim::Process& proc,
                                const CompareAndWriteRequest& req);
 
+  /// Xfer-And-Signals whose request slot is still held (diagnostic: zero
+  /// once the engine has run or dropped every transfer's callbacks).
+  std::size_t xfersInFlight() const { return xfers_.inUse(); }
+
  private:
   struct EventState {
     int pending = 0;
     std::deque<std::function<void()>> waiters;
   };
+
+  /// An Xfer-And-Signal in flight, in a recycled slot that the fabric
+  /// callbacks share (see xferAndSignal).
+  using XferRef = sim::Slots<XferRequest>::Ref;
 
   /// The two halves of a delivered Xfer-And-Signal: per destination, data
   /// movement then the remote event; once complete everywhere, the local
@@ -187,6 +196,7 @@ class BcsCore {
   std::vector<std::string> var_names_;
   std::vector<std::vector<EventState>> events_;
   std::vector<std::string> event_names_;
+  sim::Slots<XferRequest> xfers_;
 
   /// Snapshot serializer (src/snapshot): global-variable replicas and event
   /// pending counts round-trip; capture refuses while any event has queued

@@ -1,6 +1,6 @@
 #pragma once
 
-// Envelope-hash indexes for MSM descriptor matching.
+// Envelope indexes for MSM descriptor matching.
 //
 // The Buffer Receiver matches posted receives against arrived send
 // descriptors once per slice.  A naive scan is O(receives x sends); these
@@ -11,22 +11,25 @@
 // order).
 //
 // Determinism invariants (see DESIGN.md §"Simulator internals"):
-//  * the canonical store is a std::map keyed by the descriptor's global
-//    posting sequence, so every iteration order used for matching, eviction
-//    scrubbing and snapshots is the posting order — never hash order;
-//  * the unordered_map buckets are only ever used for O(1) *lookup* of a
-//    single envelope's seq list; nothing iterates them except
-//    forEachEnvelope(), whose results are order-normalized by the caller.
+//  * the canonical store is keyed by the descriptor's global posting
+//    sequence, so every iteration order used for matching, eviction
+//    scrubbing and snapshots is the posting order;
+//  * the envelope buckets are ordered by envelope, so forEachEnvelope()
+//    visits them in envelope order — never hash order.
+//
+// Both sides are flat (sim/flat_map.hpp) and each envelope's seq list
+// lives in a recycled slot (sim/slots.hpp): a warm index allocates nothing
+// per descriptor.
 
 #include <algorithm>
+#include <compare>
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
-#include <map>
 #include <vector>
 
 #include "bcsmpi/descriptors.hpp"
 #include "mpi/types.hpp"
+#include "sim/flat_map.hpp"
+#include "sim/slots.hpp"
 
 namespace bcs::bcsmpi {
 
@@ -46,47 +49,68 @@ struct EnvelopeKey {
   int dst_rank = 0;
   int src_rank = 0;
   int tag = 0;
-  bool operator==(const EnvelopeKey&) const = default;
+  auto operator<=>(const EnvelopeKey&) const = default;
 };
 
-struct EnvelopeHash {
-  std::size_t operator()(const EnvelopeKey& k) const {
-    // FNV-1a over the four ints; cheap and good enough for bucket spread.
-    std::uint64_t h = 1469598103934665603ull;
-    for (std::uint64_t v : {static_cast<std::uint64_t>(k.job),
-                            static_cast<std::uint64_t>(k.dst_rank),
-                            static_cast<std::uint64_t>(k.src_rank),
-                            static_cast<std::uint64_t>(k.tag)}) {
-      h = (h ^ v) * 1099511628211ull;
-    }
-    return static_cast<std::size_t>(h);
+/// Posting seqs per envelope, each list ascending, envelopes in key order.
+/// An envelope leaves when its last seq does; its list's slot keeps its
+/// capacity for the next envelope.
+class EnvelopeBuckets {
+ public:
+  /// The seqs filed under `key` (ascending), or nullptr if none.
+  const std::vector<std::uint64_t>* find(const EnvelopeKey& key) const {
+    const auto it = index_.find(key);
+    return it == index_.end() ? nullptr : &*it->second;
   }
+
+  void add(const EnvelopeKey& key, std::uint64_t seq) {
+    auto [it, fresh] = index_.emplace(key, List{});
+    if (fresh) it->second = lists_.acquire();
+    std::vector<std::uint64_t>& seqs = *it->second;
+    // Descriptors normally arrive in seq order, but a retransmitted (older)
+    // one can land after younger ones, so insert positionally.
+    seqs.insert(std::lower_bound(seqs.begin(), seqs.end(), seq), seq);
+  }
+
+  void remove(const EnvelopeKey& key, std::uint64_t seq) {
+    const auto it = index_.find(key);
+    std::vector<std::uint64_t>& seqs = *it->second;
+    seqs.erase(std::lower_bound(seqs.begin(), seqs.end(), seq));
+    if (seqs.empty()) index_.erase(it);
+  }
+
+  template <typename F>
+  void forEachKey(F&& f) const {
+    for (const auto& [key, list] : index_) f(key);
+  }
+
+  void clear() { index_.clear(); }
+
+ private:
+  using List = sim::Slots<std::vector<std::uint64_t>>::Ref;
+  sim::Slots<std::vector<std::uint64_t>> lists_;
+  sim::FlatMap<EnvelopeKey, List> index_;
 };
 
 /// Arrived send descriptors, indexed by envelope.  Replaces the BR's
-/// `remote_sends` deque: insertion is O(log n), and finding the lowest-seq
-/// send matching a concrete receive is an O(1) bucket lookup.
+/// `remote_sends` deque: finding the lowest-seq send matching a concrete
+/// receive is one envelope lookup.
 class SendMatchIndex {
  public:
   void insert(const SendDescriptor& s) {
-    auto& bucket = buckets_[keyOf(s)];
-    // Keep each bucket sorted by seq.  Descriptors normally arrive in seq
-    // order, but a retransmitted (older) descriptor can land after younger
-    // ones, so insert positionally rather than push_back.
-    bucket.insert(std::lower_bound(bucket.begin(), bucket.end(), s.seq),
-                  s.seq);
+    buckets_.add(keyOf(s), s.seq);
     by_seq_.emplace(s.seq, s);
   }
 
   /// The matching send with the lowest posting seq, or nullptr.  Concrete
-  /// receives cost one hash lookup; wildcard receives scan the canonical
-  /// store in seq order (first hit is the answer).
+  /// receives cost one envelope lookup; wildcard receives scan the
+  /// canonical store in seq order (first hit is the answer).
   const SendDescriptor* lowestSeqMatch(const RecvDescriptor& r) const {
     if (r.want_src != mpi::kAnySource && r.want_tag != mpi::kAnyTag) {
-      auto it = buckets_.find(
+      const auto* bucket = buckets_.find(
           EnvelopeKey{r.job, r.dst_rank, r.want_src, r.want_tag});
-      if (it == buckets_.end() || it->second.empty()) return nullptr;
-      return &by_seq_.at(it->second.front());
+      if (bucket == nullptr) return nullptr;
+      return &by_seq_.find(bucket->front())->second;
     }
     for (const auto& [seq, s] : by_seq_) {
       if (envelopeMatches(r, s)) return &s;
@@ -97,11 +121,9 @@ class SendMatchIndex {
   /// Removes and returns the descriptor with posting seq `seq`.
   SendDescriptor take(std::uint64_t seq) {
     auto it = by_seq_.find(seq);
-    SendDescriptor s = std::move(it->second);
+    const SendDescriptor s = it->second;
     by_seq_.erase(it);
-    auto& bucket = buckets_[keyOf(s)];
-    bucket.erase(std::lower_bound(bucket.begin(), bucket.end(), seq));
-    if (bucket.empty()) buckets_.erase(keyOf(s));
+    buckets_.remove(keyOf(s), seq);
     return s;
   }
 
@@ -143,19 +165,15 @@ class SendMatchIndex {
         ++it;
         continue;
       }
-      auto& bucket = buckets_[keyOf(it->second)];
-      bucket.erase(
-          std::lower_bound(bucket.begin(), bucket.end(), it->first));
-      if (bucket.empty()) buckets_.erase(keyOf(it->second));
+      buckets_.remove(keyOf(it->second), it->first);
       it = by_seq_.erase(it);
     }
   }
 
-  /// Visits each distinct envelope present in the index (hash order — the
-  /// caller must order-normalize anything derived from this).
+  /// Visits each distinct envelope present in the index, in envelope order.
   template <typename F>
   void forEachEnvelope(F&& f) const {
-    for (const auto& [key, bucket] : buckets_) f(key);
+    buckets_.forEachKey(f);
   }
 
  private:
@@ -163,11 +181,8 @@ class SendMatchIndex {
     return EnvelopeKey{s.job, s.dst_rank, s.src_rank, s.tag};
   }
 
-  std::map<std::uint64_t, SendDescriptor> by_seq_;  ///< canonical, seq order
-  // det-ok: O(1) envelope lookup only; the sole iteration (forEachEnvelope)
-  // is order-normalized by the caller's sort over the derived seq list
-  std::unordered_map<EnvelopeKey, std::vector<std::uint64_t>, EnvelopeHash>
-      buckets_;
+  sim::FlatMap<std::uint64_t, SendDescriptor> by_seq_;  ///< canonical
+  EnvelopeBuckets buckets_;
 };
 
 /// Matching-eligible receive descriptors.  Concrete receives are bucketed by
@@ -181,9 +196,7 @@ class RecvMatchIndex {
           std::lower_bound(wildcards_.begin(), wildcards_.end(), r.seq),
           r.seq);
     } else {
-      auto& bucket = buckets_[keyOf(r)];
-      bucket.insert(std::lower_bound(bucket.begin(), bucket.end(), r.seq),
-                    r.seq);
+      buckets_.add(keyOf(r), r.seq);
     }
     by_seq_.emplace(r.seq, r);
   }
@@ -195,24 +208,16 @@ class RecvMatchIndex {
 
   RecvDescriptor take(std::uint64_t seq) {
     auto it = by_seq_.find(seq);
-    RecvDescriptor r = std::move(it->second);
+    const RecvDescriptor r = it->second;
     by_seq_.erase(it);
-    if (isWildcard(r)) {
-      wildcards_.erase(
-          std::lower_bound(wildcards_.begin(), wildcards_.end(), seq));
-    } else {
-      auto& bucket = buckets_[keyOf(r)];
-      bucket.erase(std::lower_bound(bucket.begin(), bucket.end(), seq));
-      if (bucket.empty()) buckets_.erase(keyOf(r));
-    }
+    unindex(r);
     return r;
   }
 
   /// Seqs of concrete receives posted for this exact envelope (ascending),
   /// or nullptr if none.
   const std::vector<std::uint64_t>* bucketFor(const EnvelopeKey& key) const {
-    auto it = buckets_.find(key);
-    return it == buckets_.end() ? nullptr : &it->second;
+    return buckets_.find(key);
   }
 
   /// Seqs of wildcard receives, ascending.
@@ -238,16 +243,7 @@ class RecvMatchIndex {
         ++it;
         continue;
       }
-      const RecvDescriptor& r = it->second;
-      if (isWildcard(r)) {
-        wildcards_.erase(
-            std::lower_bound(wildcards_.begin(), wildcards_.end(), it->first));
-      } else {
-        auto& bucket = buckets_[keyOf(r)];
-        bucket.erase(
-            std::lower_bound(bucket.begin(), bucket.end(), it->first));
-        if (bucket.empty()) buckets_.erase(keyOf(r));
-      }
+      unindex(it->second);
       it = by_seq_.erase(it);
     }
   }
@@ -259,12 +255,17 @@ class RecvMatchIndex {
   static EnvelopeKey keyOf(const RecvDescriptor& r) {
     return EnvelopeKey{r.job, r.dst_rank, r.want_src, r.want_tag};
   }
+  void unindex(const RecvDescriptor& r) {
+    if (isWildcard(r)) {
+      wildcards_.erase(
+          std::lower_bound(wildcards_.begin(), wildcards_.end(), r.seq));
+    } else {
+      buckets_.remove(keyOf(r), r.seq);
+    }
+  }
 
-  std::map<std::uint64_t, RecvDescriptor> by_seq_;
-  // det-ok: O(1) envelope lookup only (bucketFor); never iterated, and each
-  // bucket's seq list is kept sorted independently of hash order
-  std::unordered_map<EnvelopeKey, std::vector<std::uint64_t>, EnvelopeHash>
-      buckets_;
+  sim::FlatMap<std::uint64_t, RecvDescriptor> by_seq_;
+  EnvelopeBuckets buckets_;
   std::vector<std::uint64_t> wildcards_;
 };
 

@@ -88,16 +88,12 @@ void Runtime::drainDescriptorFifos(int node) {
   NodeState& ns = nodeState(node);
   // Retransmissions first: they are older than anything still in the fresh
   // FIFO, so draining them first preserves posting order as far as possible.
-  // The whole batch is moved out of the NIC FIFOs in two splices — no
-  // element-by-element copy.
-  std::vector<SendDescriptor> to_exchange;
-  to_exchange.reserve(ns.bs_retry.size() + ns.bs_fresh.size());
-  to_exchange.insert(to_exchange.end(),
-                     std::make_move_iterator(ns.bs_retry.begin()),
-                     std::make_move_iterator(ns.bs_retry.end()));
-  to_exchange.insert(to_exchange.end(),
-                     std::make_move_iterator(ns.bs_fresh.begin()),
-                     std::make_move_iterator(ns.bs_fresh.end()));
+  // The batch is copied into the runtime's scratch vector, whose capacity
+  // survives from one drain to the next.
+  std::vector<SendDescriptor>& to_exchange = exchange_scratch_;
+  to_exchange.assign(ns.bs_retry.begin(), ns.bs_retry.end());
+  to_exchange.insert(to_exchange.end(), ns.bs_fresh.begin(),
+                     ns.bs_fresh.end());
   ns.bs_retry.clear();
   ns.bs_fresh.clear();
   for (const RecvDescriptor& r : ns.recv_fresh) {
@@ -137,12 +133,16 @@ void Runtime::drainDescriptorFifos(int node) {
     }
     opStarted(node);
     ++stats_.descriptors_exchanged;
+    sim::Slots<DescriptorInFlight>::Ref flight =
+        descriptors_in_flight_.acquire();
+    *flight = DescriptorInFlight{d, node, dst_node};
     core::XferRequest xfer;
     xfer.src_node = node;
     xfer.dest_nodes = {&dst_node, 1};
     xfer.bytes = config_.descriptor_bytes;
     xfer.droppable = true;
-    xfer.deliver = [this, node, dst_node, d](int) {
+    xfer.deliver = [this, flight](int) {
+      const auto& [d, node, dst_node] = *flight;
       nodeState(dst_node).remote_sends.insert(d);
       sim::traceRecord(
           trace_, cluster_.engine().now(), sim::TraceCategory::kDescriptor,
@@ -153,7 +153,8 @@ void Runtime::drainDescriptorFifos(int node) {
           });
       opFinished(node);
     };
-    xfer.on_failed = [this, node, dst_node, d](int) {
+    xfer.on_failed = [this, flight = std::move(flight)](int) {
+      const auto& [d, node, dst_node] = *flight;
       if (nodeEvicted(node)) {  // we died while the descriptor was in flight
         opFinished(node);
         return;
@@ -313,13 +314,17 @@ void Runtime::matchDescriptors(int node, Duration& cost) {
 
 void Runtime::scheduleChunks(int node) {
   NodeState& ns = nodeState(node);
+  std::vector<MatchDescriptor>& queue = ns.match_queue;
   std::size_t budget = config_.slice_byte_budget;
   // One chunk per message per slice (§4.3): the first chunk this slice,
   // the remainder in the following slices.  Transfers already in progress
-  // sit at the queue front and therefore keep their priority.
-  for (auto it = ns.match_queue.begin();
-       it != ns.match_queue.end() && budget > 0;) {
-    MatchDescriptor& m = *it;
+  // sit at the queue front and therefore keep their priority.  Messages
+  // whose last chunk is scheduled leave the queue; the rest close up
+  // behind them in order.
+  std::size_t kept = 0;
+  std::size_t next = 0;
+  for (; next < queue.size() && budget > 0; ++next) {
+    MatchDescriptor& m = queue[next];
     const std::size_t remaining = m.send.bytes - m.offset;
     const std::size_t sched =
         std::min({remaining, config_.chunk_bytes, budget});
@@ -342,12 +347,11 @@ void Runtime::scheduleChunks(int node) {
 
     budget -= sched;
     m.offset += sched;
-    if (m.offset == m.send.bytes) {
-      it = ns.match_queue.erase(it);
-    } else {
-      ++it;  // one chunk per slice: move on to the next message
-    }
+    // One chunk per slice: move on to the next message either way.
+    if (m.offset != m.send.bytes) queue[kept++] = m;
   }
+  queue.erase(queue.begin() + static_cast<long>(kept),
+              queue.begin() + static_cast<long>(next));
 }
 
 void Runtime::scheduleCollectiveQueries(int node) {
@@ -416,12 +420,16 @@ void Runtime::issueGets(int node) {
     // The DH reads directly from the source process's memory — a one-sided
     // get, no intervention from either application process (Figure 6,
     // step 9).
+    sim::Slots<GetInFlight>::Ref flight = gets_in_flight_.acquire();
+    *flight = GetInFlight{op, node};
     core::XferRequest xfer;
     xfer.src_node = op.src_node;
     xfer.dest_nodes = {&node, 1};
     xfer.bytes = op.bytes;
     xfer.droppable = true;
-    xfer.deliver = [this, node, op, key](int) {
+    xfer.deliver = [this, flight](int) {
+      const auto& [op, node] = *flight;
+      const ProgressKey key{op.job, op.dst_rank, op.recv_req};
       // A zero-byte message may carry null buffers, which memcpy must not
       // be handed even for no bytes.
       if (op.bytes > 0) std::memcpy(op.dst, op.src, op.bytes);
@@ -445,7 +453,8 @@ void Runtime::issueGets(int node) {
       }
       opFinished(node);
     };
-    xfer.on_failed = [this, node, op, key](int) {
+    xfer.on_failed = [this, flight = std::move(flight)](int) {
+      const auto& [op, node] = *flight;
       if (nodeEvicted(node)) {
         // We (the receiving node) died mid-flight; release the live sender.
         failRequest(op.job, op.src_rank, op.send_req, op.dst_rank, op.tag);
@@ -454,7 +463,8 @@ void Runtime::issueGets(int node) {
       }
       if (nodeEvicted(op.src_node)) {
         failRequest(op.job, op.dst_rank, op.recv_req, op.src_rank, op.tag);
-        nodeState(node).chunk_progress.erase(key);
+        nodeState(node).chunk_progress.erase(
+            ProgressKey{op.job, op.dst_rank, op.recv_req});
       } else {
         // Random loss: re-issue the same get in the next slice's P2P.
         ++stats_.retransmits;

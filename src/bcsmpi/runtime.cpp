@@ -992,25 +992,11 @@ void Runtime::runVerifyAudit() {
                std::to_string(op.origin_rank) + " (req " +
                std::to_string(op.request) + ") never returned to origin");
     }
-    {
-      // chunk_progress is an unordered_map; normalize to key order before
-      // reporting so the audit is replay-identical.
-      std::vector<ProgressKey> keys;
-      keys.reserve(ns.chunk_progress.size());
-      for (const auto& [key, bytes] : ns.chunk_progress) keys.push_back(key);
-      std::sort(keys.begin(), keys.end(), [](const ProgressKey& a,
-                                             const ProgressKey& b) {
-        if (a.job != b.job) return a.job < b.job;
-        if (a.dst_rank != b.dst_rank) return a.dst_rank < b.dst_rank;
-        return a.recv_req < b.recv_req;
-      });
-      for (const ProgressKey& key : keys) {
-        leak(Category::kOrphanedRetransmit, n, key.job, key.dst_rank,
-             "partial byte accounting for req " +
-                 std::to_string(key.recv_req) + " (" +
-                 std::to_string(ns.chunk_progress.at(key)) +
-                 "B landed) with no completion");
-      }
+    // In key order, so the audit is replay-identical.
+    for (const auto& [key, bytes] : ns.chunk_progress) {
+      leak(Category::kOrphanedRetransmit, n, key.job, key.dst_rank,
+           "partial byte accounting for req " + std::to_string(key.recv_req) +
+               " (" + std::to_string(bytes) + "B landed) with no completion");
     }
     for (const CollectiveDescriptor& d : ns.coll_fresh) {
       leak(Category::kLeakedDescriptor, n, d.job, d.rank,
@@ -1034,14 +1020,8 @@ void Runtime::runVerifyAudit() {
     const JobState& js = jobs_[j];
     for (std::size_t r = 0; r < js.ranks.size(); ++r) {
       const RankState& rs = js.ranks[r];
-      // The request table is an unordered_map; sort the ids so identical
-      // runs report identical orders.
-      std::vector<std::uint64_t> open;
-      for (const auto& [req, info] : rs.requests) {
-        if (!info.complete) open.push_back(req);
-      }
-      std::sort(open.begin(), open.end());
-      for (std::uint64_t req : open) {
+      for (const auto& [req, info] : rs.requests) {  // in id order
+        if (info.complete) continue;
         leak(Category::kUnfinishedRequest, rs.node, static_cast<int>(j),
              static_cast<int>(r),
              "request " + std::to_string(req) + " never completed" +

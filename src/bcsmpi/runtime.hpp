@@ -26,12 +26,11 @@
 // descriptors (descriptors.hpp) and blocking on request completion.
 
 #include <algorithm>
+#include <compare>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "bcs/core.hpp"
@@ -42,8 +41,10 @@
 #include "mpi/types.hpp"
 #include "net/cluster.hpp"
 #include "sim/event_run.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/pool.hpp"
 #include "sim/process.hpp"
+#include "sim/slots.hpp"
 #include "storm/sstree.hpp"
 #include "verify/verify.hpp"
 
@@ -243,6 +244,12 @@ class Runtime {
   /// Index of the current time slice (also the count of DEM strobes sent).
   std::uint64_t sliceIndex() const { return slice_index_; }
 
+  /// Send descriptors and DH gets whose recycled slot is still held
+  /// (diagnostic: zero once the engine has run or dropped their callbacks).
+  std::size_t messagesInFlight() const {
+    return descriptors_in_flight_.inUse() + gets_in_flight_.inUse();
+  }
+
   /// Requests a coordinated checkpoint: `cb` runs at the next slice
   /// boundary (before the DEM strobe goes out) with a globally consistent
   /// snapshot.  Multiple pending requests are all served at that boundary.
@@ -335,9 +342,7 @@ class Runtime {
     int next_coll_gen = 0;
     int next_rma_call = 0;  ///< RMA call counter (epoch-race blame sites)
     std::uint64_t requests_completed = 0;
-    // det-ok: lookup-only by request id; the verify audit (the one walk)
-    // collects the keys and sorts them before reporting
-    std::unordered_map<std::uint64_t, ReqInfo> requests;
+    sim::FlatMap<std::uint64_t, ReqInfo> requests;  ///< by request id
   };
   struct JobState {
     std::vector<int> node_of_rank;
@@ -392,25 +397,26 @@ class Runtime {
     int job = 0;
     int dst_rank = 0;
     std::uint64_t recv_req = 0;
-    bool operator==(const ProgressKey&) const = default;
-  };
-  struct ProgressKeyHash {
-    std::size_t operator()(const ProgressKey& k) const {
-      std::uint64_t h = 1469598103934665603ull;
-      for (std::uint64_t v : {static_cast<std::uint64_t>(k.job),
-                              static_cast<std::uint64_t>(k.dst_rank),
-                              k.recv_req}) {
-        h = (h ^ v) * 1099511628211ull;
-      }
-      return static_cast<std::size_t>(h);
-    }
+    auto operator<=>(const ProgressKey&) const = default;
   };
 
-  /// A node's NIC queues.  The FIFOs that are only appended to and then
-  /// drained whole by the DEM are vectors: an empty vector allocates
+  /// A send descriptor on its way to the destination node's BR, and a DH
+  /// get on the wire: the state their Xfer-And-Signal callbacks share, in
+  /// recycled slots (sim/slots.hpp) instead of a heap block per message.
+  struct DescriptorInFlight {
+    SendDescriptor d;
+    int node = 0;      ///< sending node
+    int dst_node = 0;
+  };
+  struct GetInFlight {
+    GetOp op;
+    int node = 0;  ///< the receiving node, which issued the get
+  };
+
+  /// A node's NIC queues.  They are vectors: an empty vector allocates
   /// nothing, while an empty std::deque holds a 512-byte block and its map,
-  /// ≈0.6 KB of each NodeState's heap per queue, ≈1.2 MB at 2,048 nodes.
-  /// match_queue stays a deque: the chunk scheduler erases inside it.
+  /// ≈0.6 KB of each NodeState's heap per queue, ≈1.2 MB at 2,048 nodes;
+  /// and a warm vector serves every descriptor without allocating.
   struct NodeState {
     // Buffer Sender
     std::vector<SendDescriptor> bs_fresh;
@@ -419,7 +425,7 @@ class Runtime {
     SendMatchIndex remote_sends;   ///< arrived during DEMs, by envelope
     std::vector<RecvDescriptor> recv_fresh;  ///< posted by local ranks
     RecvMatchIndex recv_eligible;  ///< visible to matching, by envelope
-    std::deque<MatchDescriptor> match_queue;   ///< unscheduled remainders
+    std::vector<MatchDescriptor> match_queue;  ///< unscheduled remainders
     std::vector<CollectiveDescriptor> coll_fresh;
     std::map<int, PendingCollective> pending_coll;  ///< by job id
     // DMA Helper work for the current slice
@@ -428,10 +434,7 @@ class Runtime {
     /// (job, dst_rank, recv_req).  Under retransmission a retried earlier
     /// chunk may deliver *after* the message's final chunk, so completion is
     /// driven by byte accounting, not by the final-chunk flag.
-    // det-ok: keyed lookup on the DMA path; the verify audit (the one walk)
-    // sorts the collected keys before reporting
-    std::unordered_map<ProgressKey, std::size_t, ProgressKeyHash>
-        chunk_progress;
+    sim::FlatMap<ProgressKey, std::size_t> chunk_progress;
     /// MSM scratch: candidate recv seqs for this slice's matching pass
     /// (member, not local, so its capacity survives across slices).
     std::vector<std::uint64_t> match_scratch;
@@ -738,9 +741,13 @@ class Runtime {
   /// The phase-done poll's request, reused round after round.
   core::CompareAndWriteRequest poll_request_;
   /// A P2P microphase's gets and RMA returns, swapped with the node's
-  /// queue so neither reserves anew every phase.
+  /// queue so neither reserves anew every phase; a DEM's send descriptors.
   std::vector<GetOp> gets_scratch_;
   std::vector<RmaOpDescriptor> returns_scratch_;
+  std::vector<SendDescriptor> exchange_scratch_;
+  /// Descriptors and gets on the wire (see DescriptorInFlight).
+  sim::Slots<DescriptorInFlight> descriptors_in_flight_;
+  sim::Slots<GetInFlight> gets_in_flight_;
 
   /// One-sided RMA window table, keyed by windowOwnerKey(job, rank).
   core::WindowRegistry windows_;

@@ -51,13 +51,6 @@ void issueSoftwareMulticast(Fabric& fabric,
   }
 }
 
-/// Runs `fn` when the scope ends, also on unwind.
-template <typename F>
-struct AtExit {
-  F fn;
-  ~AtExit() { fn(); }
-};
-
 }  // namespace
 
 Fabric::Fabric(sim::Engine& engine, NetworkParams params, int num_nodes,
@@ -187,8 +180,8 @@ void Fabric::multicast(int src, std::span<const int> dest_set,
     checkNode(*lo);
     checkNode(*hi);
   }
-  const std::uint32_t slot = legs_.acquire();
-  std::vector<int>& dests = legs_.items[slot].dests;
+  const sim::Slots<Legs>::Ref legs = legs_.acquire();
+  std::vector<int>& dests = legs->dests;
   dests.assign(dest_set.begin(), dest_set.end());
   // Most sets come sorted and duplicate-free (the runtime's live compute
   // nodes); only the source needs removing from those.
@@ -205,7 +198,6 @@ void Fabric::multicast(int src, std::span<const int> dest_set,
       static_cast<std::uint64_t>(std::max<std::size_t>(dests.size(), 1));
 
   if (dests.empty()) {
-    releaseLegs(slot);
     if (on_all) engine_.at(engine_.now(), std::move(on_all));
     return;
   }
@@ -213,7 +205,6 @@ void Fabric::multicast(int src, std::span<const int> dest_set,
   if (!params_.hw_multicast) {
     softwareMulticast(src, dests, bytes, std::move(on_delivered_at),
                       std::move(on_all));
-    releaseLegs(slot);
     return;
   }
 
@@ -265,10 +256,8 @@ void Fabric::multicast(int src, std::span<const int> dest_set,
            std::to_string(bytes) + "B";
   });
   if (on_delivered_at && live > 0) {
-    legs_.items[slot].per_dest = std::move(on_delivered_at);
-    scheduleLegs(slot);
-  } else {
-    releaseLegs(slot);
+    legs->per_dest = std::move(on_delivered_at);
+    scheduleLegs(legs);
   }
   if (on_all) engine_.at(last, std::move(on_all));
 }
@@ -279,10 +268,12 @@ void Fabric::multicast(int src, std::span<const int> dest_set,
 // call, so no other event could fall between two legs of one instant, and
 // anything a leg schedules at that instant draws a later key and runs after
 // the last leg.  A live leg's completion is its endpoint's fresh
-// ingress_free plus the rx overhead (each destination appears once).
-void Fabric::scheduleLegs(std::uint32_t slot) {
-  Legs& legs = legs_.items[slot];
-  std::vector<int>& dests = legs.dests;
+// ingress_free plus the rx overhead (each destination appears once).  Each
+// event holds the legs' slot, and the last one done frees it, also when a
+// leg throws (the rest of its instant's legs are lost with the event, as
+// with any event that throws).
+void Fabric::scheduleLegs(const sim::Slots<Legs>::Ref& legs) {
+  std::vector<int>& dests = legs->dests;
   const auto completion = [this](int d) {
     return endpoints_[static_cast<std::size_t>(d)].ingress_free +
            params_.nic_rx_overhead;
@@ -301,27 +292,13 @@ void Fabric::scheduleLegs(std::uint32_t slot) {
     const SimTime t = completion(dests[begin]);
     std::uint32_t end = begin + 1;
     while (end < n && completion(dests[end]) == t) ++end;
-    ++legs.instants;
-    engine_.at(t, [this, slot, begin, end] { fireLegs(slot, begin, end); });
+    engine_.at(t, [legs, begin, end] {
+      for (std::uint32_t i = begin; i < end; ++i) {
+        legs->per_dest(legs->dests[i]);
+      }
+    });
     begin = end;
   }
-}
-
-void Fabric::fireLegs(std::uint32_t slot, std::uint32_t begin,
-                      std::uint32_t end) {
-  // The last instant frees the slot, also when a leg throws (the rest of
-  // its instant's legs are lost with the event, as with any event that
-  // throws).
-  const AtExit done{[this, slot] {
-    if (--legs_.items[slot].instants == 0) releaseLegs(slot);
-  }};
-  const Legs& legs = legs_.items[slot];
-  for (std::uint32_t i = begin; i < end; ++i) legs.per_dest(legs.dests[i]);
-}
-
-void Fabric::releaseLegs(std::uint32_t slot) {
-  legs_.items[slot].per_dest.reset();
-  legs_.free.push_back(slot);
 }
 
 void Fabric::softwareMulticast(int src, std::span<const int> dests,
@@ -419,26 +396,27 @@ void Fabric::conditional(int src, const std::vector<int>& nodes,
   for (int d : nodes) checkNode(d);
   ++stats_.conditionals;
 
-  const std::uint32_t slot = rounds_.acquire();
-  Round& round = rounds_.items[slot];
-  round.src = src;
-  round.nodes.assign(nodes.begin(), nodes.end());
-  round.eval = std::move(eval);
-  round.write = std::move(write);
-  round.on_result = std::move(on_result);
+  sim::Slots<Round>::Ref round = rounds_.acquire();
+  round->src = src;
+  round->nodes.assign(nodes.begin(), nodes.end());
+  round->eval = std::move(eval);
+  round->write = std::move(write);
+  round->on_result = std::move(on_result);
   engine_.after(conditionalLatency(static_cast<int>(nodes.size())),
-                [this, slot] { evaluate(slot); });
+                [this, round = std::move(round)]() mutable {
+                  evaluate(std::move(round));
+                });
 }
 
-void Fabric::evaluate(std::uint32_t slot) {
+void Fabric::evaluate(sim::Slots<Round>::Ref held) {
   const SimTime now = engine_.now();
   sim::InlineFunction<void(bool)> on_result;
   bool all = true;
   {
     // The round's slot is free again before its result runs, which may
     // issue the next round, and also when an evaluation or write throws.
-    const AtExit release{[this, slot] { releaseRound(slot); }};
-    Round& round = rounds_.items[slot];
+    const sim::Slots<Round>::Ref slot = std::move(held);
+    Round& round = *slot;
     on_result = std::move(round.on_result);
     // A round whose issuing NIC died before the combine returns delivers
     // its result to no one: the poll chain of a dead Strobe Sender ends
@@ -464,13 +442,6 @@ void Fabric::evaluate(std::uint32_t slot) {
     }
   }
   if (on_result) on_result(all);
-}
-
-void Fabric::releaseRound(std::uint32_t slot) {
-  Round& round = rounds_.items[slot];
-  round.eval.reset();
-  round.write.reset();
-  rounds_.free.push_back(slot);
 }
 
 }  // namespace bcs::net

@@ -35,7 +35,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <vector>
 
@@ -43,6 +42,7 @@
 #include "net/topology.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
+#include "sim/slots.hpp"
 #include "sim/time.hpp"
 #include "sim/trace.hpp"
 
@@ -192,52 +192,35 @@ class Fabric {
   sim::Engine& engine() { return engine_; }
 
  private:
-  /// Recycled storage: slots keep their vectors' capacity, and a deque
-  /// keeps a slot in place while its callbacks run.  A slot is freed when
-  /// its last event is done, also when a callback of that event throws.
-  template <typename T>
-  struct Slots {
-    std::deque<T> items;
-    std::vector<std::uint32_t> free;
-    std::uint32_t acquire() {
-      if (free.empty()) {
-        items.emplace_back();
-        // Room for every slot, so freeing one (on unwind too) never
-        // allocates.
-        free.reserve(items.size());
-        return static_cast<std::uint32_t>(items.size() - 1);
-      }
-      const std::uint32_t i = free.back();
-      free.pop_back();
-      return i;
-    }
-  };
-  /// A conditional round between its issue and its evaluation.
+  /// A conditional round between its issue and its evaluation.  Its slot
+  /// (sim/slots.hpp) keeps the node vector's capacity.
   struct Round {
     int src = 0;
     std::vector<int> nodes;
     sim::InlineFunction<bool(int)> eval;
     NodeCallback write;
     sim::InlineFunction<void(bool)> on_result;
+    void clear() {
+      eval.reset();
+      write.reset();
+      on_result.reset();
+    }
   };
-  /// A hardware multicast's live legs and the callback they share, until
-  /// its last completion instant.
+  /// A hardware multicast's live legs and the callback they share, held
+  /// by each of its leg events until the last one is done.
   struct Legs {
     std::vector<int> dests;
     NodeCallback per_dest;
-    std::uint32_t instants = 0;  ///< leg events still to fire
+    void clear() { per_dest.reset(); }
   };
 
   void softwareMulticast(int src, std::span<const int> dests,
                          std::size_t bytes, NodeCallback on_delivered_at,
                          EventCallback on_all);
-  /// Schedules the live legs in `slot` (ingress already updated): one
+  /// Schedules the live legs of `legs` (ingress already updated): one
   /// event per distinct completion instant.
-  void scheduleLegs(std::uint32_t slot);
-  void fireLegs(std::uint32_t slot, std::uint32_t begin, std::uint32_t end);
-  void releaseLegs(std::uint32_t slot);
-  void evaluate(std::uint32_t slot);
-  void releaseRound(std::uint32_t slot);
+  void scheduleLegs(const sim::Slots<Legs>::Ref& legs);
+  void evaluate(sim::Slots<Round>::Ref round);
 
   void checkNode(int node) const;
   /// Sets an endpoint free-time, keeping busy_until_ the latest of them.
@@ -257,8 +240,8 @@ class Fabric {
   sim::Trace* trace_;
   sim::FaultInjector* fault_ = nullptr;
   FabricStats stats_;
-  Slots<Round> rounds_;
-  Slots<Legs> legs_;
+  sim::Slots<Round> rounds_;
+  sim::Slots<Legs> legs_;
 
   /// Snapshot serializer (src/snapshot): endpoint free-times and the stats
   /// round-trip.

@@ -21,11 +21,9 @@
 // and tasks-per-node is tiny (<= 2 app processes + dæmons).
 
 #include <cstdint>
-#include <functional>
-#include <limits>
-#include <map>
 
 #include "sim/engine.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/time.hpp"
 
 namespace bcs::sim {
@@ -45,7 +43,7 @@ class CpuScheduler {
   /// Submits `work` nanoseconds of CPU demand.  `done` fires (as an engine
   /// event) when the task has accumulated that much service.  Tasks start
   /// runnable.
-  CpuTaskId submit(Duration work, Priority prio, std::function<void()> done);
+  CpuTaskId submit(Duration work, Priority prio, EventCallback done);
 
   /// Removes a task without running its completion callback.
   void cancel(CpuTaskId id);
@@ -68,10 +66,10 @@ class CpuScheduler {
 
  private:
   struct Task {
-    double remaining_ns;
-    Priority prio;
-    bool runnable;
-    std::function<void()> done;
+    double remaining_ns = 0;
+    Priority prio = Priority::kUser;
+    bool runnable = true;
+    EventCallback done;
   };
 
   /// Credits service since the last update at current rates and fires
@@ -86,10 +84,11 @@ class CpuScheduler {
   int num_cpus_;
   std::uint64_t next_id_ = 1;
   /// Ordered by task id: account() accumulates floating-point service over
-  /// this container, and FP addition is not associative — iteration must be
-  /// in a reproducible order, never hash order.  The per-node task count is
-  /// tiny, so the tree walk costs nothing measurable.
-  std::map<std::uint64_t, Task> tasks_;
+  /// this table, and FP addition is not associative — iteration must be in
+  /// a reproducible order, never hash order.  A flat, id-ordered vector
+  /// (sim/flat_map.hpp): ids only grow, so a submit appends, and a node's
+  /// handful of tasks cycle through its capacity without allocating.
+  FlatMap<std::uint64_t, Task> tasks_;
   SimTime last_update_ = 0;
   EventId pending_completion_{};
   double user_delivered_ = 0;

@@ -32,6 +32,7 @@ class InlineFunction<R(Args...)> {
   static constexpr std::size_t kInlineAlign = 8;
 
   InlineFunction() noexcept = default;
+  InlineFunction(std::nullptr_t) noexcept {}  // NOLINT: empty, like std::function
 
   template <typename Fn,
             typename = std::enable_if_t<

@@ -1,7 +1,6 @@
 #include "snapshot/state_io.hpp"
 
 #include <string>
-#include <tuple>
 #include <vector>
 
 namespace bcs::snapshot {
@@ -172,15 +171,10 @@ void StateIO::fields(Ar& a, bcsmpi::Runtime& rt, const BufferRegistry& reg) {
       a(g.bytes, g.final_chunk, g.job, g.src_rank, g.dst_rank, g.tag,
         g.message_bytes, g.send_req, g.recv_req);
     });
-    a.list(
-        ns.chunk_progress,
-        [&a](auto& entry) {
-          auto& [key, bytes] = entry;
-          a(key.job, key.dst_rank, key.recv_req, bytes);
-        },
-        [](const auto& key) {
-          return std::tie(key.job, key.dst_rank, key.recv_req);
-        });
+    a.list(ns.chunk_progress, [&a](auto& entry) {  // in key order
+      auto& [key, bytes] = entry;
+      a(key.job, key.dst_rank, key.recv_req, bytes);
+    });
     a.list(ns.wake_list);
     a.list(ns.probe_waiters);
     auto& c = rt.ctl_;

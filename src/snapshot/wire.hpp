@@ -12,10 +12,9 @@
 //                             and uint64_t 8; a string as a u64 length and
 //                             its bytes; pairs and fixed-size arrays field
 //                             by field, with no count
-//   a.list(c, each)           a u32 count, then each(element); the Decoder
-//                             clears c and refills it.  Hashed containers are
-//                             written in key order (an optional third
-//                             argument projects a key that has no `<`)
+//   a.list(c, each)           a u32 count, then each(element) in c's own
+//                             order (key order for the maps); the Decoder
+//                             clears c and refills it
 //   a.sameSize(c, what, each) a u32 count, then each(element) in place: the
 //                             fresh build already sized c, and the Decoder
 //                             refuses a count that differs
@@ -28,16 +27,13 @@
 // but defense in depth is free here) still fails loudly instead of reading
 // out of bounds.
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "snapshot/error.hpp"
 
@@ -83,20 +79,11 @@ class Encoder {
     (put(v), ...);
   }
 
-  template <class C, class Each, class Order = std::identity>
-  void list(const C& c, Each each, Order order = {}) {
+  template <class C, class Each>
+  void list(const C& c, Each each) {
     put(static_cast<std::uint32_t>(c.size()));
     if constexpr (requires { c.forEach(each); }) {
       c.forEach(each);
-    } else if constexpr (requires { typename C::hasher; }) {
-      // Hash order depends on the table's history; key order does not.
-      std::vector<const typename C::value_type*> sorted;
-      sorted.reserve(c.size());
-      for (const auto& kv : c) sorted.push_back(&kv);
-      std::sort(sorted.begin(), sorted.end(), [&order](auto* x, auto* y) {
-        return order(x->first) < order(y->first);
-      });
-      for (const auto* kv : sorted) each(*kv);
     } else {
       for (const auto& x : c) each(x);
     }
@@ -161,8 +148,8 @@ class Decoder {
     (get(v), ...);
   }
 
-  template <class C, class Each, class Order = std::identity>
-  void list(C& c, Each each, Order = {}) {
+  template <class C, class Each>
+  void list(C& c, Each each) {
     const std::uint32_t n = u32();
     c.clear();
     for (std::uint32_t i = 0; i < n; ++i) {

@@ -3,13 +3,16 @@
 // This binary replaces the global operator new with a counting one, so it
 // stays out of the sanitizer presets (their allocators would be bypassed).
 // The invariants under test:
-//   * with tracing disabled, a fabric unicast and a single-destination
-//     Xfer-And-Signal build no trace text: the unicast allocates nothing at
-//     all and the Xfer-And-Signal allocates only its shared request, when
+//   * with tracing disabled, a fabric unicast and every shape of
+//     Xfer-And-Signal build no trace text and, once warm, allocate nothing:
+//     the request lives in a recycled slot (sim/slots.hpp) and the fabric
+//     keeps callbacks and legs in recycled storage (DESIGN.md §5b), when
 //     the callbacks fit the inline slot;
-//   * a several-destination Xfer-And-Signal that signals events makes
-//     exactly one, its shared request: the fabric keeps the callback and
-//     the legs in recycled storage (DESIGN.md §5b);
+//   * a warm blocking exchange allocates nothing per message, under BCS-MPI
+//     and under the baseline, and neither does a warm CPU-model
+//     submit/complete cycle;
+//   * every recycled slot comes back after a drop-rate soup and a node
+//     crash, also for messages whose callbacks were dropped unrun;
 //   * the idle steady state of the strobe-sender tree (every member
 //     computing, nothing to match or move), simulated slice by slice, stays
 //     within 4 allocations per rack per microphase: the relay's destination
@@ -32,15 +35,20 @@
 #include <memory>
 #include <new>
 #include <numeric>
+#include <string>
 #include <vector>
 
+#include "baseline/baseline.hpp"
 #include "bcs/core.hpp"
 #include "bcsmpi/comm.hpp"
 #include "net/cluster.hpp"
 #include "net/fabric.hpp"
+#include "sim/cpu.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_run.hpp"
+#include "sim/fault.hpp"
 #include "sim/trace.hpp"
+#include "storm/storm.hpp"
 
 namespace {
 
@@ -87,6 +95,12 @@ namespace {
 
 using namespace bcs;
 
+net::ClusterConfig computeNodes(int n) {
+  net::ClusterConfig ccfg;
+  ccfg.num_compute_nodes = n;
+  return ccfg;
+}
+
 // Enough back-to-back transfers for the engine's 2 µs-bucket wheel (~524 µs)
 // to wrap many times, so every bucket vector already has capacity when
 // measuring.
@@ -110,7 +124,7 @@ TEST(AllocBudget, DisabledTraceUnicastAllocatesNothing) {
   EXPECT_TRUE(trace.records().empty());
 }
 
-TEST(AllocBudget, DisabledTraceXferAllocatesOnlyItsSharedRequest) {
+TEST(AllocBudget, DisabledTraceXferAllocatesNothing) {
   sim::Engine eng;
   sim::Trace trace;
   net::Fabric fabric(eng, net::NetworkParams::qsnet(), 8, &trace);
@@ -137,15 +151,16 @@ TEST(AllocBudget, DisabledTraceXferAllocatesOnlyItsSharedRequest) {
     eng.run();
     if (i >= kWarmup) measured += allocations() - before;
   }
-  EXPECT_EQ(measured, static_cast<std::uint64_t>(kMeasured));
+  EXPECT_EQ(measured, 0u);
   EXPECT_EQ(delivered, kWarmup + kMeasured);
   EXPECT_EQ(completed, kWarmup + kMeasured);
   EXPECT_EQ(core.pendingSignals(1, remote), kWarmup + kMeasured);
   EXPECT_EQ(core.pendingSignals(0, local), kWarmup + kMeasured);
+  EXPECT_EQ(core.xfersInFlight(), 0u);
   EXPECT_TRUE(trace.records().empty());
 }
 
-TEST(AllocBudget, DisabledTraceMulticastXferAllocatesOnlyItsSharedRequest) {
+TEST(AllocBudget, DisabledTraceMulticastXferAllocatesNothing) {
   constexpr int kDests = 31;
   sim::Engine eng;
   sim::Trace trace;
@@ -170,11 +185,216 @@ TEST(AllocBudget, DisabledTraceMulticastXferAllocatesOnlyItsSharedRequest) {
     eng.run();
     if (i >= kWarmup) measured += allocations() - before;
   }
-  EXPECT_EQ(measured, static_cast<std::uint64_t>(kMeasured));
+  EXPECT_EQ(measured, 0u);
   EXPECT_EQ(delivered, kDests * (kWarmup + kMeasured));
   EXPECT_EQ(completed, kWarmup + kMeasured);
   EXPECT_EQ(core.pendingSignals(kDests, remote), kWarmup + kMeasured);
+  EXPECT_EQ(core.xfersInFlight(), 0u);
   EXPECT_TRUE(trace.records().empty());
+}
+
+TEST(AllocBudget, EveryXferShapeAllocatesNothingOnceWarm) {
+  // The shapes the two tests above leave out: multicasts that signal no
+  // event (with and without per-destination data movement), a unicast
+  // with no events, and unicasts lost on the wire with and without an
+  // on_failed callback.  A lost transfer's slot comes back too.
+  constexpr int kNodes = 8;
+  enum Shape { kMcastDeliver, kMcastAggregate, kUnicast, kLostReported,
+               kLostSilently, kShapes };
+  for (int shape = 0; shape < kShapes; ++shape) {
+    sim::Engine eng;
+    sim::Trace trace;
+    net::Fabric fabric(eng, net::NetworkParams::qsnet(), kNodes, &trace);
+    sim::FaultPlan plan;
+    plan.dropRate(1.0);
+    sim::FaultInjector lossy(plan, 7);
+    const bool lost = shape == kLostReported || shape == kLostSilently;
+    if (lost) fabric.setFaultInjector(&lossy);
+    core::BcsCore core(fabric, &trace);
+    std::vector<int> dests;
+    if (shape == kMcastDeliver || shape == kMcastAggregate) {
+      dests.assign({1, 2, 3, 4, 5, 6, 7});
+    } else {
+      dests.assign({5});
+    }
+    int calls = 0;
+    std::uint64_t measured = 0;
+    for (int i = 0; i < kWarmup + kMeasured; ++i) {
+      core::XferRequest req;
+      req.src_node = 0;
+      req.dest_nodes = dests;
+      req.bytes = 256;
+      if (shape != kMcastAggregate) req.deliver = [&calls](int) { ++calls; };
+      req.on_all = [&calls] { ++calls; };
+      req.droppable = lost;
+      if (shape == kLostReported) req.on_failed = [&calls](int) { ++calls; };
+      const std::uint64_t before = allocations();
+      core.xferAndSignal(std::move(req));
+      eng.run();
+      if (i >= kWarmup) measured += allocations() - before;
+    }
+    EXPECT_EQ(measured, 0u) << "shape " << shape;
+    EXPECT_EQ(core.xfersInFlight(), 0u) << "shape " << shape;
+    // Deliveries plus on_all; a lost transfer runs on_failed or nothing.
+    const int per_xfer = shape == kMcastDeliver    ? kNodes - 1 + 1
+                         : shape == kMcastAggregate ? 1
+                         : shape == kUnicast        ? 2
+                         : shape == kLostReported   ? 1
+                                                    : 0;
+    EXPECT_EQ(calls, per_xfer * (kWarmup + kMeasured)) << "shape " << shape;
+    EXPECT_TRUE(trace.records().empty());
+  }
+}
+
+TEST(AllocBudget, WarmCpuSchedulerCycleAllocatesNothing) {
+  // Submit, freeze, thaw and complete user work beside a dæmon, as a
+  // rank's compute() under gang scheduling and OS noise does.
+  sim::Engine eng;
+  sim::CpuScheduler cpu(eng, 2);
+  int done = 0;
+  const auto cycle = [&] {
+    const sim::CpuTaskId a = cpu.submit(
+        sim::usec(30), sim::CpuScheduler::Priority::kUser, [&done] { ++done; });
+    cpu.submit(sim::usec(20), sim::CpuScheduler::Priority::kUser,
+               [&done] { ++done; });
+    cpu.submit(sim::usec(5), sim::CpuScheduler::Priority::kDaemon, nullptr);
+    eng.after(sim::usec(3), [&cpu, a] { cpu.setRunnable(a, false); });
+    eng.after(sim::usec(9), [&cpu, a] { cpu.setRunnable(a, true); });
+    eng.run();
+  };
+  for (int i = 0; i < kWarmup; ++i) cycle();
+  const std::uint64_t before = allocations();
+  for (int i = 0; i < kMeasured; ++i) cycle();
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(done, 2 * (kWarmup + kMeasured));
+}
+
+/// Allocations while rank 0 of a two-rank blocking ping-pong runs the last
+/// 256 of 2,000 rounds of `bytes`-byte messages, under `run(cluster, body)`.
+/// The warm-up lets the engine's wheel buckets, whose use follows the
+/// rounds' timing, all reach their capacity.
+template <typename Run>
+std::uint64_t pingPongWarmRounds(std::size_t bytes, Run run) {
+  constexpr int kRounds = 2000;
+  constexpr int kMeasuredRounds = 256;
+  net::Cluster cluster(computeNodes(2));
+  std::uint64_t at_warm = 0;
+  std::uint64_t at_end = 0;
+  run(cluster, [&](mpi::Comm& comm) {
+    std::vector<std::uint8_t> out(bytes, 1), in(bytes);
+    const int peer = 1 - comm.rank();
+    for (int round = 0; round < kRounds; ++round) {
+      if (comm.rank() == 0 && round == kRounds - kMeasuredRounds) {
+        at_warm = allocations();
+      }
+      comm.compute(sim::usec(40));
+      if (comm.rank() == 0) {
+        comm.send(out.data(), bytes, peer, round);
+        comm.recv(in.data(), bytes, peer, round);
+      } else {
+        comm.recv(in.data(), bytes, peer, round);
+        comm.send(out.data(), bytes, peer, round);
+      }
+    }
+    if (comm.rank() == 0) at_end = allocations();
+  });
+  EXPECT_TRUE(cluster.allProcessesFinished());
+  return at_end - at_warm;
+}
+
+TEST(AllocBudget, WarmBlockingExchangeAllocatesNothingPerMessage) {
+  // An eager-sized and a multi-chunk / rendezvous-sized message: 256
+  // measured rounds, 512 messages each.
+  for (const std::size_t bytes : {std::size_t{2560}, std::size_t{100 * 1024}}) {
+    const std::uint64_t bcs = pingPongWarmRounds(
+        bytes, [](net::Cluster& cluster, const auto& body) {
+          bcsmpi::BcsMpiConfig cfg;
+          cfg.runtime_init_overhead = sim::usec(50);
+          auto runtime = std::make_shared<bcsmpi::Runtime>(cluster, cfg);
+          bcsmpi::launchJob(*runtime, {0, 1}, body);
+          cluster.run();
+          EXPECT_EQ(runtime->messagesInFlight(), 0u);
+          EXPECT_EQ(runtime->core().xfersInFlight(), 0u);
+        });
+    EXPECT_EQ(bcs, 0u) << "BCS-MPI, " << bytes << " B";
+    const std::uint64_t base = pingPongWarmRounds(
+        bytes, [](net::Cluster& cluster, const auto& body) {
+          baseline::BaselineConfig cfg;
+          cfg.init_overhead = sim::usec(10);
+          baseline::runJob(cluster, cfg, {0, 1}, body);
+        });
+    EXPECT_EQ(base, 0u) << "baseline, " << bytes << " B";
+  }
+}
+
+TEST(AllocBudget, EverySlotComesBackAfterADropSoupAndACrash) {
+  // 16 nodes, 10 % loss on the droppable paths and a node that dies
+  // mid-run: lost descriptors and chunks are retransmitted or failed, the
+  // dead node's transfers are dropped unrun, and when the engine has
+  // drained every recycled slot is free again.
+  constexpr int kRanks = 16;
+  net::ClusterConfig ccfg = computeNodes(kRanks);
+  ccfg.seed = 20261020;
+  ccfg.faults.dropRate(0.1);
+  ccfg.faults.crashNode(5, sim::msec(6));
+  net::Cluster cluster(ccfg);
+  bcsmpi::BcsMpiConfig cfg;
+  cfg.runtime_init_overhead = sim::usec(50);
+  auto runtime = std::make_shared<bcsmpi::Runtime>(cluster, cfg);
+  storm::StormConfig scfg;
+  scfg.heartbeat_period = sim::usec(500);
+  storm::Storm storm(cluster, scfg);
+  storm.setDeathHandler([&](int node) { runtime->notifyNodeFailure(node); });
+  storm.startHeartbeats();
+  cluster.engine().at(sim::msec(80), [&] { storm.stopHeartbeats(); });
+  std::vector<int> map(kRanks);
+  std::iota(map.begin(), map.end(), 0);
+  bcsmpi::launchJob(*runtime, map, [](mpi::Comm& comm) {
+    std::vector<std::uint8_t> out(96 * 1024), in(96 * 1024);
+    for (int round = 0; round < 8; ++round) {
+      const int partner = comm.rank() ^ (1 + round % 7);
+      if (partner >= comm.size()) continue;
+      auto sreq = comm.isend(out.data(), out.size(), partner, round);
+      auto rreq = comm.irecv(in.data(), in.size(), partner, round);
+      comm.wait(sreq);
+      comm.wait(rreq);
+    }
+  });
+  cluster.run();
+  EXPECT_GT(cluster.fabric().stats().drops, 0u);
+  EXPECT_GT(runtime->stats().retransmits, 0u);
+  EXPECT_GE(runtime->stats().evictions, 1u);
+  EXPECT_EQ(runtime->messagesInFlight(), 0u);
+  EXPECT_EQ(runtime->core().xfersInFlight(), 0u);
+
+  // The baseline, with a node down mid-exchange: the fabric drops every
+  // transfer from or to it without a callback to run.
+  net::ClusterConfig bcfg = computeNodes(4);
+  bcfg.faults.crashNode(3, sim::msec(1));
+  net::Cluster bcluster(bcfg);
+  baseline::BaselineConfig base_cfg;
+  base_cfg.init_overhead = sim::usec(10);
+  auto world = std::make_shared<baseline::World>(
+      bcluster, base_cfg, std::vector<int>{0, 1, 2, 3});
+  for (int r = 0; r < 4; ++r) {
+    bcluster.spawn(r, "rank" + std::to_string(r), [world, r](sim::Process& p) {
+      const auto owned = world->init(r, p);
+      mpi::Comm* comm = owned.get();
+      const int peer = r ^ 1;
+      for (const std::size_t bytes : {std::size_t{512}, std::size_t{64 * 1024}}) {
+        std::vector<std::uint8_t> out(bytes), in(bytes);
+        for (int round = 0; round < 20; ++round) {
+          auto sreq = comm->isend(out.data(), bytes, peer, round);
+          auto rreq = comm->irecv(in.data(), bytes, peer, round);
+          comm->wait(sreq);
+          comm->wait(rreq);
+        }
+      }
+    });
+  }
+  bcluster.run();
+  EXPECT_FALSE(bcluster.allProcessesFinished());  // ranks 2 and 3 are stuck
+  EXPECT_EQ(world->messagesInFlight(), 0u);
 }
 
 TEST(AllocBudget, EventRunMicrophasesAllocateNothing) {
@@ -221,11 +441,6 @@ std::shared_ptr<bcsmpi::Runtime> launchIdleJob(
   return runtime;
 }
 
-net::ClusterConfig computeNodes(int n) {
-  net::ClusterConfig ccfg;
-  ccfg.num_compute_nodes = n;
-  return ccfg;
-}
 
 TEST(AllocBudget, IdleTreeSlicesStayWithinFourPerRackPerMicrophase) {
   constexpr int kNodes = 256;

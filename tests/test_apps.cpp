@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <numeric>
 #include <vector>
@@ -205,6 +206,48 @@ TEST(Apps, GridShapeFactorsNearSquare) {
   apps::gridShape(7, px, py);
   EXPECT_EQ(px, 1);
   EXPECT_EQ(py, 7);
+}
+
+TEST(Apps, BoundaryFillMatchesThePerByteFormula) {
+  // Every byte of both buffers, at lengths that are and are not multiples
+  // of a 16-byte vector, from aligned and unaligned starts, against the
+  // per-byte formula spelled out here.
+  const auto formula = [](int rank, int sweep, int block, std::size_t i) {
+    return static_cast<std::uint8_t>(
+        (static_cast<std::size_t>(rank) * 131 +
+         static_cast<std::size_t>(sweep) * 17 +
+         static_cast<std::size_t>(block) * 7 + i * 3) &
+        0xFF);
+  };
+  for (const std::size_t bytes :
+       {std::size_t{0}, std::size_t{1}, std::size_t{15}, std::size_t{16},
+        std::size_t{17}, std::size_t{85}, std::size_t{256},
+        std::size_t{2048}, std::size_t{2560}, std::size_t{2561},
+        std::size_t{4099}}) {
+    for (const std::size_t skew : {std::size_t{0}, std::size_t{3}}) {
+      std::vector<std::uint8_t> east(bytes + skew + 1, 0xA5);
+      std::vector<std::uint8_t> south(bytes + skew + 1, 0x5A);
+      for (const int rank : {0, 1, 61, 255, 1000}) {
+        for (const int sweep : {0, 3}) {
+          for (const int block : {0, 7}) {
+            apps::fillBoundaries(rank, sweep, block, east.data() + skew,
+                                 south.data() + skew, bytes);
+            for (std::size_t i = 0; i < bytes; ++i) {
+              ASSERT_EQ(east[skew + i], formula(rank, sweep, block, i))
+                  << bytes << " bytes, byte " << i;
+              ASSERT_EQ(south[skew + i], formula(rank, sweep, block, i + 1))
+                  << bytes << " bytes, byte " << i;
+              ASSERT_EQ(east[skew + i],
+                        apps::payloadByte(rank, sweep, block, i));
+            }
+            // Nothing past the end is written.
+            ASSERT_EQ(east[skew + bytes], 0xA5);
+            ASSERT_EQ(south[skew + bytes], 0x5A);
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

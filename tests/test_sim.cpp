@@ -7,9 +7,11 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <ostream>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
@@ -24,8 +26,10 @@
 #include "sim/process.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
+#include "sim/slots.hpp"
 #include "sim/time.hpp"
 #include "sim/trace.hpp"
+#include "cpu_reference.hpp"
 
 namespace {
 
@@ -1264,6 +1268,162 @@ TEST(Cpu, CancelDropsCompletion) {
   EXPECT_FALSE(fired);
 }
 
+// ------------------------------------------------- CPU vs its reference --
+
+// The flat task table must reproduce the std::map scheduler it replaced
+// (tests/cpu_reference.hpp) exactly: the same completion instants in the
+// same callback order, the same remaining() and activeTasks() readings and
+// the same userCpuTimeDelivered(), bit for bit.  Seeded soups mix user and
+// dæmon tasks, zero-work tasks, freezes, cancels and completions that land
+// at one instant (equal work submitted together).
+class CpuEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+
+namespace cpu_soup {
+
+struct Action {
+  enum Kind { kSubmit, kFreeze, kThaw, kCancel, kProbe } kind = kSubmit;
+  SimTime at = 0;
+  int task = 0;  ///< script task the action names
+  Duration work = 0;
+  bool daemon = false;
+  bool with_callback = true;
+};
+
+/// What one side observed: (instant, what, task, value) rows, the value's
+/// bits for doubles.
+using Log = std::vector<std::tuple<SimTime, int, int, std::uint64_t>>;
+
+std::uint64_t bits(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+std::vector<Action> script(std::uint64_t seed, int cpus) {
+  Rng rng(seed);
+  std::vector<Action> actions;
+  int submitted = 0;
+  SimTime t = 0;
+  for (int i = 0; i < 400; ++i) {
+    // A coarse grid makes several actions share an instant.
+    if (rng.below(3) != 0) t += usec(50) * static_cast<SimTime>(rng.below(4));
+    Action a;
+    a.at = t;
+    const std::uint64_t pick = submitted == 0 ? 0 : rng.below(10);
+    if (pick < 4) {
+      a.kind = Action::kSubmit;
+      a.task = submitted++;
+      a.daemon = rng.below(5) == 0;
+      a.with_callback = !a.daemon || rng.below(2) == 0;
+      // Zero work, grid-sized work (equal tasks finish together) or odd
+      // amounts that leave fractional remainders.
+      switch (rng.below(4)) {
+        case 0: a.work = 0; break;
+        case 1: a.work = usec(100) * static_cast<Duration>(1 + rng.below(4)); break;
+        default: a.work = static_cast<Duration>(1 + rng.below(700'000)); break;
+      }
+      // A burst of identical siblings at the same instant.
+      if (rng.below(6) == 0) {
+        for (int k = 0; k < cpus + 1; ++k) {
+          actions.push_back(a);
+          a.task = submitted++;
+        }
+      }
+    } else {
+      a.task = static_cast<int>(rng.below(static_cast<std::uint64_t>(submitted)));
+      a.kind = pick < 6   ? Action::kFreeze
+               : pick < 7 ? Action::kThaw
+               : pick < 8 ? Action::kCancel
+                          : Action::kProbe;
+    }
+    actions.push_back(a);
+  }
+  return actions;
+}
+
+template <class Scheduler>
+Log run(const std::vector<Action>& actions, int cpus) {
+  Engine eng;
+  Scheduler cpu(eng, cpus);
+  std::vector<CpuTaskId> ids(actions.size());
+  Log log;
+  const auto probe = [&](int task) {
+    log.emplace_back(eng.now(), 1, task,
+                     static_cast<std::uint64_t>(
+                         cpu.remaining(ids[static_cast<std::size_t>(task)])));
+    log.emplace_back(eng.now(), 2, task,
+                     static_cast<std::uint64_t>(cpu.activeTasks()));
+    log.emplace_back(eng.now(), 3, task, bits(cpu.userCpuTimeDelivered()));
+  };
+  for (const Action& a : actions) {
+    eng.at(a.at, [&, a] {
+      const auto id = ids[static_cast<std::size_t>(a.task)];
+      switch (a.kind) {
+        case Action::kSubmit: {
+          const auto prio = a.daemon ? Scheduler::Priority::kDaemon
+                                     : Scheduler::Priority::kUser;
+          const int task = a.task;
+          if (a.with_callback) {
+            ids[static_cast<std::size_t>(task)] =
+                cpu.submit(a.work, prio, [&log, &eng, task] {
+                  log.emplace_back(eng.now(), 0, task, 0);
+                });
+          } else {
+            ids[static_cast<std::size_t>(task)] =
+                cpu.submit(a.work, prio, nullptr);
+          }
+          break;
+        }
+        case Action::kFreeze: cpu.setRunnable(id, false); break;
+        case Action::kThaw: cpu.setRunnable(id, true); break;
+        case Action::kCancel: cpu.cancel(id); break;
+        case Action::kProbe: probe(a.task); break;
+      }
+    });
+  }
+  // Thaw everything at the end so every task not cancelled completes.
+  const SimTime end = actions.back().at + msec(1);
+  eng.at(end, [&] {
+    for (const CpuTaskId id : ids) {
+      if (id.valid()) cpu.setRunnable(id, true);
+    }
+  });
+  eng.run();
+  log.emplace_back(eng.now(), 4, -1, bits(cpu.userCpuTimeDelivered()));
+  log.emplace_back(eng.now(), 5, -1, eng.executedEvents());
+  return log;
+}
+
+}  // namespace cpu_soup
+
+TEST_P(CpuEquivalence, FlatTableReproducesTheMapScheduler) {
+  for (const int cpus : {1, 2, 3}) {
+    const auto actions = cpu_soup::script(GetParam(), cpus);
+    const auto expected =
+        cpu_soup::run<reference::CpuScheduler>(actions, cpus);
+    const auto actual = cpu_soup::run<CpuScheduler>(actions, cpus);
+    ASSERT_EQ(actual, expected) << "seed " << GetParam() << ", " << cpus
+                                << " CPUs";
+    // The soup exercised what it is meant to.
+    std::size_t completions = 0;
+    std::set<SimTime> instants;
+    for (const auto& [at, what, task, value] : expected) {
+      if (what != 0) continue;
+      ++completions;
+      instants.insert(at);
+    }
+    EXPECT_GT(completions, 100u);
+    EXPECT_LT(instants.size(), completions) << "no shared instants";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CpuEquivalence,
+                         ::testing::Values(1u, 7u, 42u, 2026u, 31337u,
+                                           8675309u),
+                         [](const auto& info) {
+                           return "seed" + std::to_string(info.param);
+                         });
+
 // -------------------------------------------------------------- Process --
 
 TEST(Process, ComputeAdvancesSimTime) {
@@ -1546,6 +1706,69 @@ TEST(Arena, PayloadPoolCapsSpareBuffers) {
   held.clear();  // all release into the freelist: capped at kMaxSpare
   EXPECT_LE(pool.spareBuffers(), PayloadPool::kMaxSpare);
   EXPECT_GT(pool.spareBuffers(), 0u);
+}
+
+TEST(Arena, SlotsRecycleAndClearTheirValues) {
+  struct Msg {
+    std::vector<int> data;
+    int tag = 0;
+    void clear() {
+      data.clear();
+      tag = 0;
+    }
+  };
+  Slots<Msg> slots;
+  EXPECT_EQ(slots.capacity(), 0u);  // nothing allocated until first use
+  {
+    Slots<Msg>::Ref a = slots.acquire();
+    a->data.assign(100, 7);
+    a->tag = 3;
+    Slots<Msg>::Ref b = a;  // a second holder of the same slot
+    a = Slots<Msg>::Ref{};
+    EXPECT_EQ(slots.inUse(), 1u);
+    EXPECT_EQ(b->tag, 3);
+  }
+  EXPECT_EQ(slots.inUse(), 0u);
+  EXPECT_EQ(slots.capacity(), 1u);
+  // The freed slot comes back cleared, with its vector's capacity.
+  Slots<Msg>::Ref c = slots.acquire();
+  EXPECT_EQ(slots.capacity(), 1u);
+  EXPECT_EQ(c->tag, 0);
+  EXPECT_TRUE(c->data.empty());
+  EXPECT_GE(c->data.capacity(), 100u);
+  // A value without clear() is reset to T{}.
+  Slots<std::pair<int, int>> pairs;
+  { auto p = pairs.acquire(); *p = {1, 2}; }
+  EXPECT_EQ(*pairs.acquire(), (std::pair<int, int>{0, 0}));
+}
+
+TEST(Arena, SlotRefsOutlivingTheirPoolFreeItLast) {
+  // Engine events that hold Refs are dropped after the pool died: the last
+  // Ref frees the orphaned state (leak- and use-after-free-checked under
+  // the sanitize preset).  A Ref inside a slot of the same pool is dropped
+  // while that slot is cleared, which must not free the state early.
+  using Inner = Slots<std::vector<int>>;
+  struct Holder {
+    Inner::Ref other;
+  };
+  auto eng = std::make_unique<Engine>();
+  auto slots = std::make_unique<Inner>();
+  auto holders = std::make_unique<Slots<Holder>>();
+  int fired = 0;
+  for (int i = 0; i < 8; ++i) {
+    Inner::Ref r = slots->acquire();
+    r->assign(16, i);
+    Slots<Holder>::Ref h = holders->acquire();
+    h->other = r;
+    eng->at(usec(10 + i), [r, &fired] { fired += (*r)[0] >= 0 ? 1 : 0; });
+    eng->at(usec(50), [h = std::move(h)] {});
+  }
+  eng->run(usec(12));
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(slots->inUse(), 8u);
+  slots.reset();
+  holders.reset();
+  eng.reset();  // drops the rest unrun
 }
 
 TEST(Arena, PayloadPoolHandlesOutlivingPoolRecycleAndFree) {

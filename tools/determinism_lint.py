@@ -26,7 +26,9 @@ src/):
      "lookup-only", "iteration is order-normalized by the caller's sort").
      An empty justification is an error — the annotation is an audit trail,
      not an escape hatch.  Code that cannot justify itself converts to
-     ordered iteration instead (see sim/cpu.cpp's task table).
+     ordered iteration instead: sim::FlatMap (sim/flat_map.hpp) is the
+     flat, key-ordered table the CPU model's tasks, the request tables and
+     the MSM match indexes use.
 
   3. Stale annotations: a det-ok whose reach (its own line plus the three
      lines below) contains no unordered container is an audit trail
