@@ -1,16 +1,16 @@
 // Compile-and-run proof that the simulator's hot-path layers — the calendar
-// event engine, the flat MSM match indexes, the recycled message slots and
-// the payload pool — stay fully usable under -fno-exceptions (fatal errors
+// event engine, the flat MSM match indexes and the recycled message and
+// payload slots — stay fully usable under -fno-exceptions (fatal errors
 // route through sim::simFail, which aborts instead of throwing).  Built
 // only in the bench preset, where this file and the engine sources are
 // compiled with -fno-exceptions; a stray `throw` in any of these layers
 // breaks the build.
+#include <cstddef>
 #include <cstdio>
 #include <vector>
 
 #include "bcsmpi/matching.hpp"
 #include "sim/engine.hpp"
-#include "sim/pool.hpp"
 #include "sim/slots.hpp"
 
 #if defined(__cpp_exceptions)
@@ -27,10 +27,15 @@ int main() {
   eng.run();
   if (fired != 2 || eng.pendingEvents() != 0) return 1;
 
-  bcs::sim::PayloadPool pool;
-  auto buf = pool.acquire(4096);
-  buf.reset();
-  if (pool.spareBuffers() != 1) return 1;
+  // A collective payload buffer comes back with its capacity.
+  bcs::sim::Slots<std::vector<std::byte>> payloads;
+  {
+    auto buf = payloads.acquire();
+    buf->resize(4096);
+  }
+  if (payloads.inUse() != 0 || payloads.acquire()->capacity() < 4096) {
+    return 1;
+  }
 
   bcs::bcsmpi::SendMatchIndex sends;
   bcs::bcsmpi::RecvMatchIndex recvs;

@@ -27,6 +27,13 @@ int Runtime::collectiveOwnerNode(const JobState& js,
   return js.node_of_rank.at(0);
 }
 
+Runtime::Payload Runtime::copyPayload(const std::byte* data,
+                                      std::size_t bytes) {
+  Payload p = payloads_.acquire();
+  p->assign(data, data + bytes);
+  return p;
+}
+
 // ---------------------------------------------------------------------------
 // BBM — Broadcast and Barrier Microphase (Collective Helper)
 // ---------------------------------------------------------------------------
@@ -92,7 +99,7 @@ void Runtime::executeBroadcast(int node, int job) {
     if (src == nullptr) {
       throw sim::SimError("bcast: root rank descriptor missing on owner");
     }
-    payload = payload_pool_.acquire(src, payload_bytes);
+    payload = copyPayload(src, payload_bytes);
   }
 
   std::vector<int> dests;
@@ -236,7 +243,7 @@ void Runtime::reduceAdvance(int node, int job) {
 
 void Runtime::reduceSendUp(int node, int job) {
   PendingCollective& pc = nodeState(node).pending_coll[job];
-  auto snapshot = payload_pool_.acquire(pc.partial.data(), pc.partial.size());
+  Payload snapshot = copyPayload(pc.partial.data(), pc.partial.size());
   const int parent = pc.parent_node;
   const Duration cost =
       static_cast<Duration>(pc.count) * config_.nic_reduce_per_element;
@@ -261,7 +268,7 @@ void Runtime::reduceSendUp(int node, int job) {
 void Runtime::reduceDeliverResult(int node, int job) {
   JobState& js = jobState(job);
   PendingCollective& pc = nodeState(node).pending_coll[job];
-  auto result = payload_pool_.acquire(pc.partial.data(), pc.partial.size());
+  Payload result = copyPayload(pc.partial.data(), pc.partial.size());
 
   std::vector<int> dests;
   for (int n : js.nodes) {

@@ -43,7 +43,7 @@ Runtime::Runtime(net::Cluster& cluster, BcsMpiConfig config)
                     opFinished(node);
                   }),
       nodes_(static_cast<std::size_t>(cluster.numComputeNodes())),
-      ctl_(nodes_.size()) {
+      ctl_(NodeControl(nodes_.size())) {
   for (int n = 0; n < cluster.numComputeNodes(); ++n) {
     all_compute_nodes_.push_back(n);
   }
@@ -108,9 +108,9 @@ void Runtime::registerProcess(int job, int rank, sim::Process& proc) {
   proc.compute(config_.runtime_init_overhead);
   // The Strobe Receiver on this rank's node starts its slice watchdog as
   // part of bring-up: from here on, microstrobe silence is suspicious.
-  ctl_.last_strobe[rs.node] = proc.now();
-  if (!ctl_.watchdog_armed[rs.node]) {
-    armWatchdogAt(rs.node, ctl_.last_strobe[rs.node] + watchdogTimeout());
+  ctl_->last_strobe[rs.node] = proc.now();
+  if (!ctl_->watchdog_armed[rs.node]) {
+    armWatchdogAt(rs.node, ctl_->last_strobe[rs.node] + watchdogTimeout());
   }
   if (!strobing_) {
     strobing_ = true;
@@ -131,9 +131,9 @@ void Runtime::registerDetachedRank(int job, int rank) {
   // Same bring-up charge as registerProcess, but without a fiber to bill it
   // to: the rank becomes communication-ready after the init overhead.
   const SimTime ready = cluster_.engine().now() + config_.runtime_init_overhead;
-  SimTime& last_strobe = ctl_.last_strobe[rs.node];
+  SimTime& last_strobe = ctl_->last_strobe[rs.node];
   last_strobe = std::max(last_strobe, ready);
-  if (!ctl_.watchdog_armed[rs.node]) {
+  if (!ctl_->watchdog_armed[rs.node]) {
     armWatchdogAt(rs.node, last_strobe + watchdogTimeout());
   }
   if (!strobing_) {
@@ -728,9 +728,10 @@ bool Runtime::sliceQuiescent(SimTime now, bool after_replay) {
   // left disarmed (and evictions, rejoins and elections end the replay run
   // through dropSliceTemplate).  So the last walk's verdict still holds.
   if (!after_replay || work_epoch_ != idle_epoch_) {
+    const NodeControl& c = *ctl_;
     for (int n : live_compute_nodes_) {
       const NodeState& ns = nodes_[static_cast<std::size_t>(n)];
-      if (config_.watchdog_slices > 0 && !ctl_.watchdog_armed[n]) {
+      if (config_.watchdog_slices > 0 && !c.watchdog_armed[n]) {
         return false;
       }
       for (int p = 0; p < kNumPhases; ++p) {
@@ -776,12 +777,13 @@ bool Runtime::replaySlice() {
     r.stats = stats_;
     cluster_.fabric().mark(r.fabric);
     r.nodes.resize(live_compute_nodes_.size());
+    const NodeControl& c = *ctl_;
     for (std::size_t i = 0; i < live_compute_nodes_.size(); ++i) {
       const int n = live_compute_nodes_[i];
       SliceTemplate::NodeEnd& e = r.nodes[i];
-      e.phase_seq = static_cast<std::int64_t>(ctl_.phase_seq[n]);
+      e.phase_seq = static_cast<std::int64_t>(c.phase_seq[n]);
       e.phase_done = core_.readVar(n, phase_done_var_);
-      e.last_strobe = ctl_.last_strobe[n];
+      e.last_strobe = c.last_strobe[n];
     }
     r.racks.resize(tree_racks_.size());
     for (std::size_t k = 0; k < tree_racks_.size(); ++k) {
@@ -798,23 +800,16 @@ bool Runtime::replaySlice() {
   stats_.fanout_msgs_per_slice = t.root_msgs;
   root_msgs_slice_ = t.root_msgs;
   cluster_.fabric().apply(t.fabric, now);
+  // The control arrays' stores wait for their first reader; a replay
+  // after this one writes the same runs, so it replaces them.  The
+  // phase_done replicas (a flat template's) are the core's and land now.
+  ctl_.defer() = ControlStore{&t, base, now};
   constexpr std::int64_t kKeep = SliceTemplate::kKeep;
   for (const SliceTemplate::NodeRun& run : t.nodes) {
-    const SliceTemplate::NodeEnd& e = run.end;
-    const auto fill = [&run](auto& field, auto value) {
-      std::fill_n(field.begin() + run.first, run.count, value);
-    };
-    if (e.phase_seq != kKeep) {
-      fill(ctl_.phase_seq, static_cast<std::uint64_t>(base + e.phase_seq));
-    }
-    if (e.phase_done != kKeep) {
+    if (run.end.phase_done != kKeep) {
       core_.fillVarLocal(run.first, run.count, phase_done_var_,
-                         base + e.phase_done);
+                         base + run.end.phase_done);
     }
-    if (e.last_strobe != kKeep) fill(ctl_.last_strobe, now + e.last_strobe);
-    fill(ctl_.outstanding, e.outstanding);
-    fill(ctl_.tree_floor, static_cast<char>(e.tree_floor));
-    fill(ctl_.tree_drain, static_cast<char>(e.tree_drain));
   }
   for (std::size_t k = 0; k < t.racks.size(); ++k) {
     const SliceTemplate::RackEnd& e = t.racks[k];
@@ -834,6 +829,23 @@ bool Runtime::replaySlice() {
   });
   slice_replayed_ = true;
   return true;
+}
+
+void Runtime::ControlStore::operator()(NodeControl& c) const {
+  constexpr std::int64_t kKeep = SliceTemplate::kKeep;
+  for (const SliceTemplate::NodeRun& run : t->nodes) {
+    const SliceTemplate::NodeEnd& e = run.end;
+    const auto fill = [&run](auto& field, auto value) {
+      std::fill_n(field.begin() + run.first, run.count, value);
+    };
+    if (e.phase_seq != kKeep) {
+      fill(c.phase_seq, static_cast<std::uint64_t>(base + e.phase_seq));
+    }
+    if (e.last_strobe != kKeep) fill(c.last_strobe, start + e.last_strobe);
+    fill(c.outstanding, e.outstanding);
+    fill(c.tree_floor, static_cast<char>(e.tree_floor));
+    fill(c.tree_drain, static_cast<char>(e.tree_drain));
+  }
 }
 
 void Runtime::finishRecording(SimTime next) {
@@ -860,18 +872,19 @@ void Runtime::finishRecording(SimTime next) {
   t.stats = sim::zipCounters(stats_, r.stats, std::minus<>());
   t.root_msgs = root_msgs_slice_;
   t.fabric = cluster_.fabric().deltaSince(r.fabric, r.start);
+  const NodeControl& c = *ctl_;
   for (std::size_t i = 0; i < live_compute_nodes_.size(); ++i) {
     const int n = live_compute_nodes_[i];
     const SliceTemplate::NodeEnd& was = r.nodes[i];
     SliceTemplate::NodeEnd e;
-    e.phase_seq = rel(static_cast<std::int64_t>(ctl_.phase_seq[n]),
-                      was.phase_seq, base);
+    e.phase_seq =
+        rel(static_cast<std::int64_t>(c.phase_seq[n]), was.phase_seq, base);
     e.phase_done =
         rel(core_.readVar(n, phase_done_var_), was.phase_done, base);
-    e.last_strobe = rel(ctl_.last_strobe[n], was.last_strobe, r.start);
-    e.outstanding = ctl_.outstanding[n];
-    e.tree_floor = ctl_.tree_floor[n] != 0;
-    e.tree_drain = ctl_.tree_drain[n] != 0;
+    e.last_strobe = rel(c.last_strobe[n], was.last_strobe, r.start);
+    e.outstanding = c.outstanding[n];
+    e.tree_floor = c.tree_floor[n] != 0;
+    e.tree_drain = c.tree_drain[n] != 0;
     if (!t.nodes.empty()) {
       SliceTemplate::NodeRun& run = t.nodes.back();
       if (run.first + run.count == n && run.end == e) {
@@ -1036,22 +1049,22 @@ void Runtime::runVerifyAudit() {
 // Strobe Receiver + NIC threads (compute nodes)
 // ---------------------------------------------------------------------------
 
-void Runtime::opStarted(int node) { ++ctl_.outstanding[node]; }
+void Runtime::opStarted(int node) { ++ctl_->outstanding[node]; }
 
 void Runtime::opFinished(int node) {
-  if (--ctl_.outstanding[node] == 0) {
+  if (--ctl_->outstanding[node] == 0) {
     // The phase_done replica is written in both modes: tree-mode recovery
     // after a root election still quiesces via this variable.
     core_.writeVarLocal(node, phase_done_var_,
-                        static_cast<std::int64_t>(ctl_.phase_seq[node]));
+                        static_cast<std::int64_t>(ctl_->phase_seq[node]));
     if (tree_mode_) treeMemberDone(node);
   }
 }
 
 void Runtime::beginNodePhase(int node, std::uint64_t seq, Duration floor,
                              Duration work_cost) {
-  ctl_.phase_seq[node] = seq;
-  ctl_.outstanding[node] = 0;
+  ctl_->phase_seq[node] = seq;
+  ctl_->outstanding[node] = 0;
   // One token for the NIC-thread processing time (at least the phase
   // floor).  An idle node's token is released by an event at this very
   // instant, so the outstanding counter still guards against completing
@@ -1063,9 +1076,9 @@ void Runtime::beginNodePhase(int node, std::uint64_t seq, Duration floor,
 void Runtime::onStrobe(int node, Phase p, std::uint64_t seq) {
   if (nodeEvicted(node)) return;  // strobe raced an eviction
   // Feed the slice watchdog: a strobe is proof of Strobe Sender life.
-  ctl_.last_strobe[node] = cluster_.engine().now();
-  if (!ctl_.watchdog_armed[node]) {
-    armWatchdogAt(node, ctl_.last_strobe[node] + watchdogTimeout());
+  ctl_->last_strobe[node] = cluster_.engine().now();
+  if (!ctl_->watchdog_armed[node]) {
+    armWatchdogAt(node, ctl_->last_strobe[node] + watchdogTimeout());
   }
   switch (p) {
     case Phase::kDem: runDem(node, seq); return;
@@ -1167,7 +1180,7 @@ void Runtime::evictNodeState(int node) {
 
   // 3. Drop every queue of the dead node (its NIC memory is unreachable).
   dead_ns = NodeState{};
-  ctl_.reset(node);
+  ctl_->reset(node);
 
   // 4. Scrub the survivors' queues of work pinned to the dead node.
   for (int n : live_compute_nodes_) {
@@ -1271,13 +1284,32 @@ void Runtime::evictNodeState(int node) {
 void Runtime::armWatchdogAt(int node, SimTime when) {
   if (config_.watchdog_slices <= 0 || stop_requested_) return;
   const SimTime at = std::max(when, cluster_.engine().now());
-  ctl_.watchdog_armed[node] = true;
-  ctl_.watchdog_at[node] = at;
+  ctl_->watchdog_armed[node] = true;
+  ctl_->watchdog_at[node] = at;
   if (!running_watchdogs_) {
     scheduleWatchdogTimer(at);
   } else if (node < watchdog_cursor_) {
     watchdog_rescan_ = true;
   }
+}
+
+SimTime Runtime::watchdogRecheck(int first, int end, SimTime now) const {
+  const SimTime deadline = ctl_->last_strobe[first] + watchdogTimeout();
+  if (now >= deadline || stop_requested_ || config_.watchdog_slices <= 0) {
+    return kNoTimer;
+  }
+  // Every compute node is live until one is evicted.
+  const bool evicted =
+      live_compute_nodes_.size() < nodes_.size() &&
+      std::any_of(evicted_.begin() + first, evicted_.begin() + end,
+                  [](char e) { return e != 0; });
+  const auto in_run = [first, end](int node) {
+    return node >= first && node < end;
+  };
+  if (evicted || cluster_.faults()->anyDownDuring(now, now, in_run)) {
+    return kNoTimer;
+  }
+  return watchdogRecheckAt(deadline, now);
 }
 
 SimTime Runtime::watchdogRecheckAt(SimTime deadline, SimTime now) const {
@@ -1306,43 +1338,70 @@ void Runtime::runDueWatchdogs() {
   // One pass in ascending node order runs the due watchdogs and takes the
   // earliest deadline left behind.  A node a watchdog arms further on is
   // seen when the pass gets there, as if it had been armed before.
+  // onWatchdog changes no other node's watchdog, so a run of due nodes
+  // taken before its first one is processed stays due.
+  NodeControl& c = *ctl_;
   SimTime next = kNoTimer;
   const int nodes = static_cast<int>(nodes_.size());
-  for (int n = 0; n < nodes; ++n) {
-    if (!ctl_.watchdog_armed[n]) continue;
-    if (ctl_.watchdog_at[n] <= now) {
-      // The common outcome stays inline: the node checks again later, as
-      // onWatchdog's disarm and re-arm would leave it.
-      const SimTime recheck = watchdogRecheck(n, now);
-      if (recheck != kNoTimer) {
-        ctl_.watchdog_at[n] = recheck;
-      } else {
-        watchdog_cursor_ = n;
-        onWatchdog(n);
-        // The quiescence walk must see a live node whose watchdog stays off.
-        if (!ctl_.watchdog_armed[n]) {
-          if (!nodeEvicted(n)) noteWork();
-          continue;
+  for (int n = 0; n < nodes;) {
+    if (!c.watchdog_armed[n] || c.watchdog_at[n] > now) {
+      if (c.watchdog_armed[n]) next = std::min(next, c.watchdog_at[n]);
+      ++n;
+      continue;
+    }
+    // Due nodes that heard the same last strobe, as a rack's members do,
+    // share a deadline.  Their usual outcome, one re-check on the slice
+    // grid for the whole run, stays inline: each node checks again later,
+    // as onWatchdog's disarm and re-arm would leave it.
+    const SimTime heard = c.last_strobe[n];
+    int end = n + 1;
+    while (end < nodes && c.watchdog_armed[end] && c.watchdog_at[end] <= now &&
+           c.last_strobe[end] == heard) {
+      ++end;
+    }
+    const SimTime recheck = watchdogRecheck(n, end, now);
+    if (recheck != kNoTimer) {
+      std::fill(c.watchdog_at.begin() + n, c.watchdog_at.begin() + end,
+                recheck);
+      next = std::min(next, recheck);
+      n = end;
+      continue;
+    }
+    for (; n < end; ++n) {
+      if (!c.watchdog_armed[n]) continue;
+      if (c.watchdog_at[n] <= now) {
+        const SimTime own = watchdogRecheck(n, n + 1, now);
+        if (own != kNoTimer) {
+          c.watchdog_at[n] = own;
+        } else {
+          watchdog_cursor_ = n;
+          onWatchdog(n);
+          // The quiescence walk must see a live node whose watchdog stays
+          // off.
+          if (!c.watchdog_armed[n]) {
+            if (!nodeEvicted(n)) noteWork();
+            continue;
+          }
         }
       }
+      next = std::min(next, c.watchdog_at[n]);
     }
-    next = std::min(next, ctl_.watchdog_at[n]);
   }
   running_watchdogs_ = false;
   watchdog_cursor_ = 0;
   if (watchdog_rescan_) {
     next = kNoTimer;
     for (int n = 0; n < nodes; ++n) {
-      if (ctl_.watchdog_armed[n]) next = std::min(next, ctl_.watchdog_at[n]);
+      if (c.watchdog_armed[n]) next = std::min(next, c.watchdog_at[n]);
     }
   }
   if (next != kNoTimer) scheduleWatchdogTimer(next);
 }
 
 void Runtime::onWatchdog(int node) {
-  ctl_.watchdog_armed[node] = false;
+  ctl_->watchdog_armed[node] = false;
   const SimTime now = cluster_.engine().now();
-  const SimTime recheck = watchdogRecheck(node, now);
+  const SimTime recheck = watchdogRecheck(node, node + 1, now);
   if (recheck != kNoTimer) {
     armWatchdogAt(node, recheck);
     return;
@@ -1379,7 +1438,7 @@ void Runtime::onWatchdog(int node) {
 }
 
 void Runtime::stopWatchdogs() {
-  std::fill(ctl_.watchdog_armed.begin(), ctl_.watchdog_armed.end(), false);
+  std::fill(ctl_->watchdog_armed.begin(), ctl_->watchdog_armed.end(), false);
   watchdog_rescan_ = true;  // a pass in progress keeps no deadline
   if (watchdog_timer_at_ != kNoTimer) {
     cluster_.engine().cancel(watchdog_timer_);
@@ -1526,7 +1585,7 @@ void Runtime::performRejoins() {
     // The node returns scrubbed: NIC queues rebuilt from scratch (its ranks
     // were force-finished at eviction and stay finished).
     nodeState(node) = NodeState{};
-    ctl_.reset(node);
+    ctl_->reset(node);
     live_compute_nodes_.insert(
         std::lower_bound(live_compute_nodes_.begin(),
                          live_compute_nodes_.end(), node),
@@ -1542,8 +1601,8 @@ void Runtime::performRejoins() {
       return "rejoined at slice " + std::to_string(slice_index_) + " (epoch " +
              std::to_string(control_epoch_) + "): queues rebuilt";
     });
-    ctl_.last_strobe[node] = now;
-    if (!ctl_.watchdog_armed[node]) {
+    ctl_->last_strobe[node] = now;
+    if (!ctl_->watchdog_armed[node]) {
       armWatchdogAt(node, now + watchdogTimeout());
     }
     if (tree_mode_) treeHandleRejoin(node);

@@ -42,9 +42,9 @@
 #include "net/cluster.hpp"
 #include "sim/event_run.hpp"
 #include "sim/flat_map.hpp"
-#include "sim/pool.hpp"
 #include "sim/process.hpp"
 #include "sim/slots.hpp"
+#include "sim/write_back.hpp"
 #include "storm/sstree.hpp"
 #include "verify/verify.hpp"
 
@@ -355,6 +355,10 @@ class Runtime {
     bool degraded = false;  ///< lost at least one rank to a node eviction
   };
 
+  /// A collective's payload on its way through CH/RH hops: a recycled
+  /// byte buffer (sim/slots.hpp), shared by every callback that carries it.
+  using Payload = sim::Slots<std::vector<std::byte>>::Ref;
+
   /// Per-(node, job) state of the single outstanding collective.
   struct PendingCollective {
     bool active = false;
@@ -373,7 +377,7 @@ class Runtime {
     int parent_node = -1;
     bool local_ready = false;
     std::vector<std::byte> partial;
-    std::vector<std::shared_ptr<std::vector<std::byte>>> queued_partials;
+    std::vector<Payload> queued_partials;
   };
 
   /// One scheduled chunk transfer (a DH get), built in the MSM.
@@ -454,9 +458,10 @@ class Runtime {
 
   /// The nodes' control-plane state: the fields a replayed slice and the
   /// watchdog pass write, kept apart from the queues in NodeState as one
-  /// contiguous array per field, indexed by compute node.  A replay fills
-  /// each array over runs of nodes, and the watchdog pass scans two of
-  /// them, instead of touching every node's scattered NodeState.
+  /// contiguous array per field, indexed by compute node.  A replay's
+  /// stores fill each array over runs of nodes, and the watchdog pass
+  /// scans three of them, instead of touching every node's scattered
+  /// NodeState.
   struct NodeControl {
     explicit NodeControl(std::size_t nodes)
         : phase_seq(nodes),
@@ -554,6 +559,18 @@ class Runtime {
     std::vector<SliceTemplate::NodeEnd> nodes;
     std::vector<SliceTemplate::RackEnd> racks;
   };
+  /// A replayed slice's stores to the control arrays, waiting in ctl_ for
+  /// their first reader (DESIGN.md §5b, "Write-back"): the template's node
+  /// runs, set from phase_seq_ at S (`base`) and from S (`start`).  The
+  /// next replay under the same template writes the same runs, so it
+  /// replaces this one; dropSliceTemplate lands it before the template
+  /// goes.
+  struct ControlStore {
+    const SliceTemplate* t = nullptr;
+    std::int64_t base = 0;
+    SimTime start = 0;
+    void operator()(NodeControl& c) const;
+  };
 
   // ---- Strobe Sender (management node) ----
   void startSlice();
@@ -580,8 +597,10 @@ class Runtime {
   bool controlPlaneDownDuring(SimTime from, SimTime to) const;
   void finishRecording(SimTime next);
   /// Evictions, rejoins and elections change the control plane a template
-  /// was recorded under.
+  /// was recorded under.  The pending stores point into the template, so
+  /// they land first.
   void dropSliceTemplate() {
+    ctl_.settle();
     slice_template_.reset();
     recording_.active = false;
     slice_replayed_ = false;
@@ -652,7 +671,8 @@ class Runtime {
   void treeAudit(verify::Verifier& v, SimTime now);
 
   // CH / RH helpers (collectives.cpp)
-  using Payload = std::shared_ptr<std::vector<std::byte>>;
+  /// A payload holding a copy of [data, data + bytes).
+  Payload copyPayload(const std::byte* data, std::size_t bytes);
   void executeBroadcast(int node, int job);
   void executeReduce(int node, int job);
   void reduceIncoming(int node, int job, Payload data);
@@ -696,17 +716,13 @@ class Runtime {
   /// boundary's startSlice instead of inside a slice; the last step of the
   /// chain lands on the deadline itself.  Always after now; kNoTimer when
   /// onWatchdog must disarm the watchdog, suspect the Strobe Sender or
-  /// elect.  Inline: the watchdog pass runs it for every due node.
-  SimTime watchdogRecheck(int node, SimTime now) const {
-    const SimTime deadline = ctl_.last_strobe[node] + watchdogTimeout();
-    if (now >= deadline || stop_requested_ || config_.watchdog_slices <= 0 ||
-        nodeEvicted(node) || cluster_.faults()->nodeDown(node, now)) {
-      return kNoTimer;
-    }
-    return watchdogRecheckAt(deadline, now);
-  }
+  /// elect.  For nodes first..end-1 that heard the same last strobe, as a
+  /// rack's members or a flat machine's nodes do: one outcome for the run,
+  /// kNoTimer if it is not every node's.
+  SimTime watchdogRecheck(int first, int end, SimTime now) const;
   /// The watchdog timer's event: runs every due node's watchdog in
-  /// ascending node order, then re-files itself at the earliest deadline.
+  /// ascending node order, one re-check per run of due nodes with one
+  /// deadline, then re-files itself at the earliest deadline.
   void runDueWatchdogs();
   void scheduleWatchdogTimer(SimTime at);
   void onWatchdog(int node);
@@ -754,7 +770,9 @@ class Runtime {
 
   std::vector<JobState> jobs_;
   std::vector<NodeState> nodes_;
-  NodeControl ctl_;
+  /// Reached only through the write-back's accessors, which land a
+  /// replayed slice's pending stores first (sim/write_back.hpp).
+  sim::WriteBack<NodeControl, ControlStore> ctl_;
   std::vector<int> all_compute_nodes_;
   std::vector<int> live_compute_nodes_;  ///< strobe/poll set, minus evictions
   std::vector<char> evicted_;            ///< per compute node
@@ -801,6 +819,10 @@ class Runtime {
   bool tree_mode_ = false;             ///< config_.tree_fanout > 0, cached
   storm::SsTree sstree_;               ///< rack membership + SS roles
   std::vector<TreeRackState> tree_racks_;
+  /// Destination sets of the root's strobe and of a rack relay, rebuilt
+  /// in place for each (the transfer reads them during the call only).
+  std::vector<int> strobe_dests_;
+  std::vector<int> relay_dests_;
   Phase tree_phase_ = Phase::kDem;     ///< microphase currently in flight
   /// True while a tree microphase is collecting rack acks.  Guards
   /// maybeTreePhaseDone against double-advancing when an eviction (or a
@@ -831,8 +853,8 @@ class Runtime {
   /// `config_.checkpoint_every_slices`-th boundary when installed.
   std::function<void(std::uint64_t)> snapshot_sink_;
 
-  /// Recycles collective payload buffers (see sim/pool.hpp).
-  sim::PayloadPool payload_pool_;
+  /// Collective payload buffers, recycled with their capacity.
+  sim::Slots<std::vector<std::byte>> payloads_;
 
   /// Dynamic protocol verifier; null unless config_.verify.  Hot-path hooks
   /// are guarded by this pointer (one predictable branch when off — never a

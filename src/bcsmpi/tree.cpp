@@ -40,8 +40,10 @@ namespace bcs::bcsmpi {
 void Runtime::strobePhaseTree(Phase p, std::uint64_t seq) {
   tree_phase_ = p;
   tree_phase_open_ = true;
-  std::vector<int> ss_nodes;
-  ss_nodes.reserve(static_cast<std::size_t>(sstree_.rackCount()));
+  // Reused scratch: the strobe reads its destination set during the call
+  // only, so a warm tree slice allocates nothing for it.
+  std::vector<int>& ss_nodes = strobe_dests_;
+  ss_nodes.clear();
   for (int r = 0; r < sstree_.rackCount(); ++r) {
     if (sstree_.members(r).empty()) continue;
     const int ss = sstree_.ss(r);
@@ -79,9 +81,9 @@ void Runtime::onRackStrobe(int rack, Phase p, std::uint64_t seq) {
   const int ss = sstree_.ss(rack);
   if (nodeEvicted(ss)) return;  // strobe raced an eviction
   // A strobe reaching the rack SS is proof of root life.
-  ctl_.last_strobe[ss] = cluster_.engine().now();
-  if (!ctl_.watchdog_armed[ss]) {
-    armWatchdogAt(ss, ctl_.last_strobe[ss] + watchdogTimeout());
+  ctl_->last_strobe[ss] = cluster_.engine().now();
+  if (!ctl_->watchdog_armed[ss]) {
+    armWatchdogAt(ss, ctl_->last_strobe[ss] + watchdogTimeout());
   }
   TreeRackState& rk = tree_racks_[static_cast<std::size_t>(rack)];
   if (seq < rk.seq) return;  // stale duplicate from an abandoned recovery
@@ -92,8 +94,8 @@ void Runtime::onRackStrobe(int rack, Phase p, std::uint64_t seq) {
     return;
   }
   rk.seq = seq;
-  std::vector<int> dests;
-  dests.reserve(members.size());
+  std::vector<int>& dests = relay_dests_;  // read during the relay call only
+  dests.clear();
   for (int m : members) {
     if (m != ss) dests.push_back(m);
   }
@@ -129,12 +131,13 @@ void Runtime::rackFanout(int rack, Phase p, std::uint64_t seq) {
   int inited = 0;
   int pending = 0;
   bool any_drain = false;
+  NodeControl& c = *ctl_;
   for (int m : members) {
-    if (ctl_.phase_seq[m] >= seq) {
+    if (c.phase_seq[m] >= seq) {
       // Already in (or past) this phase — a recovery re-strobe re-enters
       // here with members that hold tokens from the original strobe; they
       // stay pending until their ops drain.
-      if (ctl_.phase_seq[m] == seq && ctl_.outstanding[m] > 0) ++pending;
+      if (c.phase_seq[m] == seq && c.outstanding[m] > 0) ++pending;
       continue;
     }
     if (cluster_.faults()->nodeDown(m, now)) {
@@ -142,8 +145,8 @@ void Runtime::rackFanout(int rack, Phase p, std::uint64_t seq) {
       // it and heartbeat eviction (or a rejoin) repairs it later.
       continue;
     }
-    ctl_.last_strobe[m] = now;
-    if (!ctl_.watchdog_armed[m]) armWatchdogAt(m, now + watchdogTimeout());
+    c.last_strobe[m] = now;
+    if (!c.watchdog_armed[m]) armWatchdogAt(m, now + watchdogTimeout());
     if (nodeIdle(nodeState(m), p)) {
       // Idle fast path: the member observes the strobe (sequence number
       // and watchdog above) but holds no completion tokens — there is no
@@ -154,10 +157,10 @@ void Runtime::rackFanout(int rack, Phase p, std::uint64_t seq) {
       // microphase.  Its host cost is still O(members): this loop visits
       // every member, and the relay multicast updated every member's
       // ingress (ROADMAP lists the measured profile).
-      ctl_.phase_seq[m] = seq;
-      ctl_.outstanding[m] = 0;
-      ctl_.tree_floor[m] = false;
-      ctl_.tree_drain[m] = false;
+      c.phase_seq[m] = seq;
+      c.outstanding[m] = 0;
+      c.tree_floor[m] = false;
+      c.tree_drain[m] = false;
       continue;
     }
     max_busy = std::max(max_busy, treeInitMember(m, p, seq));
@@ -193,17 +196,17 @@ void Runtime::rackFanout(int rack, Phase p, std::uint64_t seq) {
 
 Duration Runtime::treeInitMember(int node, Phase p, std::uint64_t seq) {
   NodeState& ns = nodeState(node);
-  ctl_.phase_seq[node] = seq;
-  ctl_.outstanding[node] = 0;
+  ctl_->phase_seq[node] = seq;
+  ctl_->outstanding[node] = 0;
   // The NIC-thread floor token, released by the rack-shared floor event.
   opStarted(node);
-  ctl_.tree_floor[node] = true;
+  ctl_->tree_floor[node] = true;
   switch (p) {
     case Phase::kDem: {
       wakeAtSliceStart(node);
       // FIFO-drain token, released by the rack-shared drain event.
       opStarted(node);
-      ctl_.tree_drain[node] = true;
+      ctl_->tree_drain[node] = true;
       return config_.dem_floor;
     }
     case Phase::kMsm: {
@@ -241,18 +244,20 @@ Duration Runtime::treeInitMember(int node, Phase p, std::uint64_t seq) {
 }
 
 void Runtime::treeReleaseFloor(int rack, std::uint64_t seq) {
+  NodeControl& c = *ctl_;
   for (int m : sstree_.members(rack)) {
-    if (ctl_.tree_floor[m] && ctl_.phase_seq[m] == seq) {
-      ctl_.tree_floor[m] = false;
+    if (c.tree_floor[m] && c.phase_seq[m] == seq) {
+      c.tree_floor[m] = false;
       opFinished(m);
     }
   }
 }
 
 void Runtime::treeDrain(int rack, std::uint64_t seq) {
+  NodeControl& c = *ctl_;
   for (int m : sstree_.members(rack)) {
-    if (ctl_.tree_drain[m] && ctl_.phase_seq[m] == seq) {
-      ctl_.tree_drain[m] = false;
+    if (c.tree_drain[m] && c.phase_seq[m] == seq) {
+      c.tree_drain[m] = false;
       drainDescriptorFifos(m);
       opFinished(m);
     }
@@ -267,7 +272,7 @@ void Runtime::treeMemberDone(int node) {
   if (nodeEvicted(node)) return;
   const int rack = sstree_.rackOf(node);
   TreeRackState& rk = tree_racks_[static_cast<std::size_t>(rack)];
-  if (ctl_.phase_seq[node] != rk.seq) return;  // stale completion
+  if (ctl_->phase_seq[node] != rk.seq) return;  // stale completion
   if (rk.pending > 0 && --rk.pending == 0 && rk.acked_seq < rk.seq) {
     sendRackAck(rack, rk.seq);
   }
@@ -481,8 +486,9 @@ void Runtime::treeHandleEviction(int node) {
   // Whether the dead member was gating the current microphase must be read
   // BEFORE the membership edit (its NodeState is scrubbed later, at the
   // boundary, but the pending count is rack bookkeeping).
-  const bool counted = rk.seq == phase_seq_ && ctl_.phase_seq[node] == rk.seq &&
-                       ctl_.outstanding[node] > 0;
+  const bool counted = rk.seq == phase_seq_ &&
+                       ctl_->phase_seq[node] == rk.seq &&
+                       ctl_->outstanding[node] > 0;
   const storm::SsTree::EvictResult ev = sstree_.evict(node);
   if (!ev.removed) return;
   if (counted && rk.pending > 0) --rk.pending;
@@ -577,7 +583,7 @@ void Runtime::treeAudit(verify::Verifier& v, SimTime now) {
         std::to_string(rk.acked_seq) + ", " + std::to_string(rk.pending) +
         " member(s) pending";
     for (int m : members) {
-      if (ctl_.outstanding[m] > 0) detail += " n" + std::to_string(m);
+      if (ctl_->outstanding[m] > 0) detail += " n" + std::to_string(m);
     }
     detail += ")";
     v.addFinding(verify::Category::kLeakedAck, now, slice_index_,

@@ -45,6 +45,7 @@
 #include "sim/slots.hpp"
 #include "sim/time.hpp"
 #include "sim/trace.hpp"
+#include "sim/write_back.hpp"
 
 namespace bcs::net {
 
@@ -78,6 +79,10 @@ struct FabricStats {
 /// free-times it left behind, as offsets from that instant.  Applying it at
 /// another quiet instant reproduces the stretch's effect on the fabric.
 struct FabricDelta {
+  /// deltaSince's serial number: a replay of the same delta only moves
+  /// the base of the last one's pending free-times.  A delta not made by
+  /// deltaSince keeps 0, and its runs are copied at every replay.
+  std::uint64_t id = 0;
   FabricStats stats;
   /// Nodes first..first+count-1 whose free-time on one side moved to one
   /// offset, as a multicast's destinations do.
@@ -177,11 +182,13 @@ class Fabric {
   /// Fills `m` with the current state, reusing its capacity.
   void mark(Mark& m) const {
     m.stats = stats_;
-    m.endpoints = endpoints_;
+    m.endpoints = *endpoints_;
   }
   /// What changed since `m`, free-times as offsets from `base`.
-  FabricDelta deltaSince(const Mark& m, SimTime base) const;
-  /// Replays `d` at `base`: adds its counters and sets its free-times.
+  FabricDelta deltaSince(const Mark& m, SimTime base);
+  /// Replays `d` at `base`: adds its counters and raises quiet()'s running
+  /// maximum now, and defers its free-times until the endpoints are next
+  /// used (sim/write_back.hpp), so a replay is O(1) in nodes.
   void apply(const FabricDelta& d, SimTime base);
 
   /// Attaches (or detaches, with nullptr) a fault injector.  Not owned; must
@@ -229,14 +236,28 @@ class Fabric {
     busy_until_ = std::max(busy_until_, at);
   }
 
+  /// A replayed delta's free-times, waiting for the next use of the
+  /// endpoints: its runs, copied once per delta, set at `base`.
+  struct FreeTimes {
+    std::uint64_t delta = 0;  ///< FabricDelta::id the runs came from
+    std::vector<FabricDelta::Busy> runs;
+    Duration latest = 0;  ///< the largest run offset
+    SimTime base = 0;
+    void operator()(std::vector<Endpoint>& endpoints) const;
+  };
+
   sim::Engine& engine_;
   NetworkParams params_;
   int num_nodes_;
   FatTree tree_;
-  std::vector<Endpoint> endpoints_;
+  /// Reached only through the write-back's accessors, which apply a
+  /// replay's pending free-times first.
+  sim::WriteBack<std::vector<Endpoint>, FreeTimes> endpoints_;
   /// The latest endpoint free-time.  Every write moves a free-time forward
   /// (replays apply theirs at a quiet instant), so this is their maximum.
+  /// A replay raises it at once, not when its free-times land.
   SimTime busy_until_ = 0;
+  std::uint64_t deltas_ = 0;  ///< deltaSince calls so far
   sim::Trace* trace_;
   sim::FaultInjector* fault_ = nullptr;
   FabricStats stats_;

@@ -3,25 +3,25 @@
 // Recycled storage for per-message state.
 //
 // A message in flight keeps its state (an Xfer-And-Signal request, a
-// descriptor on the wire, an eager payload) in a slot of a Slots<T>
-// instead of a fresh heap block.  The callbacks that need it hold a Ref: the
-// slot's address and the pool's, 16 bytes, so a callback capturing one
-// still fits the 40-byte inline slot of sim::InlineFunction.  When the last
-// Ref to a slot goes (its callback ran, or was dropped unrun: a transfer
-// lost with no failure callback, an event discarded when its engine dies)
-// the slot's value is cleared and the slot is free again.  Slots keep their
-// storage, so a warm pool allocates nothing.  They are made in chunks that
-// double up to kMaxChunk: a pool holds at most one chunk more than its
-// peak, an unused one holds nothing, and a large one is a few blocks, not
-// one per slot.
+// descriptor on the wire, an eager or collective payload) in a slot of a
+// Slots<T> instead of a fresh heap block.  The callbacks that need it hold
+// a Ref: the slot's address and the pool's, 16 bytes, so a callback
+// capturing one still fits the 40-byte inline slot of sim::InlineFunction.
+// When the last Ref to a slot goes (its callback ran, or was dropped unrun:
+// a transfer lost with no failure callback, an event discarded when its
+// engine dies) the slot's value is cleared and the slot is free again.
+// Slots keep their storage, so a warm pool allocates nothing.  They are
+// made in chunks that double up to kMaxChunk: a pool holds at most one
+// chunk more than its peak, an unused one holds nothing, and a large one
+// is a few blocks, not one per slot.
 //
 // Clearing calls T::clear() when T has one (a vector keeps its capacity
 // that way), and otherwise assigns T{}.
 //
 // Lifetime: Refs may outlive the Slots that made them (engine events still
 // queued when their owner dies).  The pool's state is then orphaned, not
-// freed, and the last Ref frees it, as sim::PayloadPool does with its
-// buffers.  Single-threaded, like the engine that drives it.
+// freed, and the last Ref frees it.  Single-threaded, like the engine that
+// drives it.
 
 #include <algorithm>
 #include <cstddef>

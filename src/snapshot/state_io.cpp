@@ -177,7 +177,7 @@ void StateIO::fields(Ar& a, bcsmpi::Runtime& rt, const BufferRegistry& reg) {
     });
     a.list(ns.wake_list);
     a.list(ns.probe_waiters);
-    auto& c = rt.ctl_;
+    auto& c = *rt.ctl_;
     a(c.phase_seq[node], c.outstanding[node], c.tree_floor[node],
       c.tree_drain[node], c.last_strobe[node], c.watchdog_armed[node],
       c.watchdog_at[node]);
@@ -278,7 +278,7 @@ void StateIO::sections(Simulation& sim, Section&& section) {
   });
   section("fabric", [&](Ar& a) {
     net::Fabric& f = sim.cluster->fabric();
-    a.sameSize(f.endpoints_, "endpoint", [&](auto& ep) {
+    a.sameSize(*f.endpoints_, "endpoint", [&](auto& ep) {
       a(ep.egress_free, ep.ingress_free);
       if constexpr (Ar::kLoading) {  // keeps the fabric's running maximum
         f.setFree(ep.egress_free, ep.egress_free);
@@ -354,9 +354,9 @@ void StateIO::restoreAll(Simulation& sim, const SnapshotReader& r) {
   // at the earliest deadline.  A deadline on a slice boundary still fires
   // before that boundary's startSlice, whose key the continuation draws.
   for (int n : rt.all_compute_nodes_) {
-    if (!rt.ctl_.watchdog_armed[n]) continue;
-    rt.ctl_.watchdog_armed[n] = false;
-    rt.armWatchdogAt(n, rt.ctl_.watchdog_at[n]);
+    if (!rt.ctl_->watchdog_armed[n]) continue;
+    rt.ctl_->watchdog_armed[n] = false;
+    rt.armWatchdogAt(n, rt.ctl_->watchdog_at[n]);
   }
 
   // STORM heartbeat chain: the pending inspection first, then the next

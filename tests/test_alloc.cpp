@@ -15,11 +15,11 @@
 //     crash, also for messages whose callbacks were dropped unrun;
 //   * the idle steady state of the strobe-sender tree (every member
 //     computing, nothing to match or move), simulated slice by slice, stays
-//     within 4 allocations per rack per microphase: the relay's destination
-//     set and the ack's shared request, plus the root's share;
+//     within 4 allocations per rack per microphase;
 //   * a replayed quiescent slice (DESIGN.md §5b) allocates nothing, flat or
-//     tree, and so does a simulated flat one once warm: its microstrobes,
-//     Compare-And-Write polls and NIC timers run in recycled storage;
+//     tree, and neither does a simulated one once warm: its microstrobes,
+//     relays, Compare-And-Write polls, acks and NIC timers run in recycled
+//     storage;
 //   * a warmed-up EventRun (the flat runtime's per-node NIC timers) files
 //     and fires a microphase's 31 same-instant members without allocating.
 
@@ -477,26 +477,24 @@ TEST(AllocBudget, IdleTreeSlicesStayWithinFourPerRackPerMicrophase) {
   EXPECT_LE(per_rack_microphase, 4.0);
 }
 
-TEST(AllocBudget, SimulatedFlatSlicesAllocateNothing) {
-  // The flat control plane simulated slice by slice (a no-op event 1 ns
-  // into every slice makes the replay decline): microstrobes to the live
-  // set, Compare-And-Write polls, the NIC timers and the idle phases.
-  constexpr int kNodes = 32;
-  net::Cluster cluster(computeNodes(kNodes));
+/// Simulates the idle job slice by slice (a no-op event 1 ns into every
+/// slice makes the replay decline) and expects no allocation in the slices
+/// after a warm-up: bring-up, then enough slices for every engine bucket,
+/// event run, conditional round, leg and request slot to have reached its
+/// capacity.  The measured slices end before the ranks' computes do.
+void expectSimulatedSlicesAllocateNothing(int nodes, int fanout) {
+  net::Cluster cluster(computeNodes(nodes));
   std::vector<std::uint64_t> allocs;
   std::vector<sim::SimTime> at;
   allocs.reserve(1024);
   at.reserve(1024);
-  auto runtime = launchIdleJob(cluster, kNodes, 0, [&](std::uint64_t) {
+  auto runtime = launchIdleJob(cluster, nodes, fanout, [&](std::uint64_t) {
     allocs.push_back(allocations());
     at.push_back(cluster.engine().now());
     cluster.engine().after(1, [] {});
   });
   cluster.run();
   EXPECT_TRUE(cluster.allProcessesFinished());
-  // Warm-up: bring-up, then enough slices for every engine bucket, event
-  // run, conditional round and leg slot to have reached its capacity.  The
-  // measured slices end before the ranks' computes do.
   constexpr std::size_t kWarmup = 400;
   std::size_t slices = 0;
   std::uint64_t measured = 0;
@@ -505,8 +503,22 @@ TEST(AllocBudget, SimulatedFlatSlicesAllocateNothing) {
     ++slices;
     measured += allocs[i + 1] - allocs[i];
   }
-  EXPECT_GE(slices, 150u);
-  EXPECT_EQ(measured, 0u) << "over " << slices << " slices";
+  EXPECT_GE(slices, 150u) << "fanout " << fanout;
+  EXPECT_EQ(measured, 0u) << "over " << slices << " slices, fanout "
+                          << fanout;
+}
+
+TEST(AllocBudget, SimulatedFlatSlicesAllocateNothing) {
+  // Microstrobes to the live set, Compare-And-Write polls, the NIC timers
+  // and the idle phases.
+  expectSimulatedSlicesAllocateNothing(32, 0);
+}
+
+TEST(AllocBudget, SimulatedTreeSlicesAllocateNothing) {
+  // The root's strobes to the rack Strobe Senders, their relays to the
+  // members (destination sets rebuilt in reused vectors), the idle
+  // fan-outs and the coalesced acks.
+  expectSimulatedSlicesAllocateNothing(256, 16);
 }
 
 /// Replayed slices before the next-slice entries they file have reached

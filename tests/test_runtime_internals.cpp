@@ -21,6 +21,7 @@
 #include "snapshot/checkpoint.hpp"
 #include "snapshot/format.hpp"
 #include "snapshot/scenario.hpp"
+#include "snapshot/state_io.hpp"
 
 namespace {
 
@@ -294,6 +295,10 @@ struct ReplayScenario {
   sim::SimTime until = INT64_MAX;
   /// Runs after the job's launch, before the engine starts.
   std::function<void(net::Cluster&, bcsmpi::Runtime&)> extra;
+  /// When set, run() first stops at `pause`, this runs outside the engine,
+  /// and run() goes on.
+  std::function<void(net::Cluster&, bcsmpi::Runtime&)> at_pause;
+  sim::SimTime pause = 0;
 };
 
 /// Records one slice boundary; in the declining run, also files the no-op
@@ -325,6 +330,10 @@ ReplayRun runReplayScenario(const ReplayScenario& sc, bool decline) {
       },
       &out.finish);
   if (sc.extra) sc.extra(cluster, *runtime);
+  if (sc.at_pause) {
+    cluster.run(sc.pause);
+    sc.at_pause(cluster, *runtime);
+  }
   cluster.run(sc.until);
   EXPECT_TRUE(cluster.allProcessesFinished());
   return out;
@@ -933,35 +942,83 @@ TEST(FlatLoop, EventAtAPollIssueInstantMatches) {
   expectFlatLoopExact(sc);
 }
 
-/// Runs a checkpointable scenario untraced to `until` with a snapshot at
-/// every boundary.  An extra detached rank that never posts anything keeps
-/// the strobe going once the ring is done, so the tail is quiescent.
+// ---------------------------------------------------------------------------
+// The checkpointable detached scenarios, captured.  An extra detached rank
+// that never posts anything keeps the strobe going once the ring is done,
+// so the tail is quiescent.  Its slices start at 200 us + k * 500 us.
+// ---------------------------------------------------------------------------
+
 struct CapturedRun {
   ReplayRun run;
   std::vector<std::vector<std::uint8_t>> blobs;
 };
 
-CapturedRun captureEverySlice(snapshot::ScenarioSpec spec, bool decline,
-                              sim::SimTime until) {
+struct CapturePlan {
+  int every = 1;  ///< the sink captures at every `every`-th boundary
+  sim::SimTime until = msec(25);
+  /// When set, run() first stops at `pause`, this runs outside the engine,
+  /// and run() goes on to `until`.
+  std::function<void(snapshot::Simulation&, CapturedRun&)> at_pause;
+  sim::SimTime pause = 0;
+};
+
+/// Slice boundary k of the detached scenarios.
+sim::SimTime detachedBoundary(int k) { return usec(200) + k * usec(500); }
+
+/// Installs the periodic sink: it records every boundary (filing the no-op
+/// that declines the replay when `decline`) and captures at every
+/// `every`-th one.
+void watchBoundaries(snapshot::Simulation& sim, CapturedRun& out,
+                     bool decline, int every) {
+  sim.runtime->setSnapshotSink(
+      [&sim, &out, decline, every](std::uint64_t slice) {
+        if (slice % static_cast<std::uint64_t>(every) == 0) {
+          out.blobs.push_back(snapshot::capture(sim));
+        }
+        atBoundary(out.run, *sim.cluster, *sim.runtime, decline);
+      });
+}
+
+snapshot::ScenarioSpec untracedEverySlice(snapshot::ScenarioSpec spec) {
   spec.trace = false;
   spec.mpi.checkpoint_every_slices = 1;
-  snapshot::Simulation sim = snapshot::build(spec);
+  return spec;
+}
+
+CapturedRun captureRun(const snapshot::ScenarioSpec& spec, bool decline,
+                       const CapturePlan& plan = {}) {
+  snapshot::Simulation sim = snapshot::build(untracedEverySlice(spec));
   sim.runtime->registerDetachedRank(sim.runtime->createJob({0}), 0);
   CapturedRun out;
-  sim.runtime->setSnapshotSink([&](std::uint64_t) {
-    out.blobs.push_back(snapshot::capture(sim));
-    atBoundary(out.run, *sim.cluster, *sim.runtime, decline);
-  });
-  sim.cluster->run(until);
+  watchBoundaries(sim, out, decline, plan.every);
+  if (plan.at_pause) {
+    sim.cluster->run(plan.pause);
+    plan.at_pause(sim, out);
+  }
+  sim.cluster->run(plan.until);
   EXPECT_TRUE(sim.workload->allFinished());
   return out;
 }
 
-void expectSnapshotsMatchExceptTheEngine(const snapshot::ScenarioSpec& spec) {
-  const CapturedRun a = captureEverySlice(spec, false, msec(25));
-  const CapturedRun b = captureEverySlice(spec, true, msec(25));
-  expectSameBoundaries(a.run, b.run);
-  EXPECT_GT(oneEventSlices(a.run), 10u);
+/// snapshot::restore for a blob of captureRun: the same bare build, the
+/// extra rank's job, then the blob's state.
+snapshot::Simulation restoreCaptured(const snapshot::ScenarioSpec& spec,
+                                     const std::vector<std::uint8_t>& blob) {
+  snapshot::Simulation sim;
+  sim.spec = untracedEverySlice(spec);
+  sim.cluster = std::make_unique<net::Cluster>(sim.spec.cluster);
+  sim.runtime = std::make_unique<bcsmpi::Runtime>(*sim.cluster, sim.spec.mpi);
+  sim.job = sim.runtime->createJob(sim.spec.ring.node_of_rank);
+  sim.registry = std::make_unique<snapshot::BufferRegistry>();
+  sim.workload = std::make_unique<snapshot::DetachedRing>(
+      *sim.runtime, sim.job, sim.spec.ring, *sim.registry);
+  sim.runtime->createJob({0});
+  snapshot::StateIO::restoreAll(sim, snapshot::SnapshotReader(blob));
+  return sim;
+}
+
+void expectBlobsMatchExceptTheEngine(const CapturedRun& a,
+                                     const CapturedRun& b) {
   ASSERT_EQ(a.blobs.size(), b.blobs.size());
   for (std::size_t i = 0; i < a.blobs.size(); ++i) {
     const snapshot::SnapshotReader x(a.blobs[i]);
@@ -975,12 +1032,234 @@ void expectSnapshotsMatchExceptTheEngine(const snapshot::ScenarioSpec& spec) {
   }
 }
 
+void expectSnapshotsMatchExceptTheEngine(const snapshot::ScenarioSpec& spec) {
+  const CapturedRun a = captureRun(spec, false);
+  const CapturedRun b = captureRun(spec, true);
+  expectSameBoundaries(a.run, b.run);
+  EXPECT_GT(oneEventSlices(a.run), 10u);
+  expectBlobsMatchExceptTheEngine(a, b);
+}
+
 TEST(SliceReplay, DetachedRingSnapshotsMatchExceptTheEngine) {
   expectSnapshotsMatchExceptTheEngine(snapshot::ckptRing());
 }
 
 TEST(SliceReplay, DetachedTreeSnapshotsMatchExceptTheEngine) {
   expectSnapshotsMatchExceptTheEngine(snapshot::ckptTree());
+}
+
+// ---------------------------------------------------------------------------
+// Write-back (DESIGN.md §5b): a replayed slice's stores to the control
+// arrays and endpoint free-times wait for their first reader, and the next
+// replay replaces them.  Each case puts a reader right after a streak of
+// replayed slices and compares with the declined run, whose stores all
+// landed as its slices ran.  The ring is done by slice 26 of the detached
+// scenarios and the tree by slice 31; from there on every slice replays.
+// ---------------------------------------------------------------------------
+
+using DetachedScenario = snapshot::ScenarioSpec (*)(bool);
+constexpr std::array<DetachedScenario, 2> kDetached = {&snapshot::ckptRing,
+                                                       &snapshot::ckptTree};
+
+/// Slices before boundary `i` of `run` that ran at most their successor's
+/// startSlice and the watchdog timer, back to the last that ran more.
+std::size_t replayedBefore(const ReplayRun& run, std::size_t i) {
+  std::size_t k = 0;
+  while (k < i && run.events[i - k] - run.events[i - k - 1] <= 2) ++k;
+  return k;
+}
+
+TEST(SliceReplay, CapturesAfterAStreakMatch) {
+  // The sink captures every 5th slice, so in the tail each capture reads
+  // the stores of the four replays before it, still pending.
+  for (const DetachedScenario scenario : kDetached) {
+    const snapshot::ScenarioSpec spec = scenario(false);
+    CapturePlan plan;
+    plan.every = 5;
+    plan.until = msec(40);
+    const CapturedRun a = captureRun(spec, false, plan);
+    const CapturedRun b = captureRun(spec, true, plan);
+    expectSameBoundaries(a.run, b.run);
+    expectBlobsMatchExceptTheEngine(a, b);
+    std::size_t after_streak = 0;
+    for (std::size_t i = 0; i < a.run.boundaries.size(); ++i) {
+      if (a.run.boundaries[i].slice % 5 == 0 && replayedBefore(a.run, i) >= 4) {
+        ++after_streak;
+      }
+    }
+    EXPECT_GE(after_streak, 8u) << spec.mpi.tree_fanout;
+  }
+}
+
+TEST(SliceReplay, OutsideCaptureAndEventsInsideAStreakMatch) {
+  // run() stops between slices 36 and 37, at least five slices into the
+  // streak: a capture there, from outside the engine, reads the pending
+  // stores.  It also files a capture between slices 40 and 41 and a no-op
+  // 50 us into slice 44, which declines that slice, so a simulated slice
+  // reads the stores of the three replays before it.
+  for (const DetachedScenario scenario : kDetached) {
+    const snapshot::ScenarioSpec spec = scenario(false);
+    CapturePlan plan;
+    plan.every = 1000;  // no sink capture: nothing lands the stores early
+    plan.until = msec(40);
+    plan.pause = detachedBoundary(36) + usec(350);
+    plan.at_pause = [](snapshot::Simulation& sim, CapturedRun& out) {
+      out.blobs.push_back(snapshot::capture(sim));
+      sim::Engine& engine = sim.cluster->engine();
+      engine.at(detachedBoundary(40) + usec(350), [&sim, &out] {
+        out.blobs.push_back(snapshot::capture(sim));
+      });
+      engine.at(detachedBoundary(44) + usec(50), [] {});
+    };
+    const CapturedRun a = captureRun(spec, false, plan);
+    const CapturedRun b = captureRun(spec, true, plan);
+    expectSameBoundaries(a.run, b.run);
+    ASSERT_EQ(a.blobs.size(), 2u);
+    expectBlobsMatchExceptTheEngine(a, b);
+    // The premise: a streak before each reader.
+    for (const int k : {36, 40, 43}) {
+      std::size_t i = 0;
+      while (i < a.run.boundaries.size() &&
+             a.run.boundaries[i].at < detachedBoundary(k)) {
+        ++i;
+      }
+      ASSERT_LT(i, a.run.boundaries.size());
+      EXPECT_GE(replayedBefore(a.run, i), 3u)
+          << "slice " << k << ", fanout " << spec.mpi.tree_fanout;
+      if (k == 43) {
+        ASSERT_LT(i + 2, a.run.events.size());
+        EXPECT_GT(a.run.events[i + 2] - a.run.events[i + 1], 2u)
+            << "slice 44, fanout " << spec.mpi.tree_fanout;
+      }
+    }
+  }
+}
+
+TEST(SliceReplay, RestoreFromInsideAStreakContinuesIdentically) {
+  // The blob of slice 45 is taken with four replays' stores pending.  Runs
+  // restored from it, and from the declined run's blob of the same slice,
+  // go on to the same boundaries and the same later blobs.
+  for (const DetachedScenario scenario : kDetached) {
+    const snapshot::ScenarioSpec spec = scenario(false);
+    CapturePlan plan;
+    plan.every = 5;
+    plan.until = msec(40);
+    const CapturedRun a = captureRun(spec, false, plan);
+    const CapturedRun b = captureRun(spec, true, plan);
+    constexpr std::size_t kBlob = 45 / 5 - 1;  // slices 5, 10, ..., 45
+    ASSERT_GT(a.blobs.size(), kBlob);
+    ASSERT_GT(b.blobs.size(), kBlob);
+    std::size_t at = 0;
+    while (a.run.boundaries[at].slice != 45) ++at;
+    EXPECT_GE(replayedBefore(a.run, at), 4u) << spec.mpi.tree_fanout;
+    std::array<CapturedRun, 2> restored;
+    for (const bool decline : {false, true}) {
+      CapturedRun& out = restored[decline ? 1 : 0];
+      snapshot::Simulation sim = restoreCaptured(
+          spec, (decline ? b : a).blobs[kBlob]);
+      watchBoundaries(sim, out, decline, 5);
+      sim.cluster->run(plan.until);
+    }
+    expectSameBoundaries(restored[0].run, restored[1].run);
+    EXPECT_GT(restored[0].blobs.size(), 3u);
+    expectBlobsMatchExceptTheEngine(restored[0], restored[1]);
+    EXPECT_GT(oneEventSlices(restored[0].run), 10u);
+  }
+}
+
+TEST(SliceReplay, HangAfterAStreakMatches) {
+  // Node 5 hangs 30 us into slice 49, after 22 replayed slices, for 600
+  // us: across the watchdog instant at slice 50's boundary, where the
+  // pass finds it down and the fault path disarms it, and across the rest
+  // of the declined slice, which skips it (tree) or stalls until it is
+  // back (flat).
+  for (const DetachedScenario scenario : kDetached) {
+    snapshot::ScenarioSpec spec = scenario(false);
+    spec.cluster.faults.hangNode(5, detachedBoundary(49) + usec(30),
+                                 usec(600));
+    CapturePlan plan;
+    plan.every = 5;
+    plan.until = msec(40);
+    const CapturedRun a = captureRun(spec, false, plan);
+    const CapturedRun b = captureRun(spec, true, plan);
+    expectSameBoundaries(a.run, b.run);
+    expectBlobsMatchExceptTheEngine(a, b);
+    std::size_t hung = 0;
+    while (a.run.boundaries[hung].slice != 49) ++hung;
+    EXPECT_GE(replayedBefore(a.run, hung), 15u) << spec.mpi.tree_fanout;
+    EXPECT_GT(a.run.events[hung + 1] - a.run.events[hung], 2u);
+    EXPECT_GT(oneEventSlices(a.run), 30u) << spec.mpi.tree_fanout;
+  }
+}
+
+TEST(SliceReplay, EvictionAndRejoinInsideAStreakMatch) {
+  // Node 5 is declared dead between slices 40 and 41, four replays after
+  // the watchdog pass at slice 36's boundary, and rejoins between slices
+  // 50 and 51: the eviction drops the template while its stores are
+  // pending, so they must land first, and the recovery and the rejoin
+  // reset the node's fields after them.
+  for (const DetachedScenario scenario : kDetached) {
+    const snapshot::ScenarioSpec spec = scenario(false);
+    CapturePlan plan;
+    plan.every = 5;
+    plan.until = msec(40);
+    plan.pause = detachedBoundary(30);
+    plan.at_pause = [](snapshot::Simulation& sim, CapturedRun&) {
+      bcsmpi::Runtime* rt = sim.runtime.get();
+      sim.cluster->engine().at(detachedBoundary(40) + usec(350),
+                               [rt] { rt->notifyNodeFailure(5); });
+      sim.cluster->engine().at(detachedBoundary(50) + usec(350),
+                               [rt] { rt->notifyNodeRejoin(5); });
+    };
+    const CapturedRun a = captureRun(spec, false, plan);
+    const CapturedRun b = captureRun(spec, true, plan);
+    expectSameBoundaries(a.run, b.run);
+    expectBlobsMatchExceptTheEngine(a, b);
+    ASSERT_FALSE(a.run.boundaries.empty());
+    EXPECT_EQ(a.run.boundaries.back().runtime.evictions, 1u);
+    EXPECT_EQ(a.run.boundaries.back().runtime.rejoins, 1u);
+    std::size_t i = 0;
+    while (a.run.boundaries[i].slice != 40) ++i;
+    EXPECT_GE(replayedBefore(a.run, i), 4u) << spec.mpi.tree_fanout;
+    EXPECT_GT(oneEventSlices(a.run), 30u) << spec.mpi.tree_fanout;
+  }
+}
+
+TEST(SliceReplay, TreeSparseJobPausedInsideAStreakMatches) {
+  // run() stops between two replayed slices of the 256-node tree job; a
+  // no-op filed then, 50 us into a slice eight slices on, declines it, so
+  // that slice's member walks read the stores of seven replays.
+  ReplayScenario sc = sparseScenario(256, 1, msec(40));
+  sc.mpi.tree_fanout = 16;
+  sc.pause = sliceStart(30) + usec(350);
+  sc.at_pause = [](net::Cluster& cluster, bcsmpi::Runtime&) {
+    cluster.engine().at(sliceStart(38) + usec(50), [] {});
+  };
+  const ReplayRun run = expectReplayExact(sc);
+  std::size_t i = 0;
+  while (run.boundaries[i].at < sliceStart(38)) ++i;
+  EXPECT_GE(replayedBefore(run, i), 7u);
+  EXPECT_GT(run.events[i + 1] - run.events[i], 2u);
+}
+
+TEST(SliceReplay, TreeSparseJobHangAfterAStreakMatches) {
+  // Member 37 (rack 2, whose Strobe Sender is node 32) hangs for 3.6 ms,
+  // more than the 7 slices between watchdog instants, after a streak of
+  // replayed slices: one pass finds it down and disarms it, and the
+  // declined slices skip it until it is back.
+  ReplayScenario sc = sparseScenario(256, 1, msec(40));
+  sc.mpi.tree_fanout = 16;
+  sc.cluster.faults.hangNode(37, sliceStart(40) + usec(30), usec(3600));
+  const ReplayRun run = expectReplayExact(sc);
+  std::size_t i = 0;
+  while (run.boundaries[i].at < sliceStart(40)) ++i;
+  EXPECT_GE(replayedBefore(run, i), 20u);
+  EXPECT_GT(run.events[i + 1] - run.events[i], 2u);
+  // Once it is back and re-armed, the streak resumes (its first check,
+  // off the slice grid, declines one slice).
+  std::size_t back = i;
+  while (run.boundaries[back].at < sliceStart(50)) ++back;
+  EXPECT_GE(replayedBefore(run, back + 20), 10u);
 }
 
 }  // namespace

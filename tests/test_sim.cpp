@@ -22,7 +22,6 @@
 #include "sim/event_run.hpp"
 #include "sim/fiber.hpp"
 #include "sim/noise.hpp"
-#include "sim/pool.hpp"
 #include "sim/process.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
@@ -1687,25 +1686,25 @@ TEST(Arena, ExhaustionGrowsChunkTable) {
   EXPECT_GE(eng.poolSlots(), static_cast<std::uint32_t>(kLive));
 }
 
-TEST(Arena, PayloadPoolRecyclesBuffers) {
-  PayloadPool pool;
-  auto buf = pool.acquire(512);
-  std::vector<std::byte>* raw = buf.get();
-  buf.reset();  // released to the freelist
-  EXPECT_EQ(pool.spareBuffers(), 1u);
-  auto again = pool.acquire(64);
-  EXPECT_EQ(again.get(), raw);  // same buffer back, capacity retained
-  EXPECT_GE(again->capacity(), 512u);
-  EXPECT_EQ(pool.spareBuffers(), 0u);
-}
-
-TEST(Arena, PayloadPoolCapsSpareBuffers) {
-  PayloadPool pool;
-  std::vector<PayloadPool::Ptr> held;
-  for (int i = 0; i < 200; ++i) held.push_back(pool.acquire(32));
-  held.clear();  // all release into the freelist: capped at kMaxSpare
-  EXPECT_LE(pool.spareBuffers(), PayloadPool::kMaxSpare);
-  EXPECT_GT(pool.spareBuffers(), 0u);
+TEST(Arena, SlotsHoldAtMostOneChunkBeyondTheirPeak) {
+  // Collective payloads burst: 200 buffers held at once, then all freed.
+  // The slots made for the burst stay (a second burst of the same size
+  // makes none), and their count exceeds the peak by less than one chunk.
+  Slots<std::vector<std::byte>> payloads;
+  std::vector<Slots<std::vector<std::byte>>::Ref> held;
+  for (int burst = 0; burst < 2; ++burst) {
+    for (int i = 0; i < 200; ++i) {
+      held.push_back(payloads.acquire());
+      held.back()->resize(32);
+    }
+    EXPECT_EQ(payloads.inUse(), 200u);
+    held.clear();
+    EXPECT_EQ(payloads.inUse(), 0u);
+    EXPECT_GE(payloads.capacity(), 200u);
+    EXPECT_LT(payloads.capacity(),
+              200u + Slots<std::vector<std::byte>>::kMaxChunk);
+  }
+  EXPECT_EQ(payloads.capacity(), 256u);  // chunks of 1, 1, 2, 4, ..., 64
 }
 
 TEST(Arena, SlotsRecycleAndClearTheirValues) {
@@ -1769,26 +1768,6 @@ TEST(Arena, SlotRefsOutlivingTheirPoolFreeItLast) {
   slots.reset();
   holders.reset();
   eng.reset();  // drops the rest unrun
-}
-
-TEST(Arena, PayloadPoolHandlesOutlivingPoolRecycleAndFree) {
-  // The audited post-mortem sequence from pool.hpp: handles that outlive
-  // the pool object keep the shared State alive, park their buffers in its
-  // orphaned freelist on release, and the last deleter frees everything
-  // when it drops the final State reference.  Runs under the sanitize
-  // preset (label: arena), so a leak or use-after-free in any step fails
-  // the build, not just this assertion list.
-  auto pool = std::make_unique<PayloadPool>();
-  auto a = pool->acquire(256);
-  auto b = pool->acquire(256);
-  auto c = pool->acquire(256);
-  EXPECT_EQ(pool->liveHandles(), 3u);
-  a.reset();  // released while the pool is alive: normal recycle
-  EXPECT_EQ(pool->liveHandles(), 2u);
-
-  pool.reset();  // the pool dies with two handles still outstanding
-  b.reset();     // parks in the orphaned State's freelist — no pool touched
-  c.reset();     // last handle: State and its parked buffers free here
 }
 
 }  // namespace
