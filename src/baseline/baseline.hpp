@@ -211,7 +211,6 @@ class World {
   void deliverEager(int dst_rank, int src_rank, int tag, Payload data);
   void deliverRts(int dst_rank, const PendingRts& rts);
   void issueCts(int dst_rank, const PendingRts& rts, const PostedRecv& recv);
-  void matchPosted(int dst_rank);
 
   net::Cluster& cluster_;
   BaselineConfig config_;

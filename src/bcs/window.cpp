@@ -36,11 +36,6 @@ const WindowRegion& WindowRegistry::resolve(std::uint64_t owner, int window,
   return region;
 }
 
-bool WindowRegistry::ownerHasWindows(std::uint64_t owner) const {
-  auto it = windows_.find(owner);
-  return it != windows_.end() && !it->second.empty();
-}
-
 void WindowRegistry::dropOwner(std::uint64_t owner) { windows_.erase(owner); }
 
 std::size_t WindowRegistry::totalWindows() const {

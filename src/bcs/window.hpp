@@ -39,9 +39,6 @@ class WindowRegistry {
   const WindowRegion& resolve(std::uint64_t owner, int window,
                               std::size_t offset, std::size_t bytes) const;
 
-  /// True iff `owner` has registered at least one window.
-  bool ownerHasWindows(std::uint64_t owner) const;
-
   /// Drops all windows registered by `owner` (rank finished or evicted).
   void dropOwner(std::uint64_t owner);
 

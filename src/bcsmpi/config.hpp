@@ -70,12 +70,6 @@ struct BcsMpiConfig {
   /// the MSM (bounds check + copy/add dispatch).
   Duration nic_rma_op_cost = sim::usec(0.4);
 
-  /// Coalesce all RMA ops bound for one destination node into a single
-  /// batch descriptor per slice (Carver et al., DESIGN.md §11).  Off = one
-  /// full descriptor_bytes exchange per op; epoch semantics are identical
-  /// either way, only the modeled wire cost changes.
-  bool rma_coalescing = true;
-
   /// BR cost to match one send/receive descriptor pair and build the
   /// matching descriptor.
   Duration nic_match_cost = sim::usec(0.8);

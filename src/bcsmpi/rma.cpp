@@ -212,7 +212,7 @@ void Runtime::drainRmaFifos(int node) {
                         config_.nic_desc_processing;
   if (work > 0) {
     opStarted(node);
-    op_timers_.after(work, node);
+    op_timers_.afterRange(work, node);
   }
 
   // Coalescing (Carver et al.): all ops bound for one destination node
@@ -231,72 +231,61 @@ void Runtime::drainRmaFifos(int node) {
   }
 
   for (auto& [dst_node, group] : by_dest) {
-    // Without coalescing every op pays the full descriptor header — the
-    // epoch semantics are identical, only the modeled wire cost changes.
-    std::vector<std::vector<RmaOpDescriptor>> batches;
-    if (config_.rma_coalescing) {
-      batches.push_back(std::move(group));
-    } else {
-      for (RmaOpDescriptor& op : group) {
-        batches.push_back({std::move(op)});
-      }
+    std::size_t bytes = config_.descriptor_bytes;
+    for (const RmaOpDescriptor& op : group) {
+      bytes += rmaOutboundBytes(config_, op);
     }
-    for (std::vector<RmaOpDescriptor>& b : batches) {
-      std::size_t bytes = config_.descriptor_bytes;
-      for (const RmaOpDescriptor& op : b) {
-        bytes += rmaOutboundBytes(config_, op);
+    auto batch =
+        std::make_shared<std::vector<RmaOpDescriptor>>(std::move(group));
+    opStarted(node);
+    ++stats_.rma_batches;
+    ++stats_.descriptors_exchanged;
+    const int dst = dst_node;
+    core::XferRequest xfer;
+    xfer.src_node = node;
+    xfer.dest_nodes = {&dst, 1};
+    xfer.bytes = bytes;
+    xfer.droppable = true;
+    xfer.deliver = [this, node, dst, batch](int) {
+      NodeState& dest = nodeState(dst);
+      dest.rma_inbound.insert(dest.rma_inbound.end(), batch->begin(),
+                              batch->end());
+      sim::traceRecord(
+          trace_, cluster_.engine().now(), sim::TraceCategory::kDescriptor,
+          dst, [&] {
+            return "rma batch from n" + std::to_string(node) + ": " +
+                   std::to_string(batch->size()) + " op(s)";
+          });
+      opFinished(node);
+    };
+    xfer.on_failed = [this, node, dst, batch](int) {
+      if (nodeEvicted(node)) {  // we died while the batch was in flight
+        opFinished(node);
+        return;
       }
-      auto batch = std::make_shared<std::vector<RmaOpDescriptor>>(std::move(b));
-      opStarted(node);
-      ++stats_.rma_batches;
-      ++stats_.descriptors_exchanged;
-      const int dst = dst_node;
-      core::XferRequest xfer;
-      xfer.src_node = node;
-      xfer.dest_nodes = {&dst, 1};
-      xfer.bytes = bytes;
-      xfer.droppable = true;
-      xfer.deliver = [this, node, dst, batch](int) {
-        NodeState& dest = nodeState(dst);
-        dest.rma_inbound.insert(dest.rma_inbound.end(), batch->begin(),
-                                batch->end());
+      for (const RmaOpDescriptor& op : *batch) {
+        if (nodeEvicted(dst) ||
+            op.retries >= config_.max_descriptor_retries) {
+          failRequest(op.job, op.origin_rank, op.request, op.target_rank,
+                      op.window);
+          continue;
+        }
+        RmaOpDescriptor retry = op;
+        ++retry.retries;
+        ++stats_.retransmits;
         sim::traceRecord(
-            trace_, cluster_.engine().now(), sim::TraceCategory::kDescriptor,
-            dst, [&] {
-              return "rma batch from n" + std::to_string(node) + ": " +
-                     std::to_string(batch->size()) + " op(s)";
+            trace_, cluster_.engine().now(), sim::TraceCategory::kFault,
+            node, [&] {
+              return std::string("rma ") + rmaKindName(op.kind) +
+                     " to rank " + std::to_string(op.target_rank) +
+                     " lost; retransmit #" + std::to_string(retry.retries) +
+                     " next slice";
             });
-        opFinished(node);
-      };
-      xfer.on_failed = [this, node, dst, batch](int) {
-        if (nodeEvicted(node)) {  // we died while the batch was in flight
-          opFinished(node);
-          return;
-        }
-        for (const RmaOpDescriptor& op : *batch) {
-          if (nodeEvicted(dst) ||
-              op.retries >= config_.max_descriptor_retries) {
-            failRequest(op.job, op.origin_rank, op.request, op.target_rank,
-                        op.window);
-            continue;
-          }
-          RmaOpDescriptor retry = op;
-          ++retry.retries;
-          ++stats_.retransmits;
-          sim::traceRecord(
-              trace_, cluster_.engine().now(), sim::TraceCategory::kFault,
-              node, [&] {
-                return std::string("rma ") + rmaKindName(op.kind) +
-                       " to rank " + std::to_string(op.target_rank) +
-                       " lost; retransmit #" + std::to_string(retry.retries) +
-                       " next slice";
-              });
-          nodeState(node).rma_retry.push_back(std::move(retry));
-        }
-        opFinished(node);
-      };
-      core_.xferAndSignal(std::move(xfer));
-    }
+        nodeState(node).rma_retry.push_back(std::move(retry));
+      }
+      opFinished(node);
+    };
+    core_.xferAndSignal(std::move(xfer));
   }
 }
 

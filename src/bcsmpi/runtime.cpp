@@ -635,20 +635,23 @@ void Runtime::phaseComplete(Phase p) {
     return;
   }
   const SimTime now = cluster_.engine().now();
-  SimTime next = slice_start_ + config_.time_slice;
-  if (next <= now) {
-    ++stats_.slice_overruns;
-    // Slipped past the boundary: re-align to the period grid.
-    const std::uint64_t k = static_cast<std::uint64_t>(
-        (now - slice_start_) / config_.time_slice);
-    next = slice_start_ + static_cast<SimTime>(k + 1) * config_.time_slice;
-  }
+  // A slice that slipped past its boundary re-aligns to the period grid.
+  if (slice_start_ + config_.time_slice <= now) ++stats_.slice_overruns;
+  const SimTime next = nextBoundary(now);
   const std::uint64_t epoch = control_epoch_;
   cluster_.engine().at(next, [this, epoch] {
     if (epoch != control_epoch_) return;
     startSlice();
   });
   if (recording_.active) finishRecording(next);
+}
+
+SimTime Runtime::nextBoundary(SimTime now) const {
+  const SimTime next = slice_start_ + config_.time_slice;
+  if (next > now) return next;
+  const std::uint64_t k =
+      static_cast<std::uint64_t>((now - slice_start_) / config_.time_slice);
+  return slice_start_ + static_cast<SimTime>(k + 1) * config_.time_slice;
 }
 
 void Runtime::maybeStop() {
@@ -1370,18 +1373,12 @@ void Runtime::runDueWatchdogs() {
     for (; n < end; ++n) {
       if (!c.watchdog_armed[n]) continue;
       if (c.watchdog_at[n] <= now) {
-        const SimTime own = watchdogRecheck(n, n + 1, now);
-        if (own != kNoTimer) {
-          c.watchdog_at[n] = own;
-        } else {
-          watchdog_cursor_ = n;
-          onWatchdog(n);
-          // The quiescence walk must see a live node whose watchdog stays
-          // off.
-          if (!c.watchdog_armed[n]) {
-            if (!nodeEvicted(n)) noteWork();
-            continue;
-          }
+        watchdog_cursor_ = n;
+        onWatchdog(n);
+        // The quiescence walk must see a live node whose watchdog stays off.
+        if (!c.watchdog_armed[n]) {
+          if (!nodeEvicted(n)) noteWork();
+          continue;
         }
       }
       next = std::min(next, c.watchdog_at[n]);
@@ -1447,47 +1444,7 @@ void Runtime::stopWatchdogs() {
 }
 
 void Runtime::beginElection(int node) {
-  if (election_inflight_) {
-    armWatchdogAt(node, cluster_.engine().now() + watchdogTimeout());
-    return;
-  }
-  election_inflight_ = true;
-  sim::traceRecord(
-      trace_, cluster_.engine().now(), sim::TraceCategory::kFailover,
-      node, [&] {
-        return "suspecting Strobe Sender death; claiming epoch " +
-               std::to_string(control_epoch_ + 1);
-      });
-  // The claim: Compare-And-Write(epoch == current, write current+1) over the
-  // whole live set.  Atomic over the quorum, so concurrent claims serialize;
-  // it fails while any live-set replica is unreachable or already bumped.
-  core::CompareAndWriteRequest req;
-  req.src_node = node;
-  req.nodes = live_compute_nodes_;
-  req.var = epoch_var_;
-  req.op = core::CmpOp::kEQ;
-  req.value = static_cast<std::int64_t>(control_epoch_);
-  req.do_write = true;
-  req.write_var = epoch_var_;
-  req.write_value = static_cast<std::int64_t>(control_epoch_ + 1);
-  core_.compareAndWriteAsync(req, [this, node](bool claimed) {
-    if (!claimed) {
-      sim::traceRecord(
-          trace_, cluster_.engine().now(), sim::TraceCategory::kFailover,
-          node, [] { return "epoch claim failed; retrying"; });
-      cluster_.engine().after(config_.election_retry_interval, [this, node] {
-        election_inflight_ = false;
-        // Re-enter through the watchdog: if strobes resumed meanwhile (the
-        // claim lost to a concurrent winner) this re-arms instead of
-        // re-electing.
-        onWatchdog(node);
-      });
-      return;
-    }
-    election_inflight_ = false;
-    ++control_epoch_;
-    ++stats_.elections;
-    dropSliceTemplate();
+  claimEpoch(node, "Strobe Sender", [this, node] {
     const int old_ss = strobe_node_;
     strobe_node_ = node;
     strobing_ = true;
@@ -1502,6 +1459,56 @@ void Runtime::beginElection(int node) {
     if (failover_handler_) failover_handler_(node, control_epoch_);
     recoverPhase();
   });
+}
+
+void Runtime::claimEpoch(int node, const char* suspect,
+                         sim::InlineFunction<void()> won) {
+  if (election_inflight_) {
+    armWatchdogAt(node, cluster_.engine().now() + watchdogTimeout());
+    return;
+  }
+  election_inflight_ = true;
+  sim::traceRecord(
+      trace_, cluster_.engine().now(), sim::TraceCategory::kFailover,
+      node, [&] {
+        return std::string("suspecting ") + suspect +
+               " death; claiming epoch " + std::to_string(control_epoch_ + 1);
+      });
+  // The claim: Compare-And-Write(epoch == current, write current+1) over the
+  // whole live set.  Atomic over the quorum, so concurrent claims serialize;
+  // it fails while any live-set replica is unreachable or already bumped.
+  // One global epoch guards both levels of the tree, so a rack-SS and a
+  // root failure cannot elect in parallel either.
+  core::CompareAndWriteRequest req;
+  req.src_node = node;
+  req.nodes = live_compute_nodes_;
+  req.var = epoch_var_;
+  req.op = core::CmpOp::kEQ;
+  req.value = static_cast<std::int64_t>(control_epoch_);
+  req.do_write = true;
+  req.write_var = epoch_var_;
+  req.write_value = static_cast<std::int64_t>(control_epoch_ + 1);
+  core_.compareAndWriteAsync(
+      req, [this, node, won = std::move(won)](bool claimed) {
+        if (claimed) {
+          election_inflight_ = false;
+          ++control_epoch_;
+          ++stats_.elections;
+          dropSliceTemplate();
+          won();
+          return;
+        }
+        sim::traceRecord(
+            trace_, cluster_.engine().now(), sim::TraceCategory::kFailover,
+            node, [] { return "epoch claim failed; retrying"; });
+        // Re-enter through the watchdog: if strobes resumed meanwhile (the
+        // claim lost to a concurrent winner) this re-arms instead of
+        // re-electing.
+        cluster_.engine().after(config_.election_retry_interval, [this, node] {
+          election_inflight_ = false;
+          onWatchdog(node);
+        });
+      });
 }
 
 void Runtime::recoverPhase() {
@@ -1539,12 +1546,7 @@ void Runtime::recoverPhase() {
 
 void Runtime::resumeStrobe() {
   const SimTime now = cluster_.engine().now();
-  SimTime next = slice_start_ + config_.time_slice;
-  if (next <= now) {
-    const std::uint64_t k = static_cast<std::uint64_t>(
-        (now - slice_start_) / config_.time_slice);
-    next = slice_start_ + static_cast<SimTime>(k + 1) * config_.time_slice;
-  }
+  const SimTime next = nextBoundary(now);
   sim::traceRecord(
       trace_, now, sim::TraceCategory::kFailover, strobe_node_, [&] {
         return "phase quiesced; strobing resumes at " + sim::formatTime(next);

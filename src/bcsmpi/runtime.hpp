@@ -42,6 +42,7 @@
 #include "net/cluster.hpp"
 #include "sim/event_run.hpp"
 #include "sim/flat_map.hpp"
+#include "sim/inline_function.hpp"
 #include "sim/process.hpp"
 #include "sim/slots.hpp"
 #include "sim/write_back.hpp"
@@ -582,6 +583,8 @@ class Runtime {
   /// see anything change (DESIGN.md §5b, "The flat Strobe Sender loop").
   void repoll(Phase p, std::uint64_t seq);
   void phaseComplete(Phase p);
+  /// The first slice boundary on the period grid after `now`.
+  SimTime nextBoundary(SimTime now) const;
   void maybeStop();
 
   // Quiescent-slice replay (runtime.cpp, DESIGN.md §5b)
@@ -728,6 +731,12 @@ class Runtime {
   void onWatchdog(int node);
   void stopWatchdogs();
   void beginElection(int node);
+  /// Claims control epoch control_epoch_ + 1 for `node`, unless a claim is
+  /// in flight: a Compare-And-Write over the live set, traced as suspecting
+  /// the death of `suspect`.  A failed claim retries through onWatchdog; a
+  /// won one counts the election, drops the slice template and runs `won`.
+  void claimEpoch(int node, const char* suspect,
+                  sim::InlineFunction<void()> won);
   void recoverPhase();
   void resumeStrobe();
   void performRejoins();

@@ -403,49 +403,11 @@ void Runtime::onWatchdogTree(int node) {
 }
 
 void Runtime::beginTreeElection(int node) {
-  if (election_inflight_) {
-    armWatchdogAt(node, cluster_.engine().now() + watchdogTimeout());
-    return;
-  }
-  election_inflight_ = true;
   const int rack = sstree_.rackOf(node);
   const bool was_rack_ss = sstree_.ss(rack) == node;
-  sim::traceRecord(
-      trace_, cluster_.engine().now(), sim::TraceCategory::kFailover,
-      node, [&] {
-        return std::string("suspecting ") + (was_rack_ss ? "root" : "rack") +
-               " Strobe Sender death; claiming epoch " +
-               std::to_string(control_epoch_ + 1);
-      });
-  // One global epoch guards both levels: rack-SS replacement and root
-  // replacement serialize through the same Compare-And-Write claim, so two
-  // simultaneous failures (rack SS + root) cannot elect in parallel.
-  core::CompareAndWriteRequest req;
-  req.src_node = node;
-  req.nodes = live_compute_nodes_;
-  req.var = epoch_var_;
-  req.op = core::CmpOp::kEQ;
-  req.value = static_cast<std::int64_t>(control_epoch_);
-  req.do_write = true;
-  req.write_var = epoch_var_;
-  req.write_value = static_cast<std::int64_t>(control_epoch_ + 1);
-  core_.compareAndWriteAsync(
-      req, [this, node, rack, was_rack_ss](bool claimed) {
-        if (!claimed) {
-          sim::traceRecord(
-              trace_, cluster_.engine().now(), sim::TraceCategory::kFailover,
-              node, [] { return "epoch claim failed; retrying"; });
-          cluster_.engine().after(config_.election_retry_interval,
-                                  [this, node] {
-                                    election_inflight_ = false;
-                                    onWatchdog(node);
-                                  });
-          return;
-        }
-        election_inflight_ = false;
-        ++control_epoch_;
-        ++stats_.elections;
-        dropSliceTemplate();
+  claimEpoch(
+      node, was_rack_ss ? "root Strobe Sender" : "rack Strobe Sender",
+      [this, node, rack, was_rack_ss] {
         const SimTime now = cluster_.engine().now();
         if (!was_rack_ss) {
           const int old_ss = sstree_.ss(rack);

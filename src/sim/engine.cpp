@@ -130,34 +130,6 @@ void Engine::enqueueOrdered(QEntry entry) {
   }
 }
 
-Engine::Source Engine::peekNext(QEntry& entry) {
-  // Drop dead entries from the overflow top first so the comparison below
-  // sees a live candidate (or none).
-  while (!overflow_.empty() && !node(overflow_.front().slot).armed) {
-    releaseNode(overflow_.front().slot);
-    heapPop(overflow_);
-    ++dropped_tombstones_;
-  }
-  // Advance the cursor to the first bucket with a live entry.
-  Source wheel = Source::kNone;
-  while (wheel_count_ > 0) {
-    wheel = cursorFront();
-    if (wheel != Source::kNone) {
-      entry = wheel == Source::kSameInstant
-                  ? same_instant_[same_instant_head_]
-                  : buckets_[base_ & kBucketMask].back();
-      break;
-    }
-    ++base_;
-  }
-  if (!overflow_.empty() &&
-      (wheel == Source::kNone || overflow_.front().firesBefore(entry))) {
-    entry = overflow_.front();
-    return Source::kOverflow;
-  }
-  return wheel;
-}
-
 Engine::Source Engine::cursorFront() {
   // The bucket is sorted once, when the cursor first reaches it.  Merged
   // with the same-instant FIFO, both in firing order, the earlier of the
@@ -257,46 +229,35 @@ bool Engine::cancel(EventId id) {
 }
 
 // ---------------------------------------------------------------------------
-// Same-instant runs (EventRun)
+// Same-instant ranges (EventRun)
 // ---------------------------------------------------------------------------
 //
-// Why canExtendRun is exact.  A run's members draw keys k1 < ... < kn, and
-// its one queue entry is (when, k1).  Plain events would have fired them in
-// key order; the run does the same, so the two differ only if some other
-// event at `when` has a key between k1 and kn.  Such a key was drawn, and
-// so filed (scheduling files at once), after k1's.  It was filed under
-// bucketIndex(when) as it stood then, which lies between the mark's bucket
-// and the bucket the new member files under (the cursor only moves
-// forward).  canExtendRun demands those two be equal, so the intruder went
-// to the mark's slot and moved its push count.  The same holds for the
-// arguments a range takes on under one key: each would have been a member
-// with its own key, and nothing could fall between them.
+// Why canExtendRun is exact.  A range's event is (when, k), and each call
+// it takes on would have been an event of its own, under a key drawn after
+// k.  Plain events fire in key order, so the range's calls may share k
+// only if no other event at `when` has a key between k and theirs.  Such a
+// key was drawn, and so filed (scheduling files at once), after k.  It was
+// filed under bucketIndex(when) as it stood then, which lies between the
+// mark's bucket and the bucket the new call files under (the cursor only
+// moves forward).  canExtendRun demands those two be equal, so the
+// intruder went to the mark's slot and moved its push count.
 
-std::uint64_t Engine::scheduleRunHead(SimTime when, EventCallback fn,
-                                      RunMark& mark) {
+void Engine::scheduleRunHead(SimTime when, EventCallback fn, RunMark& mark) {
   at(when, std::move(fn));
   mark.when = when;
   mark.bucket = bucketIndex(when);
   mark.pushes = pushes_[mark.bucket & kBucketMask];
-  return next_key_ - 1;
 }
 
-void Engine::enterRunMember(std::uint64_t key) {
-  cur_key_ = key;
-  --live_;
-  ++executed_;
-}
-
-void Engine::requeueRun(SimTime when, std::uint64_t key, EventCallback fn,
-                        bool entered) {
+void Engine::requeueRun(EventCallback fn) {
   const std::uint32_t slot = acquireNode();
   Node& n = node(slot);
   n.armed = true;
   n.fn = std::move(fn);
-  if (entered) ++live_;
+  ++live_;
   // An old key: entries filed since may fire after it, so the same-instant
   // FIFO's tail is no place for it.
-  enqueueOrdered(QEntry{when, key, slot});
+  enqueueOrdered(QEntry{now_, cur_key_, slot});
 }
 
 // ---------------------------------------------------------------------------
@@ -306,11 +267,10 @@ void Engine::requeueRun(SimTime when, std::uint64_t key, EventCallback fn,
 // Fires the event in `entry` (already extracted from the queue).  The
 // callback runs in place: node addresses are stable and the slot is not
 // released until the callback returns, so reentrant at()/cancel() calls are
-// safe and a self-cancel fails harmlessly (armed is already false).  For an
-// EventRun entry the callback fires the whole run, entering each further
-// member through enterRunMember.  A callback that throws leaves no current
-// event behind: currentEventKey() reads 0 once the exception leaves the
-// engine, as after a normal return from run() or step().
+// safe and a self-cancel fails harmlessly (armed is already false).  A
+// callback that throws leaves no current event behind: currentEventKey()
+// reads 0 once the exception leaves the engine, as after a normal return
+// from run() or step().
 void Engine::fire(const QEntry& entry) {
   now_ = entry.when;
   Node& n = node(entry.slot);
@@ -334,22 +294,25 @@ void Engine::fire(const QEntry& entry) {
 }
 
 bool Engine::step() {
-  QEntry entry;
-  const Source src = peekNext(entry);
-  if (src == Source::kNone) return false;
-  extract(src, entry);
-  run_limit_ = entry.when;
-  fire(entry);
+  const bool fired = drain</*kOnce=*/true>(INT64_MAX);
   cur_key_ = 0;
-  return true;
+  return fired;
 }
 
 SimTime Engine::run(SimTime until) {
-  // Fused peek + extract + fire loop.  Equivalent to `while (step())` with
-  // an `until` bound, but keeps the bucket reference and queue entry in
-  // registers across the pop instead of re-deriving them per event, and
-  // merges the same-instant FIFO only while it holds entries.
   run_limit_ = until;
+  drain</*kOnce=*/false>(until);
+  cur_key_ = 0;
+  if (now_ < until && until != INT64_MAX) now_ = until;
+  return now_;
+}
+
+template <bool kOnce>
+bool Engine::drain(SimTime until) {
+  // Fused peek + extract + fire loop: it keeps the bucket reference and
+  // queue entry in registers across the pop instead of re-deriving them
+  // per event, and merges the same-instant FIFO only while it holds
+  // entries.
   for (;;) {
     while (!overflow_.empty() && !node(overflow_.front().slot).armed) {
       releaseNode(overflow_.front().slot);
@@ -383,38 +346,32 @@ SimTime Engine::run(SimTime until) {
       bucket = nullptr;
       ++base_;
     }
+    QEntry entry;
     if (bucket == nullptr) {
-      if (overflow_.empty()) break;  // queue exhausted
-      const QEntry entry = overflow_.front();
-      if (entry.when > until) break;
-      extract(Source::kOverflow, entry);
-      fire(entry);
-      continue;
-    }
-    const QEntry wheel_top = src == Source::kSameInstant
-                                 ? same_instant_[same_instant_head_]
-                                 : bucket->back();
-    if (!overflow_.empty() && overflow_.front().firesBefore(wheel_top)) {
-      const QEntry entry = overflow_.front();
-      if (entry.when > until) break;
-      heapPop(overflow_);
-      fire(entry);
-      continue;
-    }
-    if (wheel_top.when > until) break;
-    if (src == Source::kSameInstant) {
-      extract(src, wheel_top);
+      if (overflow_.empty()) return false;  // queue exhausted
+      entry = overflow_.front();
+      src = Source::kOverflow;
     } else {
+      entry = src == Source::kSameInstant ? same_instant_[same_instant_head_]
+                                          : bucket->back();
+      if (!overflow_.empty() && overflow_.front().firesBefore(entry)) {
+        entry = overflow_.front();
+        src = Source::kOverflow;
+      }
+    }
+    if (entry.when > until) return false;
+    if (src == Source::kBucket) {
       bucket->pop_back();
       --wheel_count_;
       // Warm the next victim's node line while this callback runs.
       if (!bucket->empty()) __builtin_prefetch(&node(bucket->back().slot));
+    } else {
+      extract(src, entry);
     }
-    fire(wheel_top);
+    if constexpr (kOnce) run_limit_ = entry.when;
+    fire(entry);
+    if constexpr (kOnce) return true;
   }
-  cur_key_ = 0;
-  if (now_ < until && until != INT64_MAX) now_ = until;
-  return now_;
 }
 
 }  // namespace bcs::sim

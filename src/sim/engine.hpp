@@ -33,17 +33,15 @@
 //    disarms the node (and frees its callback) in place, and the disarmed
 //    entry is dropped lazily when the queue walk reaches it (see
 //    droppedTombstones()).
-//  * Same-instant runs (sim/event_run.hpp): consecutive EventRun members
-//    for one instant share one node and one queue entry when no other
-//    event was filed under that bucket in between, which proves nothing
-//    can fire between them.  Each member still draws its own key, counts
-//    as its own pending and executed event and runs under its own
-//    currentEventKey(), so a run is invisible to everything but the queue.
-//    A range member covers consecutive arguments on the same proof under
-//    one key, and counts as one event.
+//  * Same-instant ranges (sim/event_run.hpp): EventRun calls with
+//    consecutive arguments for one instant share one event, one key and
+//    one queue entry when no other event was filed under that bucket in
+//    between, which proves nothing can fire between them.  Any other
+//    filing is an event of its own, under the key a plain at() would draw.
 //  * Serial is the only mode: one thread drains one queue, so a program
 //    gives the same trace, counters and checkpoint bytes on every host.
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -127,9 +125,9 @@ class Engine {
   /// Returns the time of the last processed event.
   SimTime run(SimTime until = INT64_MAX);
 
-  /// Runs exactly one queue entry if available: one event, or one whole
-  /// EventRun (all its members for that instant).  Returns false if the
-  /// queue is empty.  Useful for fine-grained unit tests of the engine.
+  /// Fires the earliest pending event (an EventRun range fires whole)
+  /// through the loop run() uses.  Returns false if the queue is empty.
+  /// Useful for fine-grained unit tests of the engine.
   bool step();
 
   /// Number of live (scheduled, not cancelled, not yet fired) events.
@@ -140,8 +138,9 @@ class Engine {
   /// event, but possibly earlier, since a cancelled entry on top of the
   /// overflow heap counts as pending.  It moves no cursor, sorts no bucket
   /// and reclaims no tombstone, so asking changes nothing a later event
-  /// sees.  Asked from an EventRun member, it does not see the run's
-  /// members still to fire: they are not queue entries, and fire at now().
+  /// sees.  Asked from inside an EventRun range, it does not see the
+  /// range's calls still to come: they are not queue entries, and fire at
+  /// now().
   SimTime nextEventTime() const;
 
   /// Latest instant the engine may reach before handing control back: the
@@ -181,7 +180,7 @@ class Engine {
   std::uint64_t currentEventKey() const { return cur_key_; }
 
  private:
-  template <typename Arg>
+  template <std::integral Arg>
   friend class EventRun;
 
   /// Pooled event node.  The ordering key (when, key) lives only in the
@@ -244,16 +243,17 @@ class Engine {
   void enqueueOrdered(QEntry entry);
   /// Where the earliest live entry sits.
   enum class Source : std::uint8_t { kNone, kBucket, kSameInstant, kOverflow };
-  /// Locates the earliest live entry without removing it, dropping any
-  /// tombstones in the way.  Returns kNone when no live entry remains.
-  Source peekNext(QEntry& entry);
   /// The front of the cursor's bucket merged with the same-instant FIFO's:
   /// sorts the bucket if the cursor just reached it, drops the tombstones
   /// in front and says which of the two holds the live front (kBucket or
   /// kSameInstant), or kNone when both are exhausted.
   Source cursorFront();
-  /// Removes the entry peekNext() just returned from `src`.
+  /// Removes the earliest live entry, `entry`, from `src`.
   void extract(Source src, const QEntry& entry);
+  /// Fires entries in (when, key) order while the earliest is due by
+  /// `until`, only the first if kOnce.  Returns whether it fired one.
+  template <bool kOnce>
+  bool drain(SimTime until);
   void fire(const QEntry& entry);
   static void heapPush(std::vector<QEntry>& heap, QEntry entry);
   static void heapPop(std::vector<QEntry>& heap);
@@ -265,40 +265,28 @@ class Engine {
   }
 
   // ----- EventRun hooks (sim/event_run.hpp) -----
-  /// Where a run's first member was filed, and that bucket slot's push
-  /// count just after.  Nothing else has been scheduled at the run's
-  /// instant for as long as a member at `when` still files under `bucket`
-  /// and the count has not moved.
+  /// Where a range's event was filed, and that bucket slot's push count
+  /// just after.  Nothing else has been scheduled at the range's instant
+  /// for as long as a filing at `when` still goes under `bucket` and the
+  /// count has not moved.
   struct RunMark {
     SimTime when = 0;
     std::uint64_t bucket = 0;
     std::uint64_t pushes = 0;
   };
-  /// Files a run's first member as an event; returns its key.
-  std::uint64_t scheduleRunHead(SimTime when, EventCallback fn, RunMark& mark);
-  /// True iff the run filed under `mark` can take another member at `when`
-  /// exactly: nothing else has been filed at its instant since.  Draws no
-  /// key, so a range can join its last member on the same proof.
+  /// Files a range's event exactly as at() would, and marks it.
+  void scheduleRunHead(SimTime when, EventCallback fn, RunMark& mark);
+  /// True iff the range filed under `mark` can take another call at `when`
+  /// exactly: nothing else has been filed at its instant since, so that
+  /// call's own event would have fired right behind the range.
   bool canExtendRun(const RunMark& mark, SimTime when) const {
-    // The run's entry has not finished firing, so `when` >= now_ already.
+    // The range's event has not finished firing, so `when` >= now_ already.
     return when == mark.when && bucketIndex(when) == mark.bucket &&
            pushes_[mark.bucket & kBucketMask] == mark.pushes;
   }
-  /// Draws the key of a new member for a run canExtendRun admitted; the
-  /// member is pending from here on.
-  std::uint64_t drawRunKey() {
-    ++live_;
-    return next_key_++;
-  }
-  /// Accounts the next member of the firing run exactly as fire() accounts
-  /// an event: its key becomes currentEventKey(), and it leaves the pending
-  /// count for the executed count.
-  void enterRunMember(std::uint64_t key);
-  /// Refiles the rest of a run whose member threw, under the key of its
-  /// first unfired member.  Members not yet entered are still pending; an
-  /// `entered` one (the rest of a range) becomes pending again.
-  void requeueRun(SimTime when, std::uint64_t key, EventCallback fn,
-                  bool entered);
+  /// Refiles the rest of the range firing now, whose call threw, as a
+  /// pending event under the range's key.
+  void requeueRun(EventCallback fn);
 
   SimTime now_ = 0;
   std::uint64_t executed_ = 0;

@@ -46,14 +46,6 @@ void SsTree::setSs(int r, int node) {
   rack.ss = node;
 }
 
-int SsTree::liveRackCount() const {
-  int live = 0;
-  for (const Rack& rack : racks_) {
-    if (!rack.members.empty()) ++live;
-  }
-  return live;
-}
-
 int SsTree::firstLiveRackSs() const {
   for (const Rack& rack : racks_) {
     if (!rack.members.empty()) return rack.ss;

@@ -55,9 +55,6 @@ class SsTree {
   /// Live members of rack `r`, ascending (the SS is one of them).
   const std::vector<int>& members(int r) const { return rackAt(r).members; }
 
-  /// Racks with at least one live member.
-  int liveRackCount() const;
-
   /// SS of the lowest-indexed non-empty rack — the deterministic leader for
   /// root-level elections.  -1 when every rack is empty.
   int firstLiveRackSs() const;

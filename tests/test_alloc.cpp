@@ -21,7 +21,8 @@
 //     relays, Compare-And-Write polls, acks and NIC timers run in recycled
 //     storage;
 //   * a warmed-up EventRun (the flat runtime's per-node NIC timers) files
-//     and fires a microphase's 31 same-instant members without allocating.
+//     and fires a microphase's 31 same-instant nodes, one range, without
+//     allocating.
 
 #include <gtest/gtest.h>
 
@@ -404,11 +405,13 @@ TEST(AllocBudget, EventRunMicrophasesAllocateNothing) {
   int fired = 0;
   sim::EventRun<int> timers(eng, [&fired](int) { ++fired; });
   // One strobe reaches every node at one instant; each node's timer joins
-  // the run at the phase floor, or at the strobe's own instant when idle.
+  // the range at the phase floor, or at the strobe's own instant when idle.
   const auto microphase = [&](int i) {
     eng.after(sim::usec(5), [&timers, i] {
       const sim::Duration floor = i % 2 == 0 ? sim::usec(60) : 0;
-      for (int node = 0; node < kMembers; ++node) timers.after(floor, node);
+      for (int node = 0; node < kMembers; ++node) {
+        timers.afterRange(floor, node);
+      }
     });
     eng.run();
   };
@@ -417,9 +420,9 @@ TEST(AllocBudget, EventRunMicrophasesAllocateNothing) {
   for (int i = 0; i < kMicrophases; ++i) microphase(i);
   EXPECT_EQ(allocations() - before, 0u);
   EXPECT_EQ(fired, kMembers * (kWarmup + kMicrophases));
+  // The strobe and one range per microphase.
   EXPECT_EQ(eng.executedEvents(),
-            static_cast<std::uint64_t>((kMembers + 1) *
-                                       (kWarmup + kMicrophases)));
+            static_cast<std::uint64_t>(2 * (kWarmup + kMicrophases)));
 }
 
 /// `nodes` ranks, one per node, computing for 300 ms: after launch every

@@ -447,12 +447,14 @@ TEST(Engine, NextEventTimeSeesPendingSameInstantEntries) {
   EXPECT_EQ(cancelled_at, usec(10));
 }
 
-// -------------------------------------------------------------- EventRun --
+// ------------------------------------------------------- EventRun ranges --
 //
-// Twin engines run one script: on the run twin members go through an
-// EventRun, on the plain twin through Engine::at.  Every callback logs what
-// it sees of its engine, and the two logs must be equal — coalescing may
-// change how many queue entries exist, nothing else.
+// Twin engines run one script: on the range twin members are filed through
+// EventRun::atRange, on the plain twin each member is an event through
+// Engine::at.  Every callback logs what it sees of its engine.  A range
+// draws one key and counts as one event, so what the twins must agree on
+// is what ranges may not change: which callbacks fire, in which order, at
+// which instants.
 
 /// What one callback sees of its engine.
 struct Seen {
@@ -479,21 +481,44 @@ struct Spawn {
 
 using Script = std::function<std::vector<Spawn>(std::int64_t id)>;
 
+/// (id, now) of one callback.
+using Firing = std::pair<std::int64_t, SimTime>;
+
 constexpr SimTime kHorizon = nsec(256 * 2048);  // wheel horizon at time 0
 
-class Twin {
+class RangeTwin {
  public:
-  Twin(bool runs, Script script, std::int64_t throw_id = -1)
-      : runs_(runs),
+  RangeTwin(bool ranges, Script script, std::int64_t throw_id = -1)
+      : ranges_(ranges),
         script_(std::move(script)),
         throw_id_(throw_id),
         run_(eng, [this](std::int64_t id) { fired(id); }) {}
 
   void schedule(bool member, SimTime when, std::int64_t id) {
-    if (member && runs_) {
-      run_.at(when, id);
+    if (member && ranges_) {
+      run_.atRange(when, id);
     } else {
       eng.at(when, [this, id] { fired(id); });
+    }
+  }
+
+  /// The (id, now) of every callback so far.
+  std::vector<Firing> firings() const {
+    std::vector<Firing> out;
+    for (const Seen& s : seen) out.emplace_back(s.id, s.now);
+    return out;
+  }
+
+  /// Callbacks that fired under one key are one range: consecutive ids in
+  /// ascending order.  Within an instant, keys ascend.
+  void expectRangesWellFormed() const {
+    for (std::size_t i = 1; i < seen.size(); ++i) {
+      if (seen[i].key == seen[i - 1].key) {
+        EXPECT_EQ(seen[i].id, seen[i - 1].id + 1) << "at firing " << i;
+      }
+      if (seen[i].now == seen[i - 1].now) {
+        EXPECT_LE(seen[i - 1].key, seen[i].key) << "at firing " << i;
+      }
     }
   }
 
@@ -511,115 +536,167 @@ class Twin {
       schedule(s.member, eng.now() + s.delay, s.id);
     }
     if (ask) asked.push_back(eng.nextEventTime());
-    if (id == throw_id_) throw std::runtime_error("member threw");
+    if (id == throw_id_) throw std::runtime_error("range threw");
   }
 
-  bool runs_;
+  bool ranges_;
   Script script_;
   std::int64_t throw_id_;
   EventRun<std::int64_t> run_;
 };
 
 /// Schedules `initial` (member?, when, id) on both twins before any run.
-void seedTwins(Twin& a, Twin& b,
+void seedTwins(RangeTwin& a, RangeTwin& b,
                const std::vector<std::tuple<bool, SimTime, std::int64_t>>&
                    initial) {
   for (const auto& [member, when, id] : initial) {
     a.schedule(member, when, id);
     b.schedule(member, when, id);
   }
-  EXPECT_EQ(a.eng.pendingEvents(), b.eng.pendingEvents());
 }
 
-TEST(EventRun, SameInstantMembersFireInOneStep) {
-  constexpr int kMembers = 31;
-  Twin runs(true, [](std::int64_t) { return std::vector<Spawn>{}; });
-  Twin plain(false, [](std::int64_t) { return std::vector<Spawn>{}; });
-  for (int i = 0; i < kMembers; ++i) {
-    runs.schedule(true, usec(60), i);
-    plain.schedule(true, usec(60), i);
-  }
-  EXPECT_EQ(runs.eng.pendingEvents(), static_cast<std::size_t>(kMembers));
-  ASSERT_TRUE(runs.eng.step());
-  ASSERT_TRUE(plain.eng.step());
-  EXPECT_EQ(runs.eng.executedEvents(), static_cast<std::uint64_t>(kMembers));
-  EXPECT_EQ(plain.eng.executedEvents(), 1u);
-  EXPECT_FALSE(runs.eng.step());
+/// Runs both twins to the end and compares what fired.
+void runTwins(RangeTwin& ranges, RangeTwin& plain) {
+  ranges.eng.run();
   plain.eng.run();
-  EXPECT_EQ(runs.seen, plain.seen);
-  EXPECT_LT(runs.eng.poolSlots(), plain.eng.poolSlots());
+  EXPECT_EQ(ranges.firings(), plain.firings());
+  ranges.expectRangesWellFormed();
+  EXPECT_EQ(ranges.eng.now(), plain.eng.now());
+  EXPECT_EQ(ranges.eng.pendingEvents(), 0u);
 }
 
-// The cases the exactness argument (engine.cpp) has to get right: members
-// at now() into the bucket being drained, a plain event filed between two
-// members, a member that schedules at its own instant (it joins the firing
-// run), both sides of a bucket edge, the wheel horizon and the overflow
-// heap beyond it, and a run an overflow-fired event files back into the
+const Script kNoSpawns = [](std::int64_t) { return std::vector<Spawn>{}; };
+
+TEST(EventRunRange, ConsecutiveArgumentsAtOneInstantAreOneEvent) {
+  constexpr std::int64_t kMembers = 31;
+  RangeTwin ranges(true, kNoSpawns);
+  RangeTwin plain(false, kNoSpawns);
+  for (std::int64_t id = 0; id < kMembers; ++id) {
+    ranges.schedule(true, usec(60), id);
+    plain.schedule(true, usec(60), id);
+  }
+  EXPECT_EQ(ranges.eng.pendingEvents(), 1u);
+  ASSERT_TRUE(ranges.eng.step());
+  EXPECT_FALSE(ranges.eng.step());
+  EXPECT_EQ(ranges.eng.executedEvents(), 1u);
+  ASSERT_EQ(ranges.seen.size(), static_cast<std::size_t>(kMembers));
+  for (const Seen& s : ranges.seen) EXPECT_EQ(s.key, 1u);
+  plain.eng.run();
+  EXPECT_EQ(ranges.firings(), plain.firings());
+  EXPECT_LT(ranges.eng.poolSlots(), plain.eng.poolSlots());
+}
+
+// A filing at the open range's instant that does not continue it (a gap,
+// a step back, or a plain event filed in between) is an event of its own,
+// under the key a plain at() draws at that point.
+TEST(EventRunRange, NonConsecutiveArgumentIsItsOwnEvent) {
+  Engine eng;
+  std::vector<std::pair<std::int64_t, std::uint64_t>> seen;  // (id, key)
+  EventRun<std::int64_t> run(eng, [&](std::int64_t id) {
+    seen.emplace_back(id, eng.currentEventKey());
+  });
+  run.atRange(usec(4), 5);
+  run.atRange(usec(4), 6);   // joins 5
+  run.atRange(usec(4), 9);   // a gap
+  run.atRange(usec(4), 10);  // joins 9
+  eng.at(usec(4), [&] { seen.emplace_back(-1, eng.currentEventKey()); });
+  run.atRange(usec(4), 11);  // follows 10, but behind the plain event
+  run.atRange(usec(4), 8);   // a step back
+  EXPECT_EQ(eng.pendingEvents(), 5u);
+  eng.run();
+  const std::vector<std::pair<std::int64_t, std::uint64_t>> want = {
+      {5, 1}, {6, 1}, {9, 2}, {10, 2}, {-1, 3}, {11, 4}, {8, 5}};
+  EXPECT_EQ(seen, want);
+  EXPECT_EQ(eng.executedEvents(), 5u);
+}
+
+// An argument joins a range only right behind it: a plain event filed at
+// the range's instant in between fires between the two, as it would among
+// plain events.
+TEST(EventRunRange, JoinsOnlyRightBehindTheRangeFiledLast) {
+  const Script script = [](std::int64_t id) -> std::vector<Spawn> {
+    if (id != 1) return {};
+    return {{true, usec(3), 10}, {false, usec(3), 99}, {true, usec(3), 11},
+            {true, usec(3), 12}, {true, usec(4), 13}, {true, usec(3), 14}};
+  };
+  RangeTwin ranges(true, script);
+  RangeTwin plain(false, script);
+  seedTwins(ranges, plain, {{false, usec(1), 1}});
+  runTwins(ranges, plain);
+  ASSERT_EQ(ranges.seen.size(), 7u);
+  EXPECT_EQ(ranges.seen[2].id, 99);
+  // 10, then 11-12 as one range, then 13 and 14 on their own.
+  EXPECT_EQ(ranges.eng.executedEvents(), 6u);
+}
+
+// The cases the exactness argument (engine.cpp) has to get right: ranges
+// filed at now() into the bucket being drained, a plain event filed
+// between two consecutive arguments, a call that files at its own instant
+// (it joins the range filed last, or the very range that is firing it),
+// both sides of a bucket edge, the wheel horizon and the overflow heap
+// beyond it, and a range that an overflow-fired range files back into the
 // wheel after the cursor jumped.
-TEST(EventRun, EdgeCasesMatchPlainEvents) {
+TEST(EventRunRange, EdgeCasesMatchPlainEvents) {
   const Script script = [](std::int64_t id) -> std::vector<Spawn> {
     switch (id) {
-      case 1:  // plain, at 3000 ns: members into the bucket being drained
-        return {{true, 0, 10}, {true, 0, 11}, {false, 0, 12},
-                {true, 0, 13}, {true, 5, 14}, {true, 0, 15}};
-      case 10:  // a member that schedules at its own instant
-        return {{true, 0, 16}, {false, 0, 17}, {true, 0, 18}};
-      case 16:
-        return {{true, 0, 19}};
-      case 19:  // joins the run that is firing it
-        return {{true, 0, 23}};
-      case 30:  // beyond the horizon: re-enters the wheel at its instant
-        return {{true, 0, 31}, {true, 0, 32}, {true, nsec(2048), 33}};
+      case 1:  // plain, at 3000 ns: ranges into the bucket being drained
+        return {{true, 0, 10}, {true, 0, 11}, {false, 0, 90},
+                {true, 0, 12}, {true, 5, 13}, {true, 0, 14}};
+      case 10:  // joins the range 14 opened, then a plain event intrudes
+        return {{true, 0, 15}, {false, 0, 91}, {true, 0, 16}};
+      case 16:  // joins the range that is firing it, twice
+        return {{true, 0, 17}};
+      case 17:
+        return {{true, 0, 18}};
+      case 60:  // beyond the horizon: re-enters the wheel at its instant
+        return {{true, 0, 63}, {true, 0, 64}, {true, nsec(2048), 65}};
       default:
         return {};
     }
   };
-  Twin runs(true, script);
-  Twin plain(false, script);
-  seedTwins(runs, plain,
+  RangeTwin ranges(true, script);
+  RangeTwin plain(false, script);
+  seedTwins(ranges, plain,
             {{false, nsec(3000), 1},
              {true, nsec(4095), 2},
              {true, nsec(4096), 3},
              {true, nsec(4095), 4},
              {true, nsec(4096), 5},
              {true, nsec(4096), 6},
-             {true, kHorizon - 1, 7},
-             {true, kHorizon, 8},
-             {true, kHorizon, 9},
-             {false, kHorizon, 20},
-             {true, kHorizon, 21},
-             {true, kHorizon + 1, 22},
-             {true, msec(3), 30},
-             {true, msec(3), 34},
-             {false, msec(3), 35},
-             {true, msec(3), 36}});
-  runs.eng.run();
-  plain.eng.run();
-  EXPECT_EQ(runs.seen, plain.seen);
-  EXPECT_EQ(runs.seen.size(), 30u);
-  EXPECT_EQ(runs.eng.now(), plain.eng.now());
-  EXPECT_EQ(runs.eng.pendingEvents(), 0u);
+             {true, kHorizon - 1, 40},
+             {true, kHorizon, 41},
+             {true, kHorizon, 42},
+             {false, kHorizon, 93},
+             {true, kHorizon, 43},
+             {true, kHorizon + 1, 44},
+             {true, msec(3), 60},
+             {true, msec(3), 61},
+             {false, msec(3), 94},
+             {true, msec(3), 62}});
+  runTwins(ranges, plain);
+  EXPECT_EQ(ranges.seen.size(), 30u);
+  // Ranges: 10-11, 14-15, 16-18, 5-6, 41-42, 60-61 and 63-64.
+  EXPECT_EQ(ranges.eng.executedEvents(), plain.eng.executedEvents() - 8);
 }
 
-// A run filed in the overflow heap can fire after the cursor has moved past
-// its bucket (a later wheel event pulled the cursor on).  Anything then
-// scheduled at the run's instant is filed under the cursor's bucket, so the
-// run must not take a member from its own firing callback after that.
-TEST(EventRun, OverflowRunFiringBehindTheCursor) {
+// A range filed in the overflow heap can fire after the cursor has moved
+// past its bucket (a later wheel event pulled the cursor on).  Anything
+// then scheduled at the range's instant is filed under the cursor's
+// bucket, so the range must not take an argument from its own firing
+// callback after that.
+TEST(EventRunRange, OverflowRangeFiringBehindTheCursor) {
   constexpr SimTime kLate = kHorizon + usec(10);  // four buckets further
   const Script script = [](std::int64_t id) -> std::vector<Spawn> {
     if (id == 1) return {{false, kLate - usec(300), 2}};
-    if (id == 3) return {{false, 0, 4}, {true, 0, 5}};
+    if (id == 3) return {{false, 0, 90}, {true, 0, 4}};
     return {};
   };
-  Twin runs(true, script);
-  Twin plain(false, script);
-  seedTwins(runs, plain, {{false, usec(300), 1}, {true, kHorizon + 100, 3}});
-  runs.eng.run();
-  plain.eng.run();
-  EXPECT_EQ(runs.seen, plain.seen);
-  ASSERT_EQ(runs.seen.size(), 5u);
-  EXPECT_EQ(runs.seen[2].id, 4);  // the plain event filed between members
+  RangeTwin ranges(true, script);
+  RangeTwin plain(false, script);
+  seedTwins(ranges, plain, {{false, usec(300), 1}, {true, kHorizon + 100, 3}});
+  runTwins(ranges, plain);
+  ASSERT_EQ(ranges.seen.size(), 5u);
+  EXPECT_EQ(ranges.seen[2].id, 90);  // the plain event filed in between
 }
 
 /// A seeded random script: every callback spawns up to three members or
@@ -643,19 +720,18 @@ Script soupScript(std::uint64_t seed) {
   };
 }
 
-TEST(EventRun, SeededSoupMatchesPlainEvents) {
+TEST(EventRunRange, SeededSoupMatchesPlainEvents) {
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
-    Twin runs(true, soupScript(seed));
-    Twin plain(false, soupScript(seed));
+    RangeTwin ranges(true, soupScript(seed));
+    RangeTwin plain(false, soupScript(seed));
     std::vector<std::tuple<bool, SimTime, std::int64_t>> roots;
     for (std::int64_t r = 1; r <= 15; ++r) {
       roots.emplace_back(r % 4 != 0, nsec(2048) * (r % 3) + (r % 2), r);
     }
-    seedTwins(runs, plain, roots);
-    runs.eng.run();
-    plain.eng.run();
-    EXPECT_EQ(runs.seen, plain.seen) << "seed " << seed;
-    EXPECT_GT(runs.seen.size(), 15u) << "seed " << seed;
+    seedTwins(ranges, plain, roots);
+    SCOPED_TRACE(seed);
+    runTwins(ranges, plain);
+    EXPECT_GT(ranges.seen.size(), 15u);
   }
 }
 
@@ -664,8 +740,8 @@ TEST(EventRun, SeededSoupMatchesPlainEvents) {
 // the answer must lie between now and the instant that fires next.
 TEST(Engine, NextEventTimeQueryChangesNothingLater) {
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
-    Twin asks(false, soupScript(seed));
-    Twin plain(false, soupScript(seed));
+    RangeTwin asks(false, soupScript(seed));
+    RangeTwin plain(false, soupScript(seed));
     asks.ask = true;
     std::vector<std::tuple<bool, SimTime, std::int64_t>> roots;
     for (std::int64_t r = 1; r <= 15; ++r) {
@@ -684,10 +760,10 @@ TEST(Engine, NextEventTimeQueryChangesNothingLater) {
   }
 }
 
-// Members and plain events filed at now() interleave in the same-instant
+// Ranges and plain events filed at now() interleave in the same-instant
 // FIFO exactly as plain events would, behind the entries already queued at
 // that instant and ahead of the next instant.
-TEST(EventRun, SameInstantMembersAndPlainEventsKeepTheirOrder) {
+TEST(EventRunRange, SameInstantRangesAndPlainEventsKeepTheirOrder) {
   const Script script = [](std::int64_t id) -> std::vector<Spawn> {
     if (id != 1) return {};
     std::vector<Spawn> out;
@@ -696,132 +772,19 @@ TEST(EventRun, SameInstantMembersAndPlainEventsKeepTheirOrder) {
     }
     return out;
   };
-  Twin runs(true, script);
-  Twin plain(false, script);
-  seedTwins(runs, plain,
+  RangeTwin ranges(true, script);
+  RangeTwin plain(false, script);
+  seedTwins(ranges, plain,
             {{false, usec(5), 1},
              {true, usec(5), 2},
              {false, usec(5), 3},
              {true, usec(5) + 1, 4}});
-  runs.eng.run();
-  plain.eng.run();
-  EXPECT_EQ(runs.seen, plain.seen);
-  ASSERT_EQ(runs.seen.size(), 68u);
-  EXPECT_EQ(runs.seen[3].id, 100);
-  EXPECT_EQ(runs.seen.back().id, 4);
-}
-
-// A member that throws leaves its run's later members pending under their
-// own keys; a second run() picks them up exactly where plain events would.
-TEST(EventRun, ThrowingMemberLeavesTheRestPending) {
-  const Script script = [](std::int64_t id) -> std::vector<Spawn> {
-    if (id == 3) return {{true, 0, 10}, {false, 0, 11}, {true, usec(1), 12}};
-    return {};
-  };
-  Twin runs(true, script, /*throw_id=*/3);
-  Twin plain(false, script, /*throw_id=*/3);
-  std::vector<std::tuple<bool, SimTime, std::int64_t>> initial;
-  for (std::int64_t id = 1; id <= 6; ++id) {
-    initial.emplace_back(true, usec(7), id);
-  }
-  initial.emplace_back(false, usec(7), 7);
-  initial.emplace_back(true, usec(9), 8);
-  seedTwins(runs, plain, initial);
-  EXPECT_THROW(runs.eng.run(), std::runtime_error);
-  EXPECT_THROW(plain.eng.run(), std::runtime_error);
-  EXPECT_EQ(runs.seen, plain.seen);
-  ASSERT_EQ(runs.seen.back().id, 3);
-  EXPECT_EQ(runs.eng.pendingEvents(), plain.eng.pendingEvents());
-  EXPECT_EQ(runs.eng.executedEvents(), plain.eng.executedEvents());
-  EXPECT_EQ(runs.eng.currentEventKey(), 0u);
-  EXPECT_EQ(plain.eng.currentEventKey(), 0u);
-  runs.eng.run();
-  plain.eng.run();
-  EXPECT_EQ(runs.seen, plain.seen);
-  EXPECT_EQ(runs.seen.size(), 11u);
-  EXPECT_EQ(runs.eng.pendingEvents(), 0u);
-}
-
-// ------------------------------------------------------- EventRun ranges --
-//
-// One script on two engines: on one, members go through atRange; on the
-// other, each member is a plain event.  A range draws one key and counts as
-// one event, so what is compared is what the ranges may not change: which
-// callbacks fire, in which order, at which instants.
-
-/// (id, now) of one callback.
-using Firing = std::pair<std::int64_t, SimTime>;
-
-class RangeTwin {
- public:
-  RangeTwin(bool ranges, Script script, std::int64_t throw_id = -1)
-      : ranges_(ranges),
-        script_(std::move(script)),
-        throw_id_(throw_id),
-        run_(eng, [this](std::int64_t id) { fired(id); }) {}
-
-  void schedule(bool member, SimTime when, std::int64_t id) {
-    if (member && ranges_) {
-      run_.atRange(when, id);
-    } else {
-      eng.at(when, [this, id] { fired(id); });
-    }
-  }
-
-  Engine eng;
-  std::vector<Firing> seen;
-
- private:
-  void fired(std::int64_t id) {
-    seen.emplace_back(id, eng.now());
-    for (const Spawn& s : script_(id)) {
-      schedule(s.member, eng.now() + s.delay, s.id);
-    }
-    if (id == throw_id_) throw std::runtime_error("range threw");
-  }
-
-  bool ranges_;
-  Script script_;
-  std::int64_t throw_id_;
-  EventRun<std::int64_t> run_;
-};
-
-TEST(EventRunRange, ConsecutiveArgumentsAtOneInstantAreOneEvent) {
-  std::vector<std::int64_t> order;
-  Engine eng;
-  EventRun<std::int64_t> run(eng, [&](std::int64_t id) {
-    order.push_back(id);
-    EXPECT_EQ(eng.currentEventKey(), 1u);
-  });
-  for (std::int64_t id = 0; id < 31; ++id) run.atRange(usec(60), id);
-  EXPECT_EQ(eng.pendingEvents(), 1u);
-  ASSERT_TRUE(eng.step());
-  EXPECT_FALSE(eng.step());
-  EXPECT_EQ(eng.executedEvents(), 1u);
-  ASSERT_EQ(order.size(), 31u);
-  for (std::int64_t id = 0; id < 31; ++id) EXPECT_EQ(order[id], id);
-}
-
-// An argument joins a range only where its own member could have joined
-// the run: a plain event filed at the range's instant in between fires
-// between the two, as it would among plain events.
-TEST(EventRunRange, JoinsOnlyWhereAMemberCouldJoinTheRun) {
-  const Script script = [](std::int64_t id) -> std::vector<Spawn> {
-    if (id != 1) return {};
-    return {{true, usec(3), 10}, {false, usec(3), 99}, {true, usec(3), 11},
-            {true, usec(3), 12}, {true, usec(4), 13}, {true, usec(3), 14}};
-  };
-  RangeTwin ranges(true, script);
-  RangeTwin plain(false, script);
-  ranges.schedule(false, usec(1), 1);
-  plain.schedule(false, usec(1), 1);
-  ranges.eng.run();
-  plain.eng.run();
-  EXPECT_EQ(ranges.seen, plain.seen);
-  ASSERT_EQ(ranges.seen.size(), 7u);
-  EXPECT_EQ(ranges.seen[2].first, 99);
-  // 10, then 11-12 as one range, then 13 and 14 on their own.
-  EXPECT_EQ(ranges.eng.executedEvents(), 6u);
+  runTwins(ranges, plain);
+  ASSERT_EQ(ranges.seen.size(), 68u);
+  EXPECT_EQ(ranges.seen[3].id, 100);
+  EXPECT_EQ(ranges.seen.back().id, 4);
+  // 22 plain events among 21 two-member ranges.
+  EXPECT_EQ(ranges.eng.executedEvents(), 4u + 22u + 21u);
 }
 
 /// Bursts of consecutive ids: a callback spawns up to two bursts of one to
@@ -863,45 +826,47 @@ TEST(EventRunRange, SeededBurstsFireAsPlainEvents) {
       ranges.schedule(r % 3 != 0, when, r);
       plain.schedule(r % 3 != 0, when, r);
     }
-    ranges.eng.run();
-    plain.eng.run();
-    EXPECT_EQ(ranges.seen, plain.seen) << "seed " << seed;
-    EXPECT_GT(ranges.seen.size(), 30u) << "seed " << seed;
-    EXPECT_EQ(ranges.eng.pendingEvents(), 0u);
+    SCOPED_TRACE(seed);
+    runTwins(ranges, plain);
+    EXPECT_GT(ranges.seen.size(), 30u);
     range_events += ranges.eng.executedEvents();
     plain_events += plain.eng.executedEvents();
   }
   EXPECT_LT(range_events, plain_events);
 }
 
-// A range that throws leaves its later arguments pending as one event under
-// its key; the members behind it keep theirs.  A second run() fires them
-// where plain events would.
+// A range whose call throws leaves its later arguments pending as one
+// event under its key; the events behind it keep theirs.  A second run()
+// fires them where plain events would.
 TEST(EventRunRange, ThrowingRangeLeavesItsRestPending) {
   const Script script = [](std::int64_t id) -> std::vector<Spawn> {
-    if (id == 3) return {{true, 0, 7}, {false, 0, 20}, {true, 0, 8}};
+    if (id == 3) {
+      return {{true, 0, 7}, {false, 0, 20}, {true, 0, 8}, {true, usec(1), 9}};
+    }
     return {};
   };
   RangeTwin ranges(true, script, /*throw_id=*/3);
   RangeTwin plain(false, script, /*throw_id=*/3);
+  std::vector<std::tuple<bool, SimTime, std::int64_t>> initial;
   for (std::int64_t id = 1; id <= 6; ++id) {
-    ranges.schedule(true, usec(7), id);
-    plain.schedule(true, usec(7), id);
+    initial.emplace_back(true, usec(7), id);
   }
-  ranges.schedule(false, usec(7), 30);
-  plain.schedule(false, usec(7), 30);
+  initial.emplace_back(false, usec(7), 30);
+  initial.emplace_back(true, usec(9), 40);
+  seedTwins(ranges, plain, initial);
   EXPECT_THROW(ranges.eng.run(), std::runtime_error);
   EXPECT_THROW(plain.eng.run(), std::runtime_error);
-  EXPECT_EQ(ranges.seen, plain.seen);
-  // 4..6 pending as one range, then 30, 7, 20 and 8.
-  EXPECT_EQ(ranges.eng.pendingEvents(), 5u);
+  EXPECT_EQ(ranges.firings(), plain.firings());
+  ASSERT_EQ(ranges.seen.back().id, 3);
+  // 4..6 pending as one range under key 1, then 30, 40, 7, 20, 8 and 9.
+  EXPECT_EQ(ranges.eng.pendingEvents(), 7u);
+  EXPECT_EQ(plain.eng.pendingEvents(), 9u);
   EXPECT_EQ(ranges.eng.currentEventKey(), 0u);
-  ranges.eng.run();
-  plain.eng.run();
-  EXPECT_EQ(ranges.seen, plain.seen);
-  EXPECT_EQ(ranges.seen.size(), 10u);
-  EXPECT_EQ(ranges.eng.pendingEvents(), 0u);
-  EXPECT_EQ(ranges.eng.executedEvents(), 6u);
+  EXPECT_EQ(plain.eng.currentEventKey(), 0u);
+  runTwins(ranges, plain);
+  EXPECT_EQ(ranges.seen.size(), 12u);
+  EXPECT_EQ(ranges.seen[3].key, 1u);  // 4 fires under the range's key
+  EXPECT_EQ(ranges.eng.executedEvents(), 8u);
 }
 
 // ---------------------------------------------------------------- Fiber --

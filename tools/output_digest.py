@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Digests what a build's paper benches and examples print and write.
+
+Runs every executable in BUILD_DIR/bench except bench_engine and
+bench_micro (they report host time) and every executable in
+BUILD_DIR/examples, one at a time, each in a fresh temporary directory.
+Prints one `sha256  name` line for each binary's stdout, for its exit
+code, and for every file it leaves behind in its directory (bench_rma's
+BENCH_rma.json, checkpoint_fault_tolerance's .bcss snapshot):
+
+    <sha256>  bench_rma/stdout
+    <sha256>  bench_rma/exit
+    <sha256>  bench_rma/BENCH_rma.json
+
+Nothing host-dependent is hashed, so the listings of two builds diff clean
+when no simulated output moved:
+
+    tools/output_digest.py build > change.txt
+    tools/output_digest.py ../parent/build > parent.txt
+    diff parent.txt change.txt
+
+Pure stdlib.  Exits 1 if BUILD_DIR holds no bench or example binary.
+
+Usage:
+    tools/output_digest.py BUILD_DIR
+"""
+
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+HOST_TIMED = {"bench_engine", "bench_micro"}
+
+
+def binaries(build: pathlib.Path):
+    found = []
+    for sub in ("bench", "examples"):
+        d = build / sub
+        if not d.is_dir():
+            continue
+        for p in sorted(d.iterdir()):
+            if (p.is_file() and os.access(p, os.X_OK)
+                    and p.name not in HOST_TIMED):
+                found.append(p.resolve())
+    return found
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest(binary: pathlib.Path):
+    with tempfile.TemporaryDirectory(prefix="output_digest_") as tmp:
+        proc = subprocess.run([str(binary)], cwd=tmp, stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, check=False)
+        lines = [(sha256(proc.stdout), "stdout"),
+                 (sha256(str(proc.returncode).encode()), "exit")]
+        root = pathlib.Path(tmp)
+        for p in sorted(root.rglob("*")):
+            if p.is_file():
+                lines.append((sha256(p.read_bytes()),
+                              p.relative_to(root).as_posix()))
+    return lines
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[-1].strip(), file=sys.stderr)
+        return 2
+    found = binaries(pathlib.Path(argv[1]))
+    if not found:
+        print(f"{argv[1]}: no bench or example binaries", file=sys.stderr)
+        return 1
+    for binary in found:
+        for hexdigest, what in digest(binary):
+            print(f"{hexdigest}  {binary.name}/{what}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
