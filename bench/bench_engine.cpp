@@ -13,10 +13,12 @@
 //                    512/1024/2048 nodes; `tree_speedup_n512` is the gated
 //                    ratio (DESIGN.md §7).
 //
-// Results are appended to BENCH_engine.json (flat "key": value pairs).  With
-// --baseline <json>, throughput keys are compared against the checked-in
-// baseline and the run fails on a >30% regression — this is the `bench_quick`
-// CTest entry (see the `bench` CMake preset).
+// Results go to stdout; with --out <json> they are also written to that file
+// (flat "key": value pairs, replacing it), and nothing is written without
+// it, so a run cannot overwrite the checked-in BENCH_engine.json by
+// accident.  With --baseline <json>, throughput keys are compared against
+// the checked-in baseline and the run fails on a >30% regression — this is
+// the `bench_quick` CTest entry (see the `bench` CMake preset).
 
 #include <algorithm>
 #include <chrono>
@@ -281,7 +283,7 @@ double jsonNumber(const std::string& text, const std::string& key) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* out_path = "BENCH_engine.json";
+  const char* out_path = nullptr;
   const char* baseline_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
@@ -368,17 +370,17 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(slices));
   }
 
-  std::ostringstream json;
-  json << "{\n  \"bench\": \"engine\"";
-  for (const auto& [key, value] : results) {
-    json << ",\n  \"" << key << "\": " << value;
-  }
-  json << "\n}\n";
-  {
+  if (out_path != nullptr) {
+    std::ostringstream json;
+    json << "{\n  \"bench\": \"engine\"";
+    for (const auto& [key, value] : results) {
+      json << ",\n  \"" << key << "\": " << value;
+    }
+    json << "\n}\n";
     std::ofstream f(out_path);
     f << json.str();
+    std::printf("wrote %s\n", out_path);
   }
-  std::printf("wrote %s\n", out_path);
 
   if (baseline_path != nullptr) {
     std::ifstream f(baseline_path);

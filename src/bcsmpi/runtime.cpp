@@ -442,7 +442,7 @@ void Runtime::startSlice() {
   ++stats_.slices;
   slice_start_ = cluster_.engine().now();
   root_msgs_slice_ = 0;
-  if (replaySlice()) return;
+  recording_.active = false;
   strobePhase(Phase::kDem);
 }
 
@@ -510,6 +510,7 @@ void Runtime::strobePhase(Phase p) {
     strobing_ = false;
     return;
   }
+  if (!recording_.active && replaySuffix(p)) return;
   const std::uint64_t seq = ++phase_seq_;
   ++stats_.microstrobes;
   sim::traceRecord(
@@ -634,16 +635,13 @@ void Runtime::phaseComplete(Phase p) {
     strobing_ = false;
     return;
   }
+  // A recording ends before the overrun and the next start, which a replay
+  // derives from its own slice's start.
+  if (recording_.active) finishRecording();
   const SimTime now = cluster_.engine().now();
   // A slice that slipped past its boundary re-aligns to the period grid.
   if (slice_start_ + config_.time_slice <= now) ++stats_.slice_overruns;
-  const SimTime next = nextBoundary(now);
-  const std::uint64_t epoch = control_epoch_;
-  cluster_.engine().at(next, [this, epoch] {
-    if (epoch != control_epoch_) return;
-    startSlice();
-  });
-  if (recording_.active) finishRecording(next);
+  scheduleStartSlice(nextBoundary(now));
 }
 
 SimTime Runtime::nextBoundary(SimTime now) const {
@@ -652,6 +650,14 @@ SimTime Runtime::nextBoundary(SimTime now) const {
   const std::uint64_t k =
       static_cast<std::uint64_t>((now - slice_start_) / config_.time_slice);
   return slice_start_ + static_cast<SimTime>(k + 1) * config_.time_slice;
+}
+
+void Runtime::scheduleStartSlice(SimTime at) {
+  const std::uint64_t epoch = control_epoch_;
+  cluster_.engine().at(at, [this, epoch] {
+    if (epoch != control_epoch_) return;
+    startSlice();
+  });
 }
 
 void Runtime::maybeStop() {
@@ -664,22 +670,23 @@ void Runtime::maybeStop() {
 }
 
 // ---------------------------------------------------------------------------
-// Quiescent-slice replay (DESIGN.md §5b)
+// Idle-suffix replay (DESIGN.md §5b)
 // ---------------------------------------------------------------------------
 //
-// A slice that starts with nothing to do on any live node runs a fixed
-// schedule: the strobe, the DEM and MSM floors, three empty transmission
-// microphases.  The first such slice under a control plane runs normally
-// and is recorded; later ones apply the recording, a fill per field over
-// runs of nodes that end the slice alike, and schedule the next slice, one
-// engine event in all.
+// From the microstrobe of a microphase on which every live node is idle,
+// the rest of a slice runs a fixed schedule: the strobes, the floors and
+// the polls of the remaining microphases.  The first such suffix from each
+// microphase under a control plane runs normally and is recorded; later
+// ones apply the recording, a fill per field over runs of nodes that end
+// the slice alike, and file the next slice, one engine event in all.  From
+// the DEM the suffix is the whole slice.
 //
 // Why this is exact.  Replay demands that no engine event falls at or
-// before the recorded RM completion S + rm_offset, so in the normal run
-// only the slice's own events fire in [S, S + rm_offset], and nothing they
-// do leaves the runtime, fabric or core state the template covers.  The
-// next startSlice key is drawn at S instead of at RM completion; no other
-// key is drawn in between, so every surviving event keeps its order
+// before the recorded RM completion T + rm_offset, so in the normal run
+// only the suffix's own events fire in [T, T + rm_offset], and nothing
+// they do leaves the runtime, fabric or core state the template covers.
+// The next startSlice key is drawn at T instead of at RM completion; no
+// other key is drawn in between, so every surviving event keeps its order
 // relative to it.  The window also ends within the engine's run limit, so
 // a caller never sees the slice before the time it would have completed.
 
@@ -721,29 +728,28 @@ bool Runtime::nodeIdle(const NodeState& ns, Phase p) const {
   return false;
 }
 
-bool Runtime::sliceQuiescent(SimTime now, bool after_replay) {
-  if (trace_->enabled() || active_ranks_ == 0 || live_compute_nodes_.empty()) {
-    return false;
-  }
+bool Runtime::suffixIdle(Phase p, bool after_replay) {
   // A replayed slice changes no node queue and arms or disarms no watchdog,
   // and everything else that does between slices bumps work_epoch_: rank-
   // side posts, blocking probes, wake-list pushes, job creation, a watchdog
   // left disarmed (and evictions, rejoins and elections end the replay run
-  // through dropSliceTemplate).  So the last walk's verdict still holds.
-  if (!after_replay || work_epoch_ != idle_epoch_) {
-    const NodeControl& c = *ctl_;
-    for (int n : live_compute_nodes_) {
-      const NodeState& ns = nodes_[static_cast<std::size_t>(n)];
-      if (config_.watchdog_slices > 0 && !c.watchdog_armed[n]) {
-        return false;
-      }
-      for (int p = 0; p < kNumPhases; ++p) {
-        if (!nodeIdle(ns, static_cast<Phase>(p))) return false;
-      }
+  // through dropSliceTemplate).  So the last whole-slice walk's verdict
+  // still holds.  A replayed suffix does not count: the microphases before
+  // it did work.
+  if (after_replay && work_epoch_ == idle_epoch_) return true;
+  const NodeControl& c = *ctl_;
+  // BBM and RM share one predicate: RM's is tested only where the suffix
+  // starts there.
+  const int last = p == Phase::kRm ? kNumPhases : kNumPhases - 1;
+  for (const int n : live_compute_nodes_) {
+    if (config_.watchdog_slices > 0 && !c.watchdog_armed[n]) return false;
+    const NodeState& ns = nodes_[static_cast<std::size_t>(n)];
+    for (int q = static_cast<int>(p); q < last; ++q) {
+      if (!nodeIdle(ns, static_cast<Phase>(q))) return false;
     }
-    idle_epoch_ = work_epoch_;
   }
-  return cluster_.fabric().quiet(now);
+  if (p == Phase::kDem) idle_epoch_ = work_epoch_;
+  return true;
 }
 
 bool Runtime::controlPlaneDownDuring(SimTime from, SimTime to) const {
@@ -754,58 +760,47 @@ bool Runtime::controlPlaneDownDuring(SimTime from, SimTime to) const {
   });
 }
 
-bool Runtime::replaySlice() {
-  recording_.active = false;
-  const bool after_replay = std::exchange(slice_replayed_, false);
-  sim::Engine& engine = cluster_.engine();
-  const SimTime now = engine.now();
-  // The O(1) tests first: a pending event in the window declines before
-  // the O(nodes) walk.
-  const SimTime next_event = engine.nextEventTime();
-  if (next_event <= now) return false;
-  if (slice_template_) {
-    const SimTime end = now + slice_template_->rm_offset;
-    if (next_event <= end || end > engine.runLimit()) return false;
-  }
-  if (!sliceQuiescent(now, after_replay)) return false;
-  if (!slice_template_) {
-    // Record this slice if it runs undisturbed to its RM completion; that
-    // is checked when it gets there (finishRecording).
-    SliceRecording& r = recording_;
-    r.active = true;
-    r.start = now;
-    r.next_event = next_event;
-    r.pending = engine.pendingEvents();
-    r.phase_seq = phase_seq_;
-    r.stats = stats_;
-    cluster_.fabric().mark(r.fabric);
-    r.nodes.resize(live_compute_nodes_.size());
-    const NodeControl& c = *ctl_;
-    for (std::size_t i = 0; i < live_compute_nodes_.size(); ++i) {
-      const int n = live_compute_nodes_[i];
-      SliceTemplate::NodeEnd& e = r.nodes[i];
-      e.phase_seq = static_cast<std::int64_t>(c.phase_seq[n]);
-      e.phase_done = core_.readVar(n, phase_done_var_);
-      e.last_strobe = c.last_strobe[n];
-    }
-    r.racks.resize(tree_racks_.size());
-    for (std::size_t k = 0; k < tree_racks_.size(); ++k) {
-      r.racks[k].seq = static_cast<std::int64_t>(tree_racks_[k].seq);
-      r.racks[k].acked_seq = static_cast<std::int64_t>(tree_racks_[k].acked_seq);
-    }
+bool Runtime::replaySuffix(Phase p) {
+  const bool after_replay =
+      p == Phase::kDem && std::exchange(slice_replayed_, false);
+  // An eviction waiting for recovery declines too: its tree repair may
+  // complete a microphase from inside notifyNodeFailure, whose caller can
+  // file an event in the window after this returns.
+  if (trace_->enabled() || active_ranks_ == 0 || !pending_evictions_.empty()) {
     return false;
   }
-  const SliceTemplate& t = *slice_template_;
-  if (controlPlaneDownDuring(now, now + t.rm_offset)) return false;
+  // The O(1) tests first: a pending event in the window declines before
+  // the O(nodes) walk.
+  sim::Engine& engine = cluster_.engine();
+  const SimTime now = engine.now();
+  const SimTime next_event = engine.nextEventTime();
+  if (next_event <= now) return false;
+  SliceTemplate& t = templates_[static_cast<std::size_t>(p)];
+  const SimTime end = now + t.rm_offset;
+  if (t.recorded && (next_event <= end || end > engine.runLimit())) {
+    return false;
+  }
+  if (!cluster_.fabric().quiet(now) || !suffixIdle(p, after_replay)) {
+    return false;
+  }
+  if (!t.recorded) {
+    // Record this suffix if it runs undisturbed to its RM completion; that
+    // is checked when it gets there (finishRecording).
+    startRecording(p, next_event);
+    return false;
+  }
+  if (controlPlaneDownDuring(now, end)) return false;
   const std::int64_t base = static_cast<std::int64_t>(phase_seq_);
   phase_seq_ += t.phases;
   stats_ = sim::zipCounters(stats_, t.stats, std::plus<>());
-  stats_.fanout_msgs_per_slice = t.root_msgs;
-  root_msgs_slice_ = t.root_msgs;
+  root_msgs_slice_ += t.root_msgs;
+  stats_.fanout_msgs_per_slice = root_msgs_slice_;
   cluster_.fabric().apply(t.fabric, now);
-  // The control arrays' stores wait for their first reader; a replay
-  // after this one writes the same runs, so it replaces them.  The
+  // The control arrays' stores wait for their first reader.  A replay
+  // after this one under the same template writes the same runs, so it
+  // replaces them; one under another template lands them first.  The
   // phase_done replicas (a flat template's) are the core's and land now.
+  if (ctl_.store().t != &t) ctl_.settle();
   ctl_.defer() = ControlStore{&t, base, now};
   constexpr std::int64_t kKeep = SliceTemplate::kKeep;
   for (const SliceTemplate::NodeRun& run : t.nodes) {
@@ -825,12 +820,11 @@ bool Runtime::replaySlice() {
   }
   tree_phase_ = t.tree_phase;
   tree_phase_open_ = t.tree_phase_open;
-  const std::uint64_t epoch = control_epoch_;
-  engine.at(now + t.next_offset, [this, epoch] {
-    if (epoch != control_epoch_) return;
-    startSlice();
-  });
-  slice_replayed_ = true;
+  // The slice ends at RM completion, where phaseComplete derives the
+  // overrun and the next start from the slice's own start.
+  if (slice_start_ + config_.time_slice <= end) ++stats_.slice_overruns;
+  scheduleStartSlice(nextBoundary(end));
+  slice_replayed_ = p == Phase::kDem;
   return true;
 }
 
@@ -851,14 +845,42 @@ void Runtime::ControlStore::operator()(NodeControl& c) const {
   }
 }
 
-void Runtime::finishRecording(SimTime next) {
+void Runtime::startRecording(Phase p, SimTime next_event) {
+  SliceRecording& r = recording_;
+  const sim::Engine& engine = cluster_.engine();
+  r.active = true;
+  r.from = p;
+  r.start = engine.now();
+  r.next_event = next_event;
+  r.pending = engine.pendingEvents();
+  r.phase_seq = phase_seq_;
+  r.root_msgs = root_msgs_slice_;
+  r.stats = stats_;
+  cluster_.fabric().mark(r.fabric);
+  r.nodes.resize(live_compute_nodes_.size());
+  const NodeControl& c = *ctl_;
+  for (std::size_t i = 0; i < live_compute_nodes_.size(); ++i) {
+    const int n = live_compute_nodes_[i];
+    SliceTemplate::NodeEnd& e = r.nodes[i];
+    e.phase_seq = static_cast<std::int64_t>(c.phase_seq[n]);
+    e.phase_done = core_.readVar(n, phase_done_var_);
+    e.last_strobe = c.last_strobe[n];
+  }
+  r.racks.resize(tree_racks_.size());
+  for (std::size_t k = 0; k < tree_racks_.size(); ++k) {
+    r.racks[k].seq = static_cast<std::int64_t>(tree_racks_[k].seq);
+    r.racks[k].acked_seq = static_cast<std::int64_t>(tree_racks_[k].acked_seq);
+  }
+}
+
+void Runtime::finishRecording() {
   SliceRecording& r = recording_;
   r.active = false;
   const sim::Engine& engine = cluster_.engine();
   const SimTime now = engine.now();
-  // Undisturbed: no event that was pending at S has fired, and the slice
-  // left nothing pending but the next startSlice.
-  if (r.next_event <= now || engine.pendingEvents() != r.pending + 1 ||
+  // Undisturbed: no event that was pending at T has fired, and the suffix
+  // left nothing pending.
+  if (r.next_event <= now || engine.pendingEvents() != r.pending ||
       controlPlaneDownDuring(r.start, now)) {
     return;
   }
@@ -868,13 +890,14 @@ void Runtime::finishRecording(SimTime next) {
                       std::int64_t origin) {
     return after == before ? kKeep : after - origin;
   };
-  SliceTemplate t;
+  SliceTemplate& t = templates_[static_cast<std::size_t>(r.from)];
+  t.recorded = true;
   t.rm_offset = now - r.start;
-  t.next_offset = next - r.start;
   t.phases = phase_seq_ - r.phase_seq;
   t.stats = sim::zipCounters(stats_, r.stats, std::minus<>());
-  t.root_msgs = root_msgs_slice_;
-  t.fabric = cluster_.fabric().deltaSince(r.fabric, r.start);
+  t.root_msgs = root_msgs_slice_ - r.root_msgs;
+  cluster_.fabric().deltaSince(r.fabric, r.start, t.fabric);
+  t.nodes.clear();
   const NodeControl& c = *ctl_;
   for (std::size_t i = 0; i < live_compute_nodes_.size(); ++i) {
     const int n = live_compute_nodes_[i];
@@ -908,7 +931,6 @@ void Runtime::finishRecording(SimTime next) {
   }
   t.tree_phase = tree_phase_;
   t.tree_phase_open = tree_phase_open_;
-  slice_template_ = std::move(t);
 }
 
 // ---------------------------------------------------------------------------
@@ -1551,11 +1573,7 @@ void Runtime::resumeStrobe() {
       trace_, now, sim::TraceCategory::kFailover, strobe_node_, [&] {
         return "phase quiesced; strobing resumes at " + sim::formatTime(next);
       });
-  const std::uint64_t epoch = control_epoch_;
-  cluster_.engine().at(next, [this, epoch] {
-    if (epoch != control_epoch_) return;
-    startSlice();
-  });
+  scheduleStartSlice(next);
 }
 
 void Runtime::notifyNodeRejoin(int node) {

@@ -26,11 +26,11 @@
 // descriptors (descriptors.hpp) and blocking on request completion.
 
 #include <algorithm>
+#include <array>
 #include <compare>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "bcs/core.hpp"
@@ -504,18 +504,21 @@ class Runtime {
     int pending = 0;              ///< members still busy with `seq`
   };
 
-  /// Everything one normally simulated quiescent slice changed, as offsets
-  /// from its start instant S and from phase_seq_ at S (DESIGN.md §5b,
-  /// "Quiescent-slice replay").  Replaying it at a later quiescent start
-  /// under the same control plane reproduces that slice exactly.
+  /// Everything the rest of one normally simulated slice changed, from the
+  /// microstrobe of its starting microphase at instant T to its RM
+  /// completion, as offsets from T and from phase_seq_ at T and as counter
+  /// deltas (DESIGN.md §5b, "Idle-suffix replay").  Replaying it at a later
+  /// microstrobe of the same microphase, with every live node idle for the
+  /// rest of that slice, under the same control plane, reproduces that
+  /// suffix exactly.  The DEM's template is a whole slice's.
   struct SliceTemplate {
-    /// An end value the slice left alone.
+    /// An end value the suffix left alone.
     static constexpr std::int64_t kKeep = INT64_MIN;
     /// How a live node ends the slice.
     struct NodeEnd {
-      std::int64_t phase_seq = kKeep;   ///< offset from phase_seq_ at S
+      std::int64_t phase_seq = kKeep;   ///< offset from phase_seq_ at T
       std::int64_t phase_done = kKeep;  ///< replica, same base
-      std::int64_t last_strobe = kKeep;  ///< offset from S
+      std::int64_t last_strobe = kKeep;  ///< offset from T
       int outstanding = 0;
       bool tree_floor = false;
       bool tree_drain = false;
@@ -530,42 +533,49 @@ class Runtime {
     };
     /// One per rack (tree mode).
     struct RackEnd {
-      std::int64_t seq = kKeep;  ///< offsets from phase_seq_ at S
+      std::int64_t seq = kKeep;  ///< offsets from phase_seq_ at T
       std::int64_t acked_seq = kKeep;
       int pending = 0;
     };
-    Duration rm_offset = 0;    ///< RM completion, after S
-    Duration next_offset = 0;  ///< the next slice's start, after S
+    /// Holds a recording for the current control plane.  A template that
+    /// is dropped keeps its buffers' capacity for the next recording.
+    bool recorded = false;
+    Duration rm_offset = 0;    ///< RM completion, after T
     std::uint64_t phases = 0;  ///< phase_seq_ advance
-    RuntimeStats stats;        ///< counter deltas
-    std::uint64_t root_msgs = 0;  ///< root_msgs_slice_ at RM completion
+    /// Counter deltas.  Not the overrun, which a replay derives from its
+    /// own slice's start, as phaseComplete does.
+    RuntimeStats stats;
+    std::uint64_t root_msgs = 0;  ///< root_msgs_slice_ advance
     net::FabricDelta fabric;
     std::vector<NodeRun> nodes;  ///< ascending, covering the live nodes
     std::vector<RackEnd> racks;
     Phase tree_phase = Phase::kDem;
     bool tree_phase_open = false;
   };
-  /// The state at S of a quiescent slice being recorded: the slice's end
-  /// minus this is the template.  Node and rack entries hold absolute
-  /// values; the buffers keep their capacity from one attempt to the next.
+  /// The state at T of a suffix being recorded: the slice's end minus this
+  /// is the template of microphase `from`.  Node and rack entries hold
+  /// absolute values; the buffers keep their capacity from one attempt to
+  /// the next.
   struct SliceRecording {
     bool active = false;
+    Phase from = Phase::kDem;
     SimTime start = 0;
-    SimTime next_event = 0;  ///< earliest pending engine event at S
-    std::size_t pending = 0;  ///< pending engine events at S
+    SimTime next_event = 0;  ///< earliest pending engine event at T
+    std::size_t pending = 0;  ///< pending engine events at T
     std::uint64_t phase_seq = 0;
+    std::uint64_t root_msgs = 0;
     RuntimeStats stats;
     net::Fabric::Mark fabric;
     /// One per live node, in live_compute_nodes_ order.
     std::vector<SliceTemplate::NodeEnd> nodes;
     std::vector<SliceTemplate::RackEnd> racks;
   };
-  /// A replayed slice's stores to the control arrays, waiting in ctl_ for
+  /// A replayed suffix's stores to the control arrays, waiting in ctl_ for
   /// their first reader (DESIGN.md §5b, "Write-back"): the template's node
-  /// runs, set from phase_seq_ at S (`base`) and from S (`start`).  The
+  /// runs, set from phase_seq_ at T (`base`) and from T (`start`).  The
   /// next replay under the same template writes the same runs, so it
-  /// replaces this one; dropSliceTemplate lands it before the template
-  /// goes.
+  /// replaces this one; a replay under another template, and
+  /// dropSliceTemplate, land it first.
   struct ControlStore {
     const SliceTemplate* t = nullptr;
     std::int64_t base = 0;
@@ -585,26 +595,34 @@ class Runtime {
   void phaseComplete(Phase p);
   /// The first slice boundary on the period grid after `now`.
   SimTime nextBoundary(SimTime now) const;
+  /// Files the next slice's start, fenced by the current control epoch.
+  void scheduleStartSlice(SimTime at);
   void maybeStop();
 
-  // Quiescent-slice replay (runtime.cpp, DESIGN.md §5b)
-  /// At a slice start, after the boundary bookkeeping: replays the slice
-  /// from the template and returns true, or starts recording one.
-  bool replaySlice();
-  /// Every condition but the template's: trace off, ranks active, every
-  /// live node idle in all five microphases with its watchdog armed, and a
-  /// quiet fabric.  After a replayed slice the node walk is skipped while
-  /// work_epoch_ still equals the value the last walk admitted.
-  bool sliceQuiescent(SimTime now, bool after_replay);
+  // Idle-suffix replay (runtime.cpp, DESIGN.md §5b)
+  /// At the microstrobe of `p`, before its sequence number is drawn, in a
+  /// slice that has not started recording: replays the rest of the slice
+  /// from p's template, files the next startSlice and returns true, or
+  /// starts recording p's template.  From the DEM it replays the whole
+  /// slice.
+  bool replaySuffix(Phase p);
+  /// Every live node's watchdog is armed (or watchdogs are off) and every
+  /// live node is idle in `p` and every later microphase; stops at the
+  /// first node that is not.  At the DEM after a replayed whole slice the
+  /// walk is skipped while work_epoch_ still equals the value the last
+  /// whole-slice walk admitted.
+  bool suffixIdle(Phase p, bool after_replay);
   /// A live node or the Strobe Sender is down somewhere in [from, to].
   bool controlPlaneDownDuring(SimTime from, SimTime to) const;
-  void finishRecording(SimTime next);
-  /// Evictions, rejoins and elections change the control plane a template
-  /// was recorded under.  The pending stores point into the template, so
-  /// they land first.
+  void startRecording(Phase p, SimTime next_event);
+  /// At RM completion, before the overrun and the next start are derived.
+  void finishRecording();
+  /// Evictions, rejoins and elections change the control plane the
+  /// templates were recorded under.  The pending stores point into one,
+  /// so they land first.
   void dropSliceTemplate() {
     ctl_.settle();
-    slice_template_.reset();
+    for (SliceTemplate& t : templates_) t.recorded = false;
     recording_.active = false;
     slice_replayed_ = false;
   }
@@ -657,8 +675,8 @@ class Runtime {
   Duration treeInitMember(int node, Phase p, std::uint64_t seq);
   /// True iff microphase `p` has nothing to do on the node: no Node Manager
   /// duty, nothing to drain, match, get or execute.  The tree skips such a
-  /// member's tokens; a slice in which every live node is idle in every
-  /// microphase can be replayed.
+  /// member's tokens; the rest of a slice in which every live node is idle
+  /// can be replayed.
   bool nodeIdle(const NodeState& ns, Phase p) const;
   void treeReleaseFloor(int rack, std::uint64_t seq);
   void treeDrain(int rack, std::uint64_t seq);
@@ -845,14 +863,13 @@ class Runtime {
   /// modes); snapshotted into stats_.fanout_msgs_per_slice at slice end.
   std::uint64_t root_msgs_slice_ = 0;
 
-  /// Quiescent-slice replay: the template for the current control plane,
-  /// and the slice recording one.  Neither is part of a snapshot.
-  std::optional<SliceTemplate> slice_template_;
+  /// Idle-suffix replay: the suffix recording a template (templates_,
+  /// below).  Neither is part of a snapshot.
   SliceRecording recording_;
-  /// The slice that started last was replayed.
+  /// The slice that started last was replayed from its DEM.
   bool slice_replayed_ = false;
   /// Bumped by noteWork(); idle_epoch_ is its value at the last node walk
-  /// that found every live node idle and armed.
+  /// that found every live node idle in all five microphases and armed.
   std::uint64_t work_epoch_ = 0;
   std::uint64_t idle_epoch_ = 0;
 
@@ -871,6 +888,12 @@ class Runtime {
   std::unique_ptr<verify::Verifier> verifier_;
 
   RuntimeStats stats_;
+
+  /// One idle-suffix template per starting microphase for the current
+  /// control plane.  Declared last: declared among the members a replayed
+  /// slice reads, the five templates spread those over more cache lines
+  /// and made a replayed whole slice ≈8 % slower.
+  std::array<SliceTemplate, kNumPhases> templates_;
 
   /// Snapshot serializer (src/snapshot/state_io.*): reads and rebuilds the
   /// private state above at slice boundaries.  Friendship instead of a

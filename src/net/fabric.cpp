@@ -327,10 +327,10 @@ void Fabric::softwareMulticast(int src, std::span<const int> dests,
   issueSoftwareMulticast(*this, st, 0);
 }
 
-FabricDelta Fabric::deltaSince(const Mark& m, SimTime base) {
-  FabricDelta d;
+void Fabric::deltaSince(const Mark& m, SimTime base, FabricDelta& d) {
   d.id = ++deltas_;
   d.stats = sim::zipCounters(stats_, m.stats, std::minus<>());
+  d.busy.clear();
   const std::vector<Endpoint>& endpoints = *endpoints_;
   for (const bool ingress : {false, true}) {
     const auto side = [ingress](const Endpoint& e) {
@@ -352,7 +352,6 @@ FabricDelta Fabric::deltaSince(const Mark& m, SimTime base) {
       d.busy.push_back({node, 1, ingress, offset});
     }
   }
-  return d;
 }
 
 // A replay of the delta whose runs are pending (or were the last to land)

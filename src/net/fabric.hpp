@@ -184,8 +184,9 @@ class Fabric {
     m.stats = stats_;
     m.endpoints = *endpoints_;
   }
-  /// What changed since `m`, free-times as offsets from `base`.
-  FabricDelta deltaSince(const Mark& m, SimTime base);
+  /// Fills `d` with what changed since `m`, free-times as offsets from
+  /// `base`, reusing its capacity.
+  void deltaSince(const Mark& m, SimTime base, FabricDelta& d);
   /// Replays `d` at `base`: adds its counters and raises quiet()'s running
   /// maximum now, and defers its free-times until the endpoints are next
   /// used (sim/write_back.hpp), so a replay is O(1) in nodes.

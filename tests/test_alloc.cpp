@@ -20,6 +20,8 @@
 //     tree, and neither does a simulated one once warm: its microstrobes,
 //     relays, Compare-And-Write polls, acks and NIC timers run in recycled
 //     storage;
+//   * a warm busy flat slice whose idle BBM and RM are replayed from their
+//     template allocates nothing;
 //   * a warmed-up EventRun (the flat runtime's per-node NIC timers) files
 //     and fires a microphase's 31 same-instant nodes, one range, without
 //     allocating.
@@ -27,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bitset>
 #include <cstdint>
@@ -425,6 +428,24 @@ TEST(AllocBudget, EventRunMicrophasesAllocateNothing) {
             static_cast<std::uint64_t>(2 * (kWarmup + kMicrophases)));
 }
 
+/// A no-op engine event every 1 us until `end`.  Every replay's window, from
+/// any microstrobe, then holds one, so every slice is simulated.  Its
+/// callback fits the engine's inline slot, so it allocates nothing.
+struct Ticker {
+  Ticker(sim::Engine& engine, sim::SimTime end) : engine(engine), end(end) {
+    engine.at(engine.now(), [this] { tick(); });
+  }
+  Ticker(const Ticker&) = delete;
+  Ticker& operator=(const Ticker&) = delete;
+  void tick() {
+    if (engine.now() + sim::usec(1) <= end) {
+      engine.after(sim::usec(1), [this] { tick(); });
+    }
+  }
+  sim::Engine& engine;
+  sim::SimTime end;
+};
+
 /// `nodes` ranks, one per node, computing for 300 ms: after launch every
 /// slice is pure control plane.  `at_boundary(slice)` runs at every slice
 /// boundary (the periodic snapshot sink).
@@ -452,11 +473,10 @@ TEST(AllocBudget, IdleTreeSlicesStayWithinFourPerRackPerMicrophase) {
   constexpr std::uint64_t kMicrophases = 5;  // DEM, MSM, P2P, BBM, RM
 
   net::Cluster cluster(computeNodes(kNodes));
-  // A no-op event 1 ns into every slice makes the quiescent-slice replay
-  // decline, so every slice runs the relay path this budget measures.
-  auto runtime = launchIdleJob(cluster, kNodes, kFanout, [&](std::uint64_t) {
-    cluster.engine().after(1, [] {});
-  });
+  // The ticker makes every replay decline, so every slice runs the relay
+  // path this budget measures.
+  auto runtime = launchIdleJob(cluster, kNodes, kFanout, [](std::uint64_t) {});
+  const Ticker ticker(cluster.engine(), sim::msec(300));
 
   // Past launch every rank is inside its compute: the slices in between are
   // pure control plane.
@@ -480,11 +500,11 @@ TEST(AllocBudget, IdleTreeSlicesStayWithinFourPerRackPerMicrophase) {
   EXPECT_LE(per_rack_microphase, 4.0);
 }
 
-/// Simulates the idle job slice by slice (a no-op event 1 ns into every
-/// slice makes the replay decline) and expects no allocation in the slices
-/// after a warm-up: bring-up, then enough slices for every engine bucket,
-/// event run, conditional round, leg and request slot to have reached its
-/// capacity.  The measured slices end before the ranks' computes do.
+/// Simulates the idle job slice by slice (the ticker makes every replay
+/// decline) and expects no allocation in the slices after a warm-up:
+/// bring-up, then enough slices for every engine bucket, event run,
+/// conditional round, leg and request slot to have reached its capacity.
+/// The measured slices end before the ranks' computes do.
 void expectSimulatedSlicesAllocateNothing(int nodes, int fanout) {
   net::Cluster cluster(computeNodes(nodes));
   std::vector<std::uint64_t> allocs;
@@ -494,8 +514,8 @@ void expectSimulatedSlicesAllocateNothing(int nodes, int fanout) {
   auto runtime = launchIdleJob(cluster, nodes, fanout, [&](std::uint64_t) {
     allocs.push_back(allocations());
     at.push_back(cluster.engine().now());
-    cluster.engine().after(1, [] {});
   });
+  const Ticker ticker(cluster.engine(), sim::msec(300));
   cluster.run();
   EXPECT_TRUE(cluster.allProcessesFinished());
   constexpr std::size_t kWarmup = 400;
@@ -589,6 +609,99 @@ TEST(AllocBudget, ReplayedIdleSlicesAllocateNothing) {
     }
     EXPECT_GE(replayed, 100u) << "fanout " << fanout;
     EXPECT_EQ(replayed_allocs, 0u) << "fanout " << fanout;
+  }
+}
+
+/// Allocations and engine events at every boundary of a 32-node flat ring:
+/// each rank exchanges 64 bytes with both neighbours in every slice and
+/// does nothing else, so each slice is busy in its DEM, MSM and P2P and
+/// idle in its BBM and RM.  A traced run lists the instants of the BBM and
+/// RM microstrobes; `noop_after` files a no-op 1 ns after each of them,
+/// which lies inside the window of every replay.
+struct BusyRing {
+  std::vector<std::uint64_t> allocs;
+  std::vector<std::uint64_t> events;
+  std::vector<sim::SimTime> tail_strobes;
+};
+
+BusyRing runBusyRing(bool traced, const std::vector<sim::SimTime>& noop_after) {
+  constexpr int kNodes = 32;
+  constexpr int kRounds = 250;
+  net::Cluster cluster(computeNodes(kNodes));
+  if (traced) cluster.trace().enable();
+  BusyRing out;
+  out.allocs.reserve(1024);
+  out.events.reserve(1024);
+  bcsmpi::BcsMpiConfig cfg;
+  cfg.runtime_init_overhead = sim::usec(50);
+  cfg.checkpoint_every_slices = 1;
+  // One slice per lap of the engine's wheel (256 buckets of 2,048 ns), so
+  // every slice files its events into the buckets the slice before used.
+  cfg.time_slice = 256 * 2048;
+  auto runtime = std::make_shared<bcsmpi::Runtime>(cluster, cfg);
+  runtime->setSnapshotSink([&](std::uint64_t) {
+    out.allocs.push_back(allocations());
+    out.events.push_back(cluster.engine().executedEvents());
+  });
+  std::vector<int> map(kNodes);
+  std::iota(map.begin(), map.end(), 0);
+  bcsmpi::launchJob(*runtime, map, [](mpi::Comm& comm) {
+    const int p = comm.size();
+    const int me = comm.rank();
+    std::array<std::uint8_t, 64> out_buf{};
+    std::array<std::uint8_t, 64> in_left{};
+    std::array<std::uint8_t, 64> in_right{};
+    std::array<mpi::Request, 4> reqs;
+    for (int round = 0; round < kRounds; ++round) {
+      reqs[0] = comm.irecv(in_left.data(), 64, (me + p - 1) % p, 0);
+      reqs[1] = comm.irecv(in_right.data(), 64, (me + 1) % p, 1);
+      reqs[2] = comm.isend(out_buf.data(), 64, (me + 1) % p, 0);
+      reqs[3] = comm.isend(out_buf.data(), 64, (me + p - 1) % p, 1);
+      comm.waitall(reqs);
+    }
+  });
+  for (const sim::SimTime t : noop_after) cluster.engine().at(t + 1, [] {});
+  cluster.run();
+  EXPECT_TRUE(cluster.allProcessesFinished());
+  if (traced) {
+    for (const sim::TraceRecord& r : cluster.trace().records()) {
+      if (r.message.starts_with("microstrobe BBM") ||
+          r.message.starts_with("microstrobe RM")) {
+        out.tail_strobes.push_back(r.time);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(AllocBudget, BusySlicesWithReplayedTailsAllocateNothing) {
+  const BusyRing traced = runBusyRing(true, {});
+  const BusyRing replayed = runBusyRing(false, {});
+  const BusyRing simulated = runBusyRing(false, traced.tail_strobes);
+  ASSERT_EQ(replayed.events.size(), simulated.events.size());
+  // Warm-up: bring-up and the slice that records the tail's template,
+  // then enough busy slices for every wheel bucket, conditional round, leg
+  // and descriptor slot to have reached its capacity.
+  constexpr std::size_t kWarmup = 50;
+  std::size_t slices = 0;
+  std::uint64_t allocs = 0;
+  for (std::size_t i = kWarmup; i + 2 < replayed.events.size(); ++i) {
+    ++slices;
+    allocs += replayed.allocs[i + 1] - replayed.allocs[i];
+    // The premise: the tail was replayed, so the slice ran the BBM's and
+    // RM's six events (strobe legs, NIC timer range, poll each) fewer than
+    // the simulated one, which also ran the two no-ops.
+    EXPECT_EQ((simulated.events[i + 1] - simulated.events[i]) -
+                  (replayed.events[i + 1] - replayed.events[i]),
+              8u)
+        << "slice at boundary " << i;
+  }
+  EXPECT_GE(slices, 150u);
+  EXPECT_EQ(allocs, 0u) << "over " << slices << " slices";
+  for (std::size_t i = 1; i + 1 < replayed.events.size(); ++i) {
+    const auto a = replayed.allocs[i + 1] - replayed.allocs[i];
+    const auto b = simulated.allocs[i + 1] - simulated.allocs[i];
+    if (a || b) std::printf("DBG %zu %llu %llu\n", i, (unsigned long long)a, (unsigned long long)b);
   }
 }
 

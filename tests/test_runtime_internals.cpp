@@ -1,7 +1,8 @@
 // White-box tests of the BCS-MPI runtime: statistics accounting, slice-grid
 // behaviour, error reporting, the spin-vs-descheduled wait distinction, the
-// DEM drain window, multi-job isolation, and the exactness of quiescent-slice
-// replay and of the flat Strobe Sender loop's skipped poll rounds.
+// DEM drain window, multi-job isolation, and the exactness of idle-suffix
+// replay, whole slices and busy slices' tails, and of the flat Strobe
+// Sender loop's skipped poll rounds.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -266,10 +268,11 @@ TEST(RuntimeInternals, SnapshotOfFreshRuntimeIsEmptyAndQuiescent) {
 }
 
 // ---------------------------------------------------------------------------
-// Quiescent-slice replay is exact (DESIGN.md §5b).  Each scenario runs
-// twice: as is, and with a no-op engine event 1 ns into every slice, which
-// makes the replay decline and so simulates every slice normally.  The
-// periodic snapshot sink is the per-boundary hook of both runs.
+// Idle-suffix replay is exact (DESIGN.md §5b).  Each scenario runs twice: as
+// is, and with a no-op engine event every 1 us, which lies inside the
+// window of every replay, from any microstrobe, so every slice is simulated
+// normally.  The periodic snapshot sink is the per-boundary hook of both
+// runs.
 // ---------------------------------------------------------------------------
 
 struct Boundary {
@@ -301,15 +304,34 @@ struct ReplayScenario {
   sim::SimTime pause = 0;
 };
 
-/// Records one slice boundary; in the declining run, also files the no-op
-/// event 1 ns into the slice.
+/// A no-op engine event every 1 us from now on, while `more()` holds.  Every
+/// replay's window, however short, then holds one, so every replay declines
+/// and every slice is simulated.  It must stay put while it ticks.
+struct Ticker {
+  Ticker(sim::Engine& engine, std::function<bool()> more)
+      : engine(engine), more(std::move(more)) {
+    engine.at(engine.now(), [this] { tick(); });
+  }
+  Ticker(const Ticker&) = delete;
+  Ticker& operator=(const Ticker&) = delete;
+  void tick() {
+    ++ticks;
+    if (more()) engine.after(usec(1), [this] { tick(); });
+  }
+  sim::Engine& engine;
+  std::function<bool()> more;
+  std::uint64_t ticks = 0;  ///< fired so far
+};
+
+/// Records one slice boundary.  The engine events leave out the ticks of
+/// `ticker`, when there is one.
 void atBoundary(ReplayRun& out, net::Cluster& cluster,
-                const bcsmpi::Runtime& rt, bool decline) {
+                const bcsmpi::Runtime& rt, const Ticker* ticker) {
   sim::Engine& engine = cluster.engine();
   out.boundaries.push_back(Boundary{rt.sliceIndex(), engine.now(), rt.stats(),
                                     cluster.fabric().stats()});
-  out.events.push_back(engine.executedEvents());
-  if (decline) engine.after(1, [] {});
+  out.events.push_back(engine.executedEvents() -
+                       (ticker != nullptr ? ticker->ticks : 0));
 }
 
 ReplayRun runReplayScenario(const ReplayScenario& sc, bool decline) {
@@ -319,9 +341,10 @@ ReplayRun runReplayScenario(const ReplayScenario& sc, bool decline) {
   auto runtime = std::make_shared<bcsmpi::Runtime>(cluster, cfg);
   ReplayRun out;
   out.results.assign(sc.map.size(), 0);
+  std::optional<Ticker> ticker;
   runtime->setSnapshotSink(
-      [&out, &cluster, rt = runtime.get(), decline](std::uint64_t) {
-        atBoundary(out, cluster, *rt, decline);
+      [&out, &cluster, rt = runtime.get(), &ticker](std::uint64_t) {
+        atBoundary(out, cluster, *rt, ticker ? &*ticker : nullptr);
       });
   bcsmpi::launchJob(
       *runtime, sc.map,
@@ -330,6 +353,11 @@ ReplayRun runReplayScenario(const ReplayScenario& sc, bool decline) {
       },
       &out.finish);
   if (sc.extra) sc.extra(cluster, *runtime);
+  if (decline) {
+    ticker.emplace(cluster.engine(), [&cluster, until = sc.until] {
+      return !cluster.allProcessesFinished() && cluster.engine().now() < until;
+    });
+  }
   if (sc.at_pause) {
     cluster.run(sc.pause);
     sc.at_pause(cluster, *runtime);
@@ -743,6 +771,8 @@ struct LoopRun {
   ReplayRun run;
   std::string trace;
   std::vector<sim::SimTime> polls;  ///< issue instants of the phase polls
+  /// Instants of the BBM and RM microstrobes.
+  std::vector<sim::SimTime> tail_strobes;
   std::uint64_t events = 0;  ///< engine events executed, the ticks' excluded
   std::size_t unfinished = 0;
   /// At the scenario's pause: the counters and the trace so far.
@@ -760,9 +790,11 @@ LoopRun runFlatLoop(const ReplayScenario& sc, bool tick,
   auto runtime = std::make_shared<bcsmpi::Runtime>(cluster, cfg);
   LoopRun out;
   out.run.results.assign(sc.map.size(), 0);
-  runtime->setSnapshotSink([&out, &cluster, rt = runtime.get()](std::uint64_t) {
-    atBoundary(out.run, cluster, *rt, /*decline=*/false);
-  });
+  std::optional<Ticker> ticker;
+  runtime->setSnapshotSink(
+      [&out, &cluster, rt = runtime.get(), &ticker](std::uint64_t) {
+        atBoundary(out.run, cluster, *rt, ticker ? &*ticker : nullptr);
+      });
   bcsmpi::launchJob(
       *runtime, sc.map,
       [&out, &sc](Comm& comm) {
@@ -770,14 +802,10 @@ LoopRun runFlatLoop(const ReplayScenario& sc, bool tick,
       },
       &out.run.finish);
   if (sc.extra) sc.extra(cluster, *runtime);
-  std::uint64_t ticks = 0;
-  std::function<void()> next_tick = [&] {
-    ++ticks;
-    if (!cluster.allProcessesFinished()) {
-      cluster.engine().after(usec(1), next_tick);
-    }
-  };
-  if (tick) cluster.engine().at(0, next_tick);
+  if (tick) {
+    ticker.emplace(cluster.engine(),
+                   [&cluster] { return !cluster.allProcessesFinished(); });
+  }
   if (pause != INT64_MAX) {
     cluster.run(pause);
     out.paused_runtime = runtime->stats();
@@ -790,8 +818,12 @@ LoopRun runFlatLoop(const ReplayScenario& sc, bool tick,
     if (r.message.starts_with("Compare-And-Write phase_done")) {
       out.polls.push_back(r.time);
     }
+    if (r.message.starts_with("microstrobe BBM") ||
+        r.message.starts_with("microstrobe RM")) {
+      out.tail_strobes.push_back(r.time);
+    }
   }
-  out.events = cluster.engine().executedEvents() - ticks;
+  out.events = cluster.engine().executedEvents() - (ticker ? ticker->ticks : 0);
   out.unfinished = cluster.unfinishedProcesses().size();
   return out;
 }
@@ -822,9 +854,9 @@ TEST(FlatLoop, SparseJobMatchesEveryRoundRun) {
   expectFlatLoopExact(sparseScenario(32, 1, msec(3)));
 }
 
-TEST(FlatLoop, BlockingWavefrontMatchesEveryRoundRun) {
-  // SWEEP3D's shape at 62 ranks, two per node, cut down to one time step
-  // of two sweeps.
+/// SWEEP3D's shape at 62 ranks, two per node, cut down to one time step
+/// of two sweeps.
+ReplayScenario blockingWavefront() {
   ReplayScenario sc;
   sc.cluster = nodes(31);
   sc.map = blockMap(31, 2);
@@ -836,7 +868,11 @@ TEST(FlatLoop, BlockingWavefrontMatchesEveryRoundRun) {
     cfg.step_compute = usec(700);
     return static_cast<std::uint64_t>(apps::sweep3d(comm, cfg) * 1e6);
   };
-  expectFlatLoopExact(sc);
+  return sc;
+}
+
+TEST(FlatLoop, BlockingWavefrontMatchesEveryRoundRun) {
+  expectFlatLoopExact(blockingWavefront());
 }
 
 TEST(FlatLoop, CollectivesMatchEveryRoundRun) {
@@ -965,18 +1001,24 @@ struct CapturePlan {
 /// Slice boundary k of the detached scenarios.
 sim::SimTime detachedBoundary(int k) { return usec(200) + k * usec(500); }
 
-/// Installs the periodic sink: it records every boundary (filing the no-op
-/// that declines the replay when `decline`) and captures at every
-/// `every`-th one.
-void watchBoundaries(snapshot::Simulation& sim, CapturedRun& out,
-                     bool decline, int every) {
+/// Installs the periodic sink: it records every boundary (leaving out the
+/// ticks of `ticker`, when there is one) and captures at every `every`-th
+/// one.
+void watchBoundaries(snapshot::Simulation& sim, CapturedRun& out, int every,
+                     const Ticker* ticker) {
   sim.runtime->setSnapshotSink(
-      [&sim, &out, decline, every](std::uint64_t slice) {
+      [&sim, &out, every, ticker](std::uint64_t slice) {
         if (slice % static_cast<std::uint64_t>(every) == 0) {
           out.blobs.push_back(snapshot::capture(sim));
         }
-        atBoundary(out.run, *sim.cluster, *sim.runtime, decline);
+        atBoundary(out.run, *sim.cluster, *sim.runtime, ticker);
       });
+}
+
+/// The declining run's ticker for a detached scenario run to `until`.
+void tickUntil(std::optional<Ticker>& ticker, sim::Engine& engine,
+               sim::SimTime until) {
+  ticker.emplace(engine, [&engine, until] { return engine.now() < until; });
 }
 
 snapshot::ScenarioSpec untracedEverySlice(snapshot::ScenarioSpec spec) {
@@ -990,7 +1032,9 @@ CapturedRun captureRun(const snapshot::ScenarioSpec& spec, bool decline,
   snapshot::Simulation sim = snapshot::build(untracedEverySlice(spec));
   sim.runtime->registerDetachedRank(sim.runtime->createJob({0}), 0);
   CapturedRun out;
-  watchBoundaries(sim, out, decline, plan.every);
+  std::optional<Ticker> ticker;
+  if (decline) tickUntil(ticker, sim.cluster->engine(), plan.until);
+  watchBoundaries(sim, out, plan.every, ticker ? &*ticker : nullptr);
   if (plan.at_pause) {
     sim.cluster->run(plan.pause);
     plan.at_pause(sim, out);
@@ -1095,8 +1139,8 @@ TEST(SliceReplay, OutsideCaptureAndEventsInsideAStreakMatch) {
   // run() stops between slices 36 and 37, at least five slices into the
   // streak: a capture there, from outside the engine, reads the pending
   // stores.  It also files a capture between slices 40 and 41 and a no-op
-  // 50 us into slice 44, which declines that slice, so a simulated slice
-  // reads the stores of the three replays before it.
+  // 50 us into slice 44, which declines that slice's whole-slice replay,
+  // so its simulated DEM reads the stores of the three replays before it.
   for (const DetachedScenario scenario : kDetached) {
     const snapshot::ScenarioSpec spec = scenario(false);
     CapturePlan plan;
@@ -1157,7 +1201,9 @@ TEST(SliceReplay, RestoreFromInsideAStreakContinuesIdentically) {
       CapturedRun& out = restored[decline ? 1 : 0];
       snapshot::Simulation sim = restoreCaptured(
           spec, (decline ? b : a).blobs[kBlob]);
-      watchBoundaries(sim, out, decline, 5);
+      std::optional<Ticker> ticker;
+      if (decline) tickUntil(ticker, sim.cluster->engine(), plan.until);
+      watchBoundaries(sim, out, 5, ticker ? &*ticker : nullptr);
       sim.cluster->run(plan.until);
     }
     expectSameBoundaries(restored[0].run, restored[1].run);
@@ -1227,8 +1273,9 @@ TEST(SliceReplay, EvictionAndRejoinInsideAStreakMatch) {
 
 TEST(SliceReplay, TreeSparseJobPausedInsideAStreakMatches) {
   // run() stops between two replayed slices of the 256-node tree job; a
-  // no-op filed then, 50 us into a slice eight slices on, declines it, so
-  // that slice's member walks read the stores of seven replays.
+  // no-op filed then, 50 us into a slice eight slices on, declines its
+  // whole-slice replay, so its DEM's member walks read the stores of seven
+  // replays.
   ReplayScenario sc = sparseScenario(256, 1, msec(40));
   sc.mpi.tree_fanout = 16;
   sc.pause = sliceStart(30) + usec(350);
@@ -1260,6 +1307,393 @@ TEST(SliceReplay, TreeSparseJobHangAfterAStreakMatches) {
   std::size_t back = i;
   while (run.boundaries[back].at < sliceStart(50)) ++back;
   EXPECT_GE(replayedBefore(run, back + 20), 10u);
+}
+
+// ---------------------------------------------------------------------------
+// Idle suffixes of busy slices (DESIGN.md §5b).  Each case compares the
+// replayed run with the ticked one at every boundary, finish time and
+// result.  To see which suffixes were replayed, a case also runs the
+// scenario with a no-op 1 ns after every BBM and RM microstrobe, their
+// instants taken from a traced run (tracing declines every replay and
+// moves no simulated time).  Each no-op lies in the window of every replay
+// of its slice, so that run simulates every slice, and it disturbs nothing
+// else: the flat loop counts the same poll rounds as it does as is.  A
+// slice's events in it then exceed the replayed run's by what the replay
+// saved plus the two no-ops.
+// ---------------------------------------------------------------------------
+
+/// `sc` with a no-op 1 ns after each BBM and RM microstrobe of `sc` traced.
+ReplayScenario tailsDeclined(ReplayScenario sc) {
+  const std::vector<sim::SimTime> strobes =
+      runFlatLoop(sc, /*tick=*/false).tail_strobes;
+  sc.extra = [extra = sc.extra, strobes](net::Cluster& cluster,
+                                         bcsmpi::Runtime& rt) {
+    if (extra) extra(cluster, rt);
+    for (const sim::SimTime t : strobes) cluster.engine().at(t + 1, [] {});
+  };
+  return sc;
+}
+
+/// The no-ops a slice of the tails-declined run holds.
+constexpr std::uint64_t kTailNoops = 2;
+
+/// Per slice (boundary i − 1 to i), the engine events `declined` ran
+/// beyond `replayed`, after checking that both runs agree.
+std::vector<std::int64_t> savedEvents(const ReplayRun& replayed,
+                                      const ReplayRun& declined) {
+  expectSameBoundaries(replayed, declined);
+  EXPECT_EQ(replayed.finish, declined.finish);
+  EXPECT_EQ(replayed.results, declined.results);
+  std::vector<std::int64_t> saved(replayed.events.size(), 0);
+  for (std::size_t i = 1; i < saved.size() && i < declined.events.size();
+       ++i) {
+    saved[i] = static_cast<std::int64_t>(declined.events[i] -
+                                         declined.events[i - 1]) -
+               static_cast<std::int64_t>(replayed.events[i] -
+                                         replayed.events[i - 1]);
+  }
+  return saved;
+}
+
+/// The slice from boundary i − 1 to i moved a chunk: its P2P was busy.
+bool movedChunks(const ReplayRun& run, std::size_t i) {
+  return run.boundaries[i].runtime.chunks_transferred !=
+         run.boundaries[i - 1].runtime.chunks_transferred;
+}
+
+TEST(TailReplay, BlockingWavefrontSkipsTheIdleBbmAndRm) {
+  // Every busy slice moves boundary blocks through its DEM, MSM and P2P
+  // and has nothing for its BBM and RM.  The first records their template;
+  // each later one replays it instead of running their six engine events:
+  // the strobe's legs, the NIC timer range and the poll, twice.
+  const ReplayScenario sc = blockingWavefront();
+  const ReplayRun run = expectReplayExact(sc);
+  const std::vector<std::int64_t> saved =
+      savedEvents(run, runReplayScenario(tailsDeclined(sc), false));
+  std::size_t busy = 0;
+  for (std::size_t i = 1; i < saved.size(); ++i) {
+    if (!movedChunks(run, i)) continue;
+    if (++busy == 1) {
+      EXPECT_EQ(saved[i], static_cast<std::int64_t>(kTailNoops))
+          << "the first busy slice, at boundary " << i;
+      continue;
+    }
+    EXPECT_EQ(saved[i], static_cast<std::int64_t>(6 + kTailNoops))
+        << "busy slice at boundary " << i;
+  }
+  EXPECT_GT(busy, 200u);
+}
+
+TEST(TailReplay, CollectivesInFlightMatch) {
+  // A broadcast keeps the BBM busy and an allreduce the RM: a slice that
+  // runs one replays no suffix from the BBM, at most the RM alone.
+  ReplayScenario sc;
+  sc.cluster = nodes(8);
+  sc.map = blockMap(8, 1);
+  sc.body = [](Comm& comm) {
+    std::uint64_t sum = 0;
+    for (int i = 0; i < 4; ++i) {
+      comm.compute(usec(900) + usec(170) * comm.rank());
+      int word = comm.rank() == 2 ? 40 + i : 0;
+      comm.bcast(&word, sizeof word, 2);
+      double v = comm.rank() + i;
+      double total = 0;
+      comm.allreduce(&v, &total, 1, mpi::Datatype::kFloat64,
+                     mpi::ReduceOp::kSum);
+      std::array<std::uint8_t, 64> out{};
+      std::array<std::uint8_t, 64> in{};
+      out.fill(static_cast<std::uint8_t>(word));
+      const int p = comm.size();
+      const int me = comm.rank();
+      std::array<mpi::Request, 2> reqs = {
+          comm.irecv(in.data(), in.size(), (me + p - 1) % p, i),
+          comm.isend(out.data(), out.size(), (me + 1) % p, i)};
+      comm.waitall(reqs);
+      sum += static_cast<std::uint64_t>(total) * 100 + in[0];
+    }
+    return sum;
+  };
+  const ReplayRun run = expectReplayExact(sc);
+  const std::vector<std::int64_t> saved =
+      savedEvents(run, runReplayScenario(tailsDeclined(sc), false));
+  std::size_t collective_slices = 0;
+  std::size_t bbm_tails = 0;
+  for (std::size_t i = 1; i < saved.size(); ++i) {
+    const bool collective =
+        run.boundaries[i].runtime.collectives_scheduled !=
+        run.boundaries[i - 1].runtime.collectives_scheduled;
+    if (collective) {
+      ++collective_slices;
+      EXPECT_LT(saved[i], static_cast<std::int64_t>(6 + kTailNoops))
+          << "a slice running a collective, at boundary " << i;
+    } else if (movedChunks(run, i) &&
+               saved[i] == static_cast<std::int64_t>(6 + kTailNoops)) {
+      ++bbm_tails;
+    }
+  }
+  EXPECT_GE(collective_slices, 8u);
+  EXPECT_GT(bbm_tails, 0u);
+}
+
+/// Every rank but `extra` exchanges 64 bytes with both ring neighbours
+/// among them, `rounds` times, blocking, and does nothing else: every
+/// slice is busy in its DEM, MSM and P2P and idle in its BBM and RM.
+std::uint64_t busyRing(Comm& comm, int rounds, int ring) {
+  const int me = comm.rank();
+  std::uint64_t sum = 0;
+  std::array<std::uint8_t, 64> out{};
+  std::array<std::uint8_t, 64> left{};
+  std::array<std::uint8_t, 64> right{};
+  for (int round = 0; round < rounds; ++round) {
+    out.fill(static_cast<std::uint8_t>(me * 3 + round));
+    std::array<mpi::Request, 4> reqs = {
+        comm.irecv(left.data(), left.size(), (me + ring - 1) % ring, 0),
+        comm.irecv(right.data(), right.size(), (me + 1) % ring, 1),
+        comm.isend(out.data(), out.size(), (me + 1) % ring, 0),
+        comm.isend(out.data(), out.size(), (me + ring - 1) % ring, 1)};
+    comm.waitall(reqs);
+    sum += left[0] + right[0];
+  }
+  return sum;
+}
+
+ReplayScenario busyRingScenario(int node_count, int rounds) {
+  ReplayScenario sc;
+  sc.cluster = nodes(node_count);
+  sc.map = blockMap(node_count, 1);
+  sc.body = [rounds, node_count](Comm& comm) {
+    return busyRing(comm, rounds, node_count);
+  };
+  return sc;
+}
+
+TEST(TailReplay, OverrunsAreDerivedPerSlice) {
+  // The ring alternates 64-byte and 8 KB messages.  A slice of the first
+  // kind strobes its BBM 163.5 us after it starts and completes its RM at
+  // 174.5 us; one of the second kind at 184.5 and 195.5 us.  With 190 us
+  // slices the second kind overruns, and its boundary falls inside its
+  // tail's window: a replay counts the overrun and files the next slice
+  // from its own slice's start and RM completion, as phaseComplete does,
+  // whichever kind of slice recorded the template.
+  ReplayScenario sc = busyRingScenario(16, 40);
+  sc.mpi.time_slice = usec(190);
+  sc.body = [](Comm& comm) -> std::uint64_t {
+    const int p = comm.size();
+    const int me = comm.rank();
+    std::vector<std::uint8_t> out(8192, static_cast<std::uint8_t>(me));
+    std::vector<std::uint8_t> in(8192);
+    std::uint64_t sum = 0;
+    for (int round = 0; round < 40; ++round) {
+      const std::size_t bytes = round % 2 == 0 ? 64 : 8192;
+      std::array<mpi::Request, 2> reqs = {
+          comm.irecv(in.data(), bytes, (me + p - 1) % p, round),
+          comm.isend(out.data(), bytes, (me + 1) % p, round)};
+      comm.waitall(reqs);
+      sum += in[bytes - 1];
+    }
+    return sum;
+  };
+  const ReplayRun run = expectReplayExact(sc);
+  const std::vector<std::int64_t> saved =
+      savedEvents(run, runReplayScenario(tailsDeclined(sc), false));
+  std::array<std::size_t, 2> replayed{};  // [overran]
+  for (std::size_t i = 1; i < saved.size(); ++i) {
+    if (saved[i] != static_cast<std::int64_t>(6 + kTailNoops)) continue;
+    const bool overran = run.boundaries[i].runtime.slice_overruns !=
+                         run.boundaries[i - 1].runtime.slice_overruns;
+    ++replayed[overran ? 1 : 0];
+  }
+  EXPECT_GT(replayed[0], 10u);
+  EXPECT_GT(replayed[1], 10u);
+}
+
+/// The instant of the BBM microstrobe of slice k of `sc` (slice 1 is the
+/// first), from a traced run.
+sim::SimTime bbmStrobe(const ReplayScenario& sc, std::size_t k) {
+  const LoopRun traced = runFlatLoop(sc, /*tick=*/false);
+  EXPECT_LT(2 * (k - 1), traced.tail_strobes.size());
+  return traced.tail_strobes[2 * (k - 1)];
+}
+
+/// The boundary index i whose slice (from boundary i − 1) holds `t`.
+std::size_t sliceHolding(const ReplayRun& run, sim::SimTime t) {
+  std::size_t i = 1;
+  while (i < run.boundaries.size() && run.boundaries[i].at <= t) ++i;
+  return i;
+}
+
+TEST(TailReplay, ComputeEndingInsideATailWindowDeclines) {
+  // Rank 16, beside the ring, computes until 5 us after slice 20's BBM
+  // strobe: that slice's tail declines, the ones around it replay.
+  constexpr int kRing = 16;
+  ReplayScenario sc = busyRingScenario(kRing, 40);
+  const sim::SimTime end = bbmStrobe(sc, 20) + usec(5);
+  sc.map.push_back(3);
+  sc.body = [end](Comm& comm) -> std::uint64_t {
+    if (comm.rank() == kRing) {
+      computeUntil(comm, end);
+      return 1;
+    }
+    return busyRing(comm, 40, kRing);
+  };
+  const ReplayRun run = expectReplayExact(sc);
+  const std::vector<std::int64_t> saved =
+      savedEvents(run, runReplayScenario(tailsDeclined(sc), false));
+  const std::size_t k = sliceHolding(run, end);
+  ASSERT_LT(k + 1, saved.size());
+  EXPECT_EQ(saved[k], static_cast<std::int64_t>(kTailNoops));
+  EXPECT_EQ(saved[k - 1], static_cast<std::int64_t>(6 + kTailNoops));
+  EXPECT_EQ(saved[k + 1], static_cast<std::int64_t>(6 + kTailNoops));
+}
+
+TEST(TailReplay, StrobeSenderCrashAndHangInsideATailWindowMatch) {
+  // The management node dies, or node 5 hangs for 20 us, 3 us after slice
+  // 12's BBM strobe: the fault lies inside the tail's window, which
+  // declines.  After the crash compute node 0 takes over.
+  const ReplayScenario ring = busyRingScenario(16, 60);
+  const sim::SimTime fault = bbmStrobe(ring, 12) + usec(3);
+  for (const bool crash : {true, false}) {
+    ReplayScenario sc = ring;
+    if (crash) {
+      sc.cluster.faults.crashManagementNode(fault);
+    } else {
+      sc.cluster.faults.hangNode(5, fault, usec(20));
+    }
+    sc.until = msec(80);
+    const ReplayRun run = expectReplayExact(sc);
+    const std::vector<std::int64_t> saved =
+        savedEvents(run, runReplayScenario(tailsDeclined(sc), false));
+    const std::size_t k = sliceHolding(run, fault);
+    ASSERT_LT(k, saved.size());
+    ASSERT_GT(k, 2u);
+    EXPECT_EQ(saved[k - 1], static_cast<std::int64_t>(6 + kTailNoops))
+        << crash;
+    EXPECT_LT(saved[k], static_cast<std::int64_t>(6 + kTailNoops)) << crash;
+    EXPECT_EQ(run.boundaries.back().runtime.elections, crash ? 1u : 0u);
+    // Tails replay again once the fault is over; under the backup Strobe
+    // Sender, a compute node, they also skip its strobes to itself.
+    std::size_t after = 0;
+    for (std::size_t i = k + 1; i < saved.size(); ++i) {
+      after += saved[i] > static_cast<std::int64_t>(kTailNoops) ? 1 : 0;
+    }
+    EXPECT_GT(after, 20u) << crash;
+  }
+}
+
+TEST(TailReplay, EvictionAndRejoinBetweenTailReplaysMatch) {
+  // Nodes 0-14 run the ring; node 15's rank only computes.  Node 15 is
+  // declared dead between slices 10 and 11 and rejoins between slices 30
+  // and 31.  Each drops the templates, and later busy slices record new
+  // ones for the live set of the moment.
+  constexpr int kRing = 15;
+  ReplayScenario sc = busyRingScenario(16, 50);
+  sc.body = [](Comm& comm) -> std::uint64_t {
+    if (comm.rank() == kRing) {
+      comm.compute(msec(20));
+      return 1;
+    }
+    return busyRing(comm, 50, kRing);
+  };
+  sc.extra = [](net::Cluster& cluster, bcsmpi::Runtime& rt) {
+    cluster.engine().at(sliceStart(10) + usec(350),
+                        [&rt] { rt.notifyNodeFailure(kRing); });
+    cluster.engine().at(sliceStart(30) + usec(350),
+                        [&rt] { rt.notifyNodeRejoin(kRing); });
+  };
+  const ReplayRun run = expectReplayExact(sc);
+  ASSERT_FALSE(run.boundaries.empty());
+  EXPECT_EQ(run.boundaries.back().runtime.evictions, 1u);
+  EXPECT_EQ(run.boundaries.back().runtime.rejoins, 1u);
+  const std::vector<std::int64_t> saved =
+      savedEvents(run, runReplayScenario(tailsDeclined(sc), false));
+  const std::size_t evicted = sliceHolding(run, sliceStart(10) + usec(350));
+  const std::size_t rejoined = sliceHolding(run, sliceStart(30) + usec(350));
+  std::array<std::size_t, 3> replayed{};  // before, between, after
+  for (std::size_t i = 1; i < saved.size(); ++i) {
+    if (saved[i] != static_cast<std::int64_t>(6 + kTailNoops)) continue;
+    ++replayed[i <= evicted ? 0 : i <= rejoined ? 1 : 2];
+  }
+  EXPECT_GT(replayed[0], 5u);
+  EXPECT_GT(replayed[1], 10u);
+  EXPECT_GT(replayed[2], 10u);
+}
+
+TEST(TailReplay, RunBoundAndObserverInsideATailSeeItUnderWay) {
+  // run() stops 3 us after slice 15's BBM strobe, and an engine event runs
+  // 3 us after slice 25's: both see the BBM strobe out and the RM's not,
+  // in the replayed run as in the ticked one.
+  ReplayScenario sc = busyRingScenario(16, 40);
+  const LoopRun traced = runFlatLoop(sc, /*tick=*/false);
+  ASSERT_GT(traced.tail_strobes.size(), 2 * 25u);
+  const sim::SimTime bound = traced.tail_strobes[2 * 14] + usec(3);
+  const sim::SimTime look = traced.tail_strobes[2 * 24] + usec(3);
+  const auto under_way = [](const bcsmpi::Runtime& rt) {
+    const bcsmpi::RuntimeStats& st = rt.stats();
+    return st.microstrobes == 5 * (st.slices - 1) + 4;
+  };
+  auto seen = std::make_shared<std::vector<bool>>();
+  sc.pause = bound;
+  sc.at_pause = [under_way, seen, look](net::Cluster& cluster,
+                                        bcsmpi::Runtime& rt) {
+    seen->push_back(under_way(rt));
+    cluster.engine().at(look, [&rt, under_way, seen] {
+      seen->push_back(under_way(rt));
+    });
+  };
+  const ReplayRun run = expectReplayExact(sc);
+  EXPECT_EQ(*seen, std::vector<bool>(4, true));
+  const std::vector<std::int64_t> saved =
+      savedEvents(run, runReplayScenario(tailsDeclined(sc), false));
+  for (const sim::SimTime t : {bound, look}) {
+    const std::size_t k = sliceHolding(run, t);
+    ASSERT_LT(k + 1, saved.size());
+    EXPECT_LT(saved[k], static_cast<std::int64_t>(6 + kTailNoops));
+    EXPECT_EQ(saved[k + 1], static_cast<std::int64_t>(6 + kTailNoops));
+  }
+}
+
+TEST(TailReplay, CapturesEverySliceMatchExceptTheEngine) {
+  // The detached ring's busy slices replay their idle tails, and the sink
+  // captures at every boundary, right after each replay: its control
+  // stores are still pending when the capture reads them.
+  const snapshot::ScenarioSpec spec = snapshot::ckptRing(false);
+  const CapturedRun a = captureRun(spec, false);
+  const CapturedRun b = captureRun(spec, true);
+  expectSameBoundaries(a.run, b.run);
+  expectBlobsMatchExceptTheEngine(a, b);
+  // The premise, as the ticked run can show it: busy slices (those that
+  // exchanged descriptors) ran their BBM and RM in the ticked run only.
+  std::size_t busy = 0;
+  for (std::size_t i = 1; i < a.run.boundaries.size(); ++i) {
+    if (a.run.boundaries[i].runtime.descriptors_exchanged ==
+        a.run.boundaries[i - 1].runtime.descriptors_exchanged) {
+      continue;
+    }
+    ++busy;
+    EXPECT_LE(a.run.events[i] - a.run.events[i - 1] + 6,
+              b.run.events[i] - b.run.events[i - 1])
+        << "boundary " << i;
+  }
+  EXPECT_GT(busy, 10u);
+}
+
+TEST(TailReplay, TreeWithTrafficInEverySliceMatches) {
+  // 256 nodes under fanout 16, every rank in the ring in every slice: the
+  // idle BBM and RM replay the root's strobes, the racks' relays and their
+  // coalesced acks.
+  ReplayScenario sc = busyRingScenario(256, 20);
+  sc.mpi.tree_fanout = 16;
+  const ReplayRun run = expectReplayExact(sc);
+  const std::vector<std::int64_t> saved =
+      savedEvents(run, runReplayScenario(tailsDeclined(sc), false));
+  std::size_t replayed = 0;
+  for (std::size_t i = 1; i < saved.size(); ++i) {
+    if (movedChunks(run, i) &&
+        saved[i] > static_cast<std::int64_t>(6 + kTailNoops)) {
+      ++replayed;
+    }
+  }
+  EXPECT_GT(replayed, 15u);
 }
 
 }  // namespace

@@ -6,14 +6,19 @@ bench_micro (they report host time) and every executable in
 BUILD_DIR/examples, one at a time, each in a fresh temporary directory.
 Prints one `sha256  name` line for each binary's stdout, for its exit
 code, and for every file it leaves behind in its directory (bench_rma's
-BENCH_rma.json, checkpoint_fault_tolerance's .bcss snapshot):
+BENCH_rma.json, checkpoint_fault_tolerance's .bcss snapshot), and for a
+.bcss snapshot one more line per section, over the section's stored
+payload (the header is parsed by snapshot_inspect.read_header):
 
     <sha256>  bench_rma/stdout
     <sha256>  bench_rma/exit
     <sha256>  bench_rma/BENCH_rma.json
+    <sha256>  checkpoint_fault_tolerance/checkpoint_fault_tolerance.bcss
+    <sha256>  checkpoint_fault_tolerance/checkpoint_fault_tolerance.bcss:engine
 
 Nothing host-dependent is hashed, so the listings of two builds diff clean
-when no simulated output moved:
+when no simulated output moved, and a diff names the snapshot sections
+that did:
 
     tools/output_digest.py build > change.txt
     tools/output_digest.py ../parent/build > parent.txt
@@ -31,6 +36,9 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
+from snapshot_inspect import read_header  # noqa: E402
 
 HOST_TIMED = {"bench_engine", "bench_micro"}
 
@@ -52,6 +60,19 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def section_digests(blob: bytes, name: str):
+    """One (sha256, "name:section") per section of a .bcss snapshot."""
+    try:
+        _, _, table, off = read_header(blob)
+    except ValueError as e:
+        return [(sha256(str(e).encode()), f"{name}:unreadable")]
+    lines = []
+    for section, _, comp_size, _ in table:
+        lines.append((sha256(blob[off:off + comp_size]), f"{name}:{section}"))
+        off += comp_size
+    return lines
+
+
 def digest(binary: pathlib.Path):
     with tempfile.TemporaryDirectory(prefix="output_digest_") as tmp:
         proc = subprocess.run([str(binary)], cwd=tmp, stdout=subprocess.PIPE,
@@ -61,8 +82,11 @@ def digest(binary: pathlib.Path):
         root = pathlib.Path(tmp)
         for p in sorted(root.rglob("*")):
             if p.is_file():
-                lines.append((sha256(p.read_bytes()),
-                              p.relative_to(root).as_posix()))
+                data = p.read_bytes()
+                name = p.relative_to(root).as_posix()
+                lines.append((sha256(data), name))
+                if p.suffix == ".bcss":
+                    lines.extend(section_digests(data, name))
     return lines
 
 

@@ -19,42 +19,55 @@ import zlib
 MAGIC = b"BCSS"
 
 
-def inspect(path: pathlib.Path) -> int:
-    blob = path.read_bytes()
+def need(blob: bytes, off: int, n: int, what: str) -> bytes:
+    """blob[off:off + n], or ValueError naming `what` if it is cut short."""
+    if off + n > len(blob):
+        raise ValueError(f"truncated in {what} "
+                         f"(need {off + n} bytes, have {len(blob)})")
+    return blob[off:off + n]
 
-    def need(off: int, n: int, what: str) -> bytes:
-        if off + n > len(blob):
-            raise ValueError(f"truncated in {what} "
-                             f"(need {off + n} bytes, have {len(blob)})")
-        return blob[off:off + n]
 
-    if need(0, 4, "magic") != MAGIC:
+def read_header(blob: bytes):
+    """Parses the container header.
+
+    Returns (version, fingerprint, table, offset): the section table as
+    (name, raw size, compressed size, CRC-32) tuples, in file order, and
+    the offset of the first payload; the payloads follow one another in
+    table order.  Raises ValueError on a bad magic or a cut-short header.
+    """
+    if need(blob, 0, 4, "magic") != MAGIC:
         raise ValueError("bad magic (not a BCSS snapshot)")
-    version, = struct.unpack_from("<I", need(4, 4, "version"), 0)
-    fingerprint, = struct.unpack_from("<Q", need(8, 8, "fingerprint"), 0)
-    count, = struct.unpack_from("<I", need(16, 4, "section count"), 0)
-
-    print(f"{path}: BCSS v{version}  fingerprint {fingerprint:#018x}  "
-          f"{count} sections  {len(blob)} bytes")
-
+    version, = struct.unpack_from("<I", need(blob, 4, 4, "version"), 0)
+    fingerprint, = struct.unpack_from("<Q", need(blob, 8, 8, "fingerprint"),
+                                      0)
+    count, = struct.unpack_from("<I", need(blob, 16, 4, "section count"), 0)
     off = 20
     table = []
-    for i in range(count):
-        name_len, = struct.unpack_from("<H", need(off, 2, "name length"), 0)
+    for _ in range(count):
+        name_len, = struct.unpack_from(
+            "<H", need(blob, off, 2, "name length"), 0)
         off += 2
-        name = need(off, name_len, "section name").decode("utf-8")
+        name = need(blob, off, name_len, "section name").decode("utf-8")
         off += name_len
         raw_size, comp_size, crc = struct.unpack_from(
-            "<QQI", need(off, 20, f"table entry for {name!r}"), 0)
+            "<QQI", need(blob, off, 20, f"table entry for {name!r}"), 0)
         off += 20
         table.append((name, raw_size, comp_size, crc))
+    return version, fingerprint, table, off
+
+
+def inspect(path: pathlib.Path) -> int:
+    blob = path.read_bytes()
+    version, fingerprint, table, off = read_header(blob)
+    print(f"{path}: BCSS v{version}  fingerprint {fingerprint:#018x}  "
+          f"{len(table)} sections  {len(blob)} bytes")
 
     status = 0
     print(f"  {'section':<16} {'raw':>10} {'compressed':>10} "
           f"{'crc32':>10}  payload")
     for name, raw_size, comp_size, crc in table:
         try:
-            payload = need(off, comp_size, f"payload of {name!r}")
+            payload = need(blob, off, comp_size, f"payload of {name!r}")
         except ValueError as e:
             print(f"  {name:<16} {raw_size:>10} {comp_size:>10} "
                   f"{crc:>10x}  MISSING ({e})")
