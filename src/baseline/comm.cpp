@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "baseline/baseline.hpp"
@@ -13,6 +14,15 @@ constexpr sim::Duration kHostReducePerElement = 3;  // ns
 /// Internal tag band for the host binomial reduce tree (negative tags are
 /// invisible to application wildcard receives; see mpi/comm.hpp).
 constexpr int kReduceTagBase = -(1 << 22);
+
+/// A root outside the job fails at the call, as a bad send destination
+/// does.
+void checkRoot(const char* op, int root, int size) {
+  if (root < 0 || root >= size) {
+    throw sim::SimError(std::string(op) + ": bad root rank " +
+                        std::to_string(root));
+  }
+}
 }  // namespace
 
 BaselineComm::BaselineComm(World& world, int rank, sim::Process& proc)
@@ -134,6 +144,7 @@ void BaselineComm::barrier() {
 }
 
 void BaselineComm::bcast(void* buf, std::size_t bytes, int root) {
+  checkRoot("bcast", root, size());
   proc_.compute(world_.config().collective_overhead);
   World::RankState& state = world_.rs(rank_);
   const int gen = state.bcast_gen++;
@@ -192,6 +203,7 @@ void BaselineComm::bcast(void* buf, std::size_t bytes, int root) {
 void BaselineComm::reduce(const void* contrib, void* result,
                           std::size_t count, mpi::Datatype dt,
                           mpi::ReduceOp op, int root) {
+  checkRoot("reduce", root, size());
   proc_.compute(world_.config().collective_overhead);
   World::RankState& state = world_.rs(rank_);
   const int gen = state.reduce_gen++;

@@ -57,15 +57,6 @@ int Runtime::collectReadyCollectives(int node, bool reduce_phase,
   return ops;
 }
 
-void Runtime::runBbm(int node, std::uint64_t seq) {
-  std::vector<int> ready_jobs;
-  const int ops = collectReadyCollectives(node, /*reduce_phase=*/false,
-                                          ready_jobs);
-  beginNodePhase(node, seq, 0,
-                 static_cast<Duration>(ops) * config_.nic_desc_processing);
-  for (int job : ready_jobs) executeBroadcast(node, job);
-}
-
 void Runtime::executeBroadcast(int node, int job) {
   JobState& js = jobState(job);
   PendingCollective& pc = nodeState(node).pending_coll[job];
@@ -140,15 +131,6 @@ void Runtime::executeBroadcast(int node, int job) {
 // ---------------------------------------------------------------------------
 // RM — Reduce Microphase (Reduce Helper)
 // ---------------------------------------------------------------------------
-
-void Runtime::runRm(int node, std::uint64_t seq) {
-  std::vector<int> ready_jobs;
-  const int ops = collectReadyCollectives(node, /*reduce_phase=*/true,
-                                          ready_jobs);
-  beginNodePhase(node, seq, 0,
-                 static_cast<Duration>(ops) * config_.nic_desc_processing);
-  for (int job : ready_jobs) executeReduce(node, job);
-}
 
 void Runtime::executeReduce(int node, int job) {
   JobState& js = jobState(job);

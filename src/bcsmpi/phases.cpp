@@ -1,6 +1,8 @@
-// DEM / MSM / P2P microphase implementations: the Buffer Sender, Buffer
-// Receiver and DMA Helper NIC threads, plus the Node Manager's
-// slice-boundary process wakeups (paper §4.2-§4.3, Figure 6).
+// The Strobe Receiver's work in every microphase (runPhase), for both
+// control planes, and the DEM / MSM / P2P NIC threads it activates: the
+// Buffer Sender, Buffer Receiver and DMA Helper, plus the Node Manager's
+// slice-boundary process wakeups (paper §4.2-§4.3, Figure 6).  The BBM and
+// RM helpers are in collectives.cpp.
 
 #include <algorithm>
 #include <cstring>
@@ -70,19 +72,77 @@ void Runtime::wakeAtSliceStart(int node) {
 }
 
 // ---------------------------------------------------------------------------
-// DEM — Descriptor Exchange Microphase
+// One microphase on one node: the NIC threads a microstrobe activates
 // ---------------------------------------------------------------------------
 
-void Runtime::runDem(int node, std::uint64_t seq) {
-  beginNodePhase(node, seq, config_.dem_floor, 0);
-  wakeAtSliceStart(node);
-  // The BS/BR read their descriptor FIFOs a small window after the strobe,
-  // so a process the NM restarted at this very boundary can still slip its
-  // next descriptor into the current slice (FIFO-read semantics of the real
-  // NIC threads).
-  opStarted(node);
-  dem_drains_.afterRange(config_.dem_drain_window, node);
+Duration Runtime::runPhase(int node, Phase p, std::uint64_t seq) {
+  switch (p) {
+    case Phase::kDem: {
+      beginNodePhase(node, seq, config_.dem_floor);
+      wakeAtSliceStart(node);
+      // The BS/BR read their descriptor FIFOs a small window after the
+      // strobe, so a process the NM restarted at this very boundary can
+      // still slip its next descriptor into the current slice (FIFO-read
+      // semantics of the real NIC threads).  Flat mode files one drain per
+      // node; a tree rack's shared drain event releases the marked token.
+      opStarted(node);
+      if (tree_mode_) {
+        ctl_->tree_drain[node] = true;
+      } else {
+        dem_drains_.afterRange(config_.dem_drain_window, node);
+      }
+      return config_.dem_floor;
+    }
+    case Phase::kMsm: {
+      Duration match_cost = 0;
+      matchDescriptors(node, match_cost);
+      scheduleChunks(node);
+      // Passive-target epoch apply: RMA ops that arrived in this slice's
+      // DEM hit their windows here, in canonical order (rma.cpp).
+      scheduleRmaOps(node, match_cost);
+      const Duration busy = std::max(config_.msm_floor, match_cost);
+      beginNodePhase(node, seq, busy);
+      scheduleCollectiveQueries(node);
+      return busy;
+    }
+    case Phase::kP2p: {
+      const NodeState& ns = nodeState(node);
+      const Duration busy =
+          static_cast<Duration>(ns.slice_gets.size() + ns.rma_returns.size()) *
+          config_.nic_desc_processing;
+      beginNodePhase(node, seq, busy);
+      issueGets(node);
+      // RMA completion returns share the transmission phase with the DH
+      // gets.
+      runRmaReturns(node);
+      return busy;
+    }
+    case Phase::kBbm:
+    case Phase::kRm: {
+      // BBM and RM: the Collective Helper and the Reduce Helper pick up the
+      // collectives scheduled for their microphase (collectives.cpp).
+      const bool reduce_phase = p == Phase::kRm;
+      std::vector<int> ready_jobs;
+      const int ops = collectReadyCollectives(node, reduce_phase, ready_jobs);
+      const Duration busy =
+          static_cast<Duration>(ops) * config_.nic_desc_processing;
+      beginNodePhase(node, seq, busy);
+      for (int job : ready_jobs) {
+        if (reduce_phase) {
+          executeReduce(node, job);
+        } else {
+          executeBroadcast(node, job);
+        }
+      }
+      return busy;
+    }
+  }
+  return 0;
 }
+
+// ---------------------------------------------------------------------------
+// DEM — Descriptor Exchange Microphase
+// ---------------------------------------------------------------------------
 
 void Runtime::drainDescriptorFifos(int node) {
   NodeState& ns = nodeState(node);
@@ -244,17 +304,6 @@ int Runtime::preprocessCollectivesCount(int node) {
 // MSM — Message Scheduling Microphase
 // ---------------------------------------------------------------------------
 
-void Runtime::runMsm(int node, std::uint64_t seq) {
-  Duration match_cost = 0;
-  matchDescriptors(node, match_cost);
-  scheduleChunks(node);
-  // Passive-target epoch apply: RMA ops that arrived in this slice's DEM
-  // hit their windows here, in canonical order (rma.cpp).
-  scheduleRmaOps(node, match_cost);
-  beginNodePhase(node, seq, config_.msm_floor, match_cost);
-  scheduleCollectiveQueries(node);
-}
-
 void Runtime::matchDescriptors(int node, Duration& cost) {
   NodeState& ns = nodeState(node);
   if (ns.recv_eligible.empty() || ns.remote_sends.empty()) return;
@@ -388,17 +437,6 @@ void Runtime::scheduleCollectiveQueries(int node) {
 // ---------------------------------------------------------------------------
 // P2P — Point-to-point Microphase (DMA Helper)
 // ---------------------------------------------------------------------------
-
-void Runtime::runP2p(int node, std::uint64_t seq) {
-  const NodeState& ns = nodeState(node);
-  beginNodePhase(node, seq, 0,
-                 static_cast<Duration>(ns.slice_gets.size() +
-                                       ns.rma_returns.size()) *
-                     config_.nic_desc_processing);
-  issueGets(node);
-  // RMA completion returns share the transmission phase with the DH gets.
-  runRmaReturns(node);
-}
 
 void Runtime::issueGets(int node) {
   // The node's queue swaps with the (empty) scratch vector, so no phase

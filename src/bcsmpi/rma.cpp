@@ -95,96 +95,49 @@ int Runtime::createWindow(int job, int rank, void* base, std::size_t bytes) {
   return win;
 }
 
+std::uint64_t Runtime::postRma(const char* what, RmaOpDescriptor d) {
+  if (d.target_rank < 0 || d.target_rank >= jobSize(d.job)) {
+    throw sim::SimError(std::string(what) + ": bad target rank " +
+                        std::to_string(d.target_rank));
+  }
+  const Posting post = beginPost(d.job, d.origin_rank);
+  d.request = post.req;
+  d.posted_at = post.at;
+  d.seq = ++desc_seq_;
+  d.call_index = post.rs.next_rma_call++;
+  ++stats_.rma_ops;
+  nodeState(post.rs.node).rma_fresh.push_back(d);
+  return post.req;
+}
+
 std::uint64_t Runtime::postPut(int job, int rank, int target, int window,
                                std::size_t offset, const void* src,
                                std::size_t bytes) {
-  if (target < 0 || target >= jobSize(job)) {
-    throw sim::SimError("postPut: bad target rank " + std::to_string(target));
-  }
-  RankState& rs = rankState(job, rank);
-  if (rs.proc) rs.proc->compute(config_.post_overhead);
-  const std::uint64_t req = rs.next_req++;
-  rs.requests.emplace(req, ReqInfo{});
-
-  RmaOpDescriptor d;
-  d.job = job;
-  d.origin_rank = rank;
-  d.target_rank = target;
-  d.kind = RmaKind::kPut;
-  d.window = window;
-  d.offset = offset;
-  d.bytes = bytes;
-  d.origin_src = static_cast<const std::byte*>(src);
-  d.request = req;
-  d.posted_at = rs.proc ? rs.proc->now() : cluster_.engine().now();
-  d.seq = ++desc_seq_;
-  d.call_index = rs.next_rma_call++;
-  ++stats_.rma_ops;
-  nodeState(rs.node).rma_fresh.push_back(d);
-  noteWork();
-  return req;
+  return postRma("postPut",
+                 {.job = job, .origin_rank = rank, .target_rank = target,
+                  .kind = RmaKind::kPut, .window = window, .offset = offset,
+                  .bytes = bytes,
+                  .origin_src = static_cast<const std::byte*>(src)});
 }
 
 std::uint64_t Runtime::postGet(int job, int rank, int target, int window,
                                std::size_t offset, void* dst,
                                std::size_t bytes) {
-  if (target < 0 || target >= jobSize(job)) {
-    throw sim::SimError("postGet: bad target rank " + std::to_string(target));
-  }
-  RankState& rs = rankState(job, rank);
-  if (rs.proc) rs.proc->compute(config_.post_overhead);
-  const std::uint64_t req = rs.next_req++;
-  rs.requests.emplace(req, ReqInfo{});
-
-  RmaOpDescriptor d;
-  d.job = job;
-  d.origin_rank = rank;
-  d.target_rank = target;
-  d.kind = RmaKind::kGet;
-  d.window = window;
-  d.offset = offset;
-  d.bytes = bytes;
-  d.origin_dst = static_cast<std::byte*>(dst);
-  d.request = req;
-  d.posted_at = rs.proc ? rs.proc->now() : cluster_.engine().now();
-  d.seq = ++desc_seq_;
-  d.call_index = rs.next_rma_call++;
-  ++stats_.rma_ops;
-  nodeState(rs.node).rma_fresh.push_back(d);
-  noteWork();
-  return req;
+  return postRma("postGet",
+                 {.job = job, .origin_rank = rank, .target_rank = target,
+                  .kind = RmaKind::kGet, .window = window, .offset = offset,
+                  .bytes = bytes, .origin_dst = static_cast<std::byte*>(dst)});
 }
 
 std::uint64_t Runtime::postFetchAdd(int job, int rank, int target, int window,
                                     std::size_t offset, std::int64_t delta,
                                     std::int64_t* old_value) {
-  if (target < 0 || target >= jobSize(job)) {
-    throw sim::SimError("postFetchAdd: bad target rank " +
-                        std::to_string(target));
-  }
-  RankState& rs = rankState(job, rank);
-  if (rs.proc) rs.proc->compute(config_.post_overhead);
-  const std::uint64_t req = rs.next_req++;
-  rs.requests.emplace(req, ReqInfo{});
-
-  RmaOpDescriptor d;
-  d.job = job;
-  d.origin_rank = rank;
-  d.target_rank = target;
-  d.kind = RmaKind::kFetchAdd;
-  d.window = window;
-  d.offset = offset;
-  d.bytes = sizeof(std::int64_t);
-  d.origin_dst = reinterpret_cast<std::byte*>(old_value);
-  d.operand = delta;
-  d.request = req;
-  d.posted_at = rs.proc ? rs.proc->now() : cluster_.engine().now();
-  d.seq = ++desc_seq_;
-  d.call_index = rs.next_rma_call++;
-  ++stats_.rma_ops;
-  nodeState(rs.node).rma_fresh.push_back(d);
-  noteWork();
-  return req;
+  return postRma("postFetchAdd",
+                 {.job = job, .origin_rank = rank, .target_rank = target,
+                  .kind = RmaKind::kFetchAdd, .window = window,
+                  .offset = offset, .bytes = sizeof(std::int64_t),
+                  .origin_dst = reinterpret_cast<std::byte*>(old_value),
+                  .operand = delta});
 }
 
 // ---------------------------------------------------------------------------

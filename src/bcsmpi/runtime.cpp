@@ -108,10 +108,7 @@ void Runtime::registerProcess(int job, int rank, sim::Process& proc) {
   proc.compute(config_.runtime_init_overhead);
   // The Strobe Receiver on this rank's node starts its slice watchdog as
   // part of bring-up: from here on, microstrobe silence is suspicious.
-  ctl_->last_strobe[rs.node] = proc.now();
-  if (!ctl_->watchdog_armed[rs.node]) {
-    armWatchdogAt(rs.node, ctl_->last_strobe[rs.node] + watchdogTimeout());
-  }
+  hearStrobe(rs.node, proc.now());
   if (!strobing_) {
     strobing_ = true;
     slice_start_ = proc.now();
@@ -131,11 +128,7 @@ void Runtime::registerDetachedRank(int job, int rank) {
   // Same bring-up charge as registerProcess, but without a fiber to bill it
   // to: the rank becomes communication-ready after the init overhead.
   const SimTime ready = cluster_.engine().now() + config_.runtime_init_overhead;
-  SimTime& last_strobe = ctl_->last_strobe[rs.node];
-  last_strobe = std::max(last_strobe, ready);
-  if (!ctl_->watchdog_armed[rs.node]) {
-    armWatchdogAt(rs.node, last_strobe + watchdogTimeout());
-  }
+  hearStrobe(rs.node, std::max(ctl_->last_strobe[rs.node], ready));
   if (!strobing_) {
     strobing_ = true;
     slice_start_ = ready;
@@ -178,17 +171,22 @@ Runtime::NodeState& Runtime::nodeState(int node) {
 // Application-facing operations
 // ---------------------------------------------------------------------------
 
+Runtime::Posting Runtime::beginPost(int job, int rank) {
+  RankState& rs = rankState(job, rank);
+  if (rs.proc) rs.proc->compute(config_.post_overhead);
+  const std::uint64_t req = rs.next_req++;
+  rs.requests.emplace(req, ReqInfo{});
+  noteWork();
+  return {rs, req, rs.proc ? rs.proc->now() : cluster_.engine().now()};
+}
+
 std::uint64_t Runtime::postSend(int job, int rank, const void* buf,
                                 std::size_t bytes, int dst, int tag) {
   if (dst < 0 || dst >= jobSize(job)) {
     throw sim::SimError("postSend: bad destination rank " +
                         std::to_string(dst));
   }
-  RankState& rs = rankState(job, rank);
-  if (rs.proc) rs.proc->compute(config_.post_overhead);
-  const std::uint64_t req = rs.next_req++;
-  rs.requests.emplace(req, ReqInfo{});
-
+  const Posting post = beginPost(job, rank);
   SendDescriptor d;
   d.job = job;
   d.src_rank = rank;
@@ -196,21 +194,16 @@ std::uint64_t Runtime::postSend(int job, int rank, const void* buf,
   d.tag = tag;
   d.data = static_cast<const std::byte*>(buf);
   d.bytes = bytes;
-  d.request = req;
-  d.posted_at = rs.proc ? rs.proc->now() : cluster_.engine().now();
+  d.request = post.req;
+  d.posted_at = post.at;
   d.seq = ++desc_seq_;
-  nodeState(rs.node).bs_fresh.push_back(d);
-  noteWork();
-  return req;
+  nodeState(post.rs.node).bs_fresh.push_back(d);
+  return post.req;
 }
 
 std::uint64_t Runtime::postRecv(int job, int rank, void* buf,
                                 std::size_t bytes, int src, int tag) {
-  RankState& rs = rankState(job, rank);
-  if (rs.proc) rs.proc->compute(config_.post_overhead);
-  const std::uint64_t req = rs.next_req++;
-  rs.requests.emplace(req, ReqInfo{});
-
+  const Posting post = beginPost(job, rank);
   RecvDescriptor d;
   d.job = job;
   d.dst_rank = rank;
@@ -218,43 +211,42 @@ std::uint64_t Runtime::postRecv(int job, int rank, void* buf,
   d.want_tag = tag;
   d.data = static_cast<std::byte*>(buf);
   d.bytes = bytes;
-  d.request = req;
-  d.posted_at = rs.proc ? rs.proc->now() : cluster_.engine().now();
+  d.request = post.req;
+  d.posted_at = post.at;
   d.seq = ++desc_seq_;
-  nodeState(rs.node).recv_fresh.push_back(d);
-  noteWork();
-  return req;
+  nodeState(post.rs.node).recv_fresh.push_back(d);
+  return post.req;
 }
 
 std::uint64_t Runtime::postCollective(int job, int rank, CollectiveType type,
                                       int root, const void* contrib,
                                       void* result, std::size_t count,
                                       mpi::Datatype dt, mpi::ReduceOp op) {
-  RankState& rs = rankState(job, rank);
-  if (rs.proc) rs.proc->compute(config_.post_overhead);
-  const std::uint64_t req = rs.next_req++;
-  rs.requests.emplace(req, ReqInfo{});
-
+  // Barrier and allreduce pass root 0, so this covers every collective.
+  if (root < 0 || root >= jobSize(job)) {
+    throw sim::SimError("postCollective: bad root rank " +
+                        std::to_string(root));
+  }
+  const Posting post = beginPost(job, rank);
   CollectiveDescriptor d;
   d.job = job;
   d.rank = rank;
   d.type = type;
-  d.gen = rs.next_coll_gen++;
+  d.gen = post.rs.next_coll_gen++;
   d.root = root;
   d.contrib = static_cast<const std::byte*>(contrib);
   d.result = static_cast<std::byte*>(result);
   d.count = count;
   d.dt = dt;
   d.op = op;
-  d.request = req;
-  d.posted_at = rs.proc ? rs.proc->now() : cluster_.engine().now();
+  d.request = post.req;
+  d.posted_at = post.at;
   if (verifier_) {
-    verifier_->onCollectivePosted(slice_index_, d.posted_at, rs.node, d,
+    verifier_->onCollectivePosted(slice_index_, d.posted_at, post.rs.node, d,
                                   jobSize(job));
   }
-  nodeState(rs.node).coll_fresh.push_back(d);
-  noteWork();
-  return req;
+  nodeState(post.rs.node).coll_fresh.push_back(d);
+  return post.req;
 }
 
 Runtime::ReqInfo& Runtime::reqInfo(int job, int rank, std::uint64_t req) {
@@ -338,46 +330,27 @@ bool Runtime::probe(int job, int rank, int src, int tag, mpi::Status* status,
 }
 
 void Runtime::completeRequest(int job, int rank, std::uint64_t req, int peer,
-                              int tag, std::size_t bytes) {
+                              int tag, std::size_t bytes, int error) {
   RankState& rs = rankState(job, rank);
   auto it = rs.requests.find(req);
   if (it == rs.requests.end() || it->second.complete) return;
-  it->second.complete = true;
-  it->second.status.source = peer;
-  it->second.status.tag = tag;
-  it->second.status.bytes = bytes;
+  ReqInfo& info = it->second;
+  info.complete = true;
+  info.status = mpi::Status{peer, tag, bytes, error};
   ++rs.requests_completed;
-  if (nodeEvicted(rs.node)) return;  // a dead rank is never woken
-  if (it->second.spin_waited) {
-    // A busy-polling MPI_Wait sees the flag flip right away (Figure 2(b)).
-    if (rs.proc) rs.proc->wake();
-  } else {
-    nodeState(rs.node).wake_list.emplace_back(job, rank);
-    noteWork();
+  if (error != mpi::kSuccess) {
+    ++stats_.requests_failed;
+    sim::traceRecord(
+        trace_, cluster_.engine().now(), sim::TraceCategory::kFault,
+        rs.node, [&] {
+          return "request " + std::to_string(req) + " of j" +
+                 std::to_string(job) + "/r" + std::to_string(rank) +
+                 " failed: peer rank " + std::to_string(peer) + " unreachable";
+        });
   }
-}
-
-void Runtime::failRequest(int job, int rank, std::uint64_t req, int peer,
-                          int tag) {
-  RankState& rs = rankState(job, rank);
-  auto it = rs.requests.find(req);
-  if (it == rs.requests.end() || it->second.complete) return;
-  it->second.complete = true;
-  it->second.status.source = peer;
-  it->second.status.tag = tag;
-  it->second.status.bytes = 0;
-  it->second.status.error = mpi::kErrPeerUnreachable;
-  ++rs.requests_completed;
-  ++stats_.requests_failed;
-  sim::traceRecord(
-      trace_, cluster_.engine().now(), sim::TraceCategory::kFault,
-      rs.node, [&] {
-        return "request " + std::to_string(req) + " of j" +
-               std::to_string(job) + "/r" + std::to_string(rank) +
-               " failed: peer rank " + std::to_string(peer) + " unreachable";
-      });
-  if (nodeEvicted(rs.node)) return;
-  if (it->second.spin_waited) {
+  if (nodeEvicted(rs.node)) return;  // a dead rank is never woken
+  if (info.spin_waited) {
+    // A busy-polling MPI_Wait sees the flag flip right away (Figure 2(b)).
     if (rs.proc) rs.proc->wake();
   } else {
     nodeState(rs.node).wake_list.emplace_back(job, rank);
@@ -433,6 +406,19 @@ void Runtime::startSlice() {
     ++stats_.checkpoints_taken;
     snapshot_sink_(slice_index_);
   }
+  openSlice();
+}
+
+void Runtime::resumeFromRestore() {
+  // The restored state is exactly the capture point inside startSlice():
+  // after recovery/rejoin processing, before the boundary bookkeeping.
+  // Run the remaining tail verbatim so the continuation is byte-identical
+  // to the run that was interrupted.
+  strobing_ = true;
+  openSlice();
+}
+
+void Runtime::openSlice() {
   if (verifier_) {
     // The slice boundary is the conceptual MSM reduction point: every
     // collective generation with a full rank set is color-reduced here.
@@ -443,22 +429,6 @@ void Runtime::startSlice() {
   slice_start_ = cluster_.engine().now();
   root_msgs_slice_ = 0;
   recording_.active = false;
-  strobePhase(Phase::kDem);
-}
-
-void Runtime::resumeFromRestore() {
-  // The restored state is exactly the capture point inside startSlice():
-  // after recovery/rejoin processing, before the boundary bookkeeping.
-  // Run the remaining tail verbatim so the continuation is byte-identical
-  // to the run that was interrupted.
-  strobing_ = true;
-  if (verifier_) {
-    verifier_->onSliceBoundary(slice_index_, cluster_.engine().now());
-  }
-  ++slice_index_;
-  ++stats_.slices;
-  slice_start_ = cluster_.engine().now();
-  root_msgs_slice_ = 0;
   strobePhase(Phase::kDem);
 }
 
@@ -734,8 +704,8 @@ bool Runtime::suffixIdle(Phase p, bool after_replay) {
   // side posts, blocking probes, wake-list pushes, job creation, a watchdog
   // left disarmed (and evictions, rejoins and elections end the replay run
   // through dropSliceTemplate).  So the last whole-slice walk's verdict
-  // still holds.  A replayed suffix does not count: the microphases before
-  // it did work.
+  // still holds.  After a replayed suffix too: the work its busy prefix
+  // found came from such a change after that walk, so the epochs differ.
   if (after_replay && work_epoch_ == idle_epoch_) return true;
   const NodeControl& c = *ctl_;
   // BBM and RM share one predicate: RM's is tested only where the suffix
@@ -765,7 +735,8 @@ bool Runtime::replaySuffix(Phase p) {
       p == Phase::kDem && std::exchange(slice_replayed_, false);
   // An eviction waiting for recovery declines too: its tree repair may
   // complete a microphase from inside notifyNodeFailure, whose caller can
-  // file an event in the window after this returns.
+  // file an event in the window after this returns.  One that fires there
+  // and leaves nothing pending would go into the recording unseen.
   if (trace_->enabled() || active_ranks_ == 0 || !pending_evictions_.empty()) {
     return false;
   }
@@ -796,11 +767,10 @@ bool Runtime::replaySuffix(Phase p) {
   root_msgs_slice_ += t.root_msgs;
   stats_.fanout_msgs_per_slice = root_msgs_slice_;
   cluster_.fabric().apply(t.fabric, now);
-  // The control arrays' stores wait for their first reader.  A replay
-  // after this one under the same template writes the same runs, so it
-  // replaces them; one under another template lands them first.  The
-  // phase_done replicas (a flat template's) are the core's and land now.
-  if (ctl_.store().t != &t) ctl_.settle();
+  // The control arrays' stores wait for their first reader.  The next
+  // replay, under any template, writes every field of every live node
+  // again, so it replaces them.  The phase_done replicas (a flat
+  // template's) are the core's and land now.
   ctl_.defer() = ControlStore{&t, base, now};
   constexpr std::int64_t kKeep = SliceTemplate::kKeep;
   for (const SliceTemplate::NodeRun& run : t.nodes) {
@@ -824,21 +794,18 @@ bool Runtime::replaySuffix(Phase p) {
   // overrun and the next start from the slice's own start.
   if (slice_start_ + config_.time_slice <= end) ++stats_.slice_overruns;
   scheduleStartSlice(nextBoundary(end));
-  slice_replayed_ = p == Phase::kDem;
+  slice_replayed_ = true;
   return true;
 }
 
 void Runtime::ControlStore::operator()(NodeControl& c) const {
-  constexpr std::int64_t kKeep = SliceTemplate::kKeep;
   for (const SliceTemplate::NodeRun& run : t->nodes) {
     const SliceTemplate::NodeEnd& e = run.end;
     const auto fill = [&run](auto& field, auto value) {
       std::fill_n(field.begin() + run.first, run.count, value);
     };
-    if (e.phase_seq != kKeep) {
-      fill(c.phase_seq, static_cast<std::uint64_t>(base + e.phase_seq));
-    }
-    if (e.last_strobe != kKeep) fill(c.last_strobe, start + e.last_strobe);
+    fill(c.phase_seq, static_cast<std::uint64_t>(base + e.phase_seq));
+    fill(c.last_strobe, start + e.last_strobe);
     fill(c.outstanding, e.outstanding);
     fill(c.tree_floor, static_cast<char>(e.tree_floor));
     fill(c.tree_drain, static_cast<char>(e.tree_drain));
@@ -857,14 +824,9 @@ void Runtime::startRecording(Phase p, SimTime next_event) {
   r.root_msgs = root_msgs_slice_;
   r.stats = stats_;
   cluster_.fabric().mark(r.fabric);
-  r.nodes.resize(live_compute_nodes_.size());
-  const NodeControl& c = *ctl_;
+  r.phase_done.resize(live_compute_nodes_.size());
   for (std::size_t i = 0; i < live_compute_nodes_.size(); ++i) {
-    const int n = live_compute_nodes_[i];
-    SliceTemplate::NodeEnd& e = r.nodes[i];
-    e.phase_seq = static_cast<std::int64_t>(c.phase_seq[n]);
-    e.phase_done = core_.readVar(n, phase_done_var_);
-    e.last_strobe = c.last_strobe[n];
+    r.phase_done[i] = core_.readVar(live_compute_nodes_[i], phase_done_var_);
   }
   r.racks.resize(tree_racks_.size());
   for (std::size_t k = 0; k < tree_racks_.size(); ++k) {
@@ -901,13 +863,14 @@ void Runtime::finishRecording() {
   const NodeControl& c = *ctl_;
   for (std::size_t i = 0; i < live_compute_nodes_.size(); ++i) {
     const int n = live_compute_nodes_[i];
-    const SliceTemplate::NodeEnd& was = r.nodes[i];
+    // Every live node heard the suffix's strobes (a recording in which one
+    // was down is dropped above), so its sequence number and last strobe
+    // moved: a template sets them for every live node.
     SliceTemplate::NodeEnd e;
-    e.phase_seq =
-        rel(static_cast<std::int64_t>(c.phase_seq[n]), was.phase_seq, base);
+    e.phase_seq = static_cast<std::int64_t>(c.phase_seq[n]) - base;
     e.phase_done =
-        rel(core_.readVar(n, phase_done_var_), was.phase_done, base);
-    e.last_strobe = rel(c.last_strobe[n], was.last_strobe, r.start);
+        rel(core_.readVar(n, phase_done_var_), r.phase_done[i], base);
+    e.last_strobe = c.last_strobe[n] - r.start;
     e.outstanding = c.outstanding[n];
     e.tree_floor = c.tree_floor[n] != 0;
     e.tree_drain = c.tree_drain[n] != 0;
@@ -1086,32 +1049,32 @@ void Runtime::opFinished(int node) {
   }
 }
 
-void Runtime::beginNodePhase(int node, std::uint64_t seq, Duration floor,
-                             Duration work_cost) {
+void Runtime::beginNodePhase(int node, std::uint64_t seq, Duration busy) {
   ctl_->phase_seq[node] = seq;
   ctl_->outstanding[node] = 0;
-  // One token for the NIC-thread processing time (at least the phase
-  // floor).  An idle node's token is released by an event at this very
-  // instant, so the outstanding counter still guards against completing
-  // before the node's other work is scheduled.
+  // One token for the NIC-thread processing time.  Flat mode releases it
+  // with the node's own timer; an idle node's fires at this very instant,
+  // so the outstanding counter still guards against completing before the
+  // node's other work is scheduled.  A tree rack's shared floor event, at
+  // its slowest member's busy time, releases the marked token instead.
   opStarted(node);
-  op_timers_.afterRange(std::max(floor, work_cost), node);
+  if (tree_mode_) {
+    ctl_->tree_floor[node] = true;
+  } else {
+    op_timers_.afterRange(busy, node);
+  }
+}
+
+void Runtime::hearStrobe(int node, SimTime at) {
+  ctl_->last_strobe[node] = at;
+  if (!ctl_->watchdog_armed[node]) armWatchdogAt(node, at + watchdogTimeout());
 }
 
 void Runtime::onStrobe(int node, Phase p, std::uint64_t seq) {
   if (nodeEvicted(node)) return;  // strobe raced an eviction
-  // Feed the slice watchdog: a strobe is proof of Strobe Sender life.
-  ctl_->last_strobe[node] = cluster_.engine().now();
-  if (!ctl_->watchdog_armed[node]) {
-    armWatchdogAt(node, ctl_->last_strobe[node] + watchdogTimeout());
-  }
-  switch (p) {
-    case Phase::kDem: runDem(node, seq); return;
-    case Phase::kMsm: runMsm(node, seq); return;
-    case Phase::kP2p: runP2p(node, seq); return;
-    case Phase::kBbm: runBbm(node, seq); return;
-    case Phase::kRm: runRm(node, seq); return;
-  }
+  // A strobe is proof of Strobe Sender life.
+  hearStrobe(node, cluster_.engine().now());
+  runPhase(node, p, seq);
 }
 
 // ---------------------------------------------------------------------------
@@ -1546,14 +1509,8 @@ void Runtime::recoverPhase() {
     strobing_ = false;
     return;
   }
-  core::CompareAndWriteRequest req;
-  req.src_node = strobe_node_;
-  req.nodes = live_compute_nodes_;
-  req.var = phase_done_var_;
-  req.op = core::CmpOp::kGE;
-  req.value = static_cast<std::int64_t>(phase_seq_);
   const std::uint64_t epoch = control_epoch_;
-  core_.compareAndWriteAsync(req, [this, epoch](bool done) {
+  core_.compareAndWriteAsync(pollRequest(phase_seq_), [this, epoch](bool done) {
     if (epoch != control_epoch_) return;
     if (done) {
       resumeStrobe();
@@ -1621,10 +1578,7 @@ void Runtime::performRejoins() {
       return "rejoined at slice " + std::to_string(slice_index_) + " (epoch " +
              std::to_string(control_epoch_) + "): queues rebuilt";
     });
-    ctl_->last_strobe[node] = now;
-    if (!ctl_->watchdog_armed[node]) {
-      armWatchdogAt(node, now + watchdogTimeout());
-    }
+    hearStrobe(node, now);
     if (tree_mode_) treeHandleRejoin(node);
   }
 }

@@ -516,9 +516,9 @@ class Runtime {
     static constexpr std::int64_t kKeep = INT64_MIN;
     /// How a live node ends the slice.
     struct NodeEnd {
-      std::int64_t phase_seq = kKeep;   ///< offset from phase_seq_ at T
+      std::int64_t phase_seq = 0;       ///< offset from phase_seq_ at T
       std::int64_t phase_done = kKeep;  ///< replica, same base
-      std::int64_t last_strobe = kKeep;  ///< offset from T
+      std::int64_t last_strobe = 0;     ///< offset from T
       int outstanding = 0;
       bool tree_floor = false;
       bool tree_drain = false;
@@ -553,7 +553,7 @@ class Runtime {
     bool tree_phase_open = false;
   };
   /// The state at T of a suffix being recorded: the slice's end minus this
-  /// is the template of microphase `from`.  Node and rack entries hold
+  /// is the template of microphase `from`.  Replica and rack entries hold
   /// absolute values; the buffers keep their capacity from one attempt to
   /// the next.
   struct SliceRecording {
@@ -566,16 +566,16 @@ class Runtime {
     std::uint64_t root_msgs = 0;
     RuntimeStats stats;
     net::Fabric::Mark fabric;
-    /// One per live node, in live_compute_nodes_ order.
-    std::vector<SliceTemplate::NodeEnd> nodes;
+    /// Each live node's phase_done replica, in live_compute_nodes_ order.
+    std::vector<std::int64_t> phase_done;
     std::vector<SliceTemplate::RackEnd> racks;
   };
   /// A replayed suffix's stores to the control arrays, waiting in ctl_ for
   /// their first reader (DESIGN.md §5b, "Write-back"): the template's node
-  /// runs, set from phase_seq_ at T (`base`) and from T (`start`).  The
-  /// next replay under the same template writes the same runs, so it
-  /// replaces this one; a replay under another template, and
-  /// dropSliceTemplate, land it first.
+  /// runs, set from phase_seq_ at T (`base`) and from T (`start`).  Every
+  /// template of one control plane sets every field of every live node, so
+  /// the next replay, under any template, replaces this one;
+  /// dropSliceTemplate lands it first.
   struct ControlStore {
     const SliceTemplate* t = nullptr;
     std::int64_t base = 0;
@@ -585,6 +585,9 @@ class Runtime {
 
   // ---- Strobe Sender (management node) ----
   void startSlice();
+  /// The boundary bookkeeping that opens a slice, then its DEM strobe: the
+  /// tail of startSlice and of resumeFromRestore.
+  void openSlice();
   void strobePhase(Phase p);
   void pollPhaseDone(Phase p, std::uint64_t seq);
   /// The phase-done poll of `seq`, in poll_request_.
@@ -608,9 +611,9 @@ class Runtime {
   bool replaySuffix(Phase p);
   /// Every live node's watchdog is armed (or watchdogs are off) and every
   /// live node is idle in `p` and every later microphase; stops at the
-  /// first node that is not.  At the DEM after a replayed whole slice the
-  /// walk is skipped while work_epoch_ still equals the value the last
-  /// whole-slice walk admitted.
+  /// first node that is not.  At the DEM after a replayed slice, whole or
+  /// in part, the walk is skipped while work_epoch_ still equals the value
+  /// the last whole-slice walk admitted.
   bool suffixIdle(Phase p, bool after_replay);
   /// A live node or the Strobe Sender is down somewhere in [from, to].
   bool controlPlaneDownDuring(SimTime from, SimTime to) const;
@@ -632,16 +635,20 @@ class Runtime {
 
   // ---- Strobe Receiver / NIC threads (compute nodes) ----
   void onStrobe(int node, Phase p, std::uint64_t seq);
-  void beginNodePhase(int node, std::uint64_t seq, Duration floor,
-                      Duration work_cost);
+  /// A strobe (or the bring-up that stands for one) reached `node` at `at`:
+  /// feeds its slice watchdog, arming it if it is not.
+  void hearStrobe(int node, SimTime at);
+  /// Node `node`'s NIC-thread work in microphase `p` (phases.cpp), for both
+  /// control planes: flat onStrobe and the tree's rackFanout call it.
+  /// Returns how long the node's floor token is held.
+  Duration runPhase(int node, Phase p, std::uint64_t seq);
+  /// Enters microphase `seq` and takes the floor token, held `busy`: flat
+  /// mode files the node's own timer, the tree marks it for the rack's
+  /// shared floor event.
+  void beginNodePhase(int node, std::uint64_t seq, Duration busy);
   void opStarted(int node);
   void opFinished(int node);
-  void runDem(int node, std::uint64_t seq);
   void drainDescriptorFifos(int node);
-  void runMsm(int node, std::uint64_t seq);
-  void runP2p(int node, std::uint64_t seq);
-  void runBbm(int node, std::uint64_t seq);
-  void runRm(int node, std::uint64_t seq);
 
   // One-sided RMA (rma.cpp): DEM coalesced exchange, MSM canonical apply,
   // P2P completion returns.
@@ -672,7 +679,6 @@ class Runtime {
   void strobePhaseTree(Phase p, std::uint64_t seq);
   void onRackStrobe(int rack, Phase p, std::uint64_t seq);
   void rackFanout(int rack, Phase p, std::uint64_t seq);
-  Duration treeInitMember(int node, Phase p, std::uint64_t seq);
   /// True iff microphase `p` has nothing to do on the node: no Node Manager
   /// duty, nothing to drain, match, get or execute.  The tree skips such a
   /// member's tokens; the rest of a slice in which every live node is idle
@@ -705,13 +711,29 @@ class Runtime {
   int collectiveOwnerNode(const JobState& js,
                           const PendingCollective& pc) const;
 
-  // Completion plumbing
+  // Posting and completion plumbing
+  /// What every post does before it builds its descriptor: charges the
+  /// post overhead to the rank's fiber, then opens a request and notes the
+  /// work.
+  struct Posting {
+    RankState& rs;
+    std::uint64_t req;
+    SimTime at;  ///< the posting instant
+  };
+  Posting beginPost(int job, int rank);
+  /// Posts an RMA op built by postPut, postGet or postFetchAdd (`what`,
+  /// named in the bad-target error).
+  std::uint64_t postRma(const char* what, RmaOpDescriptor d);
   ReqInfo& reqInfo(int job, int rank, std::uint64_t req);
+  /// Completes a request and wakes its rank: a spin-waiter at once, any
+  /// other at the next slice boundary.  An `error` completion is counted
+  /// and traced.  Idempotent; never wakes ranks living on evicted nodes.
   void completeRequest(int job, int rank, std::uint64_t req, int peer,
-                       int tag, std::size_t bytes);
-  /// Completes a request *in error* (peer unreachable).  Idempotent; never
-  /// wakes ranks living on evicted nodes.
-  void failRequest(int job, int rank, std::uint64_t req, int peer, int tag);
+                       int tag, std::size_t bytes, int error = mpi::kSuccess);
+  /// Completes a request *in error* (peer unreachable).
+  void failRequest(int job, int rank, std::uint64_t req, int peer, int tag) {
+    completeRequest(job, rank, req, peer, tag, 0, mpi::kErrPeerUnreachable);
+  }
   void wakeAtSliceStart(int node);
 
   // Fault recovery (runtime.cpp)
@@ -866,7 +888,7 @@ class Runtime {
   /// Idle-suffix replay: the suffix recording a template (templates_,
   /// below).  Neither is part of a snapshot.
   SliceRecording recording_;
-  /// The slice that started last was replayed from its DEM.
+  /// The slice that started last was replayed, whole or in part.
   bool slice_replayed_ = false;
   /// Bumped by noteWork(); idle_epoch_ is its value at the last node walk
   /// that found every live node idle in all five microphases and armed.

@@ -18,6 +18,12 @@
 // the epoch-fenced Compare-And-Write election per level: a dead rack SS is
 // replaced from within its rack, a dead root from among the rack SSes.
 //
+// A member does a flat node's work in each microphase: the fan-out runs
+// the shared Strobe Receiver body (Runtime::runPhase, phases.cpp), which
+// differs only in how the floor and DEM drain tokens are released.  What
+// stays tree-only is here: the relays, the rack's shared floor and drain
+// events, the coalesced acks and the per-level failover.
+//
 // Timing inside a rack is deliberately coarser than flat mode (members
 // share one floor event and one DEM drain event per rack instead of one
 // timer each) — that is the point of the aggregation.  Tree-mode schedules
@@ -81,10 +87,7 @@ void Runtime::onRackStrobe(int rack, Phase p, std::uint64_t seq) {
   const int ss = sstree_.ss(rack);
   if (nodeEvicted(ss)) return;  // strobe raced an eviction
   // A strobe reaching the rack SS is proof of root life.
-  ctl_->last_strobe[ss] = cluster_.engine().now();
-  if (!ctl_->watchdog_armed[ss]) {
-    armWatchdogAt(ss, ctl_->last_strobe[ss] + watchdogTimeout());
-  }
+  hearStrobe(ss, cluster_.engine().now());
   TreeRackState& rk = tree_racks_[static_cast<std::size_t>(rack)];
   if (seq < rk.seq) return;  // stale duplicate from an abandoned recovery
   if (seq == rk.seq) {
@@ -145,8 +148,7 @@ void Runtime::rackFanout(int rack, Phase p, std::uint64_t seq) {
       // it and heartbeat eviction (or a rejoin) repairs it later.
       continue;
     }
-    c.last_strobe[m] = now;
-    if (!c.watchdog_armed[m]) armWatchdogAt(m, now + watchdogTimeout());
+    hearStrobe(m, now);
     if (nodeIdle(nodeState(m), p)) {
       // Idle fast path: the member observes the strobe (sequence number
       // and watchdog above) but holds no completion tokens — there is no
@@ -163,10 +165,12 @@ void Runtime::rackFanout(int rack, Phase p, std::uint64_t seq) {
       c.tree_drain[m] = false;
       continue;
     }
-    max_busy = std::max(max_busy, treeInitMember(m, p, seq));
-    // Counted pending unconditionally: the floor token taken in
-    // treeInitMember can only be released by a later engine event, never
-    // within this call.
+    // The member's NIC threads, as a flat node runs them (phases.cpp);
+    // its floor token waits for the rack's floor event below.
+    max_busy = std::max(max_busy, runPhase(m, p, seq));
+    // Counted pending unconditionally: the floor token taken in runPhase
+    // can only be released by a later engine event, never within this
+    // call.
     ++inited;
     ++pending;
     if (p == Phase::kDem) any_drain = true;
@@ -192,55 +196,6 @@ void Runtime::rackFanout(int rack, Phase p, std::uint64_t seq) {
     }
   }
   if (rk.pending == 0) sendRackAck(rack, seq);
-}
-
-Duration Runtime::treeInitMember(int node, Phase p, std::uint64_t seq) {
-  NodeState& ns = nodeState(node);
-  ctl_->phase_seq[node] = seq;
-  ctl_->outstanding[node] = 0;
-  // The NIC-thread floor token, released by the rack-shared floor event.
-  opStarted(node);
-  ctl_->tree_floor[node] = true;
-  switch (p) {
-    case Phase::kDem: {
-      wakeAtSliceStart(node);
-      // FIFO-drain token, released by the rack-shared drain event.
-      opStarted(node);
-      ctl_->tree_drain[node] = true;
-      return config_.dem_floor;
-    }
-    case Phase::kMsm: {
-      Duration match_cost = 0;
-      matchDescriptors(node, match_cost);
-      scheduleChunks(node);
-      scheduleRmaOps(node, match_cost);
-      scheduleCollectiveQueries(node);
-      return std::max(config_.msm_floor, match_cost);
-    }
-    case Phase::kP2p: {
-      const Duration busy =
-          static_cast<Duration>(ns.slice_gets.size() + ns.rma_returns.size()) *
-          config_.nic_desc_processing;
-      issueGets(node);
-      runRmaReturns(node);
-      return busy;
-    }
-    case Phase::kBbm: {
-      std::vector<int> ready_jobs;
-      const int ops = collectReadyCollectives(node, /*reduce_phase=*/false,
-                                              ready_jobs);
-      for (int job : ready_jobs) executeBroadcast(node, job);
-      return static_cast<Duration>(ops) * config_.nic_desc_processing;
-    }
-    case Phase::kRm: {
-      std::vector<int> ready_jobs;
-      const int ops = collectReadyCollectives(node, /*reduce_phase=*/true,
-                                              ready_jobs);
-      for (int job : ready_jobs) executeReduce(node, job);
-      return static_cast<Duration>(ops) * config_.nic_desc_processing;
-    }
-  }
-  return 0;
 }
 
 void Runtime::treeReleaseFloor(int rack, std::uint64_t seq) {

@@ -401,17 +401,6 @@ Duration Fabric::conditionalLatency(int n) const {
   return static_cast<Duration>(steps) * params_.sw_step_latency;
 }
 
-Duration Fabric::multicastLatency() const {
-  if (params_.hw_multicast) {
-    return params_.mcast_base_latency +
-           static_cast<Duration>(tree_.levels()) * params_.hop_latency;
-  }
-  const int steps = static_cast<int>(
-      std::ceil(std::log2(static_cast<double>(std::max(num_nodes_, 2)))));
-  return static_cast<Duration>(steps) *
-         (params_.sw_step_latency + params_.wire_latency);
-}
-
 void Fabric::conditional(int src, const std::vector<int>& nodes,
                          sim::InlineFunction<bool(int)> eval,
                          NodeCallback write,

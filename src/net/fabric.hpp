@@ -156,9 +156,6 @@ class Fabric {
   /// Latency of one conditional round for `n` participating nodes.
   Duration conditionalLatency(int n) const;
 
-  /// First-bit latency of a multicast reaching every destination.
-  Duration multicastLatency() const;
-
   /// Counters since construction (see FabricStats).
   const FabricStats& stats() const { return stats_; }
 
@@ -195,7 +192,6 @@ class Fabric {
   /// Attaches (or detaches, with nullptr) a fault injector.  Not owned; must
   /// outlive the fabric or be detached first.
   void setFaultInjector(sim::FaultInjector* injector) { fault_ = injector; }
-  sim::FaultInjector* faultInjector() const { return fault_; }
 
   sim::Engine& engine() { return engine_; }
 

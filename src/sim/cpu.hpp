@@ -58,8 +58,6 @@ class CpuScheduler {
   /// Number of tasks currently receiving service.
   int activeTasks() const;
 
-  int numCpus() const { return num_cpus_; }
-
   /// Total CPU-time actually delivered to user tasks (for utilization
   /// statistics).
   double userCpuTimeDelivered() const { return user_delivered_; }

@@ -55,7 +55,6 @@ class Trace {
  public:
   /// Enables collection (optionally mirrored to stderr for live debugging).
   void enable(bool echo_to_stderr = false);
-  void disable() { enabled_ = false; }
   bool enabled() const { return enabled_; }
 
   /// Records one entry (and echoes it to stderr if asked to).

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "baseline/baseline.hpp"
@@ -392,5 +394,43 @@ TEST(Baseline, TruncatingReceiveThrows) {
              }),
       sim::SimError);
 }
+
+// The message of the sim::SimError `run` throws; empty when it throws none.
+template <typename Run>
+std::string simErrorOf(Run run) {
+  try {
+    run();
+  } catch (const sim::SimError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A root outside the job fails at the call, as a bad send destination
+// does: not from a node lookup, an internal send or not at all.
+void expectBadRootThrows(bool reduce) {
+  for (const int root : {2, -1}) {
+    net::Cluster cluster(smallCluster(2));
+    EXPECT_EQ(simErrorOf([&] {
+                runJob(cluster, fastInit(), blockMapping(2, 2, 1),
+                       [&](Comm& comm) {
+                         std::int32_t in = 1;
+                         std::int32_t out = 0;
+                         if (reduce) {
+                           comm.reduce(&in, &out, 1, mpi::Datatype::kInt32,
+                                       mpi::ReduceOp::kSum, root);
+                         } else {
+                           comm.bcast(&in, sizeof in, root);
+                         }
+                       });
+              }),
+              std::string(reduce ? "reduce" : "bcast") + ": bad root rank " +
+                  std::to_string(root));
+  }
+}
+
+TEST(Baseline, BadBcastRootThrows) { expectBadRootThrows(false); }
+
+TEST(Baseline, BadReduceRootThrows) { expectBadRootThrows(true); }
 
 }  // namespace

@@ -186,6 +186,42 @@ TEST(RuntimeInternals, BadDestinationRankThrows) {
                sim::SimError);
 }
 
+// The message of the sim::SimError `run` throws; empty when it throws none.
+template <typename Run>
+std::string simErrorOf(Run run) {
+  try {
+    run();
+  } catch (const sim::SimError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A root outside the job fails at the call, as a bad destination does,
+// not a slice later inside the BBM or RM.
+void expectBadRootThrows(bool reduce) {
+  for (const int root : {2, -1}) {
+    net::Cluster cluster(nodes(2));
+    EXPECT_EQ(simErrorOf([&] {
+                bcsmpi::runJob(cluster, fast(), {0, 1}, [&](Comm& comm) {
+                  std::int32_t in = 1;
+                  std::int32_t out = 0;
+                  if (reduce) {
+                    comm.reduce(&in, &out, 1, mpi::Datatype::kInt32,
+                                mpi::ReduceOp::kSum, root);
+                  } else {
+                    comm.bcast(&in, sizeof in, root);
+                  }
+                });
+              }),
+              "postCollective: bad root rank " + std::to_string(root));
+  }
+}
+
+TEST(RuntimeInternals, BadBcastRootThrows) { expectBadRootThrows(false); }
+
+TEST(RuntimeInternals, BadReduceRootThrows) { expectBadRootThrows(true); }
+
 TEST(RuntimeInternals, DrainWindowCatchesBoundaryPosts) {
   // A process woken at the slice boundary that immediately posts catches
   // the *current* slice (FIFO drain semantics) — its blocking op costs
@@ -771,8 +807,9 @@ struct LoopRun {
   ReplayRun run;
   std::string trace;
   std::vector<sim::SimTime> polls;  ///< issue instants of the phase polls
-  /// Instants of the BBM and RM microstrobes.
+  /// Instants of the BBM and RM microstrobes, and of the P2P ones.
   std::vector<sim::SimTime> tail_strobes;
+  std::vector<sim::SimTime> p2p_strobes;
   std::uint64_t events = 0;  ///< engine events executed, the ticks' excluded
   std::size_t unfinished = 0;
   /// At the scenario's pause: the counters and the trace so far.
@@ -821,6 +858,9 @@ LoopRun runFlatLoop(const ReplayScenario& sc, bool tick,
     if (r.message.starts_with("microstrobe BBM") ||
         r.message.starts_with("microstrobe RM")) {
       out.tail_strobes.push_back(r.time);
+    }
+    if (r.message.starts_with("microstrobe P2P")) {
+      out.p2p_strobes.push_back(r.time);
     }
   }
   out.events = cluster.engine().executedEvents() - (ticker ? ticker->ticks : 0);
@@ -1435,10 +1475,12 @@ TEST(TailReplay, CollectivesInFlightMatch) {
   EXPECT_GT(bbm_tails, 0u);
 }
 
-/// Every rank but `extra` exchanges 64 bytes with both ring neighbours
-/// among them, `rounds` times, blocking, and does nothing else: every
-/// slice is busy in its DEM, MSM and P2P and idle in its BBM and RM.
-std::uint64_t busyRing(Comm& comm, int rounds, int ring) {
+/// Ranks 0 to ring − 1 exchange 64 bytes with both ring neighbours among
+/// them, `rounds` times, blocking, and do nothing else but compute `think`
+/// after each round: every slice is busy in its DEM, MSM and P2P and idle
+/// in its BBM and RM.
+std::uint64_t busyRing(Comm& comm, int rounds, int ring,
+                       sim::Duration think = 0) {
   const int me = comm.rank();
   std::uint64_t sum = 0;
   std::array<std::uint8_t, 64> out{};
@@ -1453,6 +1495,7 @@ std::uint64_t busyRing(Comm& comm, int rounds, int ring) {
         comm.isend(out.data(), out.size(), (me + ring - 1) % ring, 1)};
     comm.waitall(reqs);
     sum += left[0] + right[0];
+    if (think > 0) comm.compute(think);
   }
   return sum;
 }
@@ -1616,6 +1659,56 @@ TEST(TailReplay, EvictionAndRejoinBetweenTailReplaysMatch) {
   EXPECT_GT(replayed[0], 5u);
   EXPECT_GT(replayed[1], 10u);
   EXPECT_GT(replayed[2], 10u);
+}
+
+TEST(TailReplay, TreeEvictionThatCompletesAMicrophaseRecordsNothing) {
+  // Nodes 0-15, rack 0 under fanout 16, run the ring; node 16, alone in
+  // rack 1, only computes.  The ring ranks compute 50 us after each round,
+  // past the tail window of a tree this small.  Node 16 hangs at the P2P
+  // strobe of the tenth slice, so that microphase waits for rack 1's ack
+  // until node 16 is declared dead 100 us later: the emptied rack stops
+  // gating it, and notifyNodeFailure itself completes the P2P and strobes
+  // the BBM.  Its caller then moves one message inside that BBM's window.
+  // A template recorded from that strobe would hold the message and add
+  // it to every tail replayed later, so the pending eviction declines the
+  // recording.
+  constexpr int kRing = 16;
+  ReplayScenario sc = busyRingScenario(17, 40);
+  sc.mpi.tree_fanout = 16;
+  sc.body = [](Comm& comm) -> std::uint64_t {
+    if (comm.rank() == kRing) {
+      comm.compute(msec(20));
+      return 1;
+    }
+    return busyRing(comm, 40, kRing, usec(50));
+  };
+  const std::vector<sim::SimTime> p2p =
+      runFlatLoop(sc, /*tick=*/false).p2p_strobes;
+  ASSERT_GT(p2p.size(), 20u);
+  const sim::SimTime hang = p2p[10];
+  sc.cluster.faults.hangNode(kRing, hang, usec(500));
+  sc.extra = [hang](net::Cluster& cluster, bcsmpi::Runtime& rt) {
+    cluster.engine().at(hang + usec(100), [&cluster, &rt] {
+      rt.notifyNodeFailure(kRing);
+      cluster.engine().after(1, [&cluster] {
+        cluster.fabric().unicast(0, 1, 64, [] {});
+      });
+    });
+  };
+  const ReplayRun run = expectReplayExact(sc);
+  ASSERT_FALSE(run.boundaries.empty());
+  EXPECT_EQ(run.boundaries.back().runtime.evictions, 1u);
+  const std::vector<std::int64_t> saved =
+      savedEvents(run, runReplayScenario(tailsDeclined(sc), false));
+  std::array<std::size_t, 2> replayed{};  // before, after the eviction
+  const std::size_t evicted = sliceHolding(run, hang);
+  for (std::size_t i = 1; i < saved.size(); ++i) {
+    if (saved[i] > static_cast<std::int64_t>(kTailNoops)) {
+      ++replayed[i <= evicted ? 0 : 1];
+    }
+  }
+  EXPECT_GT(replayed[0], 5u);
+  EXPECT_GT(replayed[1], 10u);
 }
 
 TEST(TailReplay, RunBoundAndObserverInsideATailSeeItUnderWay) {
