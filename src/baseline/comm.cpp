@@ -15,12 +15,12 @@ constexpr sim::Duration kHostReducePerElement = 3;  // ns
 /// invisible to application wildcard receives; see mpi/comm.hpp).
 constexpr int kReduceTagBase = -(1 << 22);
 
-/// A root outside the job fails at the call, as a bad send destination
-/// does.
-void checkRoot(const char* op, int root, int size) {
-  if (root < 0 || root >= size) {
-    throw sim::SimError(std::string(op) + ": bad root rank " +
-                        std::to_string(root));
+/// A root or source rank outside the job fails at the call, as a bad send
+/// destination does.
+void checkRank(const char* op, const char* role, int rank, int size) {
+  if (rank < 0 || rank >= size) {
+    throw sim::SimError(std::string(op) + ": bad " + role + " rank " +
+                        std::to_string(rank));
   }
 }
 }  // namespace
@@ -41,6 +41,7 @@ mpi::Request BaselineComm::isend(const void* buf, std::size_t bytes, int dest,
 
 mpi::Request BaselineComm::irecv(void* buf, std::size_t bytes, int src,
                                  int tag) {
+  if (src != mpi::kAnySource) checkRank("recv", "source", src, size());
   return mpi::Request{world_.startRecv(rank_, buf, bytes, src, tag)};
 }
 
@@ -87,6 +88,7 @@ bool BaselineComm::completed(const mpi::Request& r) const {
 
 bool BaselineComm::probe(int src, int tag, mpi::Status* status,
                          bool blocking) {
+  if (src != mpi::kAnySource) checkRank("probe", "source", src, size());
   World::RankState& state = world_.rs(rank_);
   while (true) {
     for (const auto& u : state.unexpected) {
@@ -144,7 +146,7 @@ void BaselineComm::barrier() {
 }
 
 void BaselineComm::bcast(void* buf, std::size_t bytes, int root) {
-  checkRoot("bcast", root, size());
+  checkRank("bcast", "root", root, size());
   proc_.compute(world_.config().collective_overhead);
   World::RankState& state = world_.rs(rank_);
   const int gen = state.bcast_gen++;
@@ -203,7 +205,7 @@ void BaselineComm::bcast(void* buf, std::size_t bytes, int root) {
 void BaselineComm::reduce(const void* contrib, void* result,
                           std::size_t count, mpi::Datatype dt,
                           mpi::ReduceOp op, int root) {
-  checkRoot("reduce", root, size());
+  checkRank("reduce", "root", root, size());
   proc_.compute(world_.config().collective_overhead);
   World::RankState& state = world_.rs(rank_);
   const int gen = state.reduce_gen++;

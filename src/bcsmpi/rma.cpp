@@ -96,10 +96,7 @@ int Runtime::createWindow(int job, int rank, void* base, std::size_t bytes) {
 }
 
 std::uint64_t Runtime::postRma(const char* what, RmaOpDescriptor d) {
-  if (d.target_rank < 0 || d.target_rank >= jobSize(d.job)) {
-    throw sim::SimError(std::string(what) + ": bad target rank " +
-                        std::to_string(d.target_rank));
-  }
+  checkRank(d.job, d.target_rank, what, "target");
   const Posting post = beginPost(d.job, d.origin_rank);
   d.request = post.req;
   d.posted_at = post.at;

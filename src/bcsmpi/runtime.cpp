@@ -171,6 +171,22 @@ Runtime::NodeState& Runtime::nodeState(int node) {
 // Application-facing operations
 // ---------------------------------------------------------------------------
 
+void Runtime::checkRank(int job, int rank, const char* op,
+                        const char* role) const {
+  if (rank < 0 || rank >= jobSize(job)) {
+    throw sim::SimError(std::string(op) + ": bad " + role + " rank " +
+                        std::to_string(rank));
+  }
+}
+
+void Runtime::blockRank(const RankState& rs, int rank, const char* op) {
+  if (!rs.proc) {
+    throw sim::SimError(std::string(op) + ": rank " + std::to_string(rank) +
+                        " is detached; poll with testRequest");
+  }
+  rs.proc->block();
+}
+
 Runtime::Posting Runtime::beginPost(int job, int rank) {
   RankState& rs = rankState(job, rank);
   if (rs.proc) rs.proc->compute(config_.post_overhead);
@@ -182,10 +198,7 @@ Runtime::Posting Runtime::beginPost(int job, int rank) {
 
 std::uint64_t Runtime::postSend(int job, int rank, const void* buf,
                                 std::size_t bytes, int dst, int tag) {
-  if (dst < 0 || dst >= jobSize(job)) {
-    throw sim::SimError("postSend: bad destination rank " +
-                        std::to_string(dst));
-  }
+  checkRank(job, dst, "postSend", "destination");
   const Posting post = beginPost(job, rank);
   SendDescriptor d;
   d.job = job;
@@ -203,6 +216,7 @@ std::uint64_t Runtime::postSend(int job, int rank, const void* buf,
 
 std::uint64_t Runtime::postRecv(int job, int rank, void* buf,
                                 std::size_t bytes, int src, int tag) {
+  if (src != mpi::kAnySource) checkRank(job, src, "postRecv", "source");
   const Posting post = beginPost(job, rank);
   RecvDescriptor d;
   d.job = job;
@@ -223,10 +237,7 @@ std::uint64_t Runtime::postCollective(int job, int rank, CollectiveType type,
                                       void* result, std::size_t count,
                                       mpi::Datatype dt, mpi::ReduceOp op) {
   // Barrier and allreduce pass root 0, so this covers every collective.
-  if (root < 0 || root >= jobSize(job)) {
-    throw sim::SimError("postCollective: bad root rank " +
-                        std::to_string(root));
-  }
+  checkRank(job, root, "postCollective", "root");
   const Posting post = beginPost(job, rank);
   CollectiveDescriptor d;
   d.job = job;
@@ -285,7 +296,7 @@ void Runtime::waitRequest(int job, int rank, std::uint64_t req,
   // descheduled waiters are restarted by the NM at the next slice boundary.
   while (!reqInfo(job, rank, req).complete) {
     reqInfo(job, rank, req).spin_waited = spin;
-    rs.proc->block();
+    blockRank(rs, rank, "waitRequest");
   }
   if (status) *status = reqInfo(job, rank, req).status;
   rs.requests.erase(req);
@@ -293,6 +304,7 @@ void Runtime::waitRequest(int job, int rank, std::uint64_t req,
 
 bool Runtime::probe(int job, int rank, int src, int tag, mpi::Status* status,
                     bool blocking) {
+  if (src != mpi::kAnySource) checkRank(job, src, "probe", "source");
   RankState& rs = rankState(job, rank);
   NodeState& ns = nodeState(rs.node);
   while (true) {
@@ -325,7 +337,7 @@ bool Runtime::probe(int job, int rank, int src, int tag, mpi::Status* status,
     if (!blocking) return false;
     ns.probe_waiters.emplace_back(job, rank);
     noteWork();
-    rs.proc->block();
+    blockRank(rs, rank, "probe");
   }
 }
 
@@ -647,14 +659,18 @@ void Runtime::maybeStop() {
 // the rest of a slice runs a fixed schedule: the strobes, the floors and
 // the polls of the remaining microphases.  The first such suffix from each
 // microphase under a control plane runs normally and is recorded; later
-// ones apply the recording, a fill per field over runs of nodes that end
-// the slice alike, and file the next slice, one engine event in all.  From
-// the DEM the suffix is the whole slice.
+// ones add its counter deltas, set the ends the protocol fixes, fill the
+// last strobe over runs of nodes that heard it alike, and file the next
+// slice, one engine event in all.  From the DEM the suffix is the whole
+// slice.
 //
 // Why this is exact.  Replay demands that no engine event falls at or
 // before the recorded RM completion T + rm_offset, so in the normal run
 // only the suffix's own events fire in [T, T + rm_offset], and nothing
-// they do leaves the runtime, fabric or core state the template covers.
+// they do leaves the runtime, fabric or core state that a replay neither
+// sets nor derives, but endpoint free-times.  Those are all at most
+// T + rm_offset, so every later transfer, issued after that, reads the
+// same instants without them.
 // The next startSlice key is drawn at T instead of at RM completion; no
 // other key is drawn in between, so every surviving event keeps its order
 // relative to it.  The window also ends within the engine's run limit, so
@@ -761,35 +777,35 @@ bool Runtime::replaySuffix(Phase p) {
     return false;
   }
   if (controlPlaneDownDuring(now, end)) return false;
-  const std::int64_t base = static_cast<std::int64_t>(phase_seq_);
+  const std::uint64_t before = phase_seq_;
   phase_seq_ += t.phases;
   stats_ = sim::zipCounters(stats_, t.stats, std::plus<>());
   root_msgs_slice_ += t.root_msgs;
   stats_.fanout_msgs_per_slice = root_msgs_slice_;
-  cluster_.fabric().apply(t.fabric, now);
+  cluster_.fabric().addStats(t.fabric);
   // The control arrays' stores wait for their first reader.  The next
   // replay, under any template, writes every field of every live node
-  // again, so it replaces them.  The phase_done replicas (a flat
-  // template's) are the core's and land now.
-  ctl_.defer() = ControlStore{&t, base, now};
-  constexpr std::int64_t kKeep = SliceTemplate::kKeep;
-  for (const SliceTemplate::NodeRun& run : t.nodes) {
-    if (run.end.phase_done != kKeep) {
+  // again, so it replaces them.  The other ends are the protocol's, the
+  // same after every suffix (DESIGN.md §5b), and land now.
+  ctl_.defer() = ControlStore{&t, phase_seq_, now};
+  if (tree_mode_) {
+    // A rack with members acked the microphase before T; an emptied one
+    // acked none since the templates were recorded, and stays as it is.
+    for (TreeRackState& rk : tree_racks_) {
+      if (rk.acked_seq != before) continue;
+      rk.seq = rk.acked_seq = phase_seq_;
+      rk.pending = 0;
+    }
+    tree_phase_ = Phase::kRm;
+    tree_phase_open_ = false;
+  } else {
+    // A flat node's NIC writes its phase_done replica as its last token
+    // goes; an idle tree member takes none and writes nothing.
+    for (const SliceTemplate::NodeRun& run : t.nodes) {
       core_.fillVarLocal(run.first, run.count, phase_done_var_,
-                         base + run.end.phase_done);
+                         static_cast<std::int64_t>(phase_seq_));
     }
   }
-  for (std::size_t k = 0; k < t.racks.size(); ++k) {
-    const SliceTemplate::RackEnd& e = t.racks[k];
-    TreeRackState& rk = tree_racks_[k];
-    if (e.seq != kKeep) rk.seq = static_cast<std::uint64_t>(base + e.seq);
-    if (e.acked_seq != kKeep) {
-      rk.acked_seq = static_cast<std::uint64_t>(base + e.acked_seq);
-    }
-    rk.pending = e.pending;
-  }
-  tree_phase_ = t.tree_phase;
-  tree_phase_open_ = t.tree_phase_open;
   // The slice ends at RM completion, where phaseComplete derives the
   // overrun and the next start from the slice's own start.
   if (slice_start_ + config_.time_slice <= end) ++stats_.slice_overruns;
@@ -800,15 +816,14 @@ bool Runtime::replaySuffix(Phase p) {
 
 void Runtime::ControlStore::operator()(NodeControl& c) const {
   for (const SliceTemplate::NodeRun& run : t->nodes) {
-    const SliceTemplate::NodeEnd& e = run.end;
     const auto fill = [&run](auto& field, auto value) {
       std::fill_n(field.begin() + run.first, run.count, value);
     };
-    fill(c.phase_seq, static_cast<std::uint64_t>(base + e.phase_seq));
-    fill(c.last_strobe, start + e.last_strobe);
-    fill(c.outstanding, e.outstanding);
-    fill(c.tree_floor, static_cast<char>(e.tree_floor));
-    fill(c.tree_drain, static_cast<char>(e.tree_drain));
+    fill(c.phase_seq, seq);
+    fill(c.last_strobe, start + run.last_strobe);
+    fill(c.outstanding, 0);
+    fill(c.tree_floor, char{0});
+    fill(c.tree_drain, char{0});
   }
 }
 
@@ -823,16 +838,7 @@ void Runtime::startRecording(Phase p, SimTime next_event) {
   r.phase_seq = phase_seq_;
   r.root_msgs = root_msgs_slice_;
   r.stats = stats_;
-  cluster_.fabric().mark(r.fabric);
-  r.phase_done.resize(live_compute_nodes_.size());
-  for (std::size_t i = 0; i < live_compute_nodes_.size(); ++i) {
-    r.phase_done[i] = core_.readVar(live_compute_nodes_[i], phase_done_var_);
-  }
-  r.racks.resize(tree_racks_.size());
-  for (std::size_t k = 0; k < tree_racks_.size(); ++k) {
-    r.racks[k].seq = static_cast<std::int64_t>(tree_racks_[k].seq);
-    r.racks[k].acked_seq = static_cast<std::int64_t>(tree_racks_[k].acked_seq);
-  }
+  r.fabric = cluster_.fabric().stats();
 }
 
 void Runtime::finishRecording() {
@@ -846,54 +852,29 @@ void Runtime::finishRecording() {
       controlPlaneDownDuring(r.start, now)) {
     return;
   }
-  constexpr std::int64_t kKeep = SliceTemplate::kKeep;
-  const std::int64_t base = static_cast<std::int64_t>(r.phase_seq);
-  const auto rel = [](std::int64_t after, std::int64_t before,
-                      std::int64_t origin) {
-    return after == before ? kKeep : after - origin;
-  };
   SliceTemplate& t = templates_[static_cast<std::size_t>(r.from)];
   t.recorded = true;
   t.rm_offset = now - r.start;
   t.phases = phase_seq_ - r.phase_seq;
   t.stats = sim::zipCounters(stats_, r.stats, std::minus<>());
   t.root_msgs = root_msgs_slice_ - r.root_msgs;
-  cluster_.fabric().deltaSince(r.fabric, r.start, t.fabric);
+  t.fabric =
+      sim::zipCounters(cluster_.fabric().stats(), r.fabric, std::minus<>());
   t.nodes.clear();
   const NodeControl& c = *ctl_;
-  for (std::size_t i = 0; i < live_compute_nodes_.size(); ++i) {
-    const int n = live_compute_nodes_[i];
+  for (const int n : live_compute_nodes_) {
     // Every live node heard the suffix's strobes (a recording in which one
-    // was down is dropped above), so its sequence number and last strobe
-    // moved: a template sets them for every live node.
-    SliceTemplate::NodeEnd e;
-    e.phase_seq = static_cast<std::int64_t>(c.phase_seq[n]) - base;
-    e.phase_done =
-        rel(core_.readVar(n, phase_done_var_), r.phase_done[i], base);
-    e.last_strobe = c.last_strobe[n] - r.start;
-    e.outstanding = c.outstanding[n];
-    e.tree_floor = c.tree_floor[n] != 0;
-    e.tree_drain = c.tree_drain[n] != 0;
+    // was down is dropped above); only when it last heard one varies.
+    const Duration last_strobe = c.last_strobe[n] - r.start;
     if (!t.nodes.empty()) {
       SliceTemplate::NodeRun& run = t.nodes.back();
-      if (run.first + run.count == n && run.end == e) {
+      if (run.first + run.count == n && run.last_strobe == last_strobe) {
         ++run.count;
         continue;
       }
     }
-    t.nodes.push_back({n, 1, e});
+    t.nodes.push_back({n, 1, last_strobe});
   }
-  t.racks.resize(tree_racks_.size());
-  for (std::size_t k = 0; k < tree_racks_.size(); ++k) {
-    const TreeRackState& rk = tree_racks_[k];
-    SliceTemplate::RackEnd& e = t.racks[k];
-    e.seq = rel(static_cast<std::int64_t>(rk.seq), r.racks[k].seq, base);
-    e.acked_seq = rel(static_cast<std::int64_t>(rk.acked_seq),
-                      r.racks[k].acked_seq, base);
-    e.pending = rk.pending;
-  }
-  t.tree_phase = tree_phase_;
-  t.tree_phase_open = tree_phase_open_;
 }
 
 // ---------------------------------------------------------------------------
@@ -1041,8 +1022,8 @@ void Runtime::opStarted(int node) { ++ctl_->outstanding[node]; }
 
 void Runtime::opFinished(int node) {
   if (--ctl_->outstanding[node] == 0) {
-    // The phase_done replica is written in both modes: tree-mode recovery
-    // after a root election still quiesces via this variable.
+    // Only the flat phase poll and recoverPhase read the replica; tree
+    // recovery re-strobes the microphase and re-collects the rack acks.
     core_.writeVarLocal(node, phase_done_var_,
                         static_cast<std::int64_t>(ctl_->phase_seq[node]));
     if (tree_mode_) treeMemberDone(node);

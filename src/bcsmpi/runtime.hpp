@@ -504,38 +504,20 @@ class Runtime {
     int pending = 0;              ///< members still busy with `seq`
   };
 
-  /// Everything the rest of one normally simulated slice changed, from the
+  /// What varies in the rest of one normally simulated slice, from the
   /// microstrobe of its starting microphase at instant T to its RM
-  /// completion, as offsets from T and from phase_seq_ at T and as counter
-  /// deltas (DESIGN.md §5b, "Idle-suffix replay").  Replaying it at a later
-  /// microstrobe of the same microphase, with every live node idle for the
-  /// rest of that slice, under the same control plane, reproduces that
-  /// suffix exactly.  The DEM's template is a whole slice's.
+  /// completion (DESIGN.md §5b, "Idle-suffix replay"); a replay derives
+  /// every other end.  Replaying it at a later microstrobe of the same
+  /// microphase, with every live node idle for the rest of that slice,
+  /// under the same control plane, reproduces that suffix exactly.  The
+  /// DEM's template is a whole slice's.
   struct SliceTemplate {
-    /// An end value the suffix left alone.
-    static constexpr std::int64_t kKeep = INT64_MIN;
-    /// How a live node ends the slice.
-    struct NodeEnd {
-      std::int64_t phase_seq = 0;       ///< offset from phase_seq_ at T
-      std::int64_t phase_done = kKeep;  ///< replica, same base
-      std::int64_t last_strobe = 0;     ///< offset from T
-      int outstanding = 0;
-      bool tree_floor = false;
-      bool tree_drain = false;
-      bool operator==(const NodeEnd&) const = default;
-    };
-    /// Live nodes first..first+count-1, every one ending alike, as the
-    /// members of a rack do.
+    /// Live nodes first..first+count-1, which last heard a strobe at one
+    /// offset from T, as the members of a rack do.
     struct NodeRun {
       int first = 0;
       int count = 0;
-      NodeEnd end;
-    };
-    /// One per rack (tree mode).
-    struct RackEnd {
-      std::int64_t seq = kKeep;  ///< offsets from phase_seq_ at T
-      std::int64_t acked_seq = kKeep;
-      int pending = 0;
+      Duration last_strobe = 0;
     };
     /// Holds a recording for the current control plane.  A template that
     /// is dropped keeps its buffers' capacity for the next recording.
@@ -546,16 +528,11 @@ class Runtime {
     /// own slice's start, as phaseComplete does.
     RuntimeStats stats;
     std::uint64_t root_msgs = 0;  ///< root_msgs_slice_ advance
-    net::FabricDelta fabric;
+    net::FabricStats fabric;
     std::vector<NodeRun> nodes;  ///< ascending, covering the live nodes
-    std::vector<RackEnd> racks;
-    Phase tree_phase = Phase::kDem;
-    bool tree_phase_open = false;
   };
-  /// The state at T of a suffix being recorded: the slice's end minus this
-  /// is the template of microphase `from`.  Replica and rack entries hold
-  /// absolute values; the buffers keep their capacity from one attempt to
-  /// the next.
+  /// The counters at T of a suffix being recorded: the slice's end minus
+  /// this is the template of microphase `from`.
   struct SliceRecording {
     bool active = false;
     Phase from = Phase::kDem;
@@ -565,20 +542,17 @@ class Runtime {
     std::uint64_t phase_seq = 0;
     std::uint64_t root_msgs = 0;
     RuntimeStats stats;
-    net::Fabric::Mark fabric;
-    /// Each live node's phase_done replica, in live_compute_nodes_ order.
-    std::vector<std::int64_t> phase_done;
-    std::vector<SliceTemplate::RackEnd> racks;
+    net::FabricStats fabric;
   };
   /// A replayed suffix's stores to the control arrays, waiting in ctl_ for
-  /// their first reader (DESIGN.md §5b, "Write-back"): the template's node
-  /// runs, set from phase_seq_ at T (`base`) and from T (`start`).  Every
-  /// template of one control plane sets every field of every live node, so
-  /// the next replay, under any template, replaces this one;
-  /// dropSliceTemplate lands it first.
+  /// their first reader (DESIGN.md §5b, "Write-back"): over the template's
+  /// node runs, the slice's last sequence number `seq`, no token held, and
+  /// the last strobe set from T (`start`).  Every template of one control
+  /// plane sets every field of every live node, so the next replay, under
+  /// any template, replaces this one; dropSliceTemplate lands it first.
   struct ControlStore {
     const SliceTemplate* t = nullptr;
-    std::int64_t base = 0;
+    std::uint64_t seq = 0;
     SimTime start = 0;
     void operator()(NodeControl& c) const;
   };
@@ -721,6 +695,11 @@ class Runtime {
     SimTime at;  ///< the posting instant
   };
   Posting beginPost(int job, int rank);
+  /// A peer rank outside the job fails: "<op>: bad <role> rank N".
+  void checkRank(int job, int rank, const char* op, const char* role) const;
+  /// Deschedules the rank's fiber until it is woken.  A detached rank has
+  /// none and polls with testRequest, so a blocking `op` fails for it.
+  static void blockRank(const RankState& rs, int rank, const char* op);
   /// Posts an RMA op built by postPut, postGet or postFetchAdd (`what`,
   /// named in the bad-target error).
   std::uint64_t postRma(const char* what, RmaOpDescriptor d);

@@ -59,7 +59,7 @@ Fabric::Fabric(sim::Engine& engine, NetworkParams params, int num_nodes,
       params_(std::move(params)),
       num_nodes_(num_nodes),
       tree_(num_nodes, params_.radix),
-      endpoints_(std::vector<Endpoint>(static_cast<std::size_t>(num_nodes))),
+      endpoints_(static_cast<std::size_t>(num_nodes)),
       trace_(trace) {}
 
 void Fabric::checkNode(int node) const {
@@ -115,9 +115,8 @@ void Fabric::unicast(int src, int dst, std::size_t bytes,
   const auto serial =
       static_cast<Duration>(std::ceil(static_cast<double>(bytes) / bw));
 
-  std::vector<Endpoint>& endpoints = *endpoints_;
-  Endpoint& e_src = endpoints[static_cast<std::size_t>(src)];
-  Endpoint& e_dst = endpoints[static_cast<std::size_t>(dst)];
+  Endpoint& e_src = endpoints_[static_cast<std::size_t>(src)];
+  Endpoint& e_dst = endpoints_[static_cast<std::size_t>(dst)];
 
   const SimTime inject = now + params_.nic_tx_overhead + params_.pci_latency;
   const SimTime start_tx = std::max(inject, e_src.egress_free);
@@ -217,8 +216,7 @@ void Fabric::multicast(int src, std::span<const int> dest_set,
   const auto dserial =
       static_cast<Duration>(std::ceil(static_cast<double>(bytes) / mbw));
 
-  std::vector<Endpoint>& endpoints = *endpoints_;
-  Endpoint& e_src = endpoints[static_cast<std::size_t>(src)];
+  Endpoint& e_src = endpoints_[static_cast<std::size_t>(src)];
   const SimTime inject = now + params_.nic_tx_overhead + params_.pci_latency;
   const SimTime start_tx = std::max(inject, e_src.egress_free);
   setFree(e_src.egress_free, start_tx + serial);
@@ -246,7 +244,7 @@ void Fabric::multicast(int src, std::span<const int> dest_set,
       });
       continue;
     }
-    Endpoint& e_dst = endpoints[static_cast<std::size_t>(d)];
+    Endpoint& e_dst = endpoints_[static_cast<std::size_t>(d)];
     setFree(e_dst.ingress_free,
             std::max(arrival, e_dst.ingress_free + dserial));
     last = std::max(last, e_dst.ingress_free + params_.nic_rx_overhead);
@@ -276,9 +274,8 @@ void Fabric::multicast(int src, std::span<const int> dest_set,
 // with any event that throws).
 void Fabric::scheduleLegs(const sim::Slots<Legs>::Ref& legs) {
   std::vector<int>& dests = legs->dests;
-  const std::vector<Endpoint>& endpoints = *endpoints_;
-  const auto completion = [this, &endpoints](int d) {
-    return endpoints[static_cast<std::size_t>(d)].ingress_free +
+  const auto completion = [this](int d) {
+    return endpoints_[static_cast<std::size_t>(d)].ingress_free +
            params_.nic_rx_overhead;
   };
   const auto by_instant = [&completion](int a, int b) {
@@ -327,63 +324,8 @@ void Fabric::softwareMulticast(int src, std::span<const int> dests,
   issueSoftwareMulticast(*this, st, 0);
 }
 
-void Fabric::deltaSince(const Mark& m, SimTime base, FabricDelta& d) {
-  d.id = ++deltas_;
-  d.stats = sim::zipCounters(stats_, m.stats, std::minus<>());
-  d.busy.clear();
-  const std::vector<Endpoint>& endpoints = *endpoints_;
-  for (const bool ingress : {false, true}) {
-    const auto side = [ingress](const Endpoint& e) {
-      return ingress ? e.ingress_free : e.egress_free;
-    };
-    for (std::size_t n = 0; n < endpoints.size(); ++n) {
-      const SimTime free_at = side(endpoints[n]);
-      if (free_at == side(m.endpoints[n])) continue;
-      const int node = static_cast<int>(n);
-      const Duration offset = free_at - base;
-      if (!d.busy.empty()) {
-        FabricDelta::Busy& run = d.busy.back();
-        if (run.ingress == ingress && run.first + run.count == node &&
-            run.offset == offset) {
-          ++run.count;
-          continue;
-        }
-      }
-      d.busy.push_back({node, 1, ingress, offset});
-    }
-  }
-}
-
-// A replay of the delta whose runs are pending (or were the last to land)
-// writes the same endpoints, so it only moves the base: the free-times of
-// k replays in a row land once, as the last one's.  Another delta's runs
-// land first, then replace the copy.
-void Fabric::apply(const FabricDelta& d, SimTime base) {
-  stats_ = sim::zipCounters(stats_, d.stats, std::plus<>());
-  if (d.busy.empty()) return;
-  if (d.id == 0 || endpoints_.store().delta != d.id) {
-    endpoints_.settle();
-    FreeTimes& copy = endpoints_.defer();
-    copy.delta = d.id;
-    copy.runs.assign(d.busy.begin(), d.busy.end());
-    copy.latest = d.busy.front().offset;
-    for (const FabricDelta::Busy& run : d.busy) {
-      copy.latest = std::max(copy.latest, run.offset);
-    }
-  }
-  FreeTimes& pending = endpoints_.defer();
-  pending.base = base;
-  busy_until_ = std::max(busy_until_, base + pending.latest);
-}
-
-void Fabric::FreeTimes::operator()(std::vector<Endpoint>& endpoints) const {
-  for (const FabricDelta::Busy& run : runs) {
-    const SimTime free_at = base + run.offset;
-    Endpoint* const first = &endpoints[static_cast<std::size_t>(run.first)];
-    for (Endpoint* e = first; e != first + run.count; ++e) {
-      (run.ingress ? e->ingress_free : e->egress_free) = free_at;
-    }
-  }
+void Fabric::addStats(const FabricStats& delta) {
+  stats_ = sim::zipCounters(stats_, delta, std::plus<>());
 }
 
 Duration Fabric::conditionalLatency(int n) const {

@@ -45,7 +45,6 @@
 #include "sim/slots.hpp"
 #include "sim/time.hpp"
 #include "sim/trace.hpp"
-#include "sim/write_back.hpp"
 
 namespace bcs::net {
 
@@ -72,27 +71,6 @@ struct FabricStats {
   /// Zeroes every counter (interval measurements around a workload).
   void reset() { *this = FabricStats{}; }
   bool operator==(const FabricStats&) const = default;
-};
-
-/// What a stretch of fabric activity did, relative to the instant it began
-/// on a quiet fabric (Fabric::quiet): its counter deltas and the endpoint
-/// free-times it left behind, as offsets from that instant.  Applying it at
-/// another quiet instant reproduces the stretch's effect on the fabric.
-struct FabricDelta {
-  /// deltaSince's serial number: a replay of the same delta only moves
-  /// the base of the last one's pending free-times.  A delta not made by
-  /// deltaSince keeps 0, and its runs are copied at every replay.
-  std::uint64_t id = 0;
-  FabricStats stats;
-  /// Nodes first..first+count-1 whose free-time on one side moved to one
-  /// offset, as a multicast's destinations do.
-  struct Busy {
-    int first = 0;
-    int count = 0;
-    bool ingress = false;  ///< ingress free-times, else egress
-    Duration offset = 0;
-  };
-  std::vector<Busy> busy;
 };
 
 /// Per-send options for unicast.  Default-constructed == the historical
@@ -161,33 +139,16 @@ class Fabric {
 
   // ---- Replaying a recorded stretch (bcsmpi quiescent slices) ----
 
+  /// Adds a replayed stretch's counter deltas (DESIGN.md §5b).  Its
+  /// endpoint free-times are not replayed: each is past before any later
+  /// transfer is issued, and a transfer reads a free-time only through
+  /// the max with its own inject instant.
+  void addStats(const FabricStats& delta);
+
   /// True iff no endpoint is busy past `now`.  Every transfer started from
   /// a quiet instant finds its wires free, so its timing depends only on
   /// how long after that instant it starts.  O(1): free-times only grow.
   bool quiet(SimTime now) const { return busy_until_ <= now; }
-
-  /// One node's NIC: the instants its egress and ingress are free again.
-  struct Endpoint {
-    SimTime egress_free = 0;
-    SimTime ingress_free = 0;
-  };
-  /// Counters and endpoint free-times at one instant, to diff against.
-  struct Mark {
-    FabricStats stats;
-    std::vector<Endpoint> endpoints;
-  };
-  /// Fills `m` with the current state, reusing its capacity.
-  void mark(Mark& m) const {
-    m.stats = stats_;
-    m.endpoints = *endpoints_;
-  }
-  /// Fills `d` with what changed since `m`, free-times as offsets from
-  /// `base`, reusing its capacity.
-  void deltaSince(const Mark& m, SimTime base, FabricDelta& d);
-  /// Replays `d` at `base`: adds its counters and raises quiet()'s running
-  /// maximum now, and defers its free-times until the endpoints are next
-  /// used (sim/write_back.hpp), so a replay is O(1) in nodes.
-  void apply(const FabricDelta& d, SimTime base);
 
   /// Attaches (or detaches, with nullptr) a fault injector.  Not owned; must
   /// outlive the fabric or be detached first.
@@ -196,6 +157,11 @@ class Fabric {
   sim::Engine& engine() { return engine_; }
 
  private:
+  /// One node's NIC: the instants its egress and ingress are free again.
+  struct Endpoint {
+    SimTime egress_free = 0;
+    SimTime ingress_free = 0;
+  };
   /// A conditional round between its issue and its evaluation.  Its slot
   /// (sim/slots.hpp) keeps the node vector's capacity.
   struct Round {
@@ -233,28 +199,14 @@ class Fabric {
     busy_until_ = std::max(busy_until_, at);
   }
 
-  /// A replayed delta's free-times, waiting for the next use of the
-  /// endpoints: its runs, copied once per delta, set at `base`.
-  struct FreeTimes {
-    std::uint64_t delta = 0;  ///< FabricDelta::id the runs came from
-    std::vector<FabricDelta::Busy> runs;
-    Duration latest = 0;  ///< the largest run offset
-    SimTime base = 0;
-    void operator()(std::vector<Endpoint>& endpoints) const;
-  };
-
   sim::Engine& engine_;
   NetworkParams params_;
   int num_nodes_;
   FatTree tree_;
-  /// Reached only through the write-back's accessors, which apply a
-  /// replay's pending free-times first.
-  sim::WriteBack<std::vector<Endpoint>, FreeTimes> endpoints_;
-  /// The latest endpoint free-time.  Every write moves a free-time forward
-  /// (replays apply theirs at a quiet instant), so this is their maximum.
-  /// A replay raises it at once, not when its free-times land.
+  std::vector<Endpoint> endpoints_;
+  /// The latest endpoint free-time.  Every write moves a free-time forward,
+  /// so this is their maximum.
   SimTime busy_until_ = 0;
-  std::uint64_t deltas_ = 0;  ///< deltaSince calls so far
   sim::Trace* trace_;
   sim::FaultInjector* fault_ = nullptr;
   FabricStats stats_;

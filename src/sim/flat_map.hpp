@@ -9,8 +9,9 @@
 // frees.  Keys issued in increasing order (request ids, posting seqs)
 // append at the back, and the oldest are usually erased first, so erasing
 // the first entry is O(1): it only advances the front, and the dead front
-// is compacted away once it outgrows the live entries.  Iterators and
-// references are invalidated by every insert and erase.
+// is compacted away once it outgrows the live entries.  Any other erase
+// moves the entries on its nearer side, at most half the table.
+// Iterators and references are invalidated by every insert and erase.
 
 #include <algorithm>
 #include <cstddef>
@@ -68,16 +69,22 @@ class FlatMap {
 
   V& operator[](const K& k) { return emplace(k, V{}).first->second; }
 
-  /// Erases `it` and returns the entry after it.
+  /// Erases `it` and returns the entry after it.  Shifts the entries on
+  /// the nearer side of `it`: the later ones down, or the earlier ones up
+  /// over it, advancing the front.
   iterator erase(iterator it) {
-    if (it != begin()) return items_.erase(it);
-    *it = value_type{};  // releases what the entry holds
+    if (it != begin()) {
+      if (end() - it <= it - begin()) return items_.erase(it);
+      std::move_backward(begin(), it, it + 1);
+    }
+    const auto next = it - begin();  // after it, once the front moves up
+    *begin() = value_type{};  // releases what the entry holds
     ++head_;
     if (head_ >= size()) {
       items_.erase(items_.begin(), items_.begin() + static_cast<long>(head_));
       head_ = 0;
     }
-    return begin();
+    return begin() + next;
   }
   std::size_t erase(const K& k) {
     const iterator it = find(k);

@@ -46,9 +46,6 @@ class WriteBack {
     pending_ = true;
     return store_;
   }
-  /// The store last deferred, whether it has run yet or not.
-  const Store& store() const { return store_; }
-
   /// Runs the pending store, if there is one.  Const because the value an
   /// accessor returns is the same either way; only when the stores land
   /// changes.

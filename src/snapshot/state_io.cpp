@@ -1,5 +1,6 @@
 #include "snapshot/state_io.hpp"
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -278,11 +279,17 @@ void StateIO::sections(Simulation& sim, Section&& section) {
   });
   section("fabric", [&](Ar& a) {
     net::Fabric& f = sim.cluster->fabric();
-    a.sameSize(*f.endpoints_, "endpoint", [&](auto& ep) {
-      a(ep.egress_free, ep.ingress_free);
+    a.sameSize(f.endpoints_, "endpoint", [&](auto& ep) {
+      // A free-time before the capture instant is stored as the instant:
+      // no transfer issued from there on can tell them apart, and a
+      // replayed slice leaves earlier ones than a simulated one (DESIGN.md
+      // §8).
+      sim::SimTime egress = std::max(ep.egress_free, meta.now);
+      sim::SimTime ingress = std::max(ep.ingress_free, meta.now);
+      a(egress, ingress);
       if constexpr (Ar::kLoading) {  // keeps the fabric's running maximum
-        f.setFree(ep.egress_free, ep.egress_free);
-        f.setFree(ep.ingress_free, ep.ingress_free);
+        f.setFree(ep.egress_free, egress);
+        f.setFree(ep.ingress_free, ingress);
       }
     });
     net::FabricStats& s = f.stats_;

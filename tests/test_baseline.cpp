@@ -433,4 +433,36 @@ TEST(Baseline, BadBcastRootThrows) { expectBadRootThrows(false); }
 
 TEST(Baseline, BadReduceRootThrows) { expectBadRootThrows(true); }
 
+// A receive or probe source outside the job fails at the call, as a bad
+// send destination does: not as a receive that can never complete or a
+// probe that can never see a message.  Any-source passes.
+void expectBadSourceThrows(bool probe) {
+  for (const int src : {2, 5, -7}) {
+    net::Cluster cluster(smallCluster(2));
+    EXPECT_EQ(simErrorOf([&] {
+                runJob(cluster, fastInit(), blockMapping(2, 2, 1),
+                       [&](Comm& comm) {
+                         char c = 0;
+                         mpi::Status st;
+                         if (probe) {
+                           EXPECT_FALSE(
+                               comm.probe(mpi::kAnySource, 0, &st, false));
+                           comm.probe(src, 0, &st, /*blocking=*/false);
+                         } else {
+                           mpi::Request any =
+                               comm.irecv(&c, 1, mpi::kAnySource, 0);
+                           EXPECT_FALSE(any.null());
+                           comm.irecv(&c, 1, src, 0);
+                         }
+                       });
+              }),
+              std::string(probe ? "probe" : "recv") + ": bad source rank " +
+                  std::to_string(src));
+  }
+}
+
+TEST(Baseline, BadRecvSourceThrows) { expectBadSourceThrows(false); }
+
+TEST(Baseline, BadProbeSourceThrows) { expectBadSourceThrows(true); }
+
 }  // namespace

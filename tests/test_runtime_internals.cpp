@@ -222,6 +222,60 @@ TEST(RuntimeInternals, BadBcastRootThrows) { expectBadRootThrows(false); }
 
 TEST(RuntimeInternals, BadReduceRootThrows) { expectBadRootThrows(true); }
 
+// A receive or probe source outside the job fails at the call, as a bad
+// destination does: not from the DEM drain's node lookup a slice later,
+// and not as a probe that can never see a message.  Any-source passes.
+void expectBadSourceThrows(bool probe) {
+  for (const int src : {2, 5, -7}) {
+    net::Cluster cluster(nodes(2));
+    EXPECT_EQ(simErrorOf([&] {
+                bcsmpi::runJob(cluster, fast(), {0, 1}, [&](Comm& comm) {
+                  char c = 0;
+                  mpi::Status st;
+                  if (probe) {
+                    EXPECT_FALSE(comm.probe(mpi::kAnySource, 0, &st, false));
+                    comm.probe(src, 0, &st, /*blocking=*/false);
+                  } else {
+                    mpi::Request any = comm.irecv(&c, 1, mpi::kAnySource, 0);
+                    EXPECT_FALSE(any.null());
+                    comm.irecv(&c, 1, src, 0);
+                  }
+                });
+              }),
+              std::string(probe ? "probe" : "postRecv") +
+                  ": bad source rank " + std::to_string(src));
+  }
+}
+
+TEST(RuntimeInternals, BadRecvSourceThrows) { expectBadSourceThrows(false); }
+
+TEST(RuntimeInternals, BadProbeSourceThrows) { expectBadSourceThrows(true); }
+
+TEST(RuntimeInternals, BlockingCallsOnADetachedRankThrow) {
+  // A detached rank has no fiber to deschedule; it polls with testRequest.
+  for (const bool probe : {false, true}) {
+    net::Cluster cluster(nodes(2));
+    bcsmpi::Runtime rt(cluster, fast());
+    const int job = rt.createJob({0, 1});
+    rt.registerDetachedRank(job, 0);
+    rt.registerDetachedRank(job, 1);
+    std::array<char, 8> buf{};
+    cluster.engine().at(usec(100), [&] {
+      mpi::Status st;
+      if (probe) {
+        rt.probe(job, 1, 0, 0, &st, /*blocking=*/true);
+      } else {
+        const std::uint64_t req =
+            rt.postRecv(job, 1, buf.data(), buf.size(), 0, 0);
+        rt.waitRequest(job, 1, req, &st);
+      }
+    });
+    EXPECT_EQ(simErrorOf([&] { cluster.run(msec(2)); }),
+              std::string(probe ? "probe" : "waitRequest") +
+                  ": rank 1 is detached; poll with testRequest");
+  }
+}
+
 TEST(RuntimeInternals, DrainWindowCatchesBoundaryPosts) {
   // A process woken at the slice boundary that immediately posts catches
   // the *current* slice (FIFO drain semantics) — its blocking op costs
@@ -1309,6 +1363,35 @@ TEST(SliceReplay, EvictionAndRejoinInsideAStreakMatch) {
     EXPECT_GE(replayedBefore(a.run, i), 4u) << spec.mpi.tree_fanout;
     EXPECT_GT(oneEventSlices(a.run), 30u) << spec.mpi.tree_fanout;
   }
+}
+
+TEST(SliceReplay, TreeRackEmptiedInsideAStreakMatches) {
+  // Every member of the fourth rack, nodes 24-31, is declared dead between
+  // slices 34 and 35, after the ring is done.  The emptied rack's books
+  // keep the last microphase it acked, below every later replay's, and a
+  // replay sets only the other racks' (DESIGN.md §5b); the captures every
+  // third slice read them through the streak of replays that follows.
+  const snapshot::ScenarioSpec spec = snapshot::ckptTree(false);
+  CapturePlan plan;
+  plan.every = 3;
+  plan.until = msec(40);
+  plan.pause = detachedBoundary(30);
+  plan.at_pause = [](snapshot::Simulation& sim, CapturedRun&) {
+    bcsmpi::Runtime* rt = sim.runtime.get();
+    sim.cluster->engine().at(detachedBoundary(34) + usec(350), [rt] {
+      for (int n = 24; n < 32; ++n) rt->notifyNodeFailure(n);
+    });
+  };
+  const CapturedRun a = captureRun(spec, false, plan);
+  const CapturedRun b = captureRun(spec, true, plan);
+  expectSameBoundaries(a.run, b.run);
+  expectBlobsMatchExceptTheEngine(a, b);
+  ASSERT_FALSE(a.run.boundaries.empty());
+  EXPECT_EQ(a.run.boundaries.back().runtime.evictions, 8u);
+  std::size_t i = 0;
+  while (a.run.boundaries[i].slice != 60) ++i;
+  EXPECT_GE(replayedBefore(a.run, i), 20u);
+  EXPECT_GT(a.blobs.size(), 20u);
 }
 
 TEST(SliceReplay, TreeSparseJobPausedInsideAStreakMatches) {

@@ -1,26 +1,31 @@
 // Unit tests for the simulation substrate: engine, fibers, CPU model,
-// noise injection, RNG and statistics.
+// noise injection, RNG, statistics and the flat map.
 
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <ostream>
 #include <set>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/cpu.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_run.hpp"
 #include "sim/fiber.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/noise.hpp"
 #include "sim/process.hpp"
 #include "sim/rng.hpp"
@@ -1733,6 +1738,89 @@ TEST(Arena, SlotRefsOutlivingTheirPoolFreeItLast) {
   slots.reset();
   holders.reset();
   eng.reset();  // drops the rest unrun
+}
+
+// --------------------------------------------------------------- FlatMap --
+
+/// A value that counts the moves of live entries (id != 0): the release of
+/// an erased slot moves a default value and is not counted.
+struct MoveCounted {
+  static inline int moves = 0;
+  int id = 0;
+  MoveCounted() = default;
+  explicit MoveCounted(int i) : id(i) {}
+  MoveCounted(MoveCounted&& o) noexcept : id(std::exchange(o.id, 0)) {
+    moves += id != 0 ? 1 : 0;
+  }
+  MoveCounted& operator=(MoveCounted&& o) noexcept {
+    id = std::exchange(o.id, 0);
+    moves += id != 0 ? 1 : 0;
+    return *this;
+  }
+};
+
+TEST(FlatMap, EraseMovesOnlyTheNearerSide) {
+  FlatMap<int, MoveCounted> map;
+  for (int k = 1; k <= 1000; ++k) map.emplace(k, MoveCounted(k));
+  const auto erase = [&map](int k) {
+    MoveCounted::moves = 0;
+    EXPECT_EQ(map.erase(k), 1u);
+    return MoveCounted::moves;
+  };
+  EXPECT_LE(erase(2), 1);      // the 2nd of 1,000: the one before it moves
+  EXPECT_EQ(erase(1), 0);      // the first entry only advances the front
+  EXPECT_LE(erase(999), 1);    // the one after it moves
+  EXPECT_LE(erase(500), 498);  // the middle: one side, never both
+  ASSERT_EQ(map.size(), 996u);
+  int want = 3;
+  for (const auto& [k, v] : map) {
+    while (want == 500 || want == 999) ++want;
+    EXPECT_EQ(k, want);
+    EXPECT_EQ(v.id, want);
+    ++want;
+  }
+  EXPECT_EQ(want, 1001);
+}
+
+TEST(FlatMap, EraseAnywhereKeepsOrderAndReturnsTheNext) {
+  // Erases at the front, inside the front half, inside the back half and
+  // at the back, across the compaction of the dead front, against
+  // std::map.
+  FlatMap<int, int> map;
+  std::map<int, int> ref;
+  for (int k = 0; k < 64; ++k) {
+    map.emplace(k * 3, k);
+    ref.emplace(k * 3, k);
+  }
+  std::uint64_t lcg = 12345;
+  int refills = 0;
+  while (!ref.empty()) {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    auto at = ref.begin();
+    std::advance(at, static_cast<long>((lcg >> 33) % ref.size()));
+    const auto it = map.find(at->first);
+    ASSERT_NE(it, map.end());
+    const auto next = map.erase(it);
+    const auto ref_next = ref.erase(at);
+    if (ref_next == ref.end()) {
+      EXPECT_EQ(next, map.end());
+    } else {
+      ASSERT_NE(next, map.end());
+      EXPECT_EQ(next->first, ref_next->first);
+    }
+    ASSERT_EQ(map.size(), ref.size());
+    EXPECT_TRUE(std::equal(map.begin(), map.end(), ref.begin(),
+                           [](const auto& a, const auto& b) {
+                             return a.first == b.first && a.second == b.second;
+                           }));
+    if (ref.size() % 16 == 0 && refills < 8) {  // at the front and back
+      ++refills;
+      for (const int k : {-refills, 1000 + refills}) {
+        map.emplace(k, k);
+        ref.emplace(k, k);
+      }
+    }
+  }
 }
 
 }  // namespace

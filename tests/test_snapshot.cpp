@@ -540,7 +540,7 @@ TEST(SnapshotFields, SectionTableIsPinned) {
         {"engine", 52, 0x6bb7dcdeu},
         {"rng", 32, 0xb1ce89beu},
         {"fault", 60, 0xcaa11f99u},
-        {"fabric", 212, 0xf54ca355u},
+        {"fabric", 212, 0xa378a9e1u},
         {"core.runtime", 392, 0xe5d80b26u},
         {"runtime", 1264, 0xa63ad718u},
         {"verify", 97, 0x07f50b15u},
@@ -552,7 +552,7 @@ TEST(SnapshotFields, SectionTableIsPinned) {
         {"engine", 52, 0xfb938953u},
         {"rng", 32, 0x0e267e9cu},
         {"fault", 60, 0xf23b1c03u},
-        {"fabric", 596, 0x1e12384bu},
+        {"fabric", 596, 0x39b98888u},
         {"core.runtime", 1352, 0x6e00040cu},
         {"runtime", 6089, 0xce5815b4u},
         {"core.storm", 544, 0x0bf60c42u},
@@ -566,7 +566,7 @@ TEST(SnapshotFields, SectionTableIsPinned) {
         {"engine", 52, 0x84598c9bu},
         {"rng", 32, 0x689ea870u},
         {"fault", 60, 0x953ff308u},
-        {"fabric", 596, 0x64fc67f2u},
+        {"fabric", 596, 0x99d7d2deu},
         {"core.runtime", 1352, 0x72db451eu},
         {"runtime", 6400, 0xd27c8c62u},
         {"verify", 97, 0x28a5337cu},
@@ -593,6 +593,40 @@ TEST(SnapshotFields, SectionTableIsPinned) {
       EXPECT_EQ(got.name, want.name);
       EXPECT_EQ(got.raw_size, want.raw_size) << want.name;
       EXPECT_EQ(got.crc, want.crc) << want.name;
+    }
+  }
+}
+
+TEST(SnapshotFields, FabricStoresNoFreeTimeBeforeTheCapture) {
+  // Every transfer a restored run issues starts at or after the capture
+  // instant, where an earlier free-time reads like the instant itself, and
+  // a replayed slice leaves earlier ones than a simulated slice does.  So
+  // the fabric section stores the later of each free-time and the capture
+  // instant (DESIGN.md §8).
+  for (const auto make : {&snapshot::ckptRing, &snapshot::ckptTree}) {
+    ScenarioSpec spec = make(/*verify=*/false);
+    SCOPED_TRACE(spec.mpi.tree_fanout);
+    spec.mpi.checkpoint_every_slices = 2;
+    Simulation b = snapshot::build(spec);
+    std::vector<std::vector<std::uint8_t>> blobs;
+    b.runtime->setSnapshotSink([&b, &blobs](std::uint64_t) {
+      blobs.push_back(snapshot::capture(b));
+    });
+    b.cluster->run(sim::msec(20));
+    ASSERT_GT(blobs.size(), 5u);
+    for (const std::vector<std::uint8_t>& blob : blobs) {
+      const snapshot::SnapshotReader r(blob);
+      const sim::SimTime now = snapshot::StateIO::readMeta(r).now;
+      const std::string raw = r.section("fabric");
+      snapshot::Decoder d(raw, "fabric");
+      std::vector<std::pair<sim::SimTime, sim::SimTime>> endpoints(
+          static_cast<std::size_t>(b.cluster->fabric().numNodes()));
+      d.sameSize(endpoints, "endpoint",
+                 [&d](auto& ep) { d(ep.first, ep.second); });
+      for (const auto& [egress_free, ingress_free] : endpoints) {
+        EXPECT_GE(egress_free, now);
+        EXPECT_GE(ingress_free, now);
+      }
     }
   }
 }

@@ -24,12 +24,20 @@ that did:
     tools/output_digest.py ../parent/build > parent.txt
     diff parent.txt change.txt
 
+With --check, compares the listing with the one in LISTING instead of
+printing it, prints a unified diff if they differ and exits 1 then.  The
+tier-1 ctest entry `output_digest` checks a build against
+tests/golden/output_digest.txt; a change that moves simulated output
+regenerates that file with the first form and says so in CHANGES.md.
+
 Pure stdlib.  Exits 1 if BUILD_DIR holds no bench or example binary.
 
 Usage:
     tools/output_digest.py BUILD_DIR
+    tools/output_digest.py --check LISTING BUILD_DIR
 """
 
+import difflib
 import hashlib
 import os
 import pathlib
@@ -90,18 +98,38 @@ def digest(binary: pathlib.Path):
     return lines
 
 
-def main(argv) -> int:
-    if len(argv) != 2:
-        print(__doc__.strip().splitlines()[-1].strip(), file=sys.stderr)
-        return 2
-    found = binaries(pathlib.Path(argv[1]))
-    if not found:
-        print(f"{argv[1]}: no bench or example binaries", file=sys.stderr)
-        return 1
+def listing(found):
     for binary in found:
         for hexdigest, what in digest(binary):
-            print(f"{hexdigest}  {binary.name}/{what}", flush=True)
-    return 0
+            yield f"{hexdigest}  {binary.name}/{what}"
+
+
+def main(argv) -> int:
+    check = len(argv) == 4 and argv[1] == "--check"
+    if len(argv) != 2 and not check:
+        usage = __doc__.strip().splitlines()[-2:]
+        print("\n".join(line.strip() for line in usage), file=sys.stderr)
+        return 2
+    found = binaries(pathlib.Path(argv[-1]))
+    if not found:
+        print(f"{argv[-1]}: no bench or example binaries", file=sys.stderr)
+        return 1
+    if not check:
+        for line in listing(found):
+            print(line, flush=True)
+        return 0
+    want = pathlib.Path(argv[2]).read_text().splitlines()
+    got = list(listing(found))
+    if got == want:
+        print(f"{len(got)} digests match {argv[2]}")
+        return 0
+    for line in difflib.unified_diff(want, got, argv[2], argv[-1],
+                                     lineterm=""):
+        print(line)
+    print("simulated output moved: if that is intended, regenerate the "
+          f"listing with `{argv[0]} {argv[-1]} > {argv[2]}` and say so in "
+          "CHANGES.md")
+    return 1
 
 
 if __name__ == "__main__":
